@@ -133,6 +133,7 @@ _DEFAULT_RESOURCES = (
     "ModelarDB",
     "FileStorage",
     "ServerClient",
+    "WorkerFleet",
     "ProcessCluster",
     "ShardedCluster",
 )

@@ -656,8 +656,8 @@ _UNPICKLABLE_FACTORIES = {
 class PickleSafetyRule(Rule):
     """RPR004: RPC payload types carry only picklable state.
 
-    Everything listed in ``rpc-types`` crosses the ProcessCluster
-    boundary through ``cluster/pool.py``; a lock, socket, generator, or
+    Everything listed in ``rpc-types`` crosses a worker process
+    boundary through ``cluster/fleet.py``; a lock, socket, generator, or
     lambda smuggled into a field turns into a runtime PicklingError on
     whichever code path first ships the object.
     """

@@ -1,13 +1,16 @@
 """Master/worker cluster substrates (distribution without shuffling).
 
-Two interchangeable substrates share the same partitioning, routing and
-partial-result merging:
+Two interchangeable substrates share one partitioning, least-loaded
+assignment, routing and gather/merge (:mod:`repro.cluster.cluster`):
 
 * :class:`ModelarCluster` — simulated: workers run sequentially in one
   process and reports *model* parallel wall time (``max`` over workers);
-* :class:`ProcessCluster` — real: one OS process per worker with an RPC
-  layer, measured wall-clock reports, and timeout/retry/failover when a
-  worker crashes (faults injectable via :class:`FaultPlan`).
+* :class:`ProcessCluster` — real: one OS process per worker, measured
+  wall-clock reports, and failover when a worker crashes.
+
+The worker processes and the one retry/backoff RPC that reaches them
+are a :class:`WorkerFleet` (faults injectable via :class:`FaultPlan`),
+shared with the sharded serving tier (:mod:`repro.shard`).
 """
 
 from .cluster import (
@@ -17,6 +20,7 @@ from .cluster import (
     restrict_query_to_tids,
 )
 from .faults import Fault, FaultPlan
+from .fleet import WorkerFleet
 from .node import WorkerNode
 from .pool import ProcessCluster
 
@@ -27,6 +31,7 @@ __all__ = [
     "FaultPlan",
     "ModelarCluster",
     "ProcessCluster",
+    "WorkerFleet",
     "WorkerNode",
     "restrict_query_to_tids",
 ]

@@ -137,6 +137,64 @@ def restrict_query_to_tids(
     return replace(query, where=where)
 
 
+def partition_series(
+    series: Sequence[TimeSeries],
+    config: Configuration,
+    dimensions: DimensionSet,
+    group_compression: bool = True,
+) -> list[TimeSeriesGroup]:
+    """The master's partitioning step, shared by every cluster."""
+    if not group_compression or not config.correlation:
+        return singleton_groups(series)
+    return group_from_config(series, config.correlation, dimensions)
+
+
+def assign_least_loaded(
+    groups: Sequence[TimeSeriesGroup],
+    owned: dict[int, Sequence[TimeSeriesGroup]],
+) -> list[tuple[TimeSeriesGroup, int]]:
+    """Least-loaded assignment (Section 3.1): biggest groups first, each
+    to the worker with the fewest data points so far.
+
+    ``owned`` maps every eligible worker id to the groups it already
+    holds; ties go to the first worker in its order. Returns the
+    (group, worker id) placements in assignment order.
+    """
+    loads = {
+        worker_id: sum(_points(group) for group in held)
+        for worker_id, held in owned.items()
+    }
+    placed = []
+    for group in sorted(groups, key=_points, reverse=True):
+        target = min(loads, key=loads.__getitem__)
+        loads[target] += _points(group)
+        placed.append((group, target))
+    return placed
+
+
+def _points(group: TimeSeriesGroup) -> int:
+    return sum(len(ts) for ts in group)
+
+
+def gather(
+    query: Query, outputs: Sequence[PartialResult | list[dict]]
+) -> list[dict]:
+    """Merge the ordered worker/shard outputs of one scattered query.
+
+    Aggregates arrive as :class:`PartialResult`s and fold associatively;
+    anything else arrives as row lists, concatenated in output order and
+    then — because workers answer in worker, not Tid, order — re-cut to
+    the global top-k (similarity) or re-sorted by (Tid, TS) (forecasts).
+    A no-op for plain selections.
+    """
+    partials = [out for out in outputs if isinstance(out, PartialResult)]
+    if partials:
+        return merge_partial_results(partials)
+    return merge_analytics_rows(
+        query, [row for output in outputs for row in output]
+    )
+
+
 class ModelarCluster:
     """A master plus N workers over in-process storage backends."""
 
@@ -171,22 +229,15 @@ class ModelarCluster:
     # Partitioning and ingestion
     # ------------------------------------------------------------------
     def partition(self, series: Sequence[TimeSeries]) -> list[TimeSeriesGroup]:
-        if not self.group_compression or not self.config.correlation:
-            return singleton_groups(series)
-        return group_from_config(
-            series, self.config.correlation, self.dimensions
+        return partition_series(
+            series, self.config, self.dimensions, self.group_compression
         )
 
     def assign(self, groups: Sequence[TimeSeriesGroup]) -> None:
-        """Least-loaded assignment: biggest groups first, each to the
-        worker with the most available resources (Section 3.1)."""
-        ordered = sorted(
-            groups,
-            key=lambda group: sum(len(ts) for ts in group),
-            reverse=True,
-        )
-        for group in ordered:
-            worker = min(self.workers, key=lambda w: w.load)
+        """Pin each group whole to the least-loaded worker."""
+        owned = {worker.node_id: worker.groups for worker in self.workers}
+        for group, node_id in assign_least_loaded(groups, owned):
+            worker = self.workers[node_id]
             worker.assign(group, self.dimensions or None)
             for ts in group:
                 self._tid_to_worker[ts.tid] = worker
@@ -224,37 +275,22 @@ class ModelarCluster:
 
     def execute(self, query: Query) -> tuple[list[dict], ClusterQueryReport]:
         report = ClusterQueryReport()
-        partials: list[PartialResult] = []
-        rows: list[dict] = []
+        outputs = []
         for worker in self.workers:
             if not worker.groups:
                 continue
-            worker_query = self._route(query, worker)
+            # Routing: a worker owning none of the requested series
+            # is pruned from the scatter.
+            worker_query = restrict_query_to_tids(query, worker.tids)
             if worker_query is None:
                 continue
             result, elapsed = worker.execute_partial(worker_query)
             report.worker_seconds.append(elapsed)
-            if isinstance(result, PartialResult):
-                partials.append(result)
-            else:
-                rows.extend(result)
+            outputs.append(result)
         started = time.perf_counter()
-        if partials:
-            rows = merge_partial_results(partials)
-        else:
-            # Similarity keeps the global top-k, forecasts re-sort by
-            # (Tid, TS): workers return rows in worker — not Tid —
-            # order. A no-op for plain selections.
-            rows = merge_analytics_rows(query, rows)
+        rows = gather(query, outputs)
         report.merge_seconds = time.perf_counter() - started
         return rows, report
-
-    def _route(self, query: Query, worker: WorkerNode) -> Query | None:
-        """Restrict a query's Tid predicates to the worker's series.
-
-        Returns None when the worker owns none of the requested series
-        (the master prunes that worker from the scatter)."""
-        return restrict_query_to_tids(query, worker.tids)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -2,22 +2,9 @@
 
 This is the measured counterpart of :class:`~repro.cluster.ModelarCluster`
 (which simulates parallelism by running workers sequentially in-process).
-Every :class:`~repro.cluster.node.WorkerNode` runs in its own
-``multiprocessing`` process with a private storage backend; the master
-talks to it over a small message-passing RPC layer:
-
-``assign``
-    Ship whole time series groups (and the dimension set) to the worker.
-``ingest``
-    Ingest the groups assigned since the last ingest; reply with the
-    worker's cumulative :class:`~repro.ingest.stats.IngestStats`.
-``execute``
-    Run a rewritten query locally; reply with a picklable
-    :class:`~repro.query.engine.PartialResult` (aggregates) or rows.
-``flush``
-    Make local state durable; reply with (segment count, bytes).
-``shutdown``
-    Close the local store and exit.
+The workers, their RPC and its retry/liveness machinery belong to
+:class:`~repro.cluster.fleet.WorkerFleet`; this module is only the
+*placement policy* on top of it.
 
 The distribution properties are identical to the simulated substrate —
 groups are assigned whole to the least-loaded worker and never move
@@ -32,186 +19,33 @@ Fault tolerance rides on the same no-shuffle pinning invariant: because
 a group's segments live only on its worker and the master retains the
 raw groups, recovering from a worker failure is just re-assigning the
 dead worker's groups to the least-loaded survivors, re-ingesting them
-there, and re-asking the moved Tids. The master detects failures with
-per-request timeouts (exponential backoff, duplicate-safe resends — all
-request handlers are idempotent) and a process liveness check; faults
-are injectable via :class:`~repro.cluster.faults.FaultPlan` so the
-recovery path is testable deterministically.
+there, and re-asking the moved Tids.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import queue
 import time
-from pathlib import Path
 from typing import Sequence
 
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
-from ..core.errors import (
-    ClusterError,
-    QueryError,
-    WorkerFailure,
-    WorkerRPCError,
-)
-from ..core.group import TimeSeriesGroup, singleton_groups
+from ..core.errors import ClusterError, QueryError, WorkerFailure
+from ..core.group import TimeSeriesGroup
 from ..core.timeseries import TimeSeries
 from ..ingest.stats import IngestStats
-from ..models.registry import ModelRegistry
-from ..obs import MetricsRegistry, get_registry
-from ..partitioner.grouping import group_from_config
-from ..query.engine import PartialResult, merge_partial_results
+from ..obs import get_registry
 from ..query.sql import Query, apply_as_of, parse
-from ..storage.filestore import FileStorage
-from ..storage.memory import MemoryStorage
 from .cluster import (
     ClusterIngestReport,
     ClusterQueryReport,
+    assign_least_loaded,
+    gather,
+    partition_series,
     restrict_query_to_tids,
 )
 from .faults import FaultPlan
-from .node import WorkerNode
-
-#: Exit code used by an injected crash so it is recognisable in logs.
-CRASH_EXIT_CODE = 70
-
-#: How often the master re-checks worker liveness while waiting.
-_POLL_SECONDS = 0.02
-
-
-def _start_method() -> str:
-    """Prefer fork (cheap, Linux) and fall back to spawn elsewhere."""
-    methods = mp.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _dispatch(node: WorkerNode, method: str, payload: object) -> object:
-    if method == "assign":
-        groups, dimensions = payload
-        for group in groups:
-            node.assign(group, dimensions)
-        return sorted(group.gid for group in node.groups)
-    if method == "ingest":
-        node.ingest_assigned()
-        return node.stats
-    if method == "execute":
-        result, _ = node.execute_partial(payload)
-        return result
-    if method == "load_segments":
-        return node.load_segments(payload)
-    if method == "flush":
-        return node.flush()
-    if method == "stats":
-        return node.stats
-    if method == "metrics":
-        # The worker's whole registry as a picklable snapshot; the
-        # master folds it into the cluster-wide view (histograms merge
-        # by bucket counts, counters by addition).
-        return get_registry().snapshot()
-    if method == "ping":
-        return "pong"
-    if method == "shutdown":
-        node.close()
-        return "bye"
-    raise QueryError(f"unknown RPC method {method!r}")
-
-
-def _worker_main(
-    worker_id: int,
-    config: Configuration,
-    storage_dir: str | None,
-    requests: "mp.Queue",
-    replies: "mp.Queue",
-    fault_plan: FaultPlan | None,
-) -> None:
-    """Request loop of one worker process.
-
-    Faults are executed here, in the worker, so the master's recovery
-    machinery sees exactly what a real failure would produce.
-    """
-    registry = ModelRegistry()
-    storage = FileStorage(storage_dir) if storage_dir else MemoryStorage()
-    node = WorkerNode(worker_id, config, registry, storage)
-    while True:
-        try:
-            seq, method, payload = requests.get()
-        except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
-            break
-        fault = fault_plan.take(worker_id, method) if fault_plan else None
-        if fault is not None and fault.kind == "crash":
-            os._exit(CRASH_EXIT_CODE)
-        started = time.perf_counter()
-        try:
-            value = _dispatch(node, method, payload)
-            ok = True
-        except Exception as exc:  # broad-ok: ship errors as text, not pickles
-            value = f"{type(exc).__name__}: {exc}"
-            ok = False
-        elapsed = time.perf_counter() - started
-        if fault is not None and fault.kind == "slow":
-            time.sleep(fault.delay)
-        if fault is not None and fault.kind == "drop":
-            continue  # the reply is "lost in the network"
-        replies.put((seq, ok, value, elapsed))
-        if method == "shutdown":
-            break
-
-
-# ----------------------------------------------------------------------
-# Master side
-# ----------------------------------------------------------------------
-class _WorkerHandle:
-    """Master-side bookkeeping and channel endpoints for one worker."""
-
-    def __init__(
-        self,
-        worker_id: int,
-        ctx,
-        config: Configuration,
-        storage_dir: str | None,
-        fault_plan: FaultPlan | None,
-    ) -> None:
-        self.worker_id = worker_id
-        self.requests = ctx.Queue()
-        self.replies = ctx.Queue()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                config,
-                storage_dir,
-                self.requests,
-                self.replies,
-                fault_plan,
-            ),
-            name=f"repro-worker-{worker_id}",
-            daemon=True,
-        )
-        self.seq = 0
-        self.alive = True
-        #: Groups this worker owns (master keeps the raw series so a
-        #: dead worker's groups can be re-ingested on a survivor).
-        self.groups: list[TimeSeriesGroup] = []
-        #: Gids already shipped over the assign RPC.
-        self.shipped_gids: set[int] = set()
-        self.process.start()
-
-    @property
-    def load(self) -> int:
-        return sum(len(ts) for group in self.groups for ts in group)
-
-    @property
-    def tids(self) -> set[int]:
-        return {ts.tid for group in self.groups for ts in group}
-
-    @property
-    def gids(self) -> set[int]:
-        return {group.gid for group in self.groups}
+from .fleet import WorkerFleet
 
 
 class ProcessCluster:
@@ -223,18 +57,10 @@ class ProcessCluster:
         Number of worker processes to spawn.
     config / dimensions:
         Same roles as in :class:`~repro.cluster.ModelarCluster`.
-    storage_root:
-        When given, each worker opens a :class:`FileStorage` under
-        ``storage_root/worker_<id>``; otherwise workers keep segments in
-        process-local memory.
-    fault_plan:
-        Faults to inject, executed worker-side (see
-        :mod:`repro.cluster.faults`).
-    timeout / max_retries / backoff:
-        Per-request reply timeout in seconds, how many times a request
-        is re-sent to a live-but-silent worker, and the multiplier
-        applied to the timeout between attempts (exponential backoff).
-        A worker whose process died, or that stays silent through every
+    storage_root / fault_plan / timeout / max_retries / backoff /
+    start_method:
+        Handed to the :class:`~repro.cluster.fleet.WorkerFleet`. A
+        worker whose process died, or that stays silent through every
         retry, is failed over.
     """
 
@@ -258,23 +84,25 @@ class ProcessCluster:
             dimensions if dimensions is not None else DimensionSet()
         )
         self.group_compression = group_compression
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
-        self._ctx = mp.get_context(start_method or _start_method())
-        self._closed = False
         self._tid_to_worker: dict[int, int] = {}
         self._stats: dict[int, IngestStats] = {}
         #: Completed failovers as (dead worker id, new owner id) pairs.
         self.failovers: list[tuple[int, int]] = []
-        self._workers: dict[int, _WorkerHandle] = {}
-        for worker_id in range(n_workers):
-            storage_dir = None
-            if storage_root is not None:
-                storage_dir = str(Path(storage_root) / f"worker_{worker_id}")
-            self._workers[worker_id] = _WorkerHandle(
-                worker_id, self._ctx, self.config, storage_dir, fault_plan
-            )
+        #: Groups each worker owns (the master keeps the raw series so
+        #: a dead worker's groups can be re-ingested on a survivor).
+        self._groups: dict[int, list[TimeSeriesGroup]] = {
+            worker_id: [] for worker_id in range(n_workers)
+        }
+        self.fleet = WorkerFleet(
+            n_workers,
+            self.config,
+            storage_root,
+            fault_plan,
+            timeout,
+            max_retries,
+            backoff,
+            start_method,
+        )
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "ProcessCluster":
@@ -283,51 +111,20 @@ class ProcessCluster:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:  # broad-ok: nothing to do in a GC finalizer
-            pass
-
     def close(self) -> None:
         """Shut every worker down and reap the processes."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._workers.values():
-            if handle.alive and handle.process.is_alive():
-                try:
-                    self._post(handle, "shutdown", None)
-                except Exception:  # pragma: no cover - queue already gone
-                    pass
-        for handle in self._workers.values():
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            handle.alive = False
-            for channel in (handle.requests, handle.replies):
-                channel.close()
-                channel.cancel_join_thread()
+        self.fleet.close()
 
     # -- inspection ----------------------------------------------------
     @property
-    def workers(self) -> list[_WorkerHandle]:
-        """Live worker handles (mirrors ``ModelarCluster.workers`` so
-        callers like the serving dispatcher treat both substrates
-        uniformly: each handle exposes ``tids``/``gids``/``load``)."""
-        return [h for h in self._workers.values() if h.alive]
-
-    @property
     def live_worker_ids(self) -> list[int]:
-        return [h.worker_id for h in self._workers.values() if h.alive]
+        return self.fleet.live_ids
 
     def assignment(self) -> dict[int, list[int]]:
         """Live worker id -> sorted Gids it currently owns."""
         return {
-            h.worker_id: sorted(h.gids)
-            for h in self._workers.values()
-            if h.alive
+            worker_id: sorted(g.gid for g in self._groups[worker_id])
+            for worker_id in self.fleet.live_ids
         }
 
     def worker_of(self, tid: int) -> int:
@@ -342,50 +139,31 @@ class ProcessCluster:
         return IngestStats.merged(self._stats.values())
 
     def metrics(self) -> dict:
-        """Cluster-wide metrics: the master's registry snapshot merged
-        with every live worker's (counters add, histograms fold bucket
-        counts). A worker that dies while being asked is skipped — its
-        in-memory metrics died with it."""
-        combined = MetricsRegistry()
-        combined.merge_snapshot(get_registry().snapshot())
-        pending = [
-            (handle, self._post(handle, "metrics", None))
-            for handle in self._live()
-        ]
-        for handle, seq in pending:
-            try:
-                snapshot, _ = self._await(handle, seq, "metrics", None)
-                combined.merge_snapshot(snapshot)
-            except WorkerFailure:
-                continue
-        return combined.snapshot()
+        """Master registry merged with every live worker's snapshot."""
+        return self.fleet.metrics()
 
     # -- partitioning and ingestion ------------------------------------
     def partition(self, series: Sequence[TimeSeries]) -> list[TimeSeriesGroup]:
-        if not self.group_compression or not self.config.correlation:
-            return singleton_groups(series)
-        return group_from_config(
-            series, self.config.correlation, self.dimensions
+        return partition_series(
+            series, self.config, self.dimensions, self.group_compression
         )
 
-    def assign(self, groups: Sequence[TimeSeriesGroup]) -> None:
-        """Least-loaded assignment, identical to the simulated cluster:
-        biggest groups first, each to the least-loaded live worker."""
-        ordered = sorted(
-            groups,
-            key=lambda group: sum(len(ts) for ts in group),
-            reverse=True,
-        )
-        for group in ordered:
-            target = min(self._live(), key=lambda h: h.load)
-            target.groups.append(group)
+    def assign(self, groups: Sequence[TimeSeriesGroup]) -> list[int]:
+        """Pin each group whole to the least-loaded live worker,
+        identical to the simulated cluster; returns each group's owner
+        in assignment order."""
+        owned = {wid: self._groups[wid] for wid in self._live()}
+        owners = []
+        for group, worker_id in assign_least_loaded(groups, owned):
+            self._groups[worker_id].append(group)
             for ts in group:
-                self._tid_to_worker[ts.tid] = target.worker_id
+                self._tid_to_worker[ts.tid] = worker_id
+            owners.append(worker_id)
+        return owners
 
     def ingest(self, series: Sequence[TimeSeries]) -> ClusterIngestReport:
         """Partition, assign and ingest in parallel; returns the report."""
-        groups = self.partition(series)
-        self.assign(groups)
+        self.assign(self.partition(series))
         return self.ingest_assigned()
 
     def ingest_assigned(self) -> ClusterIngestReport:
@@ -412,74 +190,62 @@ class ProcessCluster:
         wall_started = time.perf_counter()
         report = ClusterQueryReport()
         failover_mark = len(self.failovers)
-        outputs: list[tuple[int, int, object]] = []  # (order, wid, result)
-        order = 0
-        tasks: list[tuple[_WorkerHandle, Query]] = []
-        for handle in self._live():
-            if not handle.groups:
-                continue
-            routed = restrict_query_to_tids(query, handle.tids)
-            if routed is not None:
-                tasks.append((handle, routed))
+        outputs: list[tuple[int, object]] = []  # (worker id, result)
+        tasks = self._route(query, None)
         while tasks:
-            pending = [
-                (handle, self._post(handle, "execute", routed), routed)
-                for handle, routed in tasks
-            ]
-            # Drain every reply of the round before failing anyone over,
-            # so recovery RPCs never race with in-flight execute replies.
-            failures: list[tuple[_WorkerHandle, set[int]]] = []
-            for handle, seq, routed in pending:
+            futures = self.fleet.scatter(
+                self.fleet.call,
+                [(worker_id, "execute", routed) for worker_id, routed in tasks],
+            )
+            failed: list[int] = []
+            lost_tids: set[int] = set()
+            for (worker_id, _), future in zip(tasks, futures):
                 try:
-                    result, elapsed = self._await(
-                        handle, seq, "execute", routed
-                    )
-                    outputs.append((order, handle.worker_id, result))
-                    order += 1
-                    report.worker_seconds.append(elapsed)
+                    result, elapsed = future.result()
                 except WorkerFailure:
                     # Capture the owned Tids now: failover (including a
                     # nested one triggered by another failure's
                     # recovery) moves the groups away.
-                    failures.append((handle, set(handle.tids)))
-            lost_tids: set[int] = set()
-            for handle, owned_tids in failures:
-                # Everything the dead worker owned — and may already
-                # have answered for in an earlier round — must be
-                # re-asked from its groups' new homes.
-                lost_tids |= owned_tids
-                outputs = [
-                    entry
-                    for entry in outputs
-                    if entry[1] != handle.worker_id
-                ]
-                if handle.alive:
-                    self._sync_assignments(self._failover(handle))
-            tasks = []
-            if lost_tids:
-                for handle in self._live():
-                    if not handle.groups:
-                        continue
-                    retry = restrict_query_to_tids(
-                        query, lost_tids & handle.tids, force=True
-                    )
-                    if retry is not None:
-                        tasks.append((handle, retry))
+                    failed.append(worker_id)
+                    lost_tids |= self._tids(worker_id)
+                    continue
+                outputs.append((worker_id, result))
+                report.worker_seconds.append(elapsed)
+            # Everything a dead worker owned — and may already have
+            # answered for in an earlier round — must be re-asked from
+            # its groups' new homes.
+            outputs = [out for out in outputs if out[0] not in failed]
+            for worker_id in failed:
+                if self.fleet.is_alive(worker_id):
+                    self._sync_assignments(self._failover(worker_id))
+            tasks = self._route(query, lost_tids) if lost_tids else []
         merge_started = time.perf_counter()
-        partials: list[PartialResult] = []
-        rows: list[dict] = []
-        for _, _, result in sorted(outputs, key=lambda entry: entry[0]):
-            if isinstance(result, PartialResult):
-                partials.append(result)
-            else:
-                rows.extend(result)
-        if partials:
-            rows = merge_partial_results(partials)
+        rows = gather(query, [result for _, result in outputs])
         now = time.perf_counter()
         report.merge_seconds = now - merge_started
         report.wall_seconds = now - wall_started
         report.failovers = self.failovers[failover_mark:]
         return rows, report
+
+    def _route(
+        self, query: Query, only_tids: set[int] | None
+    ) -> list[tuple[int, Query]]:
+        """The scatter plan: (worker id, restricted query) per live
+        worker that can contribute; ``only_tids`` re-asks just those."""
+        tasks = []
+        for worker_id in self._live():
+            owned = self._tids(worker_id)
+            if not owned:
+                continue
+            if only_tids is None:
+                routed = restrict_query_to_tids(query, owned)
+            else:
+                routed = restrict_query_to_tids(
+                    query, owned & only_tids, force=True
+                )
+            if routed is not None:
+                tasks.append((worker_id, routed))
+        return tasks
 
     # -- storage accounting --------------------------------------------
     def size_bytes(self) -> int:
@@ -490,177 +256,76 @@ class ProcessCluster:
 
     def _flush_all(self) -> list[tuple[int, int]]:
         while True:
+            owners = [wid for wid in self._live() if self._groups[wid]]
+            futures = self.fleet.scatter(
+                self.fleet.call, [(wid, "flush") for wid in owners]
+            )
             try:
-                pending = [
-                    (handle, self._post(handle, "flush", None))
-                    for handle in self._live()
-                    if handle.groups
-                ]
-                results = []
-                for handle, seq in pending:
-                    value, _ = self._await(handle, seq, "flush", None)
-                    results.append(tuple(value))
-                return results
+                return [tuple(future.result()[0]) for future in futures]
             except WorkerFailure as failure:
-                self._sync_assignments(
-                    self._failover(self._workers[failure.worker_id])
-                )
+                self._sync_assignments(self._failover(failure.worker_id))
 
-    # -- RPC internals -------------------------------------------------
-    def _live(self) -> list[_WorkerHandle]:
-        live = [h for h in self._workers.values() if h.alive]
+    # -- placement internals -------------------------------------------
+    def _live(self) -> list[int]:
+        live = self.fleet.live_ids
         if not live:
             raise ClusterError("no surviving workers in the cluster")
         return live
 
-    def _post(self, handle: _WorkerHandle, method: str, payload) -> int:
-        handle.seq += 1
-        handle.requests.put((handle.seq, method, payload))
-        get_registry().counter("cluster.rpc_total", method=method).inc()
-        return handle.seq
+    def _tids(self, worker_id: int) -> set[int]:
+        return {
+            ts.tid for group in self._groups[worker_id] for ts in group
+        }
 
-    def _await(
-        self, handle: _WorkerHandle, seq: int, method: str, payload
-    ) -> tuple[object, float]:
-        """Wait for the reply to one logical call.
-
-        Retries with exponential backoff while the worker process is
-        alive; every resend gets a fresh sequence number and any of them
-        answers the call (late originals are not wasted). Replies whose
-        sequence number belongs to an older, already-answered call are
-        discarded — per-worker FIFO ordering makes that safe. Raises
-        :class:`WorkerFailure` when the process died or stayed silent
-        through every retry.
-        """
-        registry = get_registry()
-        seqs = {seq}
-        timeout = self._timeout
-        for attempt in range(self._max_retries + 1):
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    registry.counter("cluster.rpc_timeouts_total").inc()
-                    break
-                try:
-                    reply = handle.replies.get(
-                        timeout=min(_POLL_SECONDS, remaining)
-                    )
-                except queue.Empty:
-                    if not handle.process.is_alive():
-                        raise WorkerFailure(
-                            handle.worker_id,
-                            f"process exited with code "
-                            f"{handle.process.exitcode} during {method!r}",
-                        ) from None
-                    continue
-                rseq, ok, value, elapsed = reply
-                if rseq not in seqs:
-                    continue  # duplicate reply of an earlier resend
-                if not ok:
-                    raise WorkerRPCError(
-                        f"worker {handle.worker_id} failed {method!r}: "
-                        f"{value}"
-                    )
-                registry.counter(
-                    "cluster.worker_busy_seconds_total",
-                    worker=str(handle.worker_id),
-                ).inc(elapsed)
-                return value, elapsed
-            if not handle.process.is_alive():
-                raise WorkerFailure(
-                    handle.worker_id,
-                    f"process exited with code {handle.process.exitcode} "
-                    f"during {method!r}",
-                )
-            if attempt < self._max_retries:
-                registry.counter("cluster.rpc_retries_total").inc()
-                seqs.add(self._post(handle, method, payload))
-                timeout *= self._backoff
-        raise WorkerFailure(
-            handle.worker_id,
-            f"unresponsive to {method!r} after {self._max_retries} "
-            "retries with exponential backoff",
-        )
-
-    # -- assignment shipping and failover ------------------------------
-    def _sync_assignments(
-        self, handles: Sequence[_WorkerHandle]
-    ) -> list[float]:
-        """Ship unshipped groups to ``handles`` and ingest them.
-
-        Scatters the assign round and then the ingest round so workers
-        ingest concurrently. A worker that dies here is failed over and
+    def _sync_assignments(self, worker_ids: Sequence[int]) -> list[float]:
+        """Ship unshipped groups to ``worker_ids`` and ingest them, all
+        workers concurrently. A worker that dies here is failed over and
         its targets join the next iteration, so the call only returns
         once every live worker holds all groups it is responsible for.
         """
         worker_seconds: list[float] = []
-        todo = [h for h in handles if h.alive and h.groups]
+        todo = [
+            wid
+            for wid in worker_ids
+            if self.fleet.is_alive(wid) and self._groups[wid]
+        ]
         while todo:
-            failed: list[_WorkerHandle] = []
-            assigned: list[_WorkerHandle] = []
-            pending = []
-            for handle in todo:
-                unshipped = [
-                    group
-                    for group in handle.groups
-                    if group.gid not in handle.shipped_gids
-                ]
-                payload = (unshipped, self.dimensions or None)
-                pending.append(
-                    (handle, self._post(handle, "assign", payload), payload)
-                )
-            for handle, seq, payload in pending:
+            futures = self.fleet.scatter(
+                self.fleet.ship_groups,
+                [
+                    (wid, self._groups[wid], self.dimensions or None)
+                    for wid in todo
+                ],
+            )
+            failed: list[int] = []
+            for worker_id, future in zip(todo, futures):
                 try:
-                    self._await(handle, seq, "assign", payload)
-                    handle.shipped_gids.update(g.gid for g in payload[0])
-                    assigned.append(handle)
+                    shipped = future.result()
                 except WorkerFailure:
-                    failed.append(handle)
-            pending = [
-                (handle, self._post(handle, "ingest", None))
-                for handle in assigned
-            ]
-            for handle, seq in pending:
-                try:
-                    stats, elapsed = self._await(handle, seq, "ingest", None)
-                    self._stats[handle.worker_id] = stats
+                    failed.append(worker_id)
+                    continue
+                if shipped is not None:
+                    self._stats[worker_id], elapsed = shipped
                     worker_seconds.append(elapsed)
-                except WorkerFailure:
-                    failed.append(handle)
             todo = []
-            for handle in failed:
-                for target in self._failover(handle):
+            for worker_id in failed:
+                for target in self._failover(worker_id):
                     if target not in todo:
                         todo.append(target)
         return worker_seconds
 
-    def _failover(self, handle: _WorkerHandle) -> list[_WorkerHandle]:
+    def _failover(self, worker_id: int) -> list[int]:
         """Re-assign a dead worker's groups to the least-loaded
         survivors (master-side bookkeeping only — callers ship the data
         with :meth:`_sync_assignments`). Returns the affected targets.
         """
-        handle.alive = False
-        if handle.process.is_alive():  # unresponsive, not dead: fence it
-            handle.process.terminate()
-        registry = get_registry()
-        registry.counter("cluster.worker_failures_total").inc()
-        self._stats.pop(handle.worker_id, None)
-        moved, handle.groups = handle.groups, []
-        survivors = self._live()
-        targets: list[_WorkerHandle] = []
-        ordered = sorted(
-            moved,
-            key=lambda group: sum(len(ts) for ts in group),
-            reverse=True,
-        )
-        for group in ordered:
-            target = min(survivors, key=lambda h: h.load)
-            target.groups.append(group)
-            for ts in group:
-                self._tid_to_worker[ts.tid] = target.worker_id
-            if target not in targets:
-                targets.append(target)
-            self.failovers.append((handle.worker_id, target.worker_id))
-            registry.counter("cluster.failovers_total").inc()
-        return targets
+        self.fleet.retire(worker_id)
+        self._stats.pop(worker_id, None)
+        moved, self._groups[worker_id] = self._groups[worker_id], []
+        targets = self.assign(moved)
+        self.failovers.extend((worker_id, target) for target in targets)
+        if targets:
+            get_registry().counter("cluster.failovers_total").inc(
+                len(targets)
+            )
+        return list(dict.fromkeys(targets))

@@ -27,7 +27,6 @@ paper's main model-based baseline.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core.config import Configuration
@@ -167,18 +166,6 @@ class ModelarDB:
                 )
             return self._ingest_groups(items)
         return self._ingest_groups(self.partition(items))
-
-    def ingest_groups(
-        self, groups: Sequence[TimeSeriesGroup]
-    ) -> IngestStats:
-        """Deprecated spelling of :meth:`ingest` for pre-built groups."""
-        warnings.warn(
-            "ModelarDB.ingest_groups() is deprecated; ingest() now "
-            "accepts TimeSeriesGroup objects directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._ingest_groups(groups)
 
     def _ingest_groups(
         self, groups: Sequence[TimeSeriesGroup]

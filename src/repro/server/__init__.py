@@ -15,12 +15,7 @@ cancellation, and a result cache invalidated by ingestion flushes.
 """
 
 from .client import ServerClient
-from .dispatcher import (
-    CancelToken,
-    ClusterDispatcher,
-    Dispatcher,
-    EmbeddedDispatcher,
-)
+from .dispatcher import CancelToken, Dispatcher, EmbeddedDispatcher
 from .loadgen import LoadReport, build_workload, run_load
 from .protocol import (
     BadRequestError,
@@ -40,7 +35,6 @@ __all__ = [
     "BusyError",
     "CancelToken",
     "CancelledError",
-    "ClusterDispatcher",
     "ConnectionLostError",
     "DeadlineError",
     "Dispatcher",

@@ -7,13 +7,10 @@ The server itself only speaks the wire protocol and enforces admission;
     A single-node :class:`~repro.query.engine.QueryEngine` shared by the
     server's executor threads (the engine's caches are thread-safe).
     This substitutes for the paper's embedded Spark SQL front-end.
-:class:`ClusterDispatcher`
-    Scatters statements over an attached cluster —
-    :class:`~repro.cluster.ProcessCluster` (one OS process per worker)
-    or the simulated :class:`~repro.cluster.ModelarCluster`. The
-    master's RPC channel is single-threaded, so cluster execution is
-    serialised with a lock; admission control upstream bounds how many
-    requests can pile up on it.
+:class:`~repro.shard.dispatcher.ShardedDispatcher`
+    Scatter-gathers statements over the sharded tier's worker
+    processes; it holds no lock of its own, so the server's executor
+    threads scatter different statements concurrently.
 
 Both carry a :class:`~repro.server.result_cache.QueryResultCache` and an
 optional cooperative :class:`CancelToken` per query.
@@ -26,7 +23,6 @@ import re
 import threading
 from typing import Callable
 
-from ..core.errors import ModelarError
 from ..modelardb import ModelarDB
 from ..obs import get_registry
 from ..query.engine import QueryEngine
@@ -158,7 +154,7 @@ class Dispatcher:
         """The metrics registry snapshot this backend serves from.
 
         The embedded engine shares the server's process, so the
-        process-wide registry is the whole story; the cluster dispatcher
+        process-wide registry is the whole story; the sharded dispatcher
         overrides this to fold in worker-process registries.
         """
         return get_registry().snapshot()
@@ -243,73 +239,3 @@ class EmbeddedDispatcher(Dispatcher):
         self._closed = True
         if self._owned_storage is not None:
             self._owned_storage.close()
-
-
-class ClusterDispatcher(Dispatcher):
-    """Serve by scattering statements over an attached cluster."""
-
-    mode = "cluster"
-
-    def __init__(
-        self,
-        cluster,
-        owns_cluster: bool = False,
-        result_cache_capacity: int = 256,
-        execute_hook: ExecuteHook | None = None,
-    ) -> None:
-        super().__init__(result_cache_capacity, execute_hook)
-        self._cluster = cluster
-        self._owns_cluster = owns_cluster
-        self._closed = False
-        # The master's worker RPC is one channel per worker with
-        # synchronous request/reply — concurrent scatters would
-        # interleave frames, so cluster execution is serialised here.
-        self._lock = threading.Lock()
-        self._queries = 0
-        self._failovers = 0
-
-    def _run(self, sql: str, as_of: int | None = None) -> list[dict]:
-        with self._lock:
-            # The per-worker channels are synchronous request/reply, so
-            # holding the lock across the scatter IS the design (see the
-            # comment on self._lock).
-            rows, report = self._cluster.sql(sql, as_of=as_of)  # reprolint: disable=RPR003
-            self._queries += 1
-            self._failovers += len(getattr(report, "failovers", ()))
-        return rows
-
-    def _backend_stats(self) -> dict:
-        return {
-            "workers": len(self._cluster.workers),
-            "cluster_queries": self._queries,
-            "cluster_failovers": self._failovers,
-        }
-
-    def metrics(self) -> dict:
-        cluster_metrics = getattr(self._cluster, "metrics", None)
-        if cluster_metrics is None:  # simulated cluster: master only
-            return super().metrics()
-        with self._lock:
-            return cluster_metrics()
-
-    def catalog(self) -> dict:
-        tids = sorted(
-            tid
-            for worker in self._cluster.workers
-            for tid in getattr(worker, "tids", ())
-        )
-        return {"n_series": len(tids), "tids": tids[:1024]}
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_cluster:
-            close = getattr(self._cluster, "close", None)
-            if close is not None:
-                close()
-
-
-def is_query_error(error: Exception) -> bool:
-    """True when ``error`` is a library error safe to report in-band."""
-    return isinstance(error, ModelarError)

@@ -264,20 +264,25 @@ class QueryServer:
                 timeout=timeout,
                 return_when=asyncio.FIRST_COMPLETED,
             )
-            if future in done:
-                return self._finish_query(future, started)
-            if cancel_waiter in done:
+            if not done:
+                # Deadline expired: answer now, tell the worker to abandon.
+                token.cancel("timeout")
+            # The outcome is a function of the token alone. A cancelled
+            # executor thread raises at once, so its error can reach
+            # `done` before (or with) the waiter; which one the loop
+            # saw first must not change what the client is told.
+            if token.reason == "timeout":
+                self.counters.bump("timed_out")
+                return error_response(
+                    ErrorCode.TIMEOUT,
+                    f"query exceeded its {timeout:.3f}s deadline",
+                )
+            if token.cancelled:
                 self.counters.bump("cancelled")
                 return error_response(
                     ErrorCode.CANCELLED, f"query {query_id!r} was cancelled"
                 )
-            # Deadline expired: answer now, tell the worker to abandon.
-            token.cancel("timeout")
-            self.counters.bump("timed_out")
-            return error_response(
-                ErrorCode.TIMEOUT,
-                f"query exceeded its {timeout:.3f}s deadline",
-            )
+            return self._finish_query(future, started)
         finally:
             cancel_waiter.cancel()
             if query_id is not None:

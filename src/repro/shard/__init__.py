@@ -1,15 +1,16 @@
 """``repro.shard`` — the shared-nothing sharded serving tier.
 
 Fuses the serving layer (:mod:`repro.server`: asyncio front-end,
-admission control, result cache) with the process-cluster substrate
-(:mod:`repro.cluster`: worker processes, retry/backoff RPC, fault
-plans) into a tier that scales query serving across workers:
+admission control, result cache) with the cluster's worker fleet
+(:class:`~repro.cluster.WorkerFleet`: worker processes, one
+retry/backoff RPC, fault plans) into a tier that scales query serving
+across workers:
 
 * :class:`ShardMap` — consistent-hash Gid→shard placement plus mutable
   shard→workers replica tuples, with an explicit generation number;
 * :class:`ShardedCluster` — the master: concurrent scatter-gather over
-  per-worker channels, retry-on-replica query failover, shard recovery
-  and metric-driven rebalancing;
+  the fleet, retry-on-replica query failover, shard recovery and
+  metric-driven rebalancing;
 * :class:`ShardedDispatcher` — plugs the tier under
   :class:`~repro.server.QueryServer` with the result cache keyed by
   the shard-map generation;

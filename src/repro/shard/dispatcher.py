@@ -1,11 +1,10 @@
 """Serving dispatcher over the sharded tier.
 
 :class:`ShardedDispatcher` plugs a :class:`~repro.shard.tier.ShardedCluster`
-under the query server. Unlike :class:`~repro.server.ClusterDispatcher`
-it holds **no global lock**: the tier's per-worker channels already
-serialise what must be serialised, so the server's executor threads
-scatter different statements concurrently — the whole point of the
-sharded tier.
+under the query server. It holds **no global lock**: the fleet's
+per-worker exchanges already serialise what must be serialised, so the
+server's executor threads scatter different statements concurrently —
+the whole point of the sharded tier.
 
 The result cache is keyed by the shard map's generation: the dispatcher
 registers a generation listener, so any placement change (a worker

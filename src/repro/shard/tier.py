@@ -1,16 +1,14 @@
 """The shared-nothing sharded serving tier (master side).
 
-:class:`ShardedCluster` fuses the process-cluster substrate
-(:mod:`repro.cluster.pool`: one OS process per worker, retry/backoff
-RPC, injectable faults) with the serving layer's concurrency model.
-Where :class:`~repro.cluster.ProcessCluster` assumes a single-threaded
-master — one scatter at a time over shared reply queues — this tier is
-built to sit under a multi-threaded front-end:
+:class:`ShardedCluster` is a placement policy over the shared
+:class:`~repro.cluster.fleet.WorkerFleet` (one OS process per worker,
+retry/backoff RPC, injectable faults), built to sit under a
+multi-threaded front-end:
 
-* every worker gets a private :class:`_ShardChannel` whose lock
-  serialises one request/reply exchange at a time, so *different*
-  queries proceed concurrently as long as they touch different workers
-  (and interleave at exchange granularity on shared ones);
+* the fleet serialises one request/reply exchange per worker at a time,
+  so *different* queries proceed concurrently as long as they touch
+  different workers (and interleave at exchange granularity on shared
+  ones);
 * placement is delegated to a :class:`~repro.shard.map.ShardMap` —
   consistent-hash Gid→shard, explicit shard→owners replica tuples, and
   a generation number bumped on every ownership change;
@@ -19,9 +17,8 @@ built to sit under a multi-threaded front-end:
   :func:`~repro.cluster.cluster.restrict_query_to_tids` with an
   explicit forced ``Tid IN`` predicate, so a worker holding several
   shards' replicas answers exactly for the shard it was asked about),
-  fans the rewritten subqueries out on a thread pool, and merges the
-  returned picklable :class:`~repro.query.engine.PartialResult`s with
-  the engine's associative fold arithmetic;
+  fans the rewritten subqueries out on the fleet's threads, and merges
+  the returned outputs with :func:`~repro.cluster.cluster.gather`;
 * a worker crash *during* a query is survived by retrying the shard's
   remaining replicas (the ``execute`` RPC is read-only, so a replay is
   always safe); when every replica of a shard is gone the tier re-ships
@@ -44,31 +41,28 @@ logical series and physical placement.
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
 import os
-import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
 from ..core.errors import ClusterError, QueryError, WorkerFailure, WorkerRPCError
-from ..core.group import TimeSeriesGroup, singleton_groups
+from ..core.group import TimeSeriesGroup
 from ..core.timeseries import TimeSeries
-from ..obs import MetricsRegistry, get_registry
-from ..partitioner.grouping import group_from_config
-from ..query.analytics import merge_analytics_rows
-from ..query.engine import PartialResult, merge_partial_results
+from ..obs import get_registry
 from ..query.sql import Query, apply_as_of, parse
 from ..storage.interface import Storage
 from ..storage.scan import SegmentScan
-from ..cluster.cluster import restrict_query_to_tids
+from ..cluster.cluster import (
+    gather,
+    partition_series,
+    restrict_query_to_tids,
+)
 from ..cluster.faults import FaultPlan
-from ..cluster.pool import _POLL_SECONDS, _start_method, _WorkerHandle
+from ..cluster.fleet import WorkerFleet
 from .map import SegmentBatch, ShardMap
 
 
@@ -94,118 +88,6 @@ class ShardQueryReport:
     generation: int = 0
 
 
-class _ShardChannel:
-    """One worker's RPC endpoint, safe for multi-threaded masters.
-
-    The cluster's per-worker queues carry one request/reply exchange at
-    a time; the channel lock scopes that exchange so concurrent
-    front-end threads never steal each other's replies. Retry/backoff
-    mirrors :meth:`ProcessCluster._await`: a live-but-silent worker is
-    re-asked with a growing timeout (every resend gets a fresh sequence
-    number, any of them answers the call), a dead or exhausted worker
-    raises :class:`WorkerFailure` for the tier to fail over.
-    """
-
-    def __init__(
-        self,
-        handle: _WorkerHandle,
-        timeout: float,
-        max_retries: int,
-        backoff: float,
-    ) -> None:
-        self.handle = handle
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
-        self._lock = threading.Lock()
-
-    @property
-    def alive(self) -> bool:
-        return self.handle.alive
-
-    def call(self, method: str, payload: object) -> tuple[object, float]:
-        """One logical RPC; returns (value, worker-reported seconds)."""
-        retries = 0
-        timeouts = 0
-        posts = 1
-        with self._lock:
-            handle = self.handle
-            handle.seq += 1
-            seqs = {handle.seq}
-            handle.requests.put((handle.seq, method, payload))
-            timeout = self._timeout
-            outcome: tuple[object, float] | None = None
-            failure: WorkerFailure | WorkerRPCError | None = None
-            for attempt in range(self._max_retries + 1):
-                deadline = time.monotonic() + timeout
-                while outcome is None and failure is None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        timeouts += 1
-                        break
-                    try:
-                        reply = handle.replies.get(
-                            timeout=min(_POLL_SECONDS, remaining)
-                        )
-                    except queue.Empty:
-                        if not handle.process.is_alive():
-                            failure = WorkerFailure(
-                                handle.worker_id,
-                                f"process exited with code "
-                                f"{handle.process.exitcode} "
-                                f"during {method!r}",
-                            )
-                        continue
-                    rseq, ok, value, elapsed = reply
-                    if rseq not in seqs:
-                        continue  # stale duplicate of an earlier resend
-                    if not ok:
-                        failure = WorkerRPCError(
-                            f"worker {handle.worker_id} failed "
-                            f"{method!r}: {value}"
-                        )
-                    else:
-                        outcome = (value, elapsed)
-                if outcome is not None or failure is not None:
-                    break
-                if not handle.process.is_alive():
-                    failure = WorkerFailure(
-                        handle.worker_id,
-                        f"process exited with code "
-                        f"{handle.process.exitcode} during {method!r}",
-                    )
-                    break
-                if attempt < self._max_retries:
-                    retries += 1
-                    posts += 1
-                    handle.seq += 1
-                    seqs.add(handle.seq)
-                    handle.requests.put((handle.seq, method, payload))
-                    timeout *= self._backoff
-            if outcome is None and failure is None:
-                failure = WorkerFailure(
-                    handle.worker_id,
-                    f"unresponsive to {method!r} after "
-                    f"{self._max_retries} retries with exponential backoff",
-                )
-        # Instruments carry their own locks (RPR003): bump the RPC
-        # traffic counters only after the channel lock is released.
-        registry = get_registry()
-        registry.counter("cluster.rpc_total", method=method).inc(posts)
-        if retries:
-            registry.counter("cluster.rpc_retries_total").inc(retries)
-        if timeouts:
-            registry.counter("cluster.rpc_timeouts_total").inc(timeouts)
-        if failure is not None:
-            raise failure
-        value, elapsed = outcome
-        registry.counter(
-            "cluster.worker_busy_seconds_total",
-            worker=str(self.handle.worker_id),
-        ).inc(elapsed)
-        return value, elapsed
-
-
 class ShardedCluster:
     """A shard map, N worker processes, and a concurrent scatter layer.
 
@@ -220,9 +102,11 @@ class ShardedCluster:
         Workers holding each shard (capped at ``n_workers``). With
         ``>= 2`` a worker crash during a query is survived by asking
         the next replica.
-    config / dimensions / storage_root / fault_plan / timeout /
-    max_retries / backoff / start_method:
+    config / dimensions:
         As in :class:`~repro.cluster.ProcessCluster`.
+    storage_root / fault_plan / timeout / max_retries / backoff /
+    start_method:
+        Handed to the :class:`~repro.cluster.fleet.WorkerFleet`.
     auto_rebalance_interval:
         When ``> 0``, :meth:`maybe_rebalance` (called by the serving
         dispatcher after each query) runs :meth:`rebalance` every that
@@ -263,11 +147,9 @@ class ShardedCluster:
         )
         self.auto_rebalance_interval = auto_rebalance_interval
         self.rebalance_threshold = rebalance_threshold
-        self._ctx = mp.get_context(start_method or _start_method())
-        self._closed = False
         #: Serialises placement mutations (retire/recover/rebalance) and
-        #: payload shipping. Lock order is admin -> channel, never the
-        #: reverse: query threads take only channel locks.
+        #: payload shipping. Lock order is admin -> fleet, never the
+        #: reverse: query threads take only the fleet's worker locks.
         self._admin_lock = threading.Lock()
         self._listeners: list[Callable[[int], None]] = []
         #: Per-shard replica rotation. One *global* counter would alias
@@ -290,21 +172,15 @@ class ShardedCluster:
         self.failover_retries = 0
         self.lost_workers = 0
         self.rebalances = 0
-        self._handles: dict[int, _WorkerHandle] = {}
-        self._channels: dict[int, _ShardChannel] = {}
-        for worker_id in range(n_workers):
-            storage_dir = None
-            if storage_root is not None:
-                storage_dir = str(Path(storage_root) / f"worker_{worker_id}")
-            handle = _WorkerHandle(
-                worker_id, self._ctx, self.config, storage_dir, fault_plan
-            )
-            self._handles[worker_id] = handle
-            self._channels[worker_id] = _ShardChannel(
-                handle, timeout, max_retries, backoff
-            )
-        self._executor = ThreadPoolExecutor(
-            max_workers=n_workers, thread_name_prefix="shard-scatter"
+        self.fleet = WorkerFleet(
+            n_workers,
+            self.config,
+            storage_root,
+            fault_plan,
+            timeout,
+            max_retries,
+            backoff,
+            start_method,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -314,33 +190,8 @@ class ShardedCluster:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:  # broad-ok: nothing to do in a GC finalizer
-            pass
-
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._executor.shutdown(wait=False)
-        for handle in self._handles.values():
-            if handle.alive and handle.process.is_alive():
-                try:
-                    handle.seq += 1
-                    handle.requests.put((handle.seq, "shutdown", None))
-                except Exception:  # pragma: no cover - queue already gone
-                    pass
-        for handle in self._handles.values():
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            handle.alive = False
-            for channel in (handle.requests, handle.replies):
-                channel.close()
-                channel.cancel_join_thread()
+        self.fleet.close()
 
     # -- inspection ----------------------------------------------------
     @property
@@ -349,9 +200,7 @@ class ShardedCluster:
 
     @property
     def live_worker_ids(self) -> list[int]:
-        return [
-            wid for wid, handle in self._handles.items() if handle.alive
-        ]
+        return self.fleet.live_ids
 
     @property
     def tids(self) -> set[int]:
@@ -372,7 +221,7 @@ class ShardedCluster:
         return {
             "map": self.map.to_dict(),
             "workers_alive": len(self.live_worker_ids),
-            "workers_total": len(self._handles),
+            "workers_total": len(self.fleet),
             "queries": self.queries,
             "failover_retries": self.failover_retries,
             "lost_workers": self.lost_workers,
@@ -385,24 +234,14 @@ class ShardedCluster:
 
     def metrics(self) -> dict:
         """Master registry merged with every live worker's snapshot."""
-        combined = MetricsRegistry()
-        combined.merge_snapshot(get_registry().snapshot())
-        for wid in self.live_worker_ids:
-            try:
-                snapshot, _ = self._channels[wid].call("metrics", None)
-                combined.merge_snapshot(snapshot)
-            except WorkerFailure:
-                continue  # died while being asked; its metrics died too
-        return combined.snapshot()
+        return self.fleet.metrics()
 
     # -- placement -----------------------------------------------------
     def partition(
         self, series: Sequence[TimeSeries]
     ) -> list[TimeSeriesGroup]:
-        if not self.group_compression or not self.config.correlation:
-            return singleton_groups(series)
-        return group_from_config(
-            series, self.config.correlation, self.dimensions
+        return partition_series(
+            series, self.config, self.dimensions, self.group_compression
         )
 
     def _place_group(self, group: TimeSeriesGroup) -> int:
@@ -423,28 +262,12 @@ class ShardedCluster:
     def _ship_shard(self, worker_id: int, shard: int) -> None:
         """Make ``worker_id`` a full replica of ``shard`` (idempotent:
         the worker skips groups and batches it already applied)."""
-        channel = self._channels[worker_id]
-        handle = self._handles[worker_id]
-        groups = self._shard_groups.get(shard, ())
-        unshipped = [
-            group
-            for group in groups
-            if group.gid not in handle.shipped_gids
-        ]
-        if unshipped:
-            channel.call(
-                "assign", (unshipped, self.dimensions or None)
-            )
-            handle.shipped_gids.update(group.gid for group in unshipped)
-            for group in unshipped:
-                if group not in handle.groups:
-                    handle.groups.append(group)
-            channel.call("ingest", None)
-        for batch in self._shard_batches.get(shard, ()):
-            if batch.gid in handle.shipped_gids:
-                continue
-            channel.call("load_segments", batch)
-            handle.shipped_gids.add(batch.gid)
+        self.fleet.ship_groups(
+            worker_id,
+            self._shard_groups.get(shard, ()),
+            self.dimensions or None,
+        )
+        self.fleet.ship_batches(worker_id, self._shard_batches.get(shard, ()))
 
     def ingest(self, series: Sequence[TimeSeries]) -> dict:
         """Partition raw series, place their groups on the map, and
@@ -499,11 +322,7 @@ class ShardedCluster:
     def _replicate_shards(self, shards: Sequence[int]) -> None:
         with self._admin_lock:
             for shard in shards:
-                owners = [
-                    wid
-                    for wid in self.map.owners_of(shard)
-                    if self._handles[wid].alive
-                ]
+                owners = self._live_owners(shard)
                 if not owners:
                     raise ClusterError(
                         f"no live owner to replicate shard {shard} to"
@@ -538,19 +357,16 @@ class ShardedCluster:
             if routed is not None:
                 plan.append((shard, routed))
         report.subqueries = len(plan)
-        futures = [
-            (shard, self._executor.submit(self._execute_shard, shard, routed))
-            for shard, routed in plan
-        ]
-        outputs: list[tuple[int, object]] = []
+        futures = self.fleet.scatter(self._execute_shard, plan)
+        outputs = []  # in shard order, as planned
         first_error: Exception | None = None
-        for shard, future in futures:
+        for (shard, _), future in zip(plan, futures):
             try:
                 result, elapsed, retries, recovered = future.result()
             except (ClusterError, WorkerRPCError, QueryError) as exc:
                 first_error = first_error or exc
                 continue
-            outputs.append((shard, result))
+            outputs.append(result)
             report.shard_seconds[shard] = elapsed
             report.retries += retries
             if recovered:
@@ -558,20 +374,7 @@ class ShardedCluster:
         if first_error is not None:
             raise first_error
         merge_started = time.perf_counter()
-        partials: list[PartialResult] = []
-        rows: list[dict] = []
-        for _, result in sorted(outputs, key=lambda entry: entry[0]):
-            if isinstance(result, PartialResult):
-                partials.append(result)
-            else:
-                rows.extend(result)
-        if partials:
-            rows = merge_partial_results(partials)
-        else:
-            # Per-shard top-k similarity rows fold into the global
-            # top-k; forecast rows re-sort by (Tid, TS) since shards
-            # answer in shard order. A no-op for plain selections.
-            rows = merge_analytics_rows(query, rows)
+        rows = gather(query, outputs)
         now = time.perf_counter()
         report.merge_seconds = now - merge_started
         report.wall_seconds = now - wall_started
@@ -607,12 +410,8 @@ class ShardedCluster:
         """
         retries = 0
         recovered = False
-        for round_ in range(len(self._handles) + 1):
-            owners = [
-                wid
-                for wid in self.map.owners_of(shard)
-                if self._handles[wid].alive
-            ]
+        for _ in range(len(self.fleet) + 1):
+            owners = self._live_owners(shard)
             if not owners:
                 self._recover_shard(shard)
                 recovered = True
@@ -620,11 +419,10 @@ class ShardedCluster:
             offset = next(self._rotation.setdefault(shard, itertools.count()))
             for index in range(len(owners)):
                 wid = owners[(offset + index) % len(owners)]
-                channel = self._channels[wid]
-                if not channel.alive:
+                if not self.fleet.is_alive(wid):
                     continue
                 try:
-                    value, elapsed = channel.call("execute", routed)
+                    value, elapsed = self.fleet.call(wid, "execute", routed)
                 except WorkerFailure:
                     self._retire_worker(wid)
                     retries += 1
@@ -635,6 +433,13 @@ class ShardedCluster:
             f"shard {shard} has no answering replica after "
             f"{retries} retries"
         )
+
+    def _live_owners(self, shard: int) -> list[int]:
+        return [
+            wid
+            for wid in self.map.owners_of(shard)
+            if self.fleet.is_alive(wid)
+        ]
 
     def _note_busy(self, shard: int, worker_id: int, elapsed: float) -> None:
         with self._admin_lock:
@@ -650,18 +455,12 @@ class ShardedCluster:
         """Declare a worker dead: fence the process, drop it from every
         replica set (one generation bump), notify listeners."""
         with self._admin_lock:
-            handle = self._handles[worker_id]
-            if not handle.alive:
+            if not self.fleet.retire(worker_id):
                 return
-            handle.alive = False
-            if handle.process.is_alive():  # unresponsive, not dead
-                handle.process.terminate()
             self.map.retire_worker(worker_id)
             self.lost_workers += 1
             generation = self.map.generation
-        registry = get_registry()
-        registry.counter("shard.lost_workers_total").inc()
-        registry.counter("cluster.worker_failures_total").inc()
+        get_registry().counter("shard.lost_workers_total").inc()
         self._notify(generation)
 
     def _recover_shard(self, shard: int) -> None:
@@ -669,16 +468,9 @@ class ShardedCluster:
         retained payloads to the least-busy survivors, then publish the
         new owner tuple (generation bump)."""
         with self._admin_lock:
-            if any(
-                self._handles[wid].alive
-                for wid in self.map.owners_of(shard)
-            ):
+            if self._live_owners(shard):
                 return  # another thread recovered it first
-            live = [
-                wid
-                for wid, handle in self._handles.items()
-                if handle.alive
-            ]
+            live = self.fleet.live_ids
             if not live:
                 raise ClusterError("no surviving workers in the tier")
             live.sort(key=lambda wid: self._worker_busy.get(wid, 0.0))
@@ -741,15 +533,9 @@ class ShardedCluster:
                 reverse=True,
             )
             for shard in hot[:max_moves]:
-                owners = [
-                    wid
-                    for wid in self.map.owners_of(shard)
-                    if self._handles[wid].alive
-                ]
+                owners = self._live_owners(shard)
                 candidates = [
-                    wid
-                    for wid, handle in self._handles.items()
-                    if handle.alive and wid not in owners
+                    wid for wid in self.fleet.live_ids if wid not in owners
                 ]
                 if not candidates:
                     continue

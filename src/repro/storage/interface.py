@@ -14,7 +14,6 @@ shim over :meth:`scan`.
 from __future__ import annotations
 
 import os
-import warnings
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Mapping
 
@@ -81,27 +80,6 @@ class Storage(ABC):
         ``request.all_revisions`` is set; survivors overlapping the
         request's closed time interval are yielded in append order.
         """
-
-    def segments(
-        self,
-        gids: Iterable[int] | None = None,
-        start_time: int | None = None,
-        end_time: int | None = None,
-    ) -> Iterator[SegmentGroup]:
-        """Deprecated spelling of :meth:`scan` (latest-known reads)."""
-        warnings.warn(
-            "Storage.segments() is deprecated; pass a SegmentScan "
-            "request to Storage.scan() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.scan(
-            SegmentScan(
-                gids=None if gids is None else tuple(gids),
-                start_time=start_time,
-                end_time=end_time,
-            )
-        )
 
     @abstractmethod
     def segment_count(self) -> int:

@@ -246,12 +246,3 @@ class TestFacade:
             db.ingest(
                 [simple_series(1), TimeSeriesGroup(2, [simple_series(2)])]
             )
-
-    def test_ingest_groups_shim_warns_and_works(self):
-        db = ModelarDB.open(config=Configuration(error_bound=1.0))
-        with pytest.warns(DeprecationWarning, match="ingest_groups"):
-            stats = db.ingest_groups(
-                [TimeSeriesGroup(1, [simple_series()])]
-            )
-        assert stats.data_points > 0
-        assert db.segment_count() > 0

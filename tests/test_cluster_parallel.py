@@ -12,13 +12,15 @@ order, so their rows must be bit-identical (``==``). Against the
 addition order, hence ``pytest.approx``.
 """
 
+import numpy as np
 import pytest
 
-from repro import Configuration, ModelarDB
+from repro import Configuration, ModelarDB, TimeSeries
 from repro.cluster import FaultPlan, ModelarCluster, ProcessCluster
 from repro.core.errors import ClusterError
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
+from repro.shard import ShardedCluster
 
 STATEMENTS = (
     "SELECT COUNT(*) FROM DataPoint",
@@ -78,6 +80,55 @@ def test_smoke_two_processes_match_simulated(ep_config):
             rows, _ = cluster.sql(sql)
             expected, _ = simulated.sql(sql)
             assert rows == expected
+
+
+@pytest.fixture(scope="module")
+def four_ways():
+    """One data set behind the embedded engine and all three clusters
+    (3 workers each, so every scatter really merges)."""
+    rng = np.random.default_rng(7)
+    series = [
+        TimeSeries(
+            tid, 100, np.arange(200) * 100,
+            np.float32(20 + tid + np.cumsum(rng.normal(0, 0.25, 200))),
+        )
+        for tid in range(1, 6)
+    ]
+    config = Configuration(error_bound=0.0)
+    embedded = ModelarDB(config)
+    embedded.ingest(series)
+    simulated = ModelarCluster(3, config)
+    simulated.ingest(series)
+    pattern = ", ".join(
+        repr(round(float(value), 3)) for value in series[2].values[60:65]
+    )
+    with ProcessCluster(3, config) as processes:
+        processes.ingest(series)
+        with ShardedCluster(3, config=config) as sharded:
+            sharded.ingest(series)
+            yield embedded, (simulated, processes, sharded), pattern
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "SELECT FORECAST(TS, 4) FROM DataPoint",
+        # k=2 < 3 workers x 2: per-worker top-k must be re-cut globally.
+        "SELECT * FROM DataPoint SIMILAR TO ({pattern}) LIMIT 2",
+        "SELECT COUNT(*), MIN(Value), MAX(Value) FROM DataPoint",
+        "SELECT TS, Value FROM DataPoint WHERE Tid = 4 AND TS <= 900",
+    ],
+)
+def test_every_cluster_answers_like_the_embedded_engine(four_ways, statement):
+    """One gather/merge: simulated, process and sharded clusters all
+    return exactly the embedded engine's rows, analytics included."""
+    embedded, clusters, pattern = four_ways
+    sql = statement.format(pattern=pattern)
+    expected = embedded.sql(sql)
+    assert expected
+    for cluster in clusters:
+        rows, _ = cluster.sql(sql)
+        assert rows == expected, type(cluster).__name__
 
 
 @pytest.mark.slow

@@ -11,9 +11,7 @@ The revision contract, end to end:
 * FileStorage round-trips revision state (stamps, counter, AS OF
   answers) across close/reopen;
 * the sharded tier and the TCP server answer ``AS OF`` identically to
-  the embedded engine;
-* the typed ``SegmentScan`` request and the deprecated
-  ``Storage.segments()`` shim agree.
+  the embedded engine.
 """
 
 from __future__ import annotations
@@ -260,7 +258,7 @@ class TestFileStorePersistence:
 
 
 # ----------------------------------------------------------------------
-# The typed read request and the deprecated shim
+# The typed read request
 # ----------------------------------------------------------------------
 class TestSegmentScanAPI:
     def test_all_revisions_bypasses_resolution(self):
@@ -270,12 +268,6 @@ class TestSegmentScanAPI:
         history = list(db.storage.scan(SegmentScan(all_revisions=True)))
         assert len(history) > len(resolved)
         assert all(s.revision == 0 or s.knowledge_time for s in history)
-
-    def test_segments_shim_warns_and_delegates(self):
-        db = make_db()
-        with pytest.warns(DeprecationWarning, match="SegmentScan"):
-            shimmed = list(db.storage.segments(gids=[1]))
-        assert shimmed == list(db.storage.scan(SegmentScan(gids=(1,))))
 
     def test_apply_as_of_agreement_and_conflict(self):
         query = parse("SELECT SUM_S(*) FROM Segment AS OF 3")

@@ -9,6 +9,7 @@ leave the connection (and server) up.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -20,7 +21,9 @@ from repro.server import (
     BusyError,
     CancelledError,
     DeadlineError,
+    Dispatcher,
     EmbeddedDispatcher,
+    ErrorCode,
     QueryServer,
     RemoteQueryError,
     ServerClient,
@@ -246,6 +249,62 @@ class TestDeadlinesAndCancel:
             thread.join(timeout=30)
             assert len(errors) == 1
             assert isinstance(errors[0], CancelledError)
+
+
+class _RaisesWhenWoken(Dispatcher):
+    """Blocks until its token fires, then raises at once — so the
+    executor's error reaches the event loop while the server's own
+    cancel waiter is still pending, the order the race used to lose."""
+
+    def __init__(self) -> None:
+        super().__init__(result_cache_capacity=0)
+        self.started = threading.Event()
+        self.token = None
+
+    def execute(self, sql, token=None, as_of=None):
+        self.token = token
+        self.started.set()
+        token.wait(30)
+        raise CancelledError("woken by the token")
+
+
+class TestOutcomeFollowsTokenReason:
+    @pytest.mark.parametrize(
+        "reason, code, counter",
+        [
+            ("cancelled", ErrorCode.CANCELLED, "cancelled"),
+            ("timeout", ErrorCode.TIMEOUT, "timed_out"),
+        ],
+    )
+    def test_executor_error_landing_first_keeps_the_code(
+        self, reason, code, counter
+    ):
+        dispatcher = _RaisesWhenWoken()
+        server = QueryServer(dispatcher)
+
+        async def scenario() -> dict:
+            await server.start()
+            try:
+                query = asyncio.ensure_future(
+                    server._handle_request(
+                        {"op": "query", "sql": "SELECT 1", "id": "q"}
+                    )
+                )
+                while not dispatcher.started.is_set():
+                    await asyncio.sleep(0.001)
+                # Fire the token only: the future completes with the
+                # executor's error and nothing else is in `done`.
+                dispatcher.token.cancel(reason)
+                return await asyncio.wait_for(query, timeout=10)
+            finally:
+                await server.stop()
+
+        response = asyncio.run(scenario())
+        assert response["ok"] is False
+        assert response["error"]["code"] == code
+        counters = server.counters.snapshot()
+        assert counters[counter] == 1
+        assert counters["failed"] == 0
 
 
 class TestResultCache:

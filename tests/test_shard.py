@@ -257,8 +257,9 @@ class TestShardedSmoke:
             # process, retires it (one generation bump), the replica
             # still answers, and the generation listener empties the
             # result cache, evicting the first statement's entry.
-            tier._handles[1].process.terminate()
-            tier._handles[1].process.join(timeout=5.0)
+            victim = tier.fleet._workers[1].process
+            victim.terminate()
+            victim.join(timeout=5.0)
             other = self.STATEMENTS[1]
             rows, cached = dispatcher.execute(other)
             assert list(rows) == reference.sql(other) and not cached
