@@ -105,6 +105,12 @@ class SegmentGroup:
                 "segment revision and knowledge time must be non-negative"
             )
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle the stored fields only: what is memoised on the
+        instance (member tids, a decoded model) stays in its process
+        and off the RPC wire."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
     # ------------------------------------------------------------------
     @property
     def length(self) -> int:
@@ -114,6 +120,8 @@ class SegmentGroup:
     @property
     def member_tids(self) -> tuple[int, ...]:
         """Tids actually represented (group minus gaps), in column order."""
+        if not self.gaps:
+            return self.group_tids
         cached: tuple[int, ...] | None = self.__dict__.get("_member_tids")
         if cached is None:
             cached = tuple(

@@ -263,7 +263,9 @@ class SegmentGenerator:
 
     def abandon(self) -> None:
         """Drop buffered data without emitting (used when a dynamic split
-        replays the pending window into new sub-generators)."""
+        replays the pending window into new sub-generators, which count
+        the replayed points again — so they are un-counted here)."""
+        self.stats.data_points -= len(self._buffer) * len(self._present)
         self._buffer.clear()
         self._reset_cascade()
 

@@ -130,6 +130,11 @@ def pack_xor_block(
     return window_leading, window_meaningful
 
 
+#: Zero bits appended to the stream so that one value's fields (at most
+#: 1 + 1 + 10 + 32 bits) can be read before checking for exhaustion.
+_UNPACK_PAD = 64
+
+
 def unpack_xor_block(data: bytes, count: int) -> np.ndarray:
     """Decode ``count`` Gorilla float32 bit patterns in one pass.
 
@@ -137,49 +142,39 @@ def unpack_xor_block(data: bytes, count: int) -> np.ndarray:
     sequential control-bit walk happens once per segment, emitting every
     value's bit pattern into one ``<u4`` array that the caller
     reinterprets as float32 in bulk — instead of a struct round trip per
-    value. Bit reads are inlined on local state, so decoding costs one
-    Python-level loop over values rather than several reader calls each.
+    value. The whole stream is one integer read with shifts and masks
+    (``remaining`` counts the bits below the cursor), so a field costs
+    two operations however many bytes it straddles.
     """
-    patterns = np.empty(count, dtype="<u4")
     if count == 0:
-        return patterns
-    total_bits = len(data) * 8
-    position = 0
-
-    def read(bits: int) -> int:
-        nonlocal position
-        end = position + bits
-        if end > total_bits:
-            raise ModelError("bit stream exhausted")
-        value = 0
-        cursor = position
-        remaining = bits
-        while remaining:
-            byte = data[cursor // 8]
-            offset = cursor % 8
-            available = 8 - offset
-            take = available if available < remaining else remaining
-            value = (value << take) | (
-                (byte >> (available - take)) & ((1 << take) - 1)
-            )
-            cursor += take
-            remaining -= take
-        position = end
-        return value
-
-    previous = read(32)
-    patterns[0] = previous
-    window_leading = -1
+        return np.empty(0, dtype="<u4")
+    stream = int.from_bytes(data, "big") << _UNPACK_PAD
+    remaining = len(data) * 8 + _UNPACK_PAD - 32
+    if remaining < _UNPACK_PAD:
+        raise ModelError("bit stream exhausted")
+    previous = stream >> remaining
+    patterns = [previous]
     window_meaningful = 0
-    for index in range(1, count):
-        if read(1):
-            if read(1):
-                window_leading = read(5)
-                window_meaningful = read(5) + 1
-            window_trailing = 32 - window_leading - window_meaningful
-            previous ^= read(window_meaningful) << window_trailing
-        patterns[index] = previous
-    return patterns
+    window_trailing = 33  # no window yet: leading -1, meaningful 0
+    for _ in range(1, count):
+        remaining -= 1
+        if stream >> remaining & 1:
+            remaining -= 1
+            if stream >> remaining & 1:
+                remaining -= 10
+                window_leading = stream >> remaining + 5 & 31
+                window_meaningful = (stream >> remaining & 31) + 1
+                window_trailing = 32 - window_leading - window_meaningful
+                if window_trailing < 0:
+                    raise ModelError("Gorilla window wider than a value")
+            remaining -= window_meaningful
+            previous ^= (
+                stream >> remaining & (1 << window_meaningful) - 1
+            ) << window_trailing
+        if remaining < _UNPACK_PAD:
+            raise ModelError("bit stream exhausted")
+        patterns.append(previous)
+    return np.array(patterns, dtype="<u4")
 
 
 class BitReader:

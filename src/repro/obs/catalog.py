@@ -110,11 +110,14 @@ _SPECS = (
     ),
     MetricSpec(
         "query.segment_cache_hits_total", COUNTER, (),
-        "Decoded-model cache hits (model decode skipped).",
+        "Decoded-model LRU hits (a bit-stream decode skipped). Models "
+        "pinned on resident segments are read without touching the "
+        "cache and are not counted here.",
     ),
     MetricSpec(
         "query.segment_cache_misses_total", COUNTER, (),
-        "Decoded-model cache misses (model decoded from parameters).",
+        "Models decoded from parameters: once per stored row for "
+        "constant-time models, again after LRU eviction for the rest.",
     ),
     MetricSpec(
         "query.pushdown_subtrees_total", COUNTER, ("decision",),
@@ -178,16 +181,20 @@ _SPECS = (
     ),
     MetricSpec(
         "storage.segments_read_total", COUNTER, (),
-        "Segment rows yielded by storage scans.",
+        "Segment rows decoded from partition files into resident "
+        "tables (once per row and handle, not per query; FileStorage "
+        "only).",
     ),
     MetricSpec(
         "storage.bytes_read_total", COUNTER, (),
-        "Partition bytes read from disk by storage scans "
+        "Partition bytes decoded into resident tables: whole files on "
+        "first touch, tails appended by another handle afterwards "
         "(FileStorage only; the memory store reads no bytes).",
     ),
     MetricSpec(
         "storage.read_seconds", HISTOGRAM, (),
-        "Latency of reading one partition file (FileStorage only).",
+        "Latency of one resident-table load: reading and decoding a "
+        "partition file or its new tail (FileStorage only).",
     ),
     # -- cluster (master side) -----------------------------------------
     MetricSpec(

@@ -89,13 +89,7 @@ def iter_blocks(
         if not series:
             continue
         started = time.perf_counter()
-        model = cache.decode(
-            segment.mid,
-            segment.parameters,
-            segment.n_columns,
-            segment.length,
-        )
-        values = model.values_block(first, last)
+        values = cache.model_of(segment).values_block(first, last)
         decode_seconds += time.perf_counter() - started
         timestamps = segment.start_time + (
             np.arange(first, last + 1, dtype=np.int64)

@@ -203,14 +203,15 @@ class QueryEngine:
             self._metadata = MetadataCache(self._storage)
 
     def invalidate_caches(self) -> None:
-        """Drop decoded models and the metadata cache.
+        """Drop the metadata cache.
 
         Wired to the ingestion flush hook (see
         :meth:`repro.modelardb.ModelarDB.add_flush_listener`) so an
-        engine shared by concurrent server threads never serves decoded
-        models or series metadata that predate a bulk write.
+        engine shared by concurrent server threads never serves series
+        metadata that predates a bulk write. Decoded models are pure
+        functions of their stored row and stay (see
+        :mod:`repro.query.cache`).
         """
-        self._segment_cache.invalidate()
         with self._metadata_lock:
             self._metadata = None
 
@@ -537,12 +538,7 @@ class QueryEngine:
             ]
             if not selected:
                 continue
-            model = cache.decode(
-                segment.mid,
-                segment.parameters,
-                segment.n_columns,
-                segment.length,
-            )
+            model = cache.model_of(segment)
             if model.constant_time_aggregates:
                 # Answered from model parameters alone: every data point
                 # this segment represents for the selected series stays

@@ -69,12 +69,7 @@ class SegmentView:
             model = None
             for row in explode(segment, scalings, dimension_rows, tids):
                 if model is None:
-                    model = self._cache.decode(
-                        segment.mid,
-                        segment.parameters,
-                        segment.n_columns,
-                        segment.length,
-                    )
+                    model = self._cache.model_of(segment)
                 yield SegmentViewRow(row, model, first, last)
 
 

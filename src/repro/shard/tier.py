@@ -393,6 +393,7 @@ class ShardedCluster:
                 "shard.shard_busy_seconds_total", shard=str(shard)
             ).inc(elapsed)
         if report.retries:
+            self.failover_retries += report.retries
             registry.counter("shard.failover_retries_total").inc(
                 report.retries
             )

@@ -11,9 +11,16 @@ Reproduces the storage properties the paper relies on:
   loaded into the in-memory metadata cache on open.
 
 Within a partition, segments are appended in ingestion order, which for
-streaming ingestion means non-decreasing end time — time-interval
-predicates are still evaluated per row, as Cassandra would with a
-clustering-key slice.
+streaming ingestion means non-decreasing end time.
+
+Reads go through one resident :class:`~repro.storage.scan.Partition`
+table per Gid, built by the first scan that touches the partition.
+Segments are immutable and partition files append-only, so a stored row
+is decoded at most once per handle: a scan validates the table against
+the file with one ``stat`` — a grown file (this handle's own writes
+extend the table directly; a second handle or process appending shows
+up here) has only its tail decoded, a shrunk one is decoded afresh —
+and time-interval predicates are a vectorised mask over the table.
 
 The store is crash-safe to re-open: a worker process killed mid-append
 may leave a torn trailing row in one partition file and stale counts in
@@ -28,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 import time
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -36,7 +44,7 @@ from ..core.errors import StorageError
 from ..core.segment import REVISION_EXTENSION_BYTES, SegmentGroup
 from ..obs import get_registry
 from .interface import Storage
-from .scan import SegmentScan, resolve_visible, stamp_revisions
+from .scan import Partition, SegmentScan, stamp_revisions
 from .schema import TimeSeriesRecord
 from .serialization import HEADER_BYTES, decode_segment, encode_segment
 
@@ -94,6 +102,12 @@ class FileStorage(Storage):
         self._groups: dict[int, tuple[tuple[int, ...], int]] = {}
         self._counts: dict[int, int] = {}
         self._knowledge = 0
+        #: Resident tables by Gid. The lock serialises everything that
+        #: moves a table or the file under it (appends, tail loads), so
+        #: a table always equals a prefix of its file; scans of a table
+        #: that is current take no lock.
+        self._tables: dict[int, Partition] = {}
+        self._tables_lock = threading.Lock()
         self._load_metadata()
         self._recover_partitions()
 
@@ -127,38 +141,40 @@ class FileStorage(Storage):
         stamped, self._knowledge = stamp_revisions(
             list(segments), self._knowledge
         )
-        by_gid: dict[int, list[bytes]] = {}
-        counts: dict[int, int] = {}
-        written_segments = 0
-        written_bytes = 0
+        by_gid: dict[int, list[SegmentGroup]] = {}
         for segment in stamped:
             if segment.gid not in self._groups:
                 raise StorageError(
                     f"segment references unknown group {segment.gid}; insert "
                     "the Time Series table rows first"
                 )
-            encoded = encode_segment(segment)
-            by_gid.setdefault(segment.gid, []).append(encoded)
-            counts[segment.gid] = counts.get(segment.gid, 0) + 1
-            written_segments += 1
-            written_bytes += len(encoded)
-        for gid, rows in by_gid.items():
+            by_gid.setdefault(segment.gid, []).append(segment)
+        encoded = {
+            gid: b"".join(map(encode_segment, rows))
+            for gid, rows in by_gid.items()
+        }
+        for gid, data in encoded.items():
             with open(self._partition_path(gid), "ab") as handle:
-                handle.write(b"".join(rows))
-            self._counts[gid] = self._counts.get(gid, 0) + counts[gid]
+                handle.write(data)
+                handle.flush()
+                end = handle.tell()
+            self._extend_resident(gid, by_gid[gid], end - len(data), end)
+            self._counts[gid] = self._counts.get(gid, 0) + len(by_gid[gid])
         self._save_metadata()
         registry = get_registry()
-        registry.counter("storage.segments_written_total").inc(
-            written_segments
+        registry.counter("storage.segments_written_total").inc(len(stamped))
+        registry.counter("storage.bytes_written_total").inc(
+            sum(map(len, encoded.values()))
         )
-        registry.counter("storage.bytes_written_total").inc(written_bytes)
         registry.histogram("storage.write_seconds").record(
             time.perf_counter() - started
         )
 
     def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
         for gid in request.partitions(self._groups):
-            yield from self._scan_partition(gid, request)
+            table = self._resident(gid)
+            if table is not None:
+                yield from table.scan(request)
 
     def segment_count(self) -> int:
         return sum(self._counts.values())
@@ -198,45 +214,104 @@ class FileStorage(Storage):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _scan_partition(
-        self, gid: int, request: SegmentScan
-    ) -> Iterator[SegmentGroup]:
-        metadata = self._groups.get(gid)
-        if metadata is None:
-            return
-        group_tids, sampling_interval = metadata
+    def _resident(self, gid: int) -> Partition | None:
+        """The partition's table, current with its file (None: no rows).
+
+        A table that matches the file's size is returned as is. Anything
+        else is decoded outside the lock and published under it only if
+        neither the table nor the group metadata moved meanwhile; a
+        loader that lost that race looks again.
+        """
         path = self._partition_path(gid)
-        if not path.exists():
-            return
-        started = time.perf_counter()
-        data = path.read_bytes()
-        registry = get_registry()
-        registry.counter("storage.bytes_read_total").inc(len(data))
-        partition: list[SegmentGroup] = []
-        offset = 0
-        while offset + HEADER_BYTES <= len(data):
-            segment, offset = decode_segment(
-                data, offset, sampling_interval, group_tids
+        while True:
+            metadata = self._groups.get(gid)
+            if metadata is None:
+                return None
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                return None
+            known = self._tables.get(gid)
+            if known is not None and known.offset == size:
+                return known
+            # First touch, or the file shrank under the table (a re-open
+            # truncated a torn tail): decode from the start.
+            table = (
+                known
+                if known is not None and known.offset < size
+                else Partition()
             )
-            partition.append(segment)
-        registry.counter("storage.segments_read_total").inc(len(partition))
-        registry.histogram("storage.read_seconds").record(
-            time.perf_counter() - started
-        )
-        survivors: Iterable[SegmentGroup] = (
-            partition
-            if request.all_revisions
-            else resolve_visible(partition, request.as_of)
-        )
-        for segment in survivors:
-            if segment.overlaps(request.start_time, request.end_time):
-                yield segment
+            start = table.offset
+            started = time.perf_counter()
+            with open(path, "rb") as handle:
+                handle.seek(start)
+                data = handle.read()
+            # A row still being appended is not there yet: decode what
+            # re-open recovery would keep.
+            _, valid_bytes, _ = _valid_prefix(data)
+            group_tids, sampling_interval = metadata
+            rows: list[SegmentGroup] = []
+            offset = 0
+            while offset < valid_bytes:
+                segment, offset = decode_segment(
+                    data, offset, sampling_interval, group_tids
+                )
+                rows.append(segment)
+            with self._tables_lock:
+                published = (
+                    self._tables.get(gid) is known
+                    and table.offset == start
+                    and self._groups.get(gid) is metadata
+                )
+                if published:
+                    table.extend(rows)
+                    table.offset = start + valid_bytes
+                    self._tables[gid] = table
+            if published:
+                registry = get_registry()
+                registry.counter("storage.bytes_read_total").inc(valid_bytes)
+                registry.counter("storage.segments_read_total").inc(len(rows))
+                registry.histogram("storage.read_seconds").record(
+                    time.perf_counter() - started
+                )
+                return table
+
+    def _extend_resident(
+        self, gid: int, rows: list[SegmentGroup], start: int, end: int
+    ) -> None:
+        """Carry rows just appended at ``[start, end)`` into a resident
+        table; a partition nobody has read stays unread.
+
+        The written objects stand in for their decoded rows only when
+        they directly follow what the table holds (no other handle
+        appended in between, no scan loaded them already) and carry the
+        stored group metadata, which is all a decode would add;
+        otherwise the next scan's tail load decodes them from the file.
+        """
+        group_tids, sampling_interval = self._groups[gid]
+        if not all(
+            row.group_tids == group_tids
+            and row.sampling_interval == sampling_interval
+            for row in rows
+        ):
+            return
+        with self._tables_lock:
+            table = self._tables.get(gid)
+            if table is not None and table.offset == start:
+                table.extend(rows)
+                table.offset = end
 
     def _partition_path(self, gid: int) -> Path:
         return self._root / f"{_PARTITION_PREFIX}{gid}{_PARTITION_SUFFIX}"
 
     def _rebuild_group_cache(self) -> None:
-        self._groups = self.group_metadata()
+        previous, self._groups = self._groups, self.group_metadata()
+        # Rows are decoded with their group's metadata: a table whose
+        # group changed is dropped and rebuilt by the next scan.
+        with self._tables_lock:
+            for gid in list(self._tables):
+                if self._groups.get(gid) != previous.get(gid):
+                    del self._tables[gid]
 
     def _metadata_path(self) -> Path:
         return self._root / _METADATA_FILE

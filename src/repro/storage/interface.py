@@ -6,9 +6,9 @@ push-down happens at :meth:`Storage.scan`: the query processor hands
 down a typed :class:`~repro.storage.scan.SegmentScan` request — Gids
 (after Tid/member rewriting), the time interval, and the ``AS OF``
 knowledge-time bound — so backends skip irrelevant partitions instead
-of filtering in the engine. The legacy positional/keyword
-:meth:`Storage.segments` spelling survives as a ``DeprecationWarning``
-shim over :meth:`scan`.
+of filtering in the engine. Both shipped backends answer a scan from
+one resident :class:`~repro.storage.scan.Partition` table per Gid
+through its single ``scan`` implementation.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ against either backend.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, Mapping
 
 from ..core.segment import SegmentGroup
 from ..obs import get_registry
 from .interface import Storage
-from .scan import SegmentScan, resolve_visible, stamp_revisions
+from .scan import Partition, SegmentScan, stamp_revisions
 from .schema import TimeSeriesRecord
 from .serialization import encoded_size
 
@@ -24,7 +25,8 @@ class MemoryStorage(Storage):
     def __init__(self) -> None:
         self._time_series: dict[int, TimeSeriesRecord] = {}
         self._models: dict[int, str] = {}
-        self._segments: dict[int, list[SegmentGroup]] = {}
+        self._partitions: dict[int, Partition] = {}
+        self._lock = threading.Lock()
         self._bytes = 0
         self._count = 0
         self._knowledge = 0
@@ -51,32 +53,27 @@ class MemoryStorage(Storage):
         return dict(self._models)
 
     def insert_segments(self, segments: Iterable[SegmentGroup]) -> None:
-        stamped, self._knowledge = stamp_revisions(
-            list(segments), self._knowledge
-        )
-        written_segments = 0
-        written_bytes = 0
-        for segment in stamped:
-            self._segments.setdefault(segment.gid, []).append(segment)
-            size = encoded_size(segment)
-            self._bytes += size
-            self._count += 1
-            written_segments += 1
-            written_bytes += size
+        with self._lock:
+            stamped, self._knowledge = stamp_revisions(
+                list(segments), self._knowledge
+            )
+            by_gid: dict[int, list[SegmentGroup]] = {}
+            for segment in stamped:
+                by_gid.setdefault(segment.gid, []).append(segment)
+            for gid, rows in by_gid.items():
+                self._partitions.setdefault(gid, Partition()).extend(rows)
+            written_bytes = sum(map(encoded_size, stamped))
+            self._bytes += written_bytes
+            self._count += len(stamped)
         registry = get_registry()
-        registry.counter("storage.segments_written_total").inc(
-            written_segments
-        )
+        registry.counter("storage.segments_written_total").inc(len(stamped))
         registry.counter("storage.bytes_written_total").inc(written_bytes)
 
     def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
-        for gid in request.partitions(self._segments):
-            partition: Iterable[SegmentGroup] = self._segments.get(gid, ())
-            if not request.all_revisions:
-                partition = resolve_visible(list(partition), request.as_of)
-            for segment in partition:
-                if segment.overlaps(request.start_time, request.end_time):
-                    yield segment
+        for gid in request.partitions(self._partitions):
+            partition = self._partitions.get(gid)
+            if partition is not None:
+                yield from partition.scan(request)
 
     def segment_count(self) -> int:
         return self._count

@@ -19,14 +19,23 @@ the beginning and are never hidden by an ``AS OF`` bound itself — only
 by visible superseding revisions. Survivors keep their append order,
 which is what makes a zero-revision store's scan bit-identical to the
 pre-revision code path.
+
+:class:`Partition` is the resident table both backends keep per Gid;
+its :meth:`~Partition.scan` is the single implementation turning a
+table and a request into survivors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 from ..core.segment import SegmentGroup
+
+_Times = npt.NDArray[np.int64]
 
 
 @dataclass(frozen=True)
@@ -100,15 +109,108 @@ def resolve_visible(
     visible = [
         segment for segment in partition if visible_at(segment, as_of)
     ]
+    # Only a revision can shadow anything, and revisions are few.
+    revisions = [segment for segment in visible if segment.revision]
     return [
         segment
         for segment in visible
         if not any(
             other.revision > segment.revision
             and other.overlaps(segment.start_time, segment.end_time)
-            for other in visible
+            for other in revisions
         )
     ]
+
+
+class _Rows(NamedTuple):
+    """Segments in append order with their time bounds as arrays."""
+
+    segments: Sequence[SegmentGroup]
+    starts: _Times
+    ends: _Times
+
+    @classmethod
+    def of(cls, segments: Sequence[SegmentGroup]) -> "_Rows":
+        count = len(segments)
+        return cls(
+            segments,
+            np.fromiter((s.start_time for s in segments), np.int64, count),
+            np.fromiter((s.end_time for s in segments), np.int64, count),
+        )
+
+    def overlapping(
+        self, start: int | None, end: int | None
+    ) -> Sequence[SegmentGroup]:
+        """Rows intersecting the closed interval, in append order."""
+        if start is None and end is None:
+            return self.segments
+        keep = np.ones(len(self.segments), dtype=bool)
+        if start is not None:
+            keep &= self.ends >= start
+        if end is not None:
+            keep &= self.starts <= end
+        segments = self.segments
+        return [segments[index] for index in np.flatnonzero(keep).tolist()]
+
+
+class Partition:
+    """The resident table of one Gid partition.
+
+    Holds every stored row in append order and the latest-wins
+    survivors of an unbounded read (the same rows while the partition
+    has no revisions). Both are published together as one immutable
+    pair, so a scan that read the pair once filters a consistent prefix
+    of the partition without holding a lock; :meth:`extend` calls must
+    be serialised by the owning store. ``offset`` is for a file-backed
+    owner: the bytes of the partition file decoded into the table so
+    far.
+    """
+
+    __slots__ = ("offset", "_published")
+
+    def __init__(self) -> None:
+        self.offset = 0
+        empty = _Rows.of(())
+        self._published = (empty, empty)
+
+    def extend(self, segments: Sequence[SegmentGroup]) -> None:
+        """Append rows (already stamped) and re-resolve the survivors."""
+        if not segments:
+            return
+        rows, latest = self._published
+        has_revisions = latest is not rows or any(
+            segment.revision for segment in segments
+        )
+        added = _Rows.of(segments)
+        rows = _Rows(
+            [*rows.segments, *segments],
+            np.concatenate((rows.starts, added.starts)),
+            np.concatenate((rows.ends, added.ends)),
+        )
+        self._published = (
+            rows,
+            _Rows.of(resolve_visible(rows.segments)) if has_revisions else rows,
+        )
+
+    def scan(self, request: SegmentScan) -> Sequence[SegmentGroup]:
+        """The partition's survivors for one request, in append order.
+
+        The one place a table and a request become segments, shared by
+        every backend. ``all_revisions`` reads every row and an
+        unbounded read the resident survivors; only an ``AS OF`` read
+        of a partition that has revisions resolves visibility on
+        demand.
+        """
+        rows, latest = self._published
+        if request.all_revisions:
+            latest = rows
+        elif request.as_of is not None and latest is not rows:
+            return [
+                segment
+                for segment in resolve_visible(rows.segments, request.as_of)
+                if segment.overlaps(request.start_time, request.end_time)
+            ]
+        return latest.overlapping(request.start_time, request.end_time)
 
 
 def stamp_revisions(

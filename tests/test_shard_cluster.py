@@ -26,6 +26,7 @@ from repro import Configuration, ModelarDB
 from repro.cluster import FaultPlan
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
+from repro.obs import get_registry
 from repro.server import QueryServer, ServerClient, ServerThread
 from repro.shard import ShardedCluster, ShardedDispatcher
 
@@ -144,6 +145,8 @@ class TestCrashFailover:
         """Worker 1 dies on its second execute; every query still
         answers, bit-identical to the no-crash sharded run."""
         plan = FaultPlan.crash_after(1, after=1, method="execute")
+        replayed = get_registry().counter("shard.failover_retries_total")
+        replayed_before = replayed.value
         with ShardedCluster(
             4, n_replicas=2, config=ep_config, dimensions=ep.dimensions,
             fault_plan=plan, timeout=3.0,
@@ -161,11 +164,15 @@ class TestCrashFailover:
             assert tier.lost_workers == 1
             assert 1 not in tier.live_worker_ids
             assert tier.generation > generation
-            assert sum(r.retries for r in reports) >= 1
+            retries = sum(r.retries for r in reports)
+            assert retries >= 1
             # Later queries ride on the survivors without further drama.
             rows, report = tier.sql(STATEMENTS[2])
             assert rows == baseline[STATEMENTS[2]]
             assert report.retries == 0
+            # stats() and the metric report the same replays.
+            assert tier.stats()["failover_retries"] == retries
+            assert replayed.value - replayed_before == retries
 
     def test_single_replica_shard_is_recovered_by_reshipping(
         self, ep, ep_config, baseline

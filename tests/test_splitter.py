@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import ModelarDB
 from repro.core import Configuration, TimeSeriesGroup
 from repro.ingest import GroupIngestor, group_ticks, within_double_bound
 from repro.models import ModelRegistry
@@ -101,6 +102,18 @@ class TestSplitJoin:
         for ts in series:
             expected = {p.timestamp for p in ts if p.value is not None}
             assert covered[ts.tid] == expected
+
+    def test_replayed_points_are_counted_once(self):
+        """A split replays its pending window into the new sub-groups;
+        ``data_points`` still counts every ingested point once, which is
+        what the store answers."""
+        series = diverging_series()
+        db = ModelarDB(Configuration(error_bound=1.0))
+        stats = db.ingest([TimeSeriesGroup(1, series)])
+        assert stats.splits >= 1 and stats.joins >= 1
+        (row,) = db.query("SELECT COUNT_S(*) FROM Segment")
+        assert stats.data_points == row["COUNT_S(*)"]
+        assert stats.data_points == sum(len(ts) for ts in series)
 
     def test_segments_remain_within_error_bound_across_split(self):
         series = diverging_series()
