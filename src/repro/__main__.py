@@ -151,13 +151,16 @@ def run_cluster(arguments, out) -> int:
             print(f"\nmodelardb> {statement}", file=out)
             rows, report = cluster.sql(statement)
             print(format_rows(rows), file=out)
-            line = f"({report.measured_makespan:.3f}s"
-            if report.failovers:
+            if arguments.simulated:
+                print(f"({report.makespan:.3f}s)", file=out)
+                continue
+            line = f"({report.wall_seconds:.3f}s"
+            if report.recovered_shards:
                 moves = ", ".join(
-                    f"worker {dead}->worker {target}"
-                    for dead, target in report.failovers
+                    f"shard {shard}->worker {cluster.map.owners_of(shard)[0]}"
+                    for shard in report.recovered_shards
                 )
-                line += f"; failover: {moves}"
+                line += f"; recovered: {moves}"
             print(line + ")", file=out)
     finally:
         if not arguments.simulated:

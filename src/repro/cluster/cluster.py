@@ -32,7 +32,7 @@ from ..models.registry import ModelRegistry
 from ..partitioner.grouping import group_from_config
 from ..query.analytics import merge_analytics_rows
 from ..query.engine import PartialResult, merge_partial_results
-from ..query.sql import Condition, Query, apply_as_of, parse
+from ..query.sql import Condition, Query, apply_as_of, parse, tid_values
 from ..storage.interface import Storage
 from .node import WorkerNode
 
@@ -69,25 +69,17 @@ class ClusterIngestReport:
 
 @dataclass
 class ClusterQueryReport:
-    """Timing of one scattered query."""
+    """Modelled timing of one query scattered by the simulation (the
+    process-backed clusters report a measured
+    :class:`~repro.shard.ShardQueryReport` instead)."""
 
     worker_seconds: list[float] = field(default_factory=list)
     merge_seconds: float = 0.0
-    #: Measured wall-clock seconds of scatter + gather + merge (only set
-    #: by the process-parallel substrate; 0.0 in simulated mode).
-    wall_seconds: float = 0.0
-    #: Failovers performed while answering: (dead worker, new owner).
-    failovers: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def makespan(self) -> float:
         slowest = max(self.worker_seconds) if self.worker_seconds else 0.0
         return slowest + self.merge_seconds
-
-    @property
-    def measured_makespan(self) -> float:
-        """Measured wall time when available, else the modelled one."""
-        return self.wall_seconds if self.wall_seconds else self.makespan
 
     @property
     def total_work(self) -> float:
@@ -100,30 +92,25 @@ def restrict_query_to_tids(
     """Restrict a query's Tid predicates to ``owned`` series.
 
     The master's routing step: intersects any ``Tid``/``Tid IN``
-    predicates with the Tids a worker owns. Returns None when the
-    intersection is empty (the worker is pruned from the scatter) and,
-    when the query has no Tid predicate, the query unchanged — unless
-    ``force`` is set, in which case an explicit ``Tid IN`` predicate
-    over ``owned`` is added. Failover uses ``force`` to re-ask only for
-    the Tids whose groups moved off a dead worker.
+    predicates (read by :func:`~repro.query.sql.tid_values`, so a
+    malformed literal is a :class:`QueryError`) with the Tids a worker
+    owns. Returns None when the intersection is empty (the worker is
+    pruned from the scatter) and, when the query has no Tid predicate,
+    the query unchanged — unless ``force`` is set, in which case an
+    explicit ``Tid IN`` predicate over ``owned`` is added. The sharded
+    tier always forces, so a worker holding several shards answers for
+    exactly the shard it was asked about.
     """
-    requested: set[int] | None = None
+    requested: frozenset[int] | None = None
     for condition in query.where:
         if condition.column.lower() != "tid":
             continue
-        if condition.operator == "=":
-            values = {int(condition.value)}
-        elif condition.operator == "IN":
-            values = {int(v) for v in condition.value}
-        else:
-            raise QueryError(
-                "cluster Tid predicates support '=' and 'IN' only"
-            )
+        values = tid_values(condition)
         requested = values if requested is None else requested & values
     if requested is None:
         if not force:
             return query
-        requested = set(owned)
+        requested = frozenset(owned)
     restricted = requested & owned
     if not restricted:
         return None

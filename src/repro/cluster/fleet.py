@@ -1,8 +1,9 @@
 """The worker fleet: N OS processes and the one RPC that reaches them.
 
-:class:`~repro.cluster.ProcessCluster` and
-:class:`~repro.shard.ShardedCluster` are placement policies; everything
-they share about *running* workers lives here. Every
+:class:`~repro.shard.ShardedCluster` (and
+:class:`~repro.cluster.ProcessCluster`, its one-shard-per-worker
+subclass) decides placement; everything about *running* workers lives
+here. Every
 :class:`~repro.cluster.node.WorkerNode` runs in its own
 ``multiprocessing`` process with a private storage backend and answers a
 small message-passing RPC:
@@ -28,8 +29,8 @@ Every handler is idempotent, so :meth:`WorkerFleet.call` — the single
 master-side entry point — may resend freely: it detects failures with
 per-request timeouts (exponential backoff, duplicate-safe sequence
 numbers) and a process liveness check, and raises
-:class:`~repro.core.errors.WorkerFailure` for the owning policy to fail
-the worker over. Faults are injectable via
+:class:`~repro.core.errors.WorkerFailure` for the tier to retire the
+worker and recover its shards. Faults are injectable via
 :class:`~repro.cluster.faults.FaultPlan` and executed worker-side, so
 the recovery paths are testable deterministically.
 """

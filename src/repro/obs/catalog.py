@@ -215,7 +215,7 @@ _SPECS = (
     ),
     MetricSpec(
         "cluster.failovers_total", COUNTER, (),
-        "Group re-assignments performed while recovering a dead worker.",
+        "Shards re-placed on survivors after losing every live owner.",
     ),
     MetricSpec(
         "cluster.worker_busy_seconds_total", COUNTER, ("worker",),

@@ -54,6 +54,7 @@ from .sql import (
     apply_as_of,
     parse,
     parse_timestamp,
+    tid_values,
 )
 from .views import DataPointRow, DataPointView, SegmentView
 
@@ -395,7 +396,7 @@ class QueryEngine:
             column = condition.column
             name = column.lower()
             if name == "tid":
-                tids = _intersect(tids, _tid_values(condition))
+                tids = _intersect(tids, tid_values(condition))
             elif name in ("ts", "timestamp"):
                 start, end = _narrow_interval(start, end, condition)
                 point_conditions.append(condition)
@@ -1056,22 +1057,6 @@ def _conditions_for(
     if end_time is not None:
         conditions.append(Condition("TS", "<=", end_time))
     return tuple(conditions)
-
-
-def _tid_values(condition: Condition) -> frozenset[int]:
-    try:
-        if condition.operator == "=":
-            return frozenset({int(condition.value)})
-        if condition.operator == "IN":
-            return frozenset(int(v) for v in condition.value)
-    except (TypeError, ValueError):
-        raise QueryError(
-            f"Tid predicates require integer values, "
-            f"got {condition.value!r}"
-        ) from None
-    raise QueryError(
-        f"Tid predicates support '=' and 'IN', got {condition.operator!r}"
-    )
 
 
 def _intersect(

@@ -101,6 +101,32 @@ class Condition:
     value: object  # literal, or tuple of literals for IN
 
 
+def tid_values(condition: Condition) -> frozenset[int]:
+    """The Tids a ``Tid = v`` or ``Tid IN (...)`` predicate names.
+
+    The one Tid-predicate parser: the engine's planner and the cluster
+    router both call it, so a malformed literal is a :class:`QueryError`
+    on every path rather than a bare ``ValueError`` on some.
+    """
+    if condition.operator == "=":
+        literals: tuple[object, ...] = (condition.value,)
+    elif condition.operator == "IN" and isinstance(condition.value, tuple):
+        literals = condition.value
+    else:
+        raise QueryError(
+            f"Tid predicates support '=' and 'IN', got {condition.operator!r}"
+        )
+    numbers = [v for v in literals if isinstance(v, (int, float, str))]
+    if len(numbers) == len(literals):
+        try:
+            return frozenset(int(number) for number in numbers)
+        except ValueError:
+            pass
+    raise QueryError(
+        f"Tid predicates require integer values, got {condition.value!r}"
+    )
+
+
 @dataclass(frozen=True)
 class Query:
     view: str  # 'segment' or 'datapoint'

@@ -18,6 +18,10 @@ across workers:
   existing store's segments to shard owners.
 """
 
+# ``repro.cluster`` must finish importing before ``.tier`` starts: the
+# tier imports cluster modules, and the cluster package's
+# ``ProcessCluster`` subclasses the tier's ``ShardedCluster``.
+from .. import cluster  # noqa: F401
 from .dispatcher import ShardedDispatcher
 from .map import SegmentBatch, ShardMap
 from .tier import ShardedCluster, ShardQueryReport

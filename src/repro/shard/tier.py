@@ -1,9 +1,12 @@
-"""The shared-nothing sharded serving tier (master side).
+"""The shared-nothing sharded tier (master side).
 
-:class:`ShardedCluster` is a placement policy over the shared
+:class:`ShardedCluster` is the one placement policy over the
 :class:`~repro.cluster.fleet.WorkerFleet` (one OS process per worker,
-retry/backoff RPC, injectable faults), built to sit under a
-multi-threaded front-end:
+retry/backoff RPC, injectable faults): the measured
+:class:`~repro.cluster.ProcessCluster` is this class with one shard per
+worker, one replica and least-loaded group placement, so every
+process-backed cluster shares one scatter, one retry/recovery path and
+one query report. It is built to sit under a multi-threaded front-end:
 
 * the fleet serialises one request/reply exchange per worker at a time,
   so *different* queries proceed concurrently as long as they touch
@@ -23,17 +26,22 @@ multi-threaded front-end:
   remaining replicas (the ``execute`` RPC is read-only, so a replay is
   always safe); when every replica of a shard is gone the tier re-ships
   the shard's retained payloads to the least-busy survivors and asks
-  again — queries are lost only with the last worker;
+  again — queries are lost only with the last worker. A crash while
+  shipping data (``ingest``, ``load_storage``) or flushing retires the
+  worker the same way and recovers every shard it left without a live
+  owner before the call returns;
 * skew is observable (`shard.shard_busy_seconds_total{shard=…}`) and
   actionable: :meth:`rebalance` moves the hottest shard's primary to
   the least-busy non-owner, shipping data before publishing the new
   owner tuple, and bumps the map generation so cached results computed
   under the old placement die with it.
 
-Data reaches workers on two paths sharing the same placement: raw
-series are partitioned into groups and ingested on every owner of their
-shard (``assign`` + ``ingest``, both idempotent), while an existing
-store is sharded by shipping per-Gid :class:`SegmentBatch` payloads
+Data reaches workers on two paths sharing the same shard→owner map:
+raw series are partitioned into groups, placed on shards by
+:meth:`ShardedCluster._place` (consistent hashing here, least-loaded in
+``ProcessCluster``) and ingested on every owner of their shard
+(``assign`` + ``ingest``, both idempotent), while an existing store is
+sharded by shipping per-Gid :class:`SegmentBatch` payloads
 (``load_segments``, idempotent by batch id) — the clean cut between
 logical series and physical placement.
 """
@@ -52,11 +60,13 @@ from ..core.dimensions import DimensionSet
 from ..core.errors import ClusterError, QueryError, WorkerFailure, WorkerRPCError
 from ..core.group import TimeSeriesGroup
 from ..core.timeseries import TimeSeries
+from ..ingest.stats import IngestStats
 from ..obs import get_registry
 from ..query.sql import Query, apply_as_of, parse
 from ..storage.interface import Storage
 from ..storage.scan import SegmentScan
 from ..cluster.cluster import (
+    ClusterIngestReport,
     gather,
     partition_series,
     restrict_query_to_tids,
@@ -103,7 +113,7 @@ class ShardedCluster:
         ``>= 2`` a worker crash during a query is survived by asking
         the next replica.
     config / dimensions:
-        As in :class:`~repro.cluster.ProcessCluster`.
+        As in :class:`~repro.cluster.ModelarCluster`.
     storage_root / fault_plan / timeout / max_retries / backoff /
     start_method:
         Handed to the :class:`~repro.cluster.fleet.WorkerFleet`.
@@ -148,7 +158,7 @@ class ShardedCluster:
         self.auto_rebalance_interval = auto_rebalance_interval
         self.rebalance_threshold = rebalance_threshold
         #: Serialises placement mutations (retire/recover/rebalance) and
-        #: payload shipping. Lock order is admin -> fleet, never the
+        #: the shipping they do. Lock order is admin -> fleet, never the
         #: reverse: query threads take only the fleet's worker locks.
         self._admin_lock = threading.Lock()
         self._listeners: list[Callable[[int], None]] = []
@@ -164,6 +174,8 @@ class ShardedCluster:
         self._shard_groups: dict[int, list[TimeSeriesGroup]] = {}
         self._shard_batches: dict[int, list[SegmentBatch]] = {}
         self._shard_tids: dict[int, set[int]] = {}
+        #: Each worker's cumulative ingestion statistics, as last reported.
+        self._worker_stats: dict[int, IngestStats] = {}
         #: Cumulative worker-reported execute seconds, the rebalancer's
         #: skew signal (reset after each rebalance window).
         self._shard_busy: dict[int, float] = {}
@@ -209,6 +221,34 @@ class ShardedCluster:
             owned |= tids
         return owned
 
+    @property
+    def ingest_stats(self) -> IngestStats:
+        """Ingestion statistics merged across the live workers. Every
+        replica counts, so with ``n_replicas`` > 1 this is the fleet's
+        work, a multiple of the logical ingest."""
+        return IngestStats.merged(
+            stats
+            for wid, stats in self._worker_stats.items()
+            if self.fleet.is_alive(wid)
+        )
+
+    def assignment(self) -> dict[int, list[int]]:
+        """Live worker id -> sorted Gids of the shards it holds."""
+        owned: dict[int, list[int]] = {wid: [] for wid in self.fleet.live_ids}
+        for shard in self._shard_tids:
+            gids = [group.gid for group in self._shard_groups.get(shard, ())]
+            gids += [batch.gid for batch in self._shard_batches.get(shard, ())]
+            for wid in self._live_owners(shard):
+                owned[wid].extend(gids)
+        return {wid: sorted(gids) for wid, gids in owned.items()}
+
+    def worker_of(self, tid: int) -> int:
+        """The live primary of the shard holding ``tid``."""
+        for shard, tids in self._shard_tids.items():
+            if tid in tids and (owners := self._live_owners(shard)):
+                return owners[0]
+        raise QueryError(f"no worker owns tid {tid}")
+
     def add_generation_listener(
         self, listener: Callable[[int], None]
     ) -> None:
@@ -244,43 +284,51 @@ class ShardedCluster:
             series, self.config, self.dimensions, self.group_compression
         )
 
-    def _place_group(self, group: TimeSeriesGroup) -> int:
-        shard = self.map.shard_of(group.gid)
-        self._shard_groups.setdefault(shard, []).append(group)
-        self._shard_tids.setdefault(shard, set()).update(
-            ts.tid for ts in group
-        )
-        return shard
-
-    def _place_batch(self, batch: SegmentBatch) -> int:
-        shard = self.map.shard_of(batch.gid)
-        self._shard_batches.setdefault(shard, []).append(batch)
-        self._shard_tids.setdefault(shard, set()).update(batch.tids)
-        return shard
+    def _place(
+        self, groups: Sequence[TimeSeriesGroup]
+    ) -> list[tuple[TimeSeriesGroup, int]]:
+        """An ingest batch's (group, shard) placements: consistent
+        hashing, so a Gid's shard never depends on membership. The one
+        hook :class:`~repro.cluster.ProcessCluster` overrides."""
+        return [(group, self.map.shard_of(group.gid)) for group in groups]
 
     # -- data shipping -------------------------------------------------
-    def _ship_shard(self, worker_id: int, shard: int) -> None:
+    def _ship_shard(self, worker_id: int, shard: int) -> float:
         """Make ``worker_id`` a full replica of ``shard`` (idempotent:
-        the worker skips groups and batches it already applied)."""
-        self.fleet.ship_groups(
+        the worker skips groups and batches it already applied); returns
+        the worker's ingest seconds."""
+        shipped = self.fleet.ship_groups(
             worker_id,
             self._shard_groups.get(shard, ()),
             self.dimensions or None,
         )
         self.fleet.ship_batches(worker_id, self._shard_batches.get(shard, ()))
+        if shipped is None:
+            return 0.0
+        self._worker_stats[worker_id], elapsed = shipped
+        return elapsed
 
-    def ingest(self, series: Sequence[TimeSeries]) -> dict:
-        """Partition raw series, place their groups on the map, and
-        ingest each group on every owner of its shard. Returns a small
-        placement summary."""
-        groups = self.partition(series)
-        shards = sorted({self._place_group(group) for group in groups})
-        self._replicate_shards(shards)
-        return {
-            "groups": len(groups),
-            "shards": shards,
-            "data_points": sum(len(ts) for g in groups for ts in g),
-        }
+    def _ship_shards(self, worker_id: int, shards: list[int]) -> float:
+        return sum(self._ship_shard(worker_id, shard) for shard in shards)
+
+    def ingest(self, series: Sequence[TimeSeries]) -> ClusterIngestReport:
+        """Partition raw series, place their groups on shards, and
+        ingest each group on every owner of its shard, all workers
+        concurrently."""
+        shards: set[int] = set()
+        for group, shard in self._place(self.partition(series)):
+            self._shard_groups.setdefault(shard, []).append(group)
+            self._shard_tids.setdefault(shard, set()).update(
+                ts.tid for ts in group
+            )
+            shards.add(shard)
+        started = time.perf_counter()
+        worker_seconds = self._replicate_shards(sorted(shards))
+        return ClusterIngestReport(
+            worker_seconds,
+            self.ingest_stats.data_points,
+            wall_seconds=time.perf_counter() - started,
+        )
 
     def load_storage(self, storage: Storage) -> dict:
         """Shard an existing store: ship each Gid's Time Series rows,
@@ -307,7 +355,10 @@ class ShardedCluster:
                     )
                 ),
             )
-            shards.add(self._place_batch(batch))
+            shard = self.map.shard_of(gid)
+            self._shard_batches.setdefault(shard, []).append(batch)
+            self._shard_tids.setdefault(shard, set()).update(batch.tids)
+            shards.add(shard)
         self._replicate_shards(sorted(shards))
         return {
             "groups": len(metadata),
@@ -319,16 +370,50 @@ class ShardedCluster:
             ),
         }
 
-    def _replicate_shards(self, shards: Sequence[int]) -> None:
-        with self._admin_lock:
-            for shard in shards:
-                owners = self._live_owners(shard)
-                if not owners:
-                    raise ClusterError(
-                        f"no live owner to replicate shard {shard} to"
-                    )
-                for wid in owners:
-                    self._ship_shard(wid, shard)
+    def _replicate_shards(self, shards: Sequence[int]) -> list[float]:
+        """Ship ``shards`` to every live owner, one fleet thread per
+        worker; returns each answering worker's ingest seconds.
+
+        A worker that fails is retired, and every shard left without a
+        live owner is recovered, so on return each shard is held whole
+        by a live worker. The admin lock is not held while waiting:
+        fleet threads running queries may need it.
+        """
+        plan: dict[int, list[int]] = {}
+        for shard in shards:
+            for wid in self._live_owners(shard):
+                plan.setdefault(wid, []).append(shard)
+        futures = self.fleet.scatter(self._ship_shards, plan.items())
+        worker_seconds: list[float] = []
+        for wid, future in zip(plan, futures):
+            try:
+                worker_seconds.append(future.result())
+            except WorkerFailure:
+                self._retire_worker(wid)
+        self._recover_orphans()
+        return worker_seconds
+
+    # -- storage accounting --------------------------------------------
+    def segment_count(self) -> int:
+        """Segments stored across the live fleet (every replica counts)."""
+        return sum(count for count, _ in self._flush_all())
+
+    def size_bytes(self) -> int:
+        """Bytes stored across the live fleet (every replica counts)."""
+        return sum(size for _, size in self._flush_all())
+
+    def _flush_all(self) -> list[tuple[int, int]]:
+        """Flush every live worker; (segments, bytes) each. A worker
+        that dies here is retired and its orphaned shards recovered
+        before every survivor is asked again."""
+        while True:
+            calls = [(wid, "flush") for wid in self.fleet.live_ids]
+            futures = self.fleet.scatter(self.fleet.call, calls)
+            try:
+                return [tuple(future.result()[0]) for future in futures]
+            except WorkerFailure as failure:
+                self._retire_worker(failure.worker_id)
+                self._recover_orphans()
 
     # -- scatter-gather ------------------------------------------------
     def sql(
@@ -467,21 +552,38 @@ class ShardedCluster:
     def _recover_shard(self, shard: int) -> None:
         """Re-place a shard whose whole replica set died: ship the
         retained payloads to the least-busy survivors, then publish the
-        new owner tuple (generation bump)."""
-        with self._admin_lock:
-            if self._live_owners(shard):
-                return  # another thread recovered it first
-            live = self.fleet.live_ids
-            if not live:
-                raise ClusterError("no surviving workers in the tier")
-            live.sort(key=lambda wid: self._worker_busy.get(wid, 0.0))
-            targets = live[: self.map.n_replicas]
-            for wid in targets:
-                self._ship_shard(wid, shard)
-            self.map.set_owners(shard, tuple(targets))
-            generation = self.map.generation
+        new owner tuple (generation bump). A survivor that dies while
+        receiving is retired and the next one tried."""
+        while True:
+            with self._admin_lock:
+                if self._live_owners(shard):
+                    return  # another thread recovered it first
+                live = self.fleet.live_ids
+                if not live:
+                    raise ClusterError("no surviving workers in the tier")
+                live.sort(key=lambda wid: self._worker_busy.get(wid, 0.0))
+                targets = live[: self.map.n_replicas]
+                try:
+                    for wid in targets:
+                        self._ship_shard(wid, shard)
+                    self.map.set_owners(shard, tuple(targets))
+                    generation = self.map.generation
+                    break
+                except WorkerFailure as failure:
+                    dead = failure.worker_id
+            self._retire_worker(dead)
         get_registry().counter("cluster.failovers_total").inc()
         self._notify(generation)
+
+    def _recover_orphans(self) -> None:
+        """Recover every populated shard left without a live owner
+        (re-checked after each recovery, which may retire a worker)."""
+        while orphans := [
+            shard
+            for shard in sorted(self._shard_tids)
+            if not self._live_owners(shard)
+        ]:
+            self._recover_shard(orphans[0])
 
     def _notify(self, generation: int) -> None:
         for listener in self._listeners:

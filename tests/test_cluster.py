@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import Configuration, Dimension, DimensionSet, ModelarDB, TimeSeries
-from repro.cluster import ModelarCluster
+from repro.cluster import ModelarCluster, restrict_query_to_tids
 from repro.core.errors import QueryError
+from repro.query.sql import parse
 
 
 def build_series(n_parks=3, per_park=2, n_points=400, seed=4):
@@ -92,6 +93,24 @@ class TestDistributedQueries:
         assert rows[0]["COUNT_S(*)"] == 400
         # Only the worker owning Tid 1 participated.
         assert len(report.worker_seconds) == 1
+
+    @pytest.mark.parametrize(
+        "where", ["Tid = 'abc'", "Tid IN (1, 'x')", "Tid > 1"]
+    )
+    def test_malformed_tid_predicate_is_a_query_error(
+        self, cluster_and_reference, where
+    ):
+        """The router reads Tid predicates with the engine's parser, so
+        bad input is a QueryError (served: ``query``), not ValueError."""
+        cluster, reference = cluster_and_reference
+        sql = f"SELECT COUNT(*) FROM DataPoint WHERE {where}"
+        with pytest.raises(QueryError) as routed:
+            cluster.sql(sql)
+        with pytest.raises(QueryError) as embedded:
+            reference.sql(sql)
+        assert str(routed.value) == str(embedded.value)
+        with pytest.raises(QueryError):
+            restrict_query_to_tids(parse(sql), {1, 2}, force=True)
 
     def test_member_predicate_across_workers(self, cluster_and_reference):
         cluster, reference = cluster_and_reference

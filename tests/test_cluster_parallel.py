@@ -149,7 +149,7 @@ class TestEndToEnd:
                 expected, _ = simulated.sql(sql)
                 assert rows == expected  # bit-identical
                 assert report.wall_seconds > 0.0
-                assert report.failovers == []
+                assert report.recovered_shards == []
             assert cluster.segment_count() == simulated.segment_count()
             assert cluster.size_bytes() == simulated.size_bytes()
 
@@ -169,8 +169,9 @@ class TestEndToEnd:
         reference.ingest(ep.series)
         with make_cluster(3, ep, ep_config) as cluster:
             cluster.ingest(ep.series)
-            assert cluster.stats.data_points == reference.stats.data_points
-            assert cluster.stats.segments == reference.stats.segments
+            stats = cluster.ingest_stats
+            assert stats.data_points == reference.stats.data_points
+            assert stats.segments == reference.stats.segments
 
     def test_per_worker_storage_directories(self, ep, ep_config, tmp_path):
         with make_cluster(
@@ -194,8 +195,8 @@ class TestEndToEnd:
 @pytest.mark.slow
 class TestFaultInjection:
     def test_crash_mid_query_fails_over(self, ep, ep_config):
-        """Satellite 1b: kill a worker mid-query; the master re-assigns
-        its groups to survivors and still answers correctly."""
+        """Satellite 1b: kill a worker mid-query; the master moves its
+        shard whole to a survivor and answers bit-identically."""
         simulated = ModelarCluster(3, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.crash(1, method="execute")
@@ -205,12 +206,13 @@ class TestFaultInjection:
             cluster.ingest(ep.series)
             rows, report = cluster.sql(STATEMENTS[3])
             expected, _ = simulated.sql(STATEMENTS[3])
-            # The master detected the crash and moved worker 1's groups.
-            assert report.failovers
-            assert all(dead == 1 for dead, _ in report.failovers)
+            # The master detected the crash and moved worker 1's shard.
+            assert report.recovered_shards == [1]
+            assert cluster.lost_workers == 1
             assert 1 not in cluster.live_worker_ids
             assert sorted(cluster.live_worker_ids) == [0, 2]
-            assert_rows_close(rows, expected)
+            # Shard order, hence merge order, is unchanged: exact.
+            assert rows == expected
             # COUNT is order-free: must be exact despite the failover.
             count_rows, _ = cluster.sql(STATEMENTS[0])
             count_expected, _ = simulated.sql(STATEMENTS[0])
@@ -219,7 +221,7 @@ class TestFaultInjection:
             rows2, report2 = cluster.sql(STATEMENTS[1])
             expected2, _ = simulated.sql(STATEMENTS[1])
             assert rows2 == expected2
-            assert report2.failovers == []
+            assert report2.recovered_shards == []
 
     def test_crash_mid_ingest_fails_over(self, ep, ep_config):
         simulated = ModelarCluster(3, ep_config, ep.dimensions)
@@ -229,9 +231,9 @@ class TestFaultInjection:
             3, ep, ep_config, fault_plan=plan, timeout=2.0
         ) as cluster:
             report = cluster.ingest(ep.series)
-            assert cluster.failovers
+            assert cluster.lost_workers == 1
             assert 1 not in cluster.live_worker_ids
-            assert report.data_points == cluster.stats.data_points
+            assert report.data_points == cluster.ingest_stats.data_points
             for sql in STATEMENTS[:2]:
                 rows, _ = cluster.sql(sql)
                 expected, _ = simulated.sql(sql)
@@ -251,7 +253,7 @@ class TestFaultInjection:
             rows, report = cluster.sql(STATEMENTS[0])
             expected, _ = simulated.sql(STATEMENTS[0])
             assert rows == expected
-            assert report.failovers == []
+            assert report.recovered_shards == []
             assert sorted(cluster.live_worker_ids) == [0, 1]
 
     def test_dropped_reply_is_resent(self, ep, ep_config):
@@ -266,7 +268,7 @@ class TestFaultInjection:
             rows, report = cluster.sql(STATEMENTS[2])
             expected, _ = simulated.sql(STATEMENTS[2])
             assert rows == expected
-            assert report.failovers == []
+            assert report.recovered_shards == []
             assert sorted(cluster.live_worker_ids) == [0, 1]
 
     def test_no_survivors_raises_cluster_error(self, ep_config):
@@ -293,7 +295,7 @@ class TestFaultInjection:
         ) as cluster:
             cluster.ingest(ep.series)
             victim_tid = next(
-                tid for tid in sorted(cluster._tid_to_worker)
+                tid for tid in sorted(cluster.tids)
                 if cluster.worker_of(tid) == 1
             )
             sql = (
@@ -302,6 +304,6 @@ class TestFaultInjection:
             )
             rows, report = cluster.sql(sql)
             expected, _ = simulated.sql(sql)
-            assert report.failovers
+            assert report.recovered_shards
             assert rows == expected
             assert cluster.worker_of(victim_tid) in cluster.live_worker_ids

@@ -219,8 +219,8 @@ class TestShardedSmoke:
         reference = ModelarDB(self.CONFIG)
         reference.ingest(series)
         with ShardedCluster(2, config=self.CONFIG) as tier:
-            placement = tier.ingest(series)
-            assert placement["data_points"] == sum(len(s) for s in series)
+            report = tier.ingest(series)
+            assert report.data_points == sum(len(s) for s in series)
             assert tier.tids == {ts.tid for ts in series}
             for sql in self.STATEMENTS:
                 rows, report = tier.sql(sql)

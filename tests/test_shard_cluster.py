@@ -9,6 +9,8 @@ processes (``pytest -m slow``):
 * a worker crash mid-scatter is survived without losing a single
   query: the replica answers, the dead worker is retired (generation
   bump), and the merged rows are bit-identical to the no-crash run;
+* a worker crash while data ships (``ingest`` or ``load_storage``) is
+  failed over before the call returns;
 * under skewed load the rebalancer moves the hot shard to the coldest
   worker, bumps the generation, and answers stay correct;
 * the same guarantees hold through the full serving stack — a
@@ -173,6 +175,32 @@ class TestCrashFailover:
             # stats() and the metric report the same replays.
             assert tier.stats()["failover_retries"] == retries
             assert replayed.value - replayed_before == retries
+
+    @pytest.mark.parametrize(
+        "path, method",
+        [("ingest", "ingest"), ("load_storage", "load_segments")],
+    )
+    def test_crash_while_shipping_is_failed_over(
+        self, ep, ep_config, reference, baseline, path, method
+    ):
+        """Worker 1 dies receiving data; the call still finishes, the
+        worker is retired, and the tier answers like a fault-free one."""
+        plan = FaultPlan.crash(1, method=method)
+        with ShardedCluster(
+            3, n_replicas=2, config=ep_config, dimensions=ep.dimensions,
+            fault_plan=plan, timeout=3.0,
+        ) as tier:
+            if path == "ingest":
+                tier.ingest(ep.series)
+            else:
+                tier.load_storage(reference.storage)
+            assert tier.lost_workers == 1
+            assert 1 not in tier.live_worker_ids
+            assert tier.map.orphaned_shards() == []
+            for sql in STATEMENTS[:2]:  # COUNT, MIN/MAX: order-free
+                rows, report = tier.sql(sql)
+                assert rows == baseline[sql] == reference.sql(sql)
+                assert report.retries == 0
 
     def test_single_replica_shard_is_recovered_by_reshipping(
         self, ep, ep_config, baseline
