@@ -22,42 +22,41 @@ def main():
         n_entities=8, measures_per_entity=3, n_points=1_500, seed=9
     )
     config = Configuration(error_bound=5.0, correlation=EP_CORRELATION)
-    cluster = ModelarCluster(4, config, dataset.dimensions)
-
-    report = cluster.ingest(dataset.series)
-    print("cluster of 4 workers:")
-    for worker in cluster.workers:
+    with ModelarCluster(4, config, dataset.dimensions) as cluster:
+        report = cluster.ingest(dataset.series)
+        print("cluster of 4 workers:")
+        for worker, gids in cluster.assignment().items():
+            series = sum(
+                cluster.worker_of(ts.tid) == worker for ts in dataset.series
+            )
+            print(f"  worker {worker}: {len(gids)} groups, {series} series")
         print(
-            f"  worker {worker.node_id}: {len(worker.groups)} groups, "
-            f"{len(worker.tids)} series, "
-            f"{worker.storage.size_bytes()} bytes"
+            f"\ningest: {report.data_points} points in "
+            f"{cluster.size_bytes()} bytes, modelled parallel time "
+            f"{report.makespan * 1e3:.1f} ms "
+            f"(total work {report.total_work * 1e3:.1f} ms, "
+            f"{report.throughput / 1e6:.2f} Mpts/s)"
         )
-    print(
-        f"\ningest: {report.data_points} points, modelled parallel time "
-        f"{report.makespan * 1e3:.1f} ms "
-        f"(total work {report.total_work * 1e3:.1f} ms, "
-        f"{report.throughput / 1e6:.2f} Mpts/s)"
-    )
 
-    rows, query_report = cluster.sql(
-        "SELECT Type, SUM_S(*) FROM Segment "
-        "WHERE Category = 'ProductionMWh' GROUP BY Type"
-    )
-    print("\nproduction by plant type (merged from worker partials):")
-    for row in rows:
-        print(f"  {row['Type']}: {row['SUM_S(*)']:.0f} MWh")
-    print(
-        f"  ({len(query_report.worker_seconds)} workers, makespan "
-        f"{query_report.makespan * 1e3:.2f} ms)"
-    )
+        rows, query_report = cluster.sql(
+            "SELECT Type, SUM_S(*) FROM Segment "
+            "WHERE Category = 'ProductionMWh' GROUP BY Type"
+        )
+        print("\nproduction by plant type (merged from worker partials):")
+        for row in rows:
+            print(f"  {row['Type']}: {row['SUM_S(*)']:.0f} MWh")
+        print(
+            f"  ({query_report.subqueries} workers, makespan "
+            f"{query_report.makespan * 1e3:.2f} ms)"
+        )
 
-    rows, query_report = cluster.sql(
-        "SELECT Tid, AVG_S(*) FROM Segment WHERE Tid = 5 GROUP BY Tid"
-    )
-    print(
-        f"\nsingle-series query routed to "
-        f"{len(query_report.worker_seconds)} worker(s): {rows}"
-    )
+        rows, query_report = cluster.sql(
+            "SELECT Tid, AVG_S(*) FROM Segment WHERE Tid = 5 GROUP BY Tid"
+        )
+        print(
+            f"\nsingle-series query routed to "
+            f"{query_report.subqueries} worker(s): {rows}"
+        )
 
 
 if __name__ == "__main__":

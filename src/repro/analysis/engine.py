@@ -121,7 +121,6 @@ _DEFAULT_RPC_TYPES = (
     "Query",
     "SegmentGroup",
     "ClusterIngestReport",
-    "ClusterQueryReport",
     "ShardMap",
     "SegmentBatch",
     "ShardQueryReport",

@@ -1,35 +1,30 @@
 """Master/worker cluster substrates (distribution without shuffling).
 
-Two interchangeable substrates share one partitioning, least-loaded
-assignment, routing and gather/merge (:mod:`repro.cluster.cluster`):
+One master, :class:`repro.shard.ShardedCluster`, does all partitioning,
+least-loaded placement, routing, scatter, gather/merge and failover;
+the two substrates are that master with one shard per worker over two
+transports (:mod:`repro.cluster.fleet`):
 
-* :class:`ModelarCluster` — simulated: workers run sequentially in one
-  process and reports *model* parallel wall time (``max`` over workers);
-* :class:`ProcessCluster` — real: one OS process per worker, measured
-  wall-clock reports, and failover when a worker crashes. It is the
-  sharded tier (:class:`repro.shard.ShardedCluster`) with one shard per
-  worker and least-loaded group placement.
-
-The worker processes and the one retry/backoff RPC that reaches them
-are a :class:`WorkerFleet` (faults injectable via :class:`FaultPlan`).
+* :class:`ModelarCluster` — simulated: workers are objects run in turn
+  in this process (:class:`InProcessFleet`), and reports *model*
+  parallel wall time (``makespan``: ``max`` over workers);
+* :class:`ProcessCluster` — real: one OS process per worker
+  (:class:`WorkerFleet`, one retry/backoff RPC, faults injectable via
+  :class:`FaultPlan`), measured wall-clock reports, and failover when a
+  worker crashes.
 """
 
-from .cluster import (
-    ClusterIngestReport,
-    ClusterQueryReport,
-    ModelarCluster,
-    restrict_query_to_tids,
-)
+from .cluster import ClusterIngestReport, restrict_query_to_tids
 from .faults import Fault, FaultPlan
-from .fleet import WorkerFleet
+from .fleet import InProcessFleet, WorkerFleet
 from .node import WorkerNode
-from .pool import ProcessCluster
+from .pool import ModelarCluster, ProcessCluster
 
 __all__ = [
     "ClusterIngestReport",
-    "ClusterQueryReport",
     "Fault",
     "FaultPlan",
+    "InProcessFleet",
     "ModelarCluster",
     "ProcessCluster",
     "WorkerFleet",

@@ -1,4 +1,4 @@
-"""The master/worker cluster substrate.
+"""The master's shared steps, and the report of one cluster ingest.
 
 Reproduces the distribution properties the evaluation relies on:
 
@@ -11,30 +11,20 @@ Reproduces the distribution properties the evaluation relies on:
 * because groups are pinned, no shuffle is ever needed — the property
   behind Fig. 20's linear scale-out.
 
-Workers execute sequentially in-process; the reports model parallel
-execution as ``max`` over per-worker elapsed times (plus the master's
-merge time for queries), which is what a real cluster's makespan would
-be with even assignment and no interference.
+The one master that applies these steps is
+:class:`~repro.shard.ShardedCluster`; the cluster classes differ only in
+placement and in the transport that reaches the workers.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from ..core.config import Configuration
-from ..core.dimensions import DimensionSet
-from ..core.errors import QueryError
-from ..core.group import TimeSeriesGroup, singleton_groups
-from ..core.timeseries import TimeSeries
-from ..models.registry import ModelRegistry
-from ..partitioner.grouping import group_from_config
+from ..core.group import TimeSeriesGroup
 from ..query.analytics import merge_analytics_rows
 from ..query.engine import PartialResult, merge_partial_results
-from ..query.sql import Condition, Query, apply_as_of, parse, tid_values
-from ..storage.interface import Storage
-from .node import WorkerNode
+from ..query.sql import Condition, Query, tid_values
 
 
 @dataclass
@@ -43,19 +33,14 @@ class ClusterIngestReport:
 
     worker_seconds: list[float]
     data_points: int
-    #: Measured wall-clock seconds of the whole scatter (only set by the
-    #: process-parallel substrate; 0.0 in simulated mode).
+    #: Measured wall-clock seconds of the whole ship. Over in-process
+    #: workers, which run in turn, this is their sequential total.
     wall_seconds: float = 0.0
 
     @property
     def makespan(self) -> float:
         """Modelled parallel wall time: the slowest worker."""
         return max(self.worker_seconds) if self.worker_seconds else 0.0
-
-    @property
-    def measured_makespan(self) -> float:
-        """Measured wall time when available, else the modelled one."""
-        return self.wall_seconds if self.wall_seconds else self.makespan
 
     @property
     def total_work(self) -> float:
@@ -67,51 +52,22 @@ class ClusterIngestReport:
         return self.data_points / self.makespan if self.makespan else 0.0
 
 
-@dataclass
-class ClusterQueryReport:
-    """Modelled timing of one query scattered by the simulation (the
-    process-backed clusters report a measured
-    :class:`~repro.shard.ShardQueryReport` instead)."""
-
-    worker_seconds: list[float] = field(default_factory=list)
-    merge_seconds: float = 0.0
-
-    @property
-    def makespan(self) -> float:
-        slowest = max(self.worker_seconds) if self.worker_seconds else 0.0
-        return slowest + self.merge_seconds
-
-    @property
-    def total_work(self) -> float:
-        return sum(self.worker_seconds) + self.merge_seconds
-
-
-def restrict_query_to_tids(
-    query: Query, owned: set[int], force: bool = False
-) -> Query | None:
-    """Restrict a query's Tid predicates to ``owned`` series.
+def restrict_query_to_tids(query: Query, owned: set[int]) -> Query | None:
+    """Restrict a query to ``owned`` series.
 
     The master's routing step: intersects any ``Tid``/``Tid IN``
     predicates (read by :func:`~repro.query.sql.tid_values`, so a
-    malformed literal is a :class:`QueryError`) with the Tids a worker
-    owns. Returns None when the intersection is empty (the worker is
-    pruned from the scatter) and, when the query has no Tid predicate,
-    the query unchanged — unless ``force`` is set, in which case an
-    explicit ``Tid IN`` predicate over ``owned`` is added. The sharded
-    tier always forces, so a worker holding several shards answers for
-    exactly the shard it was asked about.
+    malformed literal is a :class:`QueryError`) with the Tids a shard
+    owns and replaces them by one explicit ``Tid IN`` predicate — added
+    even when the query names no Tid, so a worker holding several
+    shards answers for exactly the shard it was asked about. Returns
+    None when the intersection is empty (the shard is pruned from the
+    scatter).
     """
-    requested: frozenset[int] | None = None
+    restricted = frozenset(owned)
     for condition in query.where:
-        if condition.column.lower() != "tid":
-            continue
-        values = tid_values(condition)
-        requested = values if requested is None else requested & values
-    if requested is None:
-        if not force:
-            return query
-        requested = frozenset(owned)
-    restricted = requested & owned
+        if condition.column.lower() == "tid":
+            restricted &= tid_values(condition)
     if not restricted:
         return None
     where = tuple(
@@ -122,18 +78,6 @@ def restrict_query_to_tids(
     # dataclasses.replace keeps every other field (similar_to, limit,
     # ...) intact — a positional rebuild would silently drop them.
     return replace(query, where=where)
-
-
-def partition_series(
-    series: Sequence[TimeSeries],
-    config: Configuration,
-    dimensions: DimensionSet,
-    group_compression: bool = True,
-) -> list[TimeSeriesGroup]:
-    """The master's partitioning step, shared by every cluster."""
-    if not group_compression or not config.correlation:
-        return singleton_groups(series)
-    return group_from_config(series, config.correlation, dimensions)
 
 
 def assign_least_loaded(
@@ -180,108 +124,3 @@ def gather(
     return merge_analytics_rows(
         query, [row for output in outputs for row in output]
     )
-
-
-class ModelarCluster:
-    """A master plus N workers over in-process storage backends."""
-
-    def __init__(
-        self,
-        n_workers: int,
-        config: Configuration | None = None,
-        dimensions: DimensionSet | None = None,
-        storage_factory: Callable[[int], Storage] | None = None,
-        group_compression: bool = True,
-    ) -> None:
-        if n_workers < 1:
-            raise QueryError("a cluster needs at least one worker")
-        self.config = config if config is not None else Configuration()
-        self.dimensions = (
-            dimensions if dimensions is not None else DimensionSet()
-        )
-        self.registry = ModelRegistry()
-        self.group_compression = group_compression
-        self.workers = [
-            WorkerNode(
-                node_id,
-                self.config,
-                self.registry,
-                storage_factory(node_id) if storage_factory else None,
-            )
-            for node_id in range(n_workers)
-        ]
-        self._tid_to_worker: dict[int, WorkerNode] = {}
-
-    # ------------------------------------------------------------------
-    # Partitioning and ingestion
-    # ------------------------------------------------------------------
-    def partition(self, series: Sequence[TimeSeries]) -> list[TimeSeriesGroup]:
-        return partition_series(
-            series, self.config, self.dimensions, self.group_compression
-        )
-
-    def assign(self, groups: Sequence[TimeSeriesGroup]) -> None:
-        """Pin each group whole to the least-loaded worker."""
-        owned = {worker.node_id: worker.groups for worker in self.workers}
-        for group, node_id in assign_least_loaded(groups, owned):
-            worker = self.workers[node_id]
-            worker.assign(group, self.dimensions or None)
-            for ts in group:
-                self._tid_to_worker[ts.tid] = worker
-
-    def ingest(self, series: Sequence[TimeSeries]) -> ClusterIngestReport:
-        """Partition, assign and ingest; returns the timing report."""
-        groups = self.partition(series)
-        self.assign(groups)
-        return self.ingest_assigned()
-
-    def ingest_assigned(self) -> ClusterIngestReport:
-        worker_seconds = []
-        data_points = 0
-        for worker in self.workers:
-            if not worker.groups:
-                worker_seconds.append(0.0)
-                continue
-            worker_seconds.append(worker.ingest_assigned())
-            data_points += worker.stats.data_points
-        return ClusterIngestReport(worker_seconds, data_points)
-
-    # ------------------------------------------------------------------
-    # Distributed queries
-    # ------------------------------------------------------------------
-    def sql(
-        self, text: str, *, as_of: int | None = None
-    ) -> tuple[list[dict], ClusterQueryReport]:
-        """Execute a statement across the cluster.
-
-        The master routes by Tid where the query names series, scatters,
-        and merges worker partials; returns (rows, timing report).
-        ``as_of`` bounds the read at a knowledge time on every worker.
-        """
-        return self.execute(apply_as_of(parse(text), as_of))
-
-    def execute(self, query: Query) -> tuple[list[dict], ClusterQueryReport]:
-        report = ClusterQueryReport()
-        outputs = []
-        for worker in self.workers:
-            if not worker.groups:
-                continue
-            # Routing: a worker owning none of the requested series
-            # is pruned from the scatter.
-            worker_query = restrict_query_to_tids(query, worker.tids)
-            if worker_query is None:
-                continue
-            result, elapsed = worker.execute_partial(worker_query)
-            report.worker_seconds.append(elapsed)
-            outputs.append(result)
-        started = time.perf_counter()
-        rows = gather(query, outputs)
-        report.merge_seconds = time.perf_counter() - started
-        return rows, report
-
-    # ------------------------------------------------------------------
-    def size_bytes(self) -> int:
-        return sum(worker.storage.size_bytes() for worker in self.workers)
-
-    def segment_count(self) -> int:
-        return sum(worker.storage.segment_count() for worker in self.workers)

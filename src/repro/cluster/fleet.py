@@ -1,12 +1,13 @@
-"""The worker fleet: N OS processes and the one RPC that reaches them.
+"""The worker fleet: N workers and the one RPC that reaches them.
 
-:class:`~repro.shard.ShardedCluster` (and
-:class:`~repro.cluster.ProcessCluster`, its one-shard-per-worker
-subclass) decides placement; everything about *running* workers lives
-here. Every
-:class:`~repro.cluster.node.WorkerNode` runs in its own
-``multiprocessing`` process with a private storage backend and answers a
-small message-passing RPC:
+:class:`~repro.shard.ShardedCluster` (the one master) decides
+placement; everything about *running* workers lives here, over two
+transports. :class:`WorkerFleet` runs every
+:class:`~repro.cluster.node.WorkerNode` in its own
+``multiprocessing`` process; :class:`InProcessFleet` — the simulator's
+transport, used by :class:`~repro.cluster.ModelarCluster` — keeps the
+nodes as objects and calls the same handlers inline. Each node has a
+private storage backend and answers a small message-passing RPC:
 
 ``assign``
     Ship whole time series groups (and the dimension set) to the worker.
@@ -32,7 +33,10 @@ numbers) and a process liveness check, and raises
 :class:`~repro.core.errors.WorkerFailure` for the tier to retire the
 worker and recover its shards. Faults are injectable via
 :class:`~repro.cluster.faults.FaultPlan` and executed worker-side, so
-the recovery paths are testable deterministically.
+the recovery paths are testable deterministically. In-process workers
+cannot crash, time out or drop a reply, so :class:`InProcessFleet` has
+no retries, no faults and no ``cluster.rpc_*`` traffic; a handler
+exception is a :class:`~repro.core.errors.WorkerRPCError` on both.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from ..ingest.stats import IngestStats
 from ..models.registry import ModelRegistry
 from ..obs import MetricsRegistry, get_registry
 from ..storage.filestore import FileStorage
-from ..storage.memory import MemoryStorage
 from .faults import FaultPlan
 from .node import WorkerNode
 
@@ -82,10 +85,11 @@ def _dispatch(node: WorkerNode, method: str, payload: object) -> object:
         return sorted(group.gid for group in node.groups)
     if method == "ingest":
         node.ingest_assigned()
-        return node.stats
+        # A snapshot: an in-process caller must not alias the live,
+        # still-mutating counters.
+        return IngestStats.merged([node.stats])
     if method == "execute":
-        result, _ = node.execute_partial(payload)
-        return result
+        return node.execute_partial(payload)
     if method == "load_segments":
         return node.load_segments(payload)
     if method == "flush":
@@ -103,10 +107,24 @@ def _dispatch(node: WorkerNode, method: str, payload: object) -> object:
     raise QueryError(f"unknown RPC method {method!r}")
 
 
+def _build_node(
+    worker_id: int,
+    config: Configuration,
+    storage_root: str | os.PathLike | None,
+) -> WorkerNode:
+    """One worker's node, on either transport: a :class:`FileStorage`
+    under ``storage_root/worker_<id>`` when a root is given, else
+    private memory."""
+    storage = None
+    if storage_root is not None:
+        storage = FileStorage(str(Path(storage_root) / f"worker_{worker_id}"))
+    return WorkerNode(worker_id, config, ModelRegistry(), storage)
+
+
 def _worker_main(
     worker_id: int,
     config: Configuration,
-    storage_dir: str | None,
+    storage_root: str | os.PathLike | None,
     requests: "mp.Queue",
     replies: "mp.Queue",
     fault_plan: FaultPlan | None,
@@ -116,9 +134,7 @@ def _worker_main(
     Faults are executed here, in the worker, so the master's recovery
     machinery sees exactly what a real failure would produce.
     """
-    registry = ModelRegistry()
-    storage = FileStorage(storage_dir) if storage_dir else MemoryStorage()
-    node = WorkerNode(worker_id, config, registry, storage)
+    node = _build_node(worker_id, config, storage_root)
     while True:
         try:
             seq, method, payload = requests.get()
@@ -155,7 +171,7 @@ class _Worker:
         worker_id: int,
         ctx,
         config: Configuration,
-        storage_dir: str | None,
+        storage_root: str | os.PathLike | None,
         fault_plan: FaultPlan | None,
     ) -> None:
         self.worker_id = worker_id
@@ -166,7 +182,7 @@ class _Worker:
             args=(
                 worker_id,
                 config,
-                storage_dir,
+                storage_root,
                 self.requests,
                 self.replies,
                 fault_plan,
@@ -196,9 +212,15 @@ class _Worker:
                 f"during {method!r}",
             )
 
+    def fence(self) -> None:
+        """Stop a retired worker that is unresponsive, not dead."""
+        if self.process.is_alive():
+            self.process.terminate()
+
 
 class WorkerFleet:
-    """Spawns, calls, retires and reaps the worker processes.
+    """Spawns, calls, retires and reaps the worker processes (the
+    process transport).
 
     Parameters
     ----------
@@ -239,10 +261,7 @@ class WorkerFleet:
         ctx = mp.get_context(start_method or _start_method())
         self._workers: dict[int, _Worker] = {}
         for worker_id in range(n_workers):
-            storage_dir = None
-            if storage_root is not None:
-                storage_dir = str(Path(storage_root) / f"worker_{worker_id}")
-            worker = _Worker(worker_id, ctx, config, storage_dir, fault_plan)
+            worker = _Worker(worker_id, ctx, config, storage_root, fault_plan)
             worker.process.start()
             self._workers[worker_id] = worker
         self._executor = ThreadPoolExecutor(
@@ -298,8 +317,7 @@ class WorkerFleet:
             if not worker.alive:
                 return False
             worker.alive = False
-            if worker.process.is_alive():  # unresponsive, not dead
-                worker.process.terminate()
+            worker.fence()
         get_registry().counter("cluster.worker_failures_total").inc()
         return True
 
@@ -419,3 +437,99 @@ class WorkerFleet:
                 continue
             combined.merge_snapshot(snapshot)
         return combined.snapshot()
+
+
+# ----------------------------------------------------------------------
+# In-process transport
+# ----------------------------------------------------------------------
+class _LocalWorker:
+    """An in-process worker: its node, called directly."""
+
+    def __init__(self, node: WorkerNode) -> None:
+        self.node = node
+        self.alive = True
+        #: Gids (raw groups and segment batches) already shipped here.
+        self.shipped: set[int] = set()
+
+    def fence(self) -> None:
+        """Nothing runs on its own, so there is nothing to stop."""
+
+
+class InProcessFleet(WorkerFleet):
+    """The simulator's transport: the nodes are objects in this process
+    and every call runs the worker's handler inline.
+
+    Calls run one after another on the caller's thread, so each
+    worker-reported time is uncontended work and the master's ``max``
+    over them *models* the parallel makespan. The fault plan and the
+    RPC tuning (timeout, retries, backoff, start method) are accepted
+    for signature parity and ignored: there is no process to crash and
+    no wire to retry. Payloads and replies cross by reference, so the
+    handlers reply with objects the node will not mutate later.
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        config: Configuration,
+        storage_root: str | os.PathLike | None = None,
+        *_rpc_options: object,
+    ) -> None:
+        self._closed = False
+        self._retire_lock = threading.Lock()
+        self._workers = {
+            worker_id: _LocalWorker(
+                _build_node(worker_id, config, storage_root)
+            )
+            for worker_id in range(n_workers)
+        }
+
+    def close(self) -> None:
+        """Close every node's store."""
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._workers.values():
+            worker.alive = False
+            worker.node.close()
+
+    def call(
+        self, worker_id: int, method: str, payload: object = None
+    ) -> tuple[object, float]:
+        """Run the handler inline; returns (value, handler seconds). A
+        handler exception becomes :class:`WorkerRPCError`, as on the
+        process transport."""
+        node = self._workers[worker_id].node
+        started = time.perf_counter()
+        try:
+            value = _dispatch(node, method, payload)
+        except Exception as exc:  # broad-ok: the process path's contract
+            raise WorkerRPCError(
+                f"worker {worker_id} failed {method!r}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        elapsed = time.perf_counter() - started
+        get_registry().counter(
+            "cluster.worker_busy_seconds_total", worker=str(worker_id)
+        ).inc(elapsed)
+        return value, elapsed
+
+    def scatter(
+        self, function: Callable[..., object], calls: Iterable[tuple]
+    ) -> list[Future]:
+        """Run ``function(*args)`` for every ``args`` in ``calls``, in
+        order, on the caller's thread; completed futures."""
+        futures: list[Future] = []
+        for args in calls:
+            future: Future = Future()
+            try:
+                future.set_result(function(*args))
+            except Exception as exc:  # broad-ok: delivered via the future
+                future.set_exception(exc)
+            futures.append(future)
+        return futures
+
+    def metrics(self) -> dict:
+        """The master's registry, once: in-process workers record into
+        it already, so folding theirs in would count everything twice."""
+        return get_registry().snapshot()

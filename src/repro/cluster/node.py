@@ -8,7 +8,6 @@ Tid -> Gid -> worker mapping used to route queries.
 
 from __future__ import annotations
 
-import time
 from ..core.config import Configuration
 from ..core.group import TimeSeriesGroup
 from ..ingest.ingestor import Ingestor
@@ -50,21 +49,6 @@ class WorkerNode:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def load(self) -> int:
-        """Assignment load metric: total data points across groups."""
-        return sum(
-            len(ts) * 1 for group in self.groups for ts in group
-        )
-
-    @property
-    def tids(self) -> set[int]:
-        return {ts.tid for group in self.groups for ts in group}
-
-    @property
-    def gids(self) -> set[int]:
-        return {group.gid for group in self.groups}
-
     def assign(self, group: TimeSeriesGroup, dimensions=None) -> None:
         """Accept responsibility for a group (metadata written locally).
 
@@ -81,9 +65,8 @@ class WorkerNode:
         )
         self.storage.insert_model_table(self.registry.model_table())
 
-    def ingest_assigned(self) -> float:
-        """Ingest the groups assigned since the last call; returns
-        elapsed seconds.
+    def ingest_assigned(self) -> None:
+        """Ingest the groups assigned since the last call.
 
         Only not-yet-ingested groups are processed, which makes the call
         idempotent (a retried ``ingest`` RPC ingests nothing) and lets
@@ -91,14 +74,11 @@ class WorkerNode:
         ingested its own.
         """
         pending, self._pending = self._pending, []
-        started = time.perf_counter()
         stats = Ingestor(self.config, self.registry, self.storage).ingest(
             pending
         )
-        elapsed = time.perf_counter() - started
         self.stats.merge(stats)
         self._engine.refresh_metadata()
-        return elapsed
 
     def load_segments(self, batch) -> int:
         """Apply one shipped segment batch (sharded serving's load
@@ -120,13 +100,9 @@ class WorkerNode:
         self._engine.refresh_metadata()
         return len(batch.segments)
 
-    def execute_partial(
-        self, query: Query
-    ) -> tuple[PartialResult | list[dict], float]:
-        """Run a query locally; returns (partial/rows, elapsed seconds)."""
-        started = time.perf_counter()
-        result = self._engine.execute_partial(query)
-        return result, time.perf_counter() - started
+    def execute_partial(self, query: Query) -> PartialResult | list[dict]:
+        """Run a query locally; returns the mergeable partial or rows."""
+        return self._engine.execute_partial(query)
 
     def flush(self) -> tuple[int, int]:
         """Make local state durable; returns (segment count, bytes)."""
@@ -136,7 +112,3 @@ class WorkerNode:
     def close(self) -> None:
         """Release the local store (end of the worker's lifetime)."""
         self.storage.close()
-
-    @property
-    def engine(self) -> QueryEngine:
-        return self._engine

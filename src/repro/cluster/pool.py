@@ -1,21 +1,25 @@
-"""Process-parallel cluster: one OS process per worker, real wall time.
+"""The two cluster substrates: one master, two transports.
 
-This is the measured counterpart of :class:`~repro.cluster.ModelarCluster`
-(which simulates parallelism by running workers sequentially in-process).
-It is the sharded tier, :class:`~repro.shard.ShardedCluster`, with one
-shard per worker, one replica and no rebalancing; the only thing it
-changes is where an ingest batch's groups go.
+Both are the sharded tier, :class:`~repro.shard.ShardedCluster`, with
+one shard per worker, one replica and no rebalancing; the only thing
+they change is where an ingest batch's groups go. They differ from each
+other only in the fleet that reaches the workers:
 
-The distribution properties are identical to the simulated substrate —
-groups are assigned whole to the least-loaded shard and never move
-afterwards (Section 3.1), and shard *i* starts on worker *i*, so this
-is the simulator's least-loaded worker assignment; queries are
-rewritten at the master, scattered to owning workers only, and merged
-from partial results in shard order (Algorithm 5's distributed
-structure) — so with the same inputs the process pool returns
-*bit-identical* results to the simulated cluster, while its reports
-carry measured wall-clock times (Fig. 20 becomes a measurement instead
-of a model).
+* :class:`ProcessCluster` — the measured substrate: one OS process per
+  worker (:class:`~repro.cluster.fleet.WorkerFleet`), so its reports
+  carry measured wall-clock times (Fig. 20 becomes a measurement);
+* :class:`ModelarCluster` — the simulator: the same class over
+  in-process workers (:class:`~repro.cluster.fleet.InProcessFleet`),
+  which run in turn so each worker's seconds are uncontended and a
+  report's ``makespan`` (slowest worker, plus the merge for queries)
+  *models* parallel wall time with even assignment and no interference.
+
+The distribution properties are the paper's — groups are assigned whole
+to the least-loaded shard and never move afterwards (Section 3.1), and
+shard *i* starts on worker *i*; queries are rewritten at the master,
+scattered to owning workers only, and merged from partial results in
+shard order (Algorithm 5's distributed structure) — and because the
+code path is one, the two substrates return *bit-identical* rows.
 
 Fault tolerance is the tier's and rides on the same no-shuffle pinning
 invariant: because a group's segments live only on its worker and the
@@ -35,6 +39,7 @@ from ..core.group import TimeSeriesGroup
 from ..shard.tier import ShardedCluster
 from .cluster import assign_least_loaded
 from .faults import FaultPlan
+from .fleet import InProcessFleet
 
 
 class ProcessCluster(ShardedCluster):
@@ -44,8 +49,8 @@ class ProcessCluster(ShardedCluster):
     ----------
     n_workers:
         Number of worker processes to spawn (and of shards).
-    config / dimensions:
-        Same roles as in :class:`~repro.cluster.ModelarCluster`.
+    config / dimensions / group_compression:
+        As in :class:`~repro.shard.ShardedCluster`.
     storage_root / fault_plan / timeout / max_retries / backoff /
     start_method:
         Handed to the :class:`~repro.cluster.fleet.WorkerFleet`. A
@@ -84,3 +89,22 @@ class ProcessCluster(ShardedCluster):
             for shard in range(self.map.n_shards)
         }
         return assign_least_loaded(groups, owned)
+
+
+class ModelarCluster(ProcessCluster):
+    """The simulator: a :class:`ProcessCluster` whose N workers are
+    objects in this process, called inline and in turn."""
+
+    fleet_type = InProcessFleet
+
+    def __init__(
+        self,
+        n_workers: int,
+        config: Configuration | None = None,
+        dimensions: DimensionSet | None = None,
+        group_compression: bool = True,
+    ) -> None:
+        super().__init__(
+            n_workers, config, dimensions,
+            group_compression=group_compression,
+        )

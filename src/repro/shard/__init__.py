@@ -8,8 +8,10 @@ across workers:
 
 * :class:`ShardMap` — consistent-hash Gid→shard placement plus mutable
   shard→workers replica tuples, with an explicit generation number;
-* :class:`ShardedCluster` — the master: concurrent scatter-gather over
-  the fleet, retry-on-replica query failover, shard recovery and
+* :class:`ShardedCluster` — the one cluster master (also behind
+  :class:`~repro.cluster.ProcessCluster` and the simulator
+  :class:`~repro.cluster.ModelarCluster`): concurrent scatter-gather
+  over the fleet, retry-on-replica query failover, shard recovery and
   metric-driven rebalancing;
 * :class:`ShardedDispatcher` — plugs the tier under
   :class:`~repro.server.QueryServer` with the result cache keyed by

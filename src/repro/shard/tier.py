@@ -1,12 +1,18 @@
 """The shared-nothing sharded tier (master side).
 
-:class:`ShardedCluster` is the one placement policy over the
+:class:`ShardedCluster` is the one master — placement, scatter, gather
+and failover — over a worker fleet whose transport its subclasses name
+in :attr:`ShardedCluster.fleet_type`: the
 :class:`~repro.cluster.fleet.WorkerFleet` (one OS process per worker,
-retry/backoff RPC, injectable faults): the measured
+retry/backoff RPC, injectable faults) or the
+:class:`~repro.cluster.fleet.InProcessFleet` (nodes as objects, called
+inline and in turn). The measured
 :class:`~repro.cluster.ProcessCluster` is this class with one shard per
-worker, one replica and least-loaded group placement, so every
-process-backed cluster shares one scatter, one retry/recovery path and
-one query report. It is built to sit under a multi-threaded front-end:
+worker, one replica and least-loaded group placement, and the
+simulator :class:`~repro.cluster.ModelarCluster` is ``ProcessCluster``
+over in-process workers, so every cluster shares one ingest path, one
+scatter, one retry/recovery path and one query report. It is built to
+sit under a multi-threaded front-end:
 
 * the fleet serialises one request/reply exchange per worker at a time,
   so *different* queries proceed concurrently as long as they touch
@@ -17,10 +23,10 @@ one query report. It is built to sit under a multi-threaded front-end:
   a generation number bumped on every ownership change;
 * the scatter-gather planner routes each query to the shards whose
   Tids it can touch (via
-  :func:`~repro.cluster.cluster.restrict_query_to_tids` with an
-  explicit forced ``Tid IN`` predicate, so a worker holding several
-  shards' replicas answers exactly for the shard it was asked about),
-  fans the rewritten subqueries out on the fleet's threads, and merges
+  :func:`~repro.cluster.cluster.restrict_query_to_tids`, whose
+  explicit ``Tid IN`` predicate makes a worker holding several shards'
+  replicas answer exactly for the shard it was asked about), fans the
+  rewritten subqueries out through the fleet's ``scatter``, and merges
   the returned outputs with :func:`~repro.cluster.cluster.gather`;
 * a worker crash *during* a query is survived by retrying the shard's
   remaining replicas (the ``execute`` RPC is read-only, so a replay is
@@ -58,17 +64,17 @@ from typing import Callable, Sequence
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
 from ..core.errors import ClusterError, QueryError, WorkerFailure, WorkerRPCError
-from ..core.group import TimeSeriesGroup
+from ..core.group import TimeSeriesGroup, singleton_groups
 from ..core.timeseries import TimeSeries
 from ..ingest.stats import IngestStats
 from ..obs import get_registry
+from ..partitioner.grouping import group_from_config
 from ..query.sql import Query, apply_as_of, parse
 from ..storage.interface import Storage
 from ..storage.scan import SegmentScan
 from ..cluster.cluster import (
     ClusterIngestReport,
     gather,
-    partition_series,
     restrict_query_to_tids,
 )
 from ..cluster.faults import FaultPlan
@@ -97,14 +103,27 @@ class ShardQueryReport:
     #: The shard-map generation the query was planned under.
     generation: int = 0
 
+    @property
+    def makespan(self) -> float:
+        """Modelled parallel time: the slowest shard plus the merge
+        (the simulator's Fig. 20 measure; ``wall_seconds`` is the
+        measured one)."""
+        slowest = max(self.shard_seconds.values(), default=0.0)
+        return slowest + self.merge_seconds
+
+    @property
+    def total_work(self) -> float:
+        return sum(self.shard_seconds.values()) + self.merge_seconds
+
 
 class ShardedCluster:
-    """A shard map, N worker processes, and a concurrent scatter layer.
+    """A shard map, N workers on one fleet, and a concurrent scatter
+    layer.
 
     Parameters
     ----------
     n_workers:
-        Worker processes to spawn.
+        Workers to start.
     n_shards:
         Logical shards on the consistent-hash ring (defaults to
         ``n_workers`` — one primary shard per worker).
@@ -113,10 +132,13 @@ class ShardedCluster:
         ``>= 2`` a worker crash during a query is survived by asking
         the next replica.
     config / dimensions:
-        As in :class:`~repro.cluster.ModelarCluster`.
+        The configuration every worker runs with and the dimensions
+        recorded with every ingested group (defaults: ``Configuration()``
+        and an empty set).
     storage_root / fault_plan / timeout / max_retries / backoff /
     start_method:
-        Handed to the :class:`~repro.cluster.fleet.WorkerFleet`.
+        Handed to the fleet (see
+        :class:`~repro.cluster.fleet.WorkerFleet`).
     auto_rebalance_interval:
         When ``> 0``, :meth:`maybe_rebalance` (called by the serving
         dispatcher after each query) runs :meth:`rebalance` every that
@@ -125,6 +147,10 @@ class ShardedCluster:
         A shard is "hot" when its busy-seconds exceed this multiple of
         the mean across populated shards.
     """
+
+    #: The workers' transport: one OS process each here; the simulator
+    #: (:class:`~repro.cluster.ModelarCluster`) names the in-process one.
+    fleet_type: type[WorkerFleet] = WorkerFleet
 
     def __init__(
         self,
@@ -184,7 +210,7 @@ class ShardedCluster:
         self.failover_retries = 0
         self.lost_workers = 0
         self.rebalances = 0
-        self.fleet = WorkerFleet(
+        self.fleet = self.fleet_type(
             n_workers,
             self.config,
             storage_root,
@@ -236,11 +262,14 @@ class ShardedCluster:
         """Live worker id -> sorted Gids of the shards it holds."""
         owned: dict[int, list[int]] = {wid: [] for wid in self.fleet.live_ids}
         for shard in self._shard_tids:
-            gids = [group.gid for group in self._shard_groups.get(shard, ())]
-            gids += [batch.gid for batch in self._shard_batches.get(shard, ())]
             for wid in self._live_owners(shard):
-                owned[wid].extend(gids)
+                owned[wid].extend(self._gids(shard))
         return {wid: sorted(gids) for wid, gids in owned.items()}
+
+    def _gids(self, shard: int) -> list[int]:
+        """Gids placed on ``shard`` (raw groups and segment batches)."""
+        gids = [group.gid for group in self._shard_groups.get(shard, ())]
+        return gids + [b.gid for b in self._shard_batches.get(shard, ())]
 
     def worker_of(self, tid: int) -> int:
         """The live primary of the shard holding ``tid``."""
@@ -280,9 +309,23 @@ class ShardedCluster:
     def partition(
         self, series: Sequence[TimeSeries]
     ) -> list[TimeSeriesGroup]:
-        return partition_series(
-            series, self.config, self.dimensions, self.group_compression
+        """The master's partitioning step: correlated groups (one per
+        series without group compression), numbered after the largest
+        Gid the cluster has placed — workers treat a known Gid as
+        already shipped, so a later :meth:`ingest` must not reuse one."""
+        if self.group_compression and self.config.correlation:
+            groups = group_from_config(
+                series, self.config.correlation, self.dimensions
+            )
+        else:
+            groups = singleton_groups(series)
+        placed = max(
+            (gid for shard in self._shard_tids for gid in self._gids(shard)),
+            default=0,
         )
+        for group in groups:
+            group.gid += placed
+        return groups
 
     def _place(
         self, groups: Sequence[TimeSeriesGroup]
@@ -436,9 +479,7 @@ class ShardedCluster:
         report = ShardQueryReport(generation=self.map.generation)
         plan: list[tuple[int, Query]] = []
         for shard in sorted(self._shard_tids):
-            routed = restrict_query_to_tids(
-                query, self._shard_tids[shard], force=True
-            )
+            routed = restrict_query_to_tids(query, self._shard_tids[shard])
             if routed is not None:
                 plan.append((shard, routed))
         report.subqueries = len(plan)

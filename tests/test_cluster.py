@@ -1,11 +1,14 @@
 """The master/worker cluster substrate."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import Configuration, Dimension, DimensionSet, ModelarDB, TimeSeries
 from repro.cluster import ModelarCluster, restrict_query_to_tids
-from repro.core.errors import QueryError
+from repro.core.errors import ClusterError, QueryError
 from repro.query.sql import parse
 
 
@@ -40,20 +43,27 @@ def cluster_and_reference():
 
 class TestAssignment:
     def test_groups_are_never_split_across_workers(self, cluster_and_reference):
-        cluster, _ = cluster_and_reference
-        for worker in cluster.workers:
-            for group in worker.groups:
-                assert all(
-                    cluster._tid_to_worker[ts.tid] is worker for ts in group
-                )
+        cluster, reference = cluster_and_reference
+        holder = {
+            gid: worker
+            for worker, gids in cluster.assignment().items()
+            for gid in gids
+        }
+        records = reference.storage.time_series()
+        assert len({record.gid for record in records}) < len(records)
+        for record in records:
+            assert cluster.worker_of(record.tid) == holder[record.gid]
 
     def test_least_loaded_assignment_balances(self):
         series, dimensions = build_series(n_parks=6, per_park=1, n_points=100)
         config = Configuration(correlation=["Location 1"])
         cluster = ModelarCluster(3, config, dimensions)
-        cluster.assign(cluster.partition(series))
-        loads = [worker.load for worker in cluster.workers]
-        assert max(loads) - min(loads) == 0  # six equal groups over three
+        cluster.ingest(series)
+        loads = {worker: 0 for worker in cluster.assignment()}
+        for ts in series:
+            loads[cluster.worker_of(ts.tid)] += len(ts)
+        assert len(loads) == 3
+        assert max(loads.values()) == min(loads.values())  # six over three
 
     def test_single_worker_cluster(self):
         series, dimensions = build_series(n_parks=1)
@@ -63,7 +73,7 @@ class TestAssignment:
         assert len(report.worker_seconds) == 1
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(QueryError):
+        with pytest.raises(ClusterError):
             ModelarCluster(0)
 
 
@@ -92,7 +102,8 @@ class TestDistributedQueries:
         )
         assert rows[0]["COUNT_S(*)"] == 400
         # Only the worker owning Tid 1 participated.
-        assert len(report.worker_seconds) == 1
+        assert report.subqueries == 1
+        assert list(report.shard_seconds) == [cluster.worker_of(1)]
 
     @pytest.mark.parametrize(
         "where", ["Tid = 'abc'", "Tid IN (1, 'x')", "Tid > 1"]
@@ -110,7 +121,7 @@ class TestDistributedQueries:
             reference.sql(sql)
         assert str(routed.value) == str(embedded.value)
         with pytest.raises(QueryError):
-            restrict_query_to_tids(parse(sql), {1, 2}, force=True)
+            restrict_query_to_tids(parse(sql), {1, 2})
 
     def test_member_predicate_across_workers(self, cluster_and_reference):
         cluster, reference = cluster_and_reference
@@ -165,10 +176,20 @@ class TestReports:
     def test_query_report_makespan(self, cluster_and_reference):
         cluster, _ = cluster_and_reference
         _, report = cluster.sql("SELECT SUM_S(*) FROM Segment")
-        assert report.makespan >= max(report.worker_seconds)
+        assert report.subqueries == len(report.shard_seconds) == 3
+        assert report.makespan >= max(report.shard_seconds.values())
         assert report.total_work >= report.makespan
 
     def test_cluster_size_accounting(self, cluster_and_reference):
         cluster, reference = cluster_and_reference
         assert cluster.size_bytes() == reference.size_bytes()
         assert cluster.segment_count() == reference.segment_count()
+
+
+def test_distributed_cluster_example_runs(capsys):
+    """The example drives only the public API; running it keeps it so."""
+    example = Path(__file__).parents[1] / "examples" / "distributed_cluster.py"
+    runpy.run_path(str(example))["main"]()
+    out = capsys.readouterr().out
+    assert "cluster of 4 workers" in out
+    assert "routed to 1 worker(s)" in out

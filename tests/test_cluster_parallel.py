@@ -4,9 +4,9 @@ Tier 1 keeps one small multi-process smoke test so the RPC substrate is
 always exercised; the end-to-end and fault-injection scenarios live in
 the ``slow`` tier (``pytest -m slow``).
 
-Equality expectations: the process cluster replicates the simulated
-cluster's deterministic assignment and merges partials in the same
-order, so their rows must be bit-identical (``==``). Against the
+Equality expectations: the process cluster and the simulated one are
+the same master over two transports (same assignment, same merge
+order), so their rows must be bit-identical (``==``). Against the
 *sequential* single-engine reference, order-independent aggregates
 (COUNT/MIN/MAX) must be exact while SUM/AVG may differ by float
 addition order, hence ``pytest.approx``.
@@ -131,6 +131,32 @@ def test_every_cluster_answers_like_the_embedded_engine(four_ways, statement):
         assert rows == expected, type(cluster).__name__
 
 
+@pytest.mark.parametrize(
+    "cluster_type", [ModelarCluster, ProcessCluster, ShardedCluster]
+)
+def test_disjoint_ingests_keep_every_series(cluster_type):
+    """Gids stay unique across ``ingest()`` calls: the second batch's
+    groups are numbered after the first's, so no worker mistakes one
+    for a group it already holds (the parent dropped Tids 3 and 4 or
+    raised ``WorkerRPCError``)."""
+    embedded = ModelarDB(Configuration())
+    sql = "SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid"
+    with cluster_type(2) as cluster:
+        for tids in ((1, 2), (3, 4)):
+            batch = [
+                TimeSeries(
+                    tid, 100, np.arange(100) * 100,
+                    np.float32(np.arange(100) + tid),
+                )
+                for tid in tids
+            ]
+            embedded.ingest(batch)
+            cluster.ingest(batch)
+        rows, _ = cluster.sql(sql)
+    assert rows == embedded.sql(sql)
+    assert [row["Tid"] for row in rows] == [1, 2, 3, 4]
+
+
 @pytest.mark.slow
 class TestEndToEnd:
     def test_three_processes_bit_identical_to_simulated(self, ep, ep_config):
@@ -140,10 +166,7 @@ class TestEndToEnd:
         with make_cluster(3, ep, ep_config) as cluster:
             assert cluster.ingest(ep.series).data_points > 0
             # Same deterministic assignment on both substrates.
-            assert cluster.assignment() == {
-                worker.node_id: sorted(g.gid for g in worker.groups)
-                for worker in simulated.workers
-            }
+            assert cluster.assignment() == simulated.assignment()
             for sql in STATEMENTS:
                 rows, report = cluster.sql(sql)
                 expected, _ = simulated.sql(sql)

@@ -1,14 +1,16 @@
 """The worker fleet's one RPC, driven through injected faults (tier 1).
 
-``WorkerFleet.call`` is the only master-side path to a worker for both
-``ProcessCluster`` and ``ShardedCluster``, so its contract is pinned
+``WorkerFleet.call`` is the only master-side path to a worker process
+for ``ProcessCluster`` and ``ShardedCluster``, so its contract is pinned
 here once: a dropped reply is answered by the resend, a slow reply is
 still accepted and its stale duplicates are discarded by the next call,
 a crash surfaces as ``WorkerFailure`` with the exit code, silence
 through every retry as ``WorkerFailure`` too, a handler exception as
 ``WorkerRPCError``, and concurrent callers of one worker never receive
 each other's replies. Every fault uses the data-free ``ping`` method so
-the suite stays at tier-1 speed.
+the suite stays at tier-1 speed. The simulator's ``InProcessFleet``
+keeps the same error contract without a process; its tests close the
+file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import Configuration
-from repro.cluster import Fault, FaultPlan, WorkerFleet
+from repro.cluster import Fault, FaultPlan, InProcessFleet, WorkerFleet
 from repro.cluster.fleet import CRASH_EXIT_CODE
 from repro.core.errors import WorkerFailure, WorkerRPCError
 from repro.obs import get_registry
@@ -144,3 +146,56 @@ def test_scatter_and_metrics_fold_span_the_fleet():
             for name in folded["counters"]
         )
     fleet.close()  # idempotent
+
+
+# ----------------------------------------------------------------------
+# The in-process transport
+# ----------------------------------------------------------------------
+def test_in_process_call_runs_the_handler_without_rpc_traffic():
+    posted = counter("cluster.rpc_total", method="ping")
+    fleet = InProcessFleet(2, Configuration())
+    value, elapsed = fleet.call(1, "ping")
+    assert value == "pong" and elapsed >= 0.0
+    assert fleet.live_ids == [0, 1] and len(fleet) == 2
+    assert counter("cluster.rpc_total", method="ping") == posted
+    fleet.close()
+    fleet.close()  # idempotent
+
+
+def test_in_process_handler_exception_raises_worker_rpc_error():
+    fleet = InProcessFleet(1, Configuration())
+    with pytest.raises(
+        WorkerRPCError,
+        match=r"worker 0 failed 'no_such_method': QueryError: unknown RPC",
+    ):
+        fleet.call(0, "no_such_method")
+    assert fleet.call(0, "ping")[0] == "pong"
+
+
+def test_in_process_scatter_runs_in_call_order_on_the_caller_thread():
+    seen: list[tuple[int, str]] = []
+
+    def record(worker_id: int) -> int:
+        seen.append((worker_id, threading.current_thread().name))
+        if worker_id == 1:
+            raise WorkerRPCError("boom")
+        return worker_id
+
+    fleet = InProcessFleet(3, Configuration())
+    futures = fleet.scatter(record, [(2,), (1,), (0,)])
+    assert all(future.done() for future in futures)
+    assert futures[0].result() == 2 and futures[2].result() == 0
+    with pytest.raises(WorkerRPCError):
+        futures[1].result()
+    me = threading.current_thread().name
+    assert seen == [(2, me), (1, me), (0, me)]
+
+
+def test_in_process_metrics_count_the_shared_registry_once():
+    # Every in-process worker records into the master's registry; a
+    # per-worker fold would count this increment N + 1 times.
+    name = "cluster.worker_failures_total"
+    get_registry().counter(name).inc()
+    expected = get_registry().snapshot()["counters"][name]
+    fleet = InProcessFleet(3, Configuration())
+    assert fleet.metrics()["counters"][name] == expected
