@@ -8,7 +8,9 @@ Reproduces the storage properties the paper relies on:
 * rows carry the paper's 24-byte header with StartTime stored as the
   segment size (see :mod:`repro.storage.serialization`);
 * metadata (Time Series and Model tables) lives in a small JSON sidecar,
-  loaded into the in-memory metadata cache on open.
+  loaded into the in-memory metadata cache on open and written when a
+  registration changes it and on ``flush()``/``close()`` — never per
+  segment insert, so a bulk write costs only its appends.
 
 Within a partition, segments are appended in ingestion order, which for
 streaming ingestion means non-decreasing end time.
@@ -22,12 +24,16 @@ extend the table directly; a second handle or process appending shows
 up here) has only its tail decoded, a shrunk one is decoded afresh —
 and time-interval predicates are a vectorised mask over the table.
 
-The store is crash-safe to re-open: a worker process killed mid-append
-may leave a torn trailing row in one partition file and stale counts in
-the metadata sidecar. On open, per-partition counts are reconciled
-against the actual files and a torn tail is truncated away, so a
-replacement worker (or the master inspecting a dead worker's directory)
-always sees a consistent prefix of the ingested segments.
+Durability: segment rows are durable when ``insert_segments`` returns
+(each partition append is write-through). The sidecar's per-Gid counts
+and knowledge counter are not rewritten per insert, so between flushes
+they trail the files — the normal state, not a fault. The store is
+crash-safe to re-open: on open, per-partition counts are re-derived
+from the files, a torn trailing row (a process killed mid-append) is
+truncated away, and the knowledge counter is moved past every tick the
+dead handle could have handed out, so a replacement worker (or the
+master inspecting a dead worker's directory) sees a consistent prefix
+of the ingested segments and never re-issues an observed tick.
 """
 
 from __future__ import annotations
@@ -116,8 +122,14 @@ class FileStorage(Storage):
     # ------------------------------------------------------------------
     def insert_time_series(self, records: Iterable[TimeSeriesRecord]) -> None:
         self._ensure_open()
-        for record in records:
-            self._time_series[record.tid] = record
+        incoming = {record.tid: record for record in records}
+        # Re-registering what is stored (every ingest() does) is free.
+        if all(
+            self._time_series.get(tid) == record
+            for tid, record in incoming.items()
+        ):
+            return
+        self._time_series.update(incoming)
         self._rebuild_group_cache()
         self._save_metadata()
 
@@ -126,6 +138,8 @@ class FileStorage(Storage):
 
     def insert_model_table(self, models: Mapping[int, str]) -> None:
         self._ensure_open()
+        if all(self._models.get(mid) == name for mid, name in models.items()):
+            return
         self._models.update(models)
         self._save_metadata()
 
@@ -138,9 +152,7 @@ class FileStorage(Storage):
     def insert_segments(self, segments: Iterable[SegmentGroup]) -> None:
         self._ensure_open()
         started = time.perf_counter()
-        stamped, self._knowledge = stamp_revisions(
-            list(segments), self._knowledge
-        )
+        stamped, knowledge = stamp_revisions(list(segments), self._knowledge)
         by_gid: dict[int, list[SegmentGroup]] = {}
         for segment in stamped:
             if segment.gid not in self._groups:
@@ -149,6 +161,9 @@ class FileStorage(Storage):
                     "the Time Series table rows first"
                 )
             by_gid.setdefault(segment.gid, []).append(segment)
+        # Only an insert that appends rows moves the counter: recovery
+        # bounds the ticks handed out by the rows it finds.
+        self._knowledge = knowledge
         encoded = {
             gid: b"".join(map(encode_segment, rows))
             for gid, rows in by_gid.items()
@@ -160,7 +175,6 @@ class FileStorage(Storage):
                 end = handle.tell()
             self._extend_resident(gid, by_gid[gid], end - len(data), end)
             self._counts[gid] = self._counts.get(gid, 0) + len(by_gid[gid])
-        self._save_metadata()
         registry = get_registry()
         registry.counter("storage.segments_written_total").inc(len(stamped))
         registry.counter("storage.bytes_written_total").inc(
@@ -192,7 +206,15 @@ class FileStorage(Storage):
     # Lifecycle
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Persist the metadata sidecar (segment files are write-through)."""
+        """Write the metadata sidecar: per-Gid counts and the knowledge
+        counter as of now.
+
+        Segment rows need no flush — every append is write-through, so
+        they are durable once ``insert_segments`` returns. Between
+        flushes the sidecar's counts and counter trail the files; an
+        open after a kill re-derives both (see ``_recover_partitions``),
+        and a flush only makes that open find nothing to re-derive.
+        """
         self._ensure_open()
         self._save_metadata()
 
@@ -363,12 +385,15 @@ class FileStorage(Storage):
         self._rebuild_group_cache()
 
     def _recover_partitions(self) -> None:
-        """Reconcile counts with the partition files after a crash.
+        """Reconcile the sidecar with the partition files.
 
-        A process killed between a segment append and the metadata save
-        leaves the sidecar counts stale; one killed mid-append leaves a
-        torn trailing row. Recount every partition from its file and
-        truncate torn tails so scans never hit a truncated row.
+        The sidecar is written on registration, ``flush()`` and
+        ``close()``, not per insert, so after a kill its counts and
+        knowledge counter trail the files; a process killed mid-append
+        also leaves a torn trailing row. Recount every partition from
+        its file, truncate torn tails so scans never hit a truncated
+        row, and move the counter past every tick the dead handle could
+        have handed out.
         """
         recovered: dict[int, int] = {}
         dirty = False
@@ -390,13 +415,21 @@ class FileStorage(Storage):
                 dirty = True
             if count:
                 recovered[gid] = count
+        unsaved = sum(
+            max(0, count - self._counts.get(gid, 0))
+            for gid, count in recovered.items()
+        )
         if recovered != self._counts:
             dirty = True
         self._counts = recovered
-        if max_knowledge > self._knowledge:
-            # Crash between a revision append and the sidecar save: the
-            # stamps on disk are ahead of the saved counter.
-            self._knowledge = max_knowledge
+        # Each insert since the last save appended at least one row and
+        # moved the counter at most one tick past the larger of the
+        # counter and the stamps it carried, so this is never below a
+        # tick already handed out; overshooting only skips ticks, which
+        # no AS OF answer can observe. After a clean close it is exact.
+        knowledge = max(self._knowledge, max_knowledge) + unsaved
+        if knowledge != self._knowledge:
+            self._knowledge = knowledge
             dirty = True
         if dirty:
             self._save_metadata()

@@ -9,12 +9,17 @@ The revision contract, end to end:
   re-answers exactly as the store answered at that moment;
 * latest-known reads equal a fresh store ingested in order;
 * FileStorage round-trips revision state (stamps, counter, AS OF
-  answers) across close/reopen;
+  answers) across close/reopen, and across a kill before any flush
+  without re-issuing a knowledge tick;
 * the sharded tier and the TCP server answer ``AS OF`` identically to
   the embedded engine.
 """
 
 from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -76,6 +81,34 @@ def make_db(storage=None, n_series: int = 3, seed: int = 3) -> ModelarDB:
 
 def snapshot(db: ModelarDB) -> dict[str, list[dict]]:
     return {sql: db.query(sql) for sql in STATEMENTS}
+
+
+def _correct_then_ingest_more(db: ModelarDB) -> None:
+    """A correction, then a second slice of every registered series."""
+    db.correct([(1, 700, 999.0)])
+    db.ingest(
+        [
+            TimeSeries(tid, SI, (N_POINTS + np.arange(N_POINTS)) * SI, values)
+            for tid, values in enumerate(series_values(seed=4), 1)
+        ]
+    )
+
+
+def _write_then_die(path, report) -> None:
+    """Child process body: write without flush() or close(), report the
+    knowledge time and the rows seen, then die without exit handlers."""
+    db = make_db(storage=FileStorage(path))
+    _correct_then_ingest_more(db)
+    with open(report, "wb") as handle:
+        pickle.dump((db.knowledge_time(), snapshot(db)), handle)
+    os._exit(0)
+
+
+def _highest_stamp(db: ModelarDB) -> int:
+    return max(
+        segment.knowledge_time
+        for segment in db.storage.scan(SegmentScan(all_revisions=True))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +272,41 @@ class TestFileStorePersistence:
             # The recovered counter keeps advancing monotonically.
             reopened.correct([(1, 800, 1.0)])
             assert reopened.knowledge_time() > counter
+
+    def test_kill_between_insert_and_flush_keeps_every_observed_tick(
+        self, tmp_path
+    ):
+        """A process killed after writes but before any flush()/close():
+        reopening keeps every row and never re-issues a knowledge tick
+        the dead process handed out."""
+        path = tmp_path / "db"
+        report = tmp_path / "report.pickle"
+        # spawn: a forked child could inherit a lock another test's
+        # thread holds.
+        ctx = mp.get_context("spawn")
+        child = ctx.Process(target=_write_then_die, args=(path, report))
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 0
+        with open(report, "rb") as handle:
+            mark, before = pickle.load(handle)
+
+        memory = make_db()
+        _correct_then_ingest_more(memory)
+        reopened = ModelarDB(
+            Configuration(error_bound=0.0), storage=FileStorage(path)
+        )
+        assert snapshot(reopened) == snapshot(memory) == before
+        assert reopened.storage.segment_count() == memory.storage.segment_count()
+        assert reopened.knowledge_time() >= mark
+        assert reopened.knowledge_time() >= _highest_stamp(reopened)
+        for sql in STATEMENTS:
+            assert reopened.query(sql, as_of=mark) == before[sql]
+        reopened.correct([(2, 1500, -3.0)])
+        assert _highest_stamp(reopened) > mark
+        for sql in STATEMENTS:
+            assert reopened.query(sql, as_of=mark) == before[sql]
+        reopened.close()
 
     def test_reopen_preserves_revision_history_scan(self, tmp_path):
         path = tmp_path / "db"

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import ModelarDB
 from repro.core import SegmentGroup
 from repro.core.errors import StorageError
+from repro.core.group import TimeSeriesGroup
 from repro.storage import (
     FileStorage,
     MemoryStorage,
@@ -14,6 +16,8 @@ from repro.storage import (
     encoded_size,
 )
 from repro.storage.serialization import HEADER_BYTES
+
+from .conftest import make_series
 
 
 def make_segment(gid=1, start=0, end=400, mid=1, gaps=(), params=b"\x00" * 4):
@@ -163,6 +167,9 @@ class TestFileStorePersistence:
         store = FileStorage(tmp_path / "db")
         with pytest.raises(StorageError):
             store.insert_segments([make_segment()])
+        # No row was written, so no knowledge tick was handed out:
+        # recovery bounds the ticks by the rows it finds.
+        assert store.knowledge_time() == 0
 
     def test_corrupt_metadata_raises(self, tmp_path):
         path = tmp_path / "db"
@@ -180,6 +187,41 @@ class TestFileStorePersistence:
             f.stat().st_size for f in path.glob("segments_gid_*.bin")
         )
         assert store.size_bytes() == on_disk == HEADER_BYTES + 6
+
+
+class TestSidecarWrites:
+    """The metadata sidecar is written when it changes and on
+    flush()/close(), never per segment insert."""
+
+    @staticmethod
+    def series(tid, start):
+        return make_series(tid, [float(i % 9) for i in range(60)], start=start)
+
+    def test_writes_follow_changes_not_inserts(self, tmp_path, monkeypatch):
+        writes = []
+        save = FileStorage._save_metadata
+
+        def spy(store):
+            writes.append(store)
+            save(store)
+
+        monkeypatch.setattr(FileStorage, "_save_metadata", spy)
+        db = ModelarDB.open(tmp_path / "db")
+        db.ingest([self.series(1, 0), self.series(2, 0)])
+        assert db.storage.segment_count() > 0
+        writes.clear()
+        # Later slices of registered series: rows only.
+        db.ingest([self.series(1, 6000), self.series(2, 6000)])
+        db.ingest([self.series(1, 12000), self.series(2, 12000)])
+        assert db.storage.segment_count() > 2
+        assert len(writes) == 0
+        db.storage.flush()
+        assert len(writes) == 1
+        # Registering a new series changes the Time Series table.
+        db.ingest([TimeSeriesGroup(3, [self.series(3, 0)])])
+        assert len(writes) == 2
+        db.close()
+        assert len(writes) == 3
 
 
 class TestLifecycle:
