@@ -269,11 +269,13 @@ _SPECS = (
     ),
     MetricSpec(
         "server.accepted_total", COUNTER, (),
-        "Query requests admitted to the executor pool.",
+        "Query requests admitted: result-cache hits answered on the "
+        "event loop plus statements given an executor slot.",
     ),
     MetricSpec(
         "server.queued_total", COUNTER, (),
-        "Admitted requests that had to wait for an executor slot.",
+        "Statements that had to wait for an executor slot (a "
+        "result-cache hit never waits).",
     ),
     MetricSpec(
         "server.rejected_busy_total", COUNTER, (),
@@ -301,7 +303,9 @@ _SPECS = (
     ),
     MetricSpec(
         "server.query_seconds", HISTOGRAM, (),
-        "Server-side latency of successfully answered queries.",
+        "Server-side latency of successfully answered queries: from the "
+        "slot to the answer for an executed statement, the loop-side "
+        "lookup for a result-cache hit.",
     ),
     MetricSpec(
         "server.result_cache_hits_total", COUNTER, (),

@@ -36,6 +36,12 @@ from .result_cache import CachedResult, QueryResultCache
 _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN\b", re.IGNORECASE)
 
 
+def _cache_key(sql: str, as_of: int | None) -> str:
+    """The result cache is keyed by statement text; an as_of kwarg
+    changes the statement's meaning, so it becomes part of the key."""
+    return sql if as_of is None else f"{sql}\x00as_of={as_of}"
+
+
 class CancelToken:
     """Cooperative cancellation flag shared with the executor thread.
 
@@ -104,6 +110,17 @@ class Dispatcher:
         """Release backend resources; idempotent."""
 
     # -- shared paths --------------------------------------------------
+    def cached(self, sql: str, as_of: int | None = None) -> list[dict] | None:
+        """The cached result of a statement, or None.
+
+        The server asks this on its event loop before admitting a query.
+        Only a hit is counted: a miss goes on to :meth:`execute`, whose
+        own lookup counts it, so each request is counted once.
+        """
+        if _EXPLAIN_RE.match(sql) is not None:
+            return None
+        return self.result_cache.lookup(_cache_key(sql, as_of))
+
     def execute(
         self,
         sql: str,
@@ -123,9 +140,7 @@ class Dispatcher:
         if token is not None:
             token.raise_if_cancelled()
         cacheable = _EXPLAIN_RE.match(sql) is None
-        # The cache is keyed by statement text; an as_of kwarg changes
-        # the statement's meaning, so it becomes part of the key.
-        cache_key = sql if as_of is None else f"{sql}\x00as_of={as_of}"
+        cache_key = _cache_key(sql, as_of)
         # Snapshot the generation before touching storage so a flush
         # racing with execution prevents caching the (possibly stale)
         # result rather than poisoning the cache.

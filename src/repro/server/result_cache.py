@@ -89,21 +89,34 @@ class QueryResultCache:
         )
 
     def get(self, sql: str) -> list[dict] | None:
+        """The cached rows for ``sql``, or None; counts a hit or a miss."""
+        rows = self.lookup(sql)
+        if rows is None:
+            with self._lock:
+                self.misses += 1
+            self._misses_total.inc()
+        return rows
+
+    def lookup(self, sql: str) -> list[dict] | None:
+        """Like :meth:`get`, but counts only a hit.
+
+        For a caller that probes first and, on a miss, goes on to a
+        path that calls :meth:`get` — the miss is counted there, once.
+        """
+        if self._capacity == 0:
+            # Nothing is ever stored: skip normalising the statement.
+            return None
         key = normalize_sql(sql)
         # The counter instruments carry their own internal lock; bump
         # them only after releasing the cache lock (lock discipline,
         # RPR003) — same pattern as invalidate() below.
         with self._lock:
             rows = self._entries.get(key)
-            if rows is None:
-                self.misses += 1
-            else:
+            if rows is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-        if rows is None:
-            self._misses_total.inc()
-            return None
-        self._hits_total.inc()
+        if rows is not None:
+            self._hits_total.inc()
         return rows
 
     def put(self, sql: str, rows: list[dict], generation: int) -> None:

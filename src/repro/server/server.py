@@ -6,6 +6,11 @@ pool via a :class:`~repro.server.dispatcher.Dispatcher`; the event loop
 itself never blocks on a query, so pings, stats and cancellations stay
 responsive while the pool is saturated.
 
+A statement whose result is already in the dispatcher's result cache
+is answered on the event loop itself, before admission: a hit takes no
+slot, no thread and no deadline. Everything below applies to the
+statements that execute.
+
 Admission control is two bounds deep, as the serving benchmarks of
 SciTS (arXiv:2204.09795) argue a closed-loop harness needs:
 
@@ -16,16 +21,17 @@ SciTS (arXiv:2204.09795) argue a closed-loop harness needs:
   error (503-style) instead of being queued unboundedly — the client
   learns about back-pressure in microseconds, never by hanging.
 
-Every query gets a deadline (the server default unless the request
-carries its own) wired to a cooperative :class:`CancelToken`; expiry
-answers the client immediately with a ``timeout`` error while the token
-tells the executor thread to abandon the work. The ``cancel`` op fires
-the same token by query id from any connection.
+Every executed query gets a deadline (the server default unless the
+request carries its own) wired to a cooperative :class:`CancelToken`;
+expiry answers the client immediately with a ``timeout`` error while
+the token tells the executor thread to abandon the work. The ``cancel``
+op fires the same token by query id from any connection.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -149,11 +155,7 @@ class QueryServer:
                 except BadRequestError as error:
                     # Unframeable input may desynchronise the stream:
                     # report once, then drop the connection.
-                    self.counters.bump("bad_requests")
-                    await write_frame(
-                        writer,
-                        error_response(ErrorCode.BAD_REQUEST, str(error)),
-                    )
+                    await write_frame(writer, self._bad_request(str(error)))
                     break
                 if request is None:
                     break
@@ -188,11 +190,13 @@ class QueryServer:
             return self._handle_cancel(request)
         if op == "query":
             return await self._handle_query(request)
-        self.counters.bump("bad_requests")
-        return error_response(
-            ErrorCode.BAD_REQUEST,
-            f"unknown op {op!r}; expected query/ping/stats/metrics/cancel",
+        return self._bad_request(
+            f"unknown op {op!r}; expected query/ping/stats/metrics/cancel"
         )
+
+    def _bad_request(self, message: str) -> dict:
+        self.counters.bump("bad_requests")
+        return error_response(ErrorCode.BAD_REQUEST, message)
 
     # ------------------------------------------------------------------
     # Ops
@@ -215,17 +219,17 @@ class QueryServer:
         self.counters.bump("requests")
         sql = request.get("sql")
         if not isinstance(sql, str) or not sql.strip():
-            self.counters.bump("bad_requests")
-            return error_response(
-                ErrorCode.BAD_REQUEST, "query op requires a 'sql' string"
-            )
+            return self._bad_request("query op requires a 'sql' string")
         timeout = request.get("timeout", self._default_timeout)
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+            not isinstance(timeout, (int, float))
+            or isinstance(timeout, bool)
+            # Rejects NaN and infinities (json.loads parses both) and
+            # integers too large for the loop's float clock.
+            or not 0 < timeout <= sys.float_info.max
         ):
-            self.counters.bump("bad_requests")
-            return error_response(
-                ErrorCode.BAD_REQUEST, "'timeout' must be a positive number"
+            return self._bad_request(
+                "'timeout' must be a finite positive number"
             )
         as_of = request.get("as_of")
         if as_of is not None and (
@@ -233,12 +237,20 @@ class QueryServer:
             or isinstance(as_of, bool)
             or as_of < 0
         ):
-            self.counters.bump("bad_requests")
-            return error_response(
-                ErrorCode.BAD_REQUEST,
-                "'as_of' must be a non-negative integer knowledge time",
+            return self._bad_request(
+                "'as_of' must be a non-negative integer knowledge time"
             )
         query_id = request.get("id")
+
+        # A cached answer is served from the loop: no slot, token or
+        # thread, so it cannot queue, time out or be cancelled. Once
+        # stop() began, every query falls through to `shutdown`.
+        if not self._closing:
+            started = time.perf_counter()
+            rows = self.dispatcher.cached(sql, as_of)
+            if rows is not None:
+                self.counters.bump("accepted")
+                return self._answered(rows, True, started)
 
         try:
             await self._acquire_slot()
@@ -301,6 +313,10 @@ class QueryServer:
             return error_response(
                 ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
             )
+        return self._answered(rows, cached, started)
+
+    def _answered(self, rows, cached: bool, started: float) -> dict:
+        """Record one successfully answered query; its response."""
         elapsed = time.perf_counter() - started
         self.latency.record(elapsed)
         self._query_seconds.record(elapsed)

@@ -354,6 +354,167 @@ class TestResultCache:
         assert segment_cache["misses"] > warm["misses"]
 
 
+class _CountingDispatcher(EmbeddedDispatcher):
+    """Counts the statements that reach :meth:`execute`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.executed: list[str] = []
+
+    def execute(self, sql, token=None, as_of=None):
+        self.executed.append(sql)
+        return super().execute(sql, token, as_of)
+
+
+class TestHitsAreAnsweredOnTheLoop:
+    def test_repeated_statement_never_reaches_execute(self):
+        db = make_db(n_series=2, n_points=100)
+        dispatcher = _CountingDispatcher.for_db(db)
+        sql = "SELECT Tid, AVG_S(*) FROM Segment GROUP BY Tid"
+        with ServerThread(QueryServer(dispatcher)) as (host, port):
+            with ServerClient(host, port) as client:
+                responses = [client.query_response(sql) for _ in range(4)]
+                # Normalised text and an as_of share the loop-side key
+                # rule with execute(): one more execution, then a hit.
+                for _ in range(2):
+                    client.query_response("select tid, avg_s(*) from "
+                                          "segment  group by tid")
+                    client.query_response(sql, as_of=db.knowledge_time())
+        assert [r["cached"] for r in responses] == [False, True, True, True]
+        assert all(r["rows"] == db.sql(sql) for r in responses)
+        assert dispatcher.executed == [sql, sql]
+
+    def test_hit_is_answered_while_every_slot_is_busy(self):
+        gate = threading.Event()
+        started = threading.Event()
+
+        def hook(sql: str, token) -> None:
+            if "WHERE Tid = 1" in sql:
+                started.set()
+                gate.wait(timeout=30)
+
+        db = make_db(n_series=2, n_points=60)
+        cached_sql = "SELECT COUNT_S(*) FROM Segment"
+        blocked: list[dict] = []
+        try:
+            with _Harness(
+                db, hook=hook, max_inflight=1, max_waiting=0,
+            ) as (host, port):
+                with ServerClient(host, port) as client:
+                    assert client.query_response(cached_sql)["ok"]
+
+                    def hold_the_slot() -> None:
+                        with ServerClient(host, port) as holder:
+                            blocked.append(holder.query_response(
+                                "SELECT COUNT_S(*) FROM Segment "
+                                "WHERE Tid = 1"
+                            ))
+
+                    thread = threading.Thread(
+                        target=hold_the_slot, daemon=True
+                    )
+                    thread.start()
+                    assert started.wait(timeout=10)
+                    hit = client.query_response(cached_sql)
+                    # A statement that must execute still meets the
+                    # full server.
+                    with pytest.raises(BusyError):
+                        client.query("SELECT COUNT(*) FROM DataPoint")
+                    gate.set()
+                    thread.join(timeout=30)
+                    counters = client.stats()["counters"]
+        finally:
+            gate.set()
+        assert hit["ok"] and hit["cached"] is True
+        assert hit["rows"] == db.sql(cached_sql)
+        assert blocked and blocked[0]["ok"]
+        assert counters["rejected_busy"] == 1
+        assert counters["completed"] == 3
+
+    def test_accounting_identities_hold_under_mixed_traffic(self):
+        db = make_db(n_series=3, n_points=120)
+        as_of = db.knowledge_time()
+        #: (request, counted by the result cache?)
+        traffic = [
+            ({"sql": STATEMENTS[0]}, True),
+            ({"sql": STATEMENTS[1]}, True),
+            ({"sql": STATEMENTS[0]}, True),
+            ({"sql": STATEMENTS[0], "as_of": as_of}, True),
+            ({"sql": "EXPLAIN ANALYZE " + STATEMENTS[0]}, False),
+            ({"sql": "SELECT COUNT_S(*) FROM Nowhere"}, True),
+            ({"sql": ""}, False),
+            ({"sql": STATEMENTS[0], "timeout": float("nan")}, False),
+            ({"sql": STATEMENTS[1], "as_of": -1}, False),
+        ]
+        n_clients, rounds = 4, 3
+        failures: list[str] = []
+        with _Harness(db, max_inflight=2, max_waiting=64) as (host, port):
+            def client_run() -> None:
+                try:
+                    with ServerClient(host, port) as client:
+                        for _ in range(rounds):
+                            for fields, _counted in traffic:
+                                client.request({"op": "query", **fields})
+                except Exception as error:  # noqa: BLE001 - collected
+                    failures.append(repr(error))
+
+            threads = [
+                threading.Thread(target=client_run, daemon=True)
+                for _ in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            with ServerClient(host, port) as client:
+                stats = client.stats()
+        assert failures == []
+        counters = stats["counters"]
+        repeats = n_clients * rounds
+        assert counters["requests"] == repeats * len(traffic)
+        assert counters["requests"] == (
+            counters["accepted"]
+            + counters["rejected_busy"]
+            + counters["bad_requests"]
+        )
+        assert counters["accepted"] == (
+            counters["completed"]
+            + counters["failed"]
+            + counters["timed_out"]
+            + counters["cancelled"]
+        )
+        assert counters["bad_requests"] == 3 * repeats
+        assert counters["failed"] == repeats
+        assert stats["latency"]["count"] == counters["completed"]
+        cache = stats["dispatcher"]["result_cache"]
+        counted = sum(1 for _fields, cached in traffic if cached)
+        assert cache["hits"] + cache["misses"] == counted * repeats
+        assert cache["hits"] > 0
+
+    def test_hit_after_stop_began_answers_shutdown(self):
+        db = make_db(n_series=2, n_points=60)
+        server = QueryServer(EmbeddedDispatcher.for_db(db))
+        request = {"op": "query", "sql": "SELECT COUNT_S(*) FROM Segment"}
+
+        async def scenario() -> tuple[dict, dict]:
+            await server.start()
+            warm = await server._handle_request(request)
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0)  # stop() has begun, not finished
+            late = await server._handle_request(request)
+            await stopping
+            return warm, late
+
+        warm, late = asyncio.run(scenario())
+        assert warm["ok"]
+        assert late["ok"] is False
+        assert late["error"]["code"] == ErrorCode.SHUTDOWN
+        counters = server.counters.snapshot()
+        assert counters["completed"] == 1
+        assert counters["rejected_busy"] == 1
+        assert server.dispatcher.result_cache.hits == 0
+
+
 class TestErrorFrames:
     def test_query_errors_are_structured_and_connection_survives(self):
         db = make_db(n_series=2, n_points=60)
@@ -395,6 +556,32 @@ class TestErrorFrames:
                 )
                 assert response["error"]["code"] == "bad_request"
                 assert client.ping()
+
+    @pytest.mark.parametrize(
+        "timeout",
+        [True, False, float("nan"), float("inf"), -float("inf"), 0, "1",
+         10 ** 400],
+        ids=["true", "false", "nan", "inf", "-inf", "zero", "string",
+             "huge-int"],
+    )
+    def test_malformed_timeout_is_a_bad_request(self, timeout):
+        db = make_db(n_series=2, n_points=60)
+        sql = "SELECT COUNT_S(*) FROM Segment"
+        with _Harness(db, max_inflight=2) as (host, port):
+            with ServerClient(host, port) as client:
+                # Cached first: validation runs ahead of the cache, so a
+                # hit with a malformed deadline is rejected too.
+                assert client.query_response(sql)["ok"]
+                response = client.request(
+                    {"op": "query", "sql": sql, "timeout": timeout}
+                )
+                assert response["error"]["code"] == "bad_request"
+                assert "timeout" in response["error"]["message"]
+                assert client.ping()
+                counters = client.stats()["counters"]
+        assert counters["bad_requests"] == 1
+        assert counters["accepted"] == counters["completed"] == 1
+        assert counters["timed_out"] == 0
 
     def test_cancel_unknown_id_is_harmless(self):
         db = make_db(n_series=2, n_points=60)
