@@ -31,14 +31,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core.config import Configuration
 from .core.dimensions import DimensionSet
-from .core.group import TimeSeriesGroup, singleton_groups
+from .core.group import TimeSeriesGroup
 from .core.timeseries import TimeSeries
 from .ingest.ingestor import Ingestor
 from .ingest.revisions import CorrectionPoint, apply_corrections
 from .ingest.stats import IngestStats
 from .models.base import ModelType
 from .models.registry import ModelRegistry
-from .partitioner.grouping import group_from_config
+from .partitioner.grouping import assign_groups, check_against_store
 from .query.engine import QueryEngine
 from .query.views import DataPointRow
 from .storage.filestore import FileStorage
@@ -86,7 +86,7 @@ class ModelarDB:
         self.registry = ModelRegistry(extra_models)
         self.group_compression = group_compression
         self.stats = IngestStats()
-        self.groups: list[TimeSeriesGroup] = []
+        self._groups: dict[int, TimeSeriesGroup] = {}
         self._engine = QueryEngine(
             self.storage,
             self.registry,
@@ -138,12 +138,25 @@ class ModelarDB:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+    @property
+    def groups(self) -> list[TimeSeriesGroup]:
+        """The most recently ingested group object of each Gid."""
+        return list(self._groups.values())
+
     def partition(self, series: Sequence[TimeSeries]) -> list[TimeSeriesGroup]:
-        """Partition series into groups using the configured hints."""
-        if not self.group_compression or not self.config.correlation:
-            return singleton_groups(series)
-        return group_from_config(
-            series, self.config.correlation, self.dimensions
+        """Partition series into groups using the configured hints.
+
+        A Tid is partitioned at its first ingest only. A Tid the store
+        already records joins its stored group with its stored scaling,
+        and the batch must bring every member of that group
+        (:class:`~repro.core.errors.GroupError` otherwise). New Tids are
+        grouped and numbered after the largest stored Gid.
+        """
+        return assign_groups(
+            series,
+            self.storage.time_series(),
+            self.config.correlation if self.group_compression else (),
+            self.dimensions,
         )
 
     def ingest(
@@ -151,10 +164,15 @@ class ModelarDB:
     ) -> IngestStats:
         """Ingest time series end to end.
 
-        Accepts either plain :class:`TimeSeries` (partitioned into
-        groups using the configured correlation hints) or
-        pre-partitioned :class:`TimeSeriesGroup` objects (ingested as
-        given). Mixing the two in one call is an error.
+        Accepts either plain :class:`TimeSeries` (partitioned by
+        :meth:`partition`) or pre-partitioned :class:`TimeSeriesGroup`
+        objects (ingested as given). Mixing the two in one call is an
+        error. A Tid is partitioned at its first ingest; later calls
+        append to its stored group, keep its stored scaling, and must
+        bring every member of that group. Anything that would rewrite
+        the stored Time Series table raises
+        :class:`~repro.core.errors.GroupError` before a record or
+        segment is written.
         """
         items = list(data)
         grouped = [isinstance(item, TimeSeriesGroup) for item in items]
@@ -164,16 +182,22 @@ class ModelarDB:
                     "ingest() takes either TimeSeries or TimeSeriesGroup "
                     "objects, not a mix"
                 )
+            check_against_store(items, self.storage.time_series())
             return self._ingest_groups(items)
         return self._ingest_groups(self.partition(items))
 
     def _ingest_groups(
         self, groups: Sequence[TimeSeriesGroup]
     ) -> IngestStats:
-        """Ingest pre-partitioned groups."""
-        self.groups.extend(groups)
+        """Ingest groups already checked against the stored table."""
+        stored = {record.gid for record in self.storage.time_series()}
+        for group in groups:
+            self._groups[group.gid] = group
         self.storage.insert_time_series(
-            records_for_groups(list(groups), self.dimensions or None)
+            records_for_groups(
+                [group for group in groups if group.gid not in stored],
+                self.dimensions or None,
+            )
         )
         self.storage.insert_model_table(self.registry.model_table())
         ingestor = Ingestor(

@@ -5,15 +5,22 @@ two groups merge when any configured clause declares them correlated.
 Merging is transitive by construction — once two groups combine, later
 comparisons treat their union as one candidate — which matches the
 algorithm's iterate-until-no-change structure.
+
+A series is partitioned once, at its first ingest (Section 4 groups
+before ingestion). :func:`assign_groups` routes every Tid the store
+already records back to its stored group and runs the grouping only
+over the Tids it has never seen.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..core.dimensions import DimensionSet
-from ..core.group import TimeSeriesGroup
+from ..core.errors import GroupError, IngestionError
+from ..core.group import TimeSeriesGroup, singleton_groups
 from ..core.timeseries import TimeSeries
+from ..storage.schema import TimeSeriesRecord
 from .parser import parse_correlation
 from .primitives import CorrelationSpec, GroupingContext
 
@@ -73,6 +80,82 @@ def group_from_config(
     """Parse clause strings and group (the configuration entry point)."""
     spec = parse_correlation(correlation_clauses, dimensions)
     return group_time_series(series, spec, dimensions)
+
+
+def assign_groups(
+    series: Sequence[TimeSeries],
+    stored: Iterable[TimeSeriesRecord],
+    correlation_clauses: Sequence[str],
+    dimensions: DimensionSet,
+    *,
+    append: bool = True,
+) -> list[TimeSeriesGroup]:
+    """Groups for one ingest batch against the stored Time Series table.
+
+    A Tid in ``stored`` joins its stored Gid with its stored scaling and
+    is never regrouped; the batch must bring every member of that
+    group. The other Tids are grouped by ``correlation_clauses`` (one
+    group each when there are none) and numbered after the largest
+    stored Gid. With ``append=False`` a stored Tid is an
+    :class:`IngestionError` instead: the sharded tier cannot add a time
+    slice to a group its workers already hold.
+    """
+    records = {record.tid: record for record in stored}
+    known = [ts for ts in series if ts.tid in records]
+    new = [ts for ts in series if ts.tid not in records]
+    if known and not append:
+        raise IngestionError(
+            f"this Tid is already placed: {sorted(ts.tid for ts in known)}; "
+            "the tier cannot append a time slice to a placed group"
+        )
+    routed: dict[int, list[TimeSeries]] = {}
+    for ts in known:
+        ts.scaling = records[ts.tid].scaling
+        routed.setdefault(records[ts.tid].gid, []).append(ts)
+    groups = [TimeSeriesGroup(gid, routed[gid]) for gid in sorted(routed)]
+    check_against_store(groups, records.values())
+    if new:
+        fresh = (
+            group_from_config(new, correlation_clauses, dimensions)
+            if correlation_clauses
+            else singleton_groups(new)
+        )
+        placed = max((record.gid for record in records.values()), default=0)
+        for group in fresh:
+            group.gid += placed
+        groups += fresh
+    return groups
+
+
+def check_against_store(
+    groups: Sequence[TimeSeriesGroup], stored: Iterable[TimeSeriesRecord]
+) -> None:
+    """Raise :class:`GroupError` unless appending ``groups`` leaves the
+    stored Time Series table as it is: a stored Gid comes back with
+    exactly its stored members, and a stored Tid with its stored Gid,
+    sampling interval and scaling."""
+    records = {record.tid: record for record in stored}
+    members: dict[int, set[int]] = {}
+    for record in records.values():
+        members.setdefault(record.gid, set()).add(record.tid)
+    for group in groups:
+        expected = members.get(group.gid)
+        if expected is not None and expected != set(group.tids):
+            raise GroupError(
+                f"group {group.gid} is stored with tids {sorted(expected)}; "
+                f"an ingest must bring exactly those, got {list(group.tids)}"
+            )
+        for ts in group:
+            record = records.get(ts.tid)
+            if record is None:
+                continue
+            stored_as = (record.gid, record.sampling_interval, record.scaling)
+            given = (group.gid, ts.sampling_interval, ts.scaling)
+            if given != stored_as:
+                raise GroupError(
+                    f"tid {ts.tid} is stored as (Gid, SI, scaling) "
+                    f"{stored_as}, got {given}"
+                )
 
 
 def _compatible(

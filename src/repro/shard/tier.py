@@ -64,14 +64,15 @@ from typing import Callable, Sequence
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
 from ..core.errors import ClusterError, QueryError, WorkerFailure, WorkerRPCError
-from ..core.group import TimeSeriesGroup, singleton_groups
+from ..core.group import TimeSeriesGroup
 from ..core.timeseries import TimeSeries
 from ..ingest.stats import IngestStats
 from ..obs import get_registry
-from ..partitioner.grouping import group_from_config
+from ..partitioner.grouping import assign_groups
 from ..query.sql import Query, apply_as_of, parse
 from ..storage.interface import Storage
 from ..storage.scan import SegmentScan
+from ..storage.schema import records_for_groups
 from ..cluster.cluster import (
     ClusterIngestReport,
     gather,
@@ -312,20 +313,27 @@ class ShardedCluster:
         """The master's partitioning step: correlated groups (one per
         series without group compression), numbered after the largest
         Gid the cluster has placed — workers treat a known Gid as
-        already shipped, so a later :meth:`ingest` must not reuse one."""
-        if self.group_compression and self.config.correlation:
-            groups = group_from_config(
-                series, self.config.correlation, self.dimensions
-            )
-        else:
-            groups = singleton_groups(series)
-        placed = max(
-            (gid for shard in self._shard_tids for gid in self._gids(shard)),
-            default=0,
+        already shipped, so a later :meth:`ingest` must not reuse one.
+
+        A batch holding a placed Tid is an
+        :class:`~repro.core.errors.IngestionError`: ``assign`` is
+        idempotent on Gid, so a worker would drop the new time slice.
+        """
+        placed = records_for_groups(
+            [group for groups in self._shard_groups.values() for group in groups]
+        ) + [
+            record
+            for batches in self._shard_batches.values()
+            for batch in batches
+            for record in batch.time_series
+        ]
+        return assign_groups(
+            series,
+            placed,
+            self.config.correlation if self.group_compression else (),
+            self.dimensions,
+            append=False,
         )
-        for group in groups:
-            group.gid += placed
-        return groups
 
     def _place(
         self, groups: Sequence[TimeSeriesGroup]

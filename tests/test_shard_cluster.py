@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
-from repro import Configuration, ModelarDB
-from repro.cluster import FaultPlan
+from repro import Configuration, ModelarDB, TimeSeries
+from repro.cluster import FaultPlan, ModelarCluster
+from repro.core.errors import IngestionError
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
 from repro.obs import get_registry
@@ -137,6 +139,31 @@ class TestShardedEndToEnd:
             assert report.subqueries == 1 < full_plan
             assert report.shard_seconds.keys() == {shard}
             assert rows[0]["COUNT(*)"] > 0
+
+
+def test_second_time_slice_of_placed_tids_is_refused():
+    """Workers accept a Gid once, so a later slice of placed Tids would
+    be dropped; the tier refuses it before shipping anything."""
+
+    def time_slice(first):
+        return [
+            TimeSeries(
+                tid, 100, np.arange(first, first + 200) * 100,
+                np.float32(np.arange(200) + tid),
+            )
+            for tid in (1, 2, 3, 4)
+        ]
+
+    sql = "SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid"
+    with ModelarCluster(2) as tier:
+        tier.ingest(time_slice(0))
+        with pytest.raises(IngestionError, match="already placed"):
+            tier.ingest(time_slice(200))
+        rows, _ = tier.sql(sql)
+        assert [row["COUNT_S(*)"] for row in rows] == [200] * 4
+        assert sorted(tier.assignment()[0] + tier.assignment()[1]) == [
+            1, 2, 3, 4,
+        ]
 
 
 @pytest.mark.slow
