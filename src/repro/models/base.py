@@ -320,6 +320,12 @@ class FittedModel(ABC):
         """Whether sum/min/max over a slice avoid reconstruction."""
         return False
 
+    #: Whether every column holds the same values (one group-wide
+    #: constant or line), so a slice aggregate is one answer for all
+    #: member series. ``Multi`` models are constant-time but fit each
+    #: column on its own, so they are not.
+    column_independent = False
+
     def slice_sum(self, first: int, last: int, column: int) -> float:
         return float(self.values()[first:last + 1, column].sum())
 
@@ -342,6 +348,11 @@ class ModelType(ABC):
     #: size matters at flush time, so fitting is deferred (and skipped
     #: entirely when :meth:`minimum_size_bytes` proves it cannot win).
     always_fits: bool = False
+
+    #: Whether decoded models are :attr:`FittedModel.column_independent`;
+    #: lets the read path pick the rows it folds from parameters without
+    #: decoding the others.
+    column_independent: bool = False
 
     def minimum_size_bytes(self, n_values: int) -> int | None:
         """An exact lower bound on the encoded size for ``n_values``

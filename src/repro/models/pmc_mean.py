@@ -109,6 +109,8 @@ class FittedPMCMean(FittedModel):
         super().__init__(n_columns, length)
         self.value = value
 
+    column_independent = True
+
     @property
     def constant_time_aggregates(self) -> bool:
         return True
@@ -137,6 +139,7 @@ class PMCMean(ModelType):
     """Model-table entry for PMC-Mean (classpath ``"PMC"``)."""
 
     name = "PMC"
+    column_independent = True
 
     def fitter(
         self, n_columns: int, error_bound: float, length_limit: int

@@ -14,7 +14,9 @@ each data point arrives. Two extensions from Section 5.2 (Fig. 10):
 Parameters are two float32 values — intercept (value at the segment's
 first timestamp) and per-step slope — 8 bytes total. Working with index
 steps rather than raw timestamps keeps the encoding independent of the
-sampling interval.
+sampling interval. A value is accepted only if the decoded line,
+``intercept + slope * index`` evaluated in float64 from the float32
+parameters, stays within the bound for every slope still feasible.
 """
 
 from __future__ import annotations
@@ -39,6 +41,26 @@ from .base import (
 _FORMAT = "<ff"
 
 
+def _float32_ends_leave(
+    anchor: float,
+    steps: np.ndarray,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    slope_lowers: np.ndarray,
+    slope_uppers: np.ndarray,
+) -> np.ndarray:
+    """Per row, whether the line decoded as ``anchor + slope * step``
+    leaves ``[lower, upper]`` for the smallest float32 ``>= slope_lower``
+    or the largest float32 ``<= slope_upper``."""
+    ceils = slope_lowers.astype(np.float32)
+    np.nextafter(ceils, np.float32(np.inf), out=ceils, where=ceils < slope_lowers)
+    floors = slope_uppers.astype(np.float32)
+    np.nextafter(
+        floors, np.float32(-np.inf), out=floors, where=floors > slope_uppers
+    )
+    return (anchor + ceils * steps < lowers) | (anchor + floors * steps > uppers)
+
+
 class SwingFitter(ModelFitter):
     """Online linear-model fitter over a group of series."""
 
@@ -60,6 +82,22 @@ class SwingFitter(ModelFitter):
         slope_upper = min(self._slope_upper, (upper - self._anchor) / step)
         if float32_within(slope_lower, slope_upper) is None:
             return False
+        # The bounds are float64 quotients, which can round a value far
+        # below the anchor away (anchor 1.0, then 1e-20 at bound 0: slope
+        # -1.0 decodes 0.0). Decoding, anchor + slope * step, is monotone
+        # in the slope, so the interval's smallest and largest float32
+        # decide for every slope the segment may store; later appends
+        # only narrow the interval, so earlier steps stay checked. The
+        # float64 bounds lie outside those two, so when they decode
+        # inside, so do the float32 ends, and rounding is skipped.
+        anchor = self._anchor
+        if (
+            anchor + slope_lower * step < lower
+            or anchor + slope_upper * step > upper
+        ):
+            row = (float(step), lower, upper, slope_lower, slope_upper)
+            if _float32_ends_leave(anchor, *map(np.atleast_1d, row))[0]:
+                return False
         self._slope_lower = slope_lower
         self._slope_upper = slope_upper
         return True
@@ -90,12 +128,10 @@ class SwingFitter(ModelFitter):
             self.length + accepted + block.shape[0],
             dtype=np.float64,
         )
-        lowers -= self._anchor
-        lowers /= steps
-        slope_lowers = lowers
-        uppers -= self._anchor
-        uppers /= steps
-        slope_uppers = uppers
+        slope_lowers = lowers - self._anchor
+        slope_lowers /= steps
+        slope_uppers = uppers - self._anchor
+        slope_uppers /= steps
         # Seeding the running slope bounds into the first row makes the
         # accumulate produce the combined intersections directly.
         if self._slope_lower > slope_lowers[0]:
@@ -105,6 +141,18 @@ class SwingFitter(ModelFitter):
         np.maximum.accumulate(slope_lowers, out=slope_lowers)
         np.minimum.accumulate(slope_uppers, out=slope_uppers)
         narrowed = feasible_prefix(slope_lowers, slope_uppers)
+        # The scalar kernel's decode check, row by row over that prefix:
+        # the float64 bounds first, their float32 ends only if one fails.
+        anchor = self._anchor
+        steps = steps[:narrowed]
+        lowers, uppers = lowers[:narrowed], uppers[:narrowed]
+        ends = slope_lowers[:narrowed], slope_uppers[:narrowed]
+        if (anchor + ends[0] * steps < lowers).any() or (
+            anchor + ends[1] * steps > uppers
+        ).any():
+            outside = _float32_ends_leave(anchor, steps, lowers, uppers, *ends)
+            if outside.any():
+                narrowed = int(outside.argmax())
         if narrowed:
             self._slope_lower = float(slope_lowers[narrowed - 1])
             self._slope_upper = float(slope_uppers[narrowed - 1])
@@ -150,6 +198,8 @@ class FittedSwing(FittedModel):
         self.intercept = intercept
         self.slope = slope
 
+    column_independent = True
+
     @property
     def constant_time_aggregates(self) -> bool:
         return True
@@ -186,6 +236,7 @@ class Swing(ModelType):
     """Model-table entry for Swing (classpath ``"Swing"``)."""
 
     name = "Swing"
+    column_independent = True
 
     def fitter(
         self, n_columns: int, error_bound: float, length_limit: int

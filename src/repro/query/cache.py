@@ -17,22 +17,62 @@ flush drops nothing; :meth:`SegmentCache.invalidate` stays as the
 explicit way to release the LRU. Memory is bounded by what is stored
 (pinned models live and die with their resident row) plus the LRU
 capacity, never by the number of queries.
+
+A resident table additionally carries :class:`FoldColumns`: the
+parameters of its column-independent rows as arrays, which the engine
+folds a partition at a time (:meth:`SegmentCache.fold_columns`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict, defaultdict
+from typing import NamedTuple
 
+import numpy as np
+
+from ..core.errors import ModelarError
 from ..core.segment import SegmentGroup
 from ..models.base import FittedModel
+from ..models.pmc_mean import FittedPMCMean
 from ..models.registry import ModelRegistry
+from ..models.swing import FittedSwing
 from ..obs import get_registry
+from ..storage.scan import Table
 
 _DEFAULT_CAPACITY = 4096
 
 #: ``SegmentGroup.__dict__`` slot a constant-time model is pinned in.
 _PINNED = "_model"
+
+#: How a row folds (:attr:`FoldColumns.kinds`): from its PMC-Mean value,
+#: from its Swing line, through its own model's per-column slice calls
+#: (Gorilla, ``Multi``), or — stored under another group layout than
+#: the table's first row — one segment at a time.
+CONSTANT, LINE, EXACT, FOREIGN = 0, 1, 2, 3
+
+
+class FoldColumns(NamedTuple):
+    """Per-row fold inputs of one table, built once per row.
+
+    ``parameters`` holds a constant row's value and a line row's
+    intercept and slope (zeros for other rows); ``members`` is the gap
+    bitmask as a (rows × Tids) mask over ``tids``, the group's Tids in
+    column order. That is ``17 + len(tids)`` bytes per row. Gorilla
+    models are never held here; ``exact`` memoises an exact row's
+    full-segment slice sums, minima and maxima per column (a
+    ``(3, 1, len(tids))`` array and whether the model is constant-time,
+    about ``260 + 24 * len(tids)`` bytes), computed by the same slice
+    calls a query would make. Extended tables share it: row positions
+    never move.
+    """
+
+    tids: tuple[int, ...]
+    sampling_interval: int
+    kinds: np.ndarray  # int8 per row
+    parameters: np.ndarray  # (rows, 2) float64
+    members: np.ndarray  # (rows, len(tids)) bool
+    exact: dict[int, tuple[np.ndarray, bool]]
 
 
 class SegmentCache:
@@ -75,6 +115,97 @@ class SegmentCache:
             )
         self._pinned_hits[threading.get_ident()] += 1
         return model
+
+    def count_pinned_hits(self, count: int) -> None:
+        """Record ``count`` reads of pinned fold columns, one per row, as
+        :meth:`model_of` records a pinned model."""
+        self._pinned_hits[threading.get_ident()] += count
+
+    def fold_columns(
+        self, table: Table
+    ) -> tuple[FoldColumns, np.ndarray | None]:
+        """A non-empty table's fold columns, and the rows this call
+        decoded (None when it built nothing).
+
+        Built once per row: a table that extends another inherits its
+        columns through ``Table.fold``, and only the appended rows are
+        added; a table of survivors (``Table.source``) gathers its rows'
+        columns from the table of every row. Decoding a row counts a
+        miss and pins its model, as :meth:`model_of` would; reading an
+        already pinned model counts nothing here, because the engine
+        counts one pinned hit per folded row this call did not decode.
+        Only column-independent model types are decoded, so Gorilla rows
+        stay in the LRU.
+
+        The columns are a pure function of the immutable table, so they
+        are built without a lock and published by one attribute store:
+        two threads racing on a table build equal columns, and either
+        may keep its own.
+        """
+        base = table.fold
+        if base is None and table.source is not None:
+            rows, positions = table.source
+            columns, decoded = self.fold_columns(rows)
+            table.fold = FoldColumns(
+                columns.tids,
+                columns.sampling_interval,
+                columns.kinds[positions],
+                columns.parameters[positions],
+                columns.members[positions],
+                {},
+            )
+            return table.fold, None if decoded is None else decoded[positions]
+        done = 0 if base is None else len(base.kinds)
+        segments = table.segments
+        if done == len(segments):
+            return base, None
+        first = segments[0]
+        tids, interval = first.group_tids, first.sampling_interval
+        kinds = np.full(len(segments), EXACT, np.int8)
+        parameters = np.zeros((len(segments), 2))
+        members = np.ones((len(segments), len(tids)), bool)
+        exact: dict[int, tuple[np.ndarray, bool]] = {}
+        if base is not None:
+            kinds[:done], parameters[:done] = base.kinds, base.parameters
+            members[:done], exact = base.members, base.exact
+        decoded = np.zeros(len(segments), bool)
+        for row in range(done, len(segments)):
+            segment = segments[row]
+            if (
+                segment.group_tids != tids
+                or segment.sampling_interval != interval
+            ):
+                kinds[row] = FOREIGN
+                continue
+            if segment.gaps:
+                members[row] = [tid not in segment.gaps for tid in tids]
+            model = segment.__dict__.get(_PINNED)
+            if model is None:
+                try:
+                    model_type = self._registry.by_mid(segment.mid)
+                    if not model_type.column_independent:
+                        continue
+                    model = self.decode(
+                        segment.mid,
+                        segment.parameters,
+                        segment.n_columns,
+                        segment.length,
+                        segment,
+                    )
+                except ModelarError:
+                    continue  # raised again if a query folds this row
+                decoded[row] = True
+            if isinstance(model, FittedPMCMean):
+                kinds[row] = CONSTANT
+                parameters[row, 0] = model.value
+            elif isinstance(model, FittedSwing):
+                kinds[row] = LINE
+                parameters[row] = model.intercept, model.slope
+        columns = FoldColumns(
+            tids, interval, kinds, parameters, members, exact
+        )
+        table.fold = columns
+        return columns, decoded
 
     def decode(
         self,

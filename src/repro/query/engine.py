@@ -29,9 +29,10 @@ from ..core.errors import QueryError
 from ..models.registry import ModelRegistry
 from ..obs import SpanRecorder, annotate, get_registry, span
 from ..storage.interface import Storage
+from ..storage.scan import Table
 from . import analytics
 from .aggregates import Aggregate, aggregate_by_name
-from .cache import SegmentCache
+from .cache import CONSTANT, EXACT, FOREIGN, SegmentCache
 from .columnar import compare as _compare
 from .columnar import iter_blocks
 from .columnar import point_mask as _point_mask
@@ -56,7 +57,7 @@ from .sql import (
     parse_timestamp,
     tid_values,
 )
-from .views import DataPointRow, DataPointView, SegmentView
+from .views import DataPointRow, DataPointView, SegmentView, _clip
 
 __all__ = [
     "QueryEngine",
@@ -502,175 +503,40 @@ class QueryEngine:
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        A group segment is visited once: its model is decoded once and,
-        for constant-time models (constant/linear), slice aggregates are
-        column-independent, so they are memoised and *shared* across the
-        group's member series — aggregate work per segment is O(1) in
-        the group size, which is exactly the benefit of executing
-        queries on models representing multiple time series.
+        Columnar mode folds every non-CUBE statement one partition at a
+        time (:meth:`_SegmentFold.table`): numpy passes over the fold
+        columns pinned on the partition's resident table, then one
+        ordered accumulate per group key. The row engine and CUBE
+        rollups visit one segment at a time (:meth:`_SegmentFold.segment`):
+        a column-independent model's slice aggregates are memoised and
+        *shared* across the group's member series, so aggregate work per
+        segment is O(1) in the group size — the benefit of executing
+        queries on models representing multiple time series. Both add
+        the same floats in the same (segment, column) order, so their
+        results are bit-identical.
         """
-        calls = _calls(query)
-        group_columns = _validated_group_by(query, self.metadata)
-        simple: dict[tuple, list] = {}
-        cubes: dict[tuple, list] = {}
-        specs = [_CallSpec.from_call(call) for call in calls]
-        has_cube = any(spec.level is not None for spec in specs)
-        use_block_fold = columnar and not has_cube
-
-        metadata = self.metadata
-        scalings = metadata.scalings()
-        dimension_rows = metadata.dimension_rows()
-        tids = set(plan.tids)
-        cache = self._segment_cache
-        segments_scanned = 0
-        rows_skipped = 0
-        from .views import _clip
-
-        for segment in self._storage.scan(plan.scan_request()):
-            segments_scanned += 1
-            clipped = _clip(segment, plan.start_time, plan.end_time)
-            if clipped is None:
-                continue
-            first, last = clipped
-            selected = [
-                (column, tid)
-                for column, tid in enumerate(segment.member_tids)
-                if tid in tids
-            ]
-            if not selected:
-                continue
-            model = cache.model_of(segment)
-            if model.constant_time_aggregates:
-                # Answered from model parameters alone: every data point
-                # this segment represents for the selected series stays
-                # unmaterialised.
-                rows_skipped += len(selected) * (last - first + 1)
-                if use_block_fold:
-                    self._fold_segment_fast(
-                        specs, simple, selected, model, first, last,
-                        group_columns, scalings, dimension_rows,
-                    )
-                    continue
-                model = _ColumnSharedModel(model)
-            for column, tid in selected:
-                key = _group_key(
-                    tid, dimension_rows.get(tid, {}), group_columns
-                )
-                scaling = scalings.get(tid, 1.0)
-                for index, spec in enumerate(specs):
-                    if spec.level is None:
-                        states = simple.get(key)
-                        if states is None:
-                            states = [
-                                s.aggregate.initialize() for s in specs
-                            ]
-                            simple[key] = states
-                        states[index] = spec.aggregate.iterate(
-                            states[index], model, first, last, column,
-                            scaling,
-                        )
-                    else:
-                        buckets = cubes.get(key)
-                        if buckets is None:
-                            buckets = [{} for _ in specs]
-                            cubes[key] = buckets
-                        rollup_segment(
-                            buckets[index],
-                            spec.aggregate,
-                            model,
-                            segment.start_time,
-                            segment.sampling_interval,
-                            first,
-                            last,
-                            column,
-                            scaling,
-                            spec.level,
-                        )
+        fold = _SegmentFold(self, query, plan)
+        request = plan.scan_request()
+        if columnar and all(spec.level is None for spec in fold.specs):
+            for table in self._storage.tables(request):
+                fold.table(table)
+        else:
+            for segment in self._storage.scan(request):
+                fold.scanned += 1
+                fold.segment(segment)
         registry = get_registry()
-        registry.counter("query.segments_scanned_total").inc(segments_scanned)
+        registry.counter("query.segments_scanned_total").inc(fold.scanned)
         registry.counter("query.rows_skipped_materialization_total").inc(
-            rows_skipped
+            fold.skipped
         )
         annotate(
-            segments=segments_scanned,
-            rows_skipped_materialization=rows_skipped,
+            segments=fold.scanned,
+            rows_skipped_materialization=fold.skipped,
             mode="columnar" if columnar else "row",
         )
-        return PartialResult(specs, group_columns, simple, cubes)
-
-    def _fold_segment_fast(
-        self,
-        specs: list["_CallSpec"],
-        simple: dict[tuple, list],
-        selected: list[tuple[int, int]],
-        model,
-        first: int,
-        last: int,
-        group_columns: tuple[str, ...],
-        scalings: dict[int, float],
-        dimension_rows: dict[int, dict[str, str]],
-    ) -> None:
-        """Vectorised constant-time fold of one segment (columnar mode).
-
-        The slice aggregate of a constant/linear group model is column
-        independent, so it is computed once and divided by all member
-        scalings in one numpy operation. Each element of the result is
-        ``raw / scaling`` in float64 — the very division the row path
-        performs per series — and ``tolist()`` hands back the identical
-        Python floats, so folding them with the same ``min``/``max``/
-        ``+`` arithmetic keeps both modes bit-identical.
-        """
-        ticks = last - first + 1
-        scale = np.array(
-            [scalings.get(tid, 1.0) for _, tid in selected]
+        return PartialResult(
+            fold.specs, fold.group_columns, fold.simple, fold.cubes
         )
-        folds: list[list[float] | None] = []
-        for spec in specs:
-            name = spec.aggregate.name
-            if name == "COUNT":
-                folds.append(None)
-            elif name in ("SUM", "AVG"):
-                folds.append((model.slice_sum(first, last, 0) / scale).tolist())
-            elif name == "MIN":
-                folds.append((model.slice_min(first, last, 0) / scale).tolist())
-            elif name == "MAX":
-                folds.append((model.slice_max(first, last, 0) / scale).tolist())
-            else:  # pragma: no cover - the registry only has the five above
-                folds.append(None)
-        for position, (column, tid) in enumerate(selected):
-            key = _group_key(tid, dimension_rows.get(tid, {}), group_columns)
-            states = simple.get(key)
-            if states is None:
-                states = [s.aggregate.initialize() for s in specs]
-                simple[key] = states
-            for index, spec in enumerate(specs):
-                name = spec.aggregate.name
-                if name == "COUNT":
-                    states[index] = states[index] + ticks
-                elif name == "SUM":
-                    states[index] = states[index] + folds[index][position]
-                elif name == "MIN":
-                    value = folds[index][position]
-                    state = states[index]
-                    states[index] = (
-                        value if state is None else min(state, value)
-                    )
-                elif name == "MAX":
-                    value = folds[index][position]
-                    state = states[index]
-                    states[index] = (
-                        value if state is None else max(state, value)
-                    )
-                elif name == "AVG":
-                    total, count = states[index]
-                    states[index] = (
-                        total + folds[index][position], count + ticks
-                    )
-                else:  # pragma: no cover - defensive; registry is closed
-                    states[index] = spec.aggregate.iterate(
-                        states[index], model, first, last, column,
-                        scalings.get(tid, 1.0),
-                    )
 
     # -- Data Point View aggregates ----------------------------------------
     def _accumulate_point(
@@ -876,18 +742,279 @@ class QueryEngine:
         )
 
 
+class _SegmentFold:
+    """The fold stage of one Segment View aggregate (Algorithm 5's
+    iterate): per group key states, fed one segment or one partition
+    table at a time."""
+
+    def __init__(
+        self, engine: QueryEngine, query: Query, plan: RewrittenQuery
+    ) -> None:
+        metadata = engine.metadata
+        self.specs = [_CallSpec.from_call(call) for call in _calls(query)]
+        self.group_columns = _validated_group_by(query, metadata)
+        self.plan = plan
+        self.scalings = metadata.scalings()
+        self.dimension_rows = metadata.dimension_rows()
+        self.cache = engine.segment_cache
+        self.simple: dict[tuple, list] = {}
+        self.cubes: dict[tuple, list] = {}
+        self.scanned = 0
+        self.skipped = 0
+
+    def _key(self, tid: int) -> tuple:
+        return _group_key(
+            tid, self.dimension_rows.get(tid, {}), self.group_columns
+        )
+
+    def _states(self, key: tuple) -> list:
+        states = self.simple.get(key)
+        if states is None:
+            states = [spec.aggregate.initialize() for spec in self.specs]
+            self.simple[key] = states
+        return states
+
+    def segment(self, segment) -> None:
+        """Fold one segment's selected member series."""
+        plan = self.plan
+        clipped = _clip(segment, plan.start_time, plan.end_time)
+        if clipped is None:
+            return
+        first, last = clipped
+        selected = [
+            (column, tid)
+            for column, tid in enumerate(segment.member_tids)
+            if tid in plan.tids
+        ]
+        if not selected:
+            return
+        model = self.cache.model_of(segment)
+        if model.constant_time_aggregates:
+            # Answered from model parameters alone: every data point
+            # this segment represents for the selected series stays
+            # unmaterialised.
+            self.skipped += len(selected) * (last - first + 1)
+        if model.column_independent:
+            model = _ColumnSharedModel(model)
+        for column, tid in selected:
+            key = self._key(tid)
+            scaling = self.scalings.get(tid, 1.0)
+            for index, spec in enumerate(self.specs):
+                if spec.level is None:
+                    states = self._states(key)
+                    states[index] = spec.aggregate.iterate(
+                        states[index], model, first, last, column, scaling
+                    )
+                    continue
+                buckets = self.cubes.get(key)
+                if buckets is None:
+                    buckets = [{} for _ in self.specs]
+                    self.cubes[key] = buckets
+                rollup_segment(
+                    buckets[index],
+                    spec.aggregate,
+                    model,
+                    segment.start_time,
+                    segment.sampling_interval,
+                    first,
+                    last,
+                    column,
+                    scaling,
+                    spec.level,
+                )
+
+    def table(self, table: Table) -> None:
+        """Fold one partition from its fold columns (no CUBE calls).
+
+        One vectorised clip, slice aggregate and scaling division over
+        the table's rows, each model's own formulas elementwise: PMC-Mean
+        ``value * count`` and ``value``; Swing ``count * (first + last)
+        / 2.0`` and the ``min``/``max`` of its end values. Gorilla and
+        ``Multi`` rows fill their cells with their own per-column slice
+        calls, in place. Each group key then folds its cells in
+        (segment, column) order — the row engine's order of Python
+        ``+``, ``min`` and ``max``.
+        """
+        plan = self.plan
+        keep = np.ones(len(table.segments), dtype=bool)
+        if plan.start_time is not None:
+            keep &= table.ends >= plan.start_time
+        if plan.end_time is not None:
+            keep &= table.starts <= plan.end_time
+        rows = np.flatnonzero(keep)
+        self.scanned += len(rows)
+        if not len(rows):
+            return
+        columns, decoded = self.cache.fold_columns(table)
+        if (columns.kinds[rows] == FOREIGN).any():
+            for row in rows.tolist():
+                self.segment(table.segments[row])
+            return
+        # views._clip, every row at once.
+        starts, ends = table.starts[rows], table.ends[rows]
+        step = columns.sampling_interval
+        first = np.zeros(len(rows), dtype=np.int64)
+        last = full = (ends - starts) // step
+        if plan.start_time is not None:
+            late = plan.start_time > starts
+            first[late] = -(-(plan.start_time - starts[late]) // step)
+        if plan.end_time is not None:
+            last = np.where(
+                plan.end_time < ends, (plan.end_time - starts) // step, full
+            )
+        tids = columns.tids
+        wanted = [tid in plan.tids for tid in tids]
+        selected = columns.members[rows] & wanted & (first <= last)[:, None]
+        used = selected.any(axis=1)
+        if not used.all():
+            rows, selected, first, last = (
+                rows[used], selected[used], first[used], last[used]
+            )
+            full = full[used]
+        full = (first == 0) & (last == full)
+        kinds = columns.kinds[rows]
+        counts = last - first + 1
+        folded = kinds != EXACT
+        hits = np.count_nonzero(
+            folded if decoded is None else folded & ~decoded[rows]
+        )
+        # Exact rows fold their own per-column slice calls: only the
+        # planes (sum, min, max) and columns this statement reads, or —
+        # for a whole segment read on every column — all of them, kept
+        # in the row's memo. COUNT alone reads no plane, so exact rows
+        # then only look their model up, as the row engine does.
+        planes = sorted(
+            {_PLANES[spec.aggregate.name] for spec in self.specs} - {None}
+        )
+        every = all(wanted) and bool(planes)
+        exact = np.flatnonzero(~folded)
+        memos = []
+        for row, index, whole in zip(
+            exact.tolist(), rows[exact].tolist(), full[exact].tolist()
+        ):
+            memo = columns.exact.get(index) if whole else None
+            if memo is not None:
+                hits += 1
+            elif whole and every:
+                memo = self._slices(
+                    table.segments[index], (0, int(last[row])), None, (0, 1, 2)
+                )
+                columns.exact[index] = memo
+            else:
+                span = (int(first[row]), int(last[row]))
+                memo = self._slices(table.segments[index], span, wanted, planes)
+            memos.append(memo)
+        self.cache.count_pinned_hits(int(hits))
+        constant_time = folded
+        if memos:
+            constant_time = folded.copy()
+            constant_time[exact] = [memo[1] for memo in memos]
+        self.skipped += int(
+            (selected.sum(axis=1) * counts)[constant_time].sum()
+        )
+
+        if planes:
+            intercept, slope = columns.parameters[rows].T
+            head, tail = intercept + slope * first, intercept + slope * last
+            constant = kinds == CONSTANT
+            cells = np.zeros((3, len(rows)))
+            if 0 in planes:
+                cells[0] = np.where(
+                    constant, intercept * counts, counts * (head + tail) / 2.0
+                )
+            if 1 in planes:
+                cells[1] = np.where(
+                    constant, intercept, np.where(tail < head, tail, head)
+                )
+            if 2 in planes:
+                cells[2] = np.where(
+                    constant, intercept, np.where(tail > head, tail, head)
+                )
+            scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
+            scaled = cells[:, :, np.newaxis] / scalings
+            if memos:
+                blocks = np.concatenate([memo[0] for memo in memos], axis=1)
+                scaled[:, exact] = blocks / scalings
+
+        keys: dict[tuple, list[int]] = {}
+        for position in np.flatnonzero(wanted).tolist():
+            keys.setdefault(self._key(tids[position]), []).append(position)
+        for key, positions in keys.items():
+            mask = selected[:, positions]
+            if not mask.any():
+                continue
+            ticks = int(mask.sum(axis=1) @ counts)
+            if planes:
+                sums, mins, maxs = scaled[:, :, positions][:, mask]  # row-major
+            states = self._states(key)
+            for index, spec in enumerate(self.specs):
+                name, state = spec.aggregate.name, states[index]
+                if name == "COUNT":
+                    states[index] = state + ticks
+                elif name == "SUM":
+                    states[index] = _ordered_sum(state, sums)
+                elif name == "AVG":
+                    states[index] = (
+                        _ordered_sum(state[0], sums), state[1] + ticks
+                    )
+                else:
+                    # Python's own min/max over the row engine's sequence:
+                    # the first of equal extremes wins (the sign of a zero).
+                    extremes = (mins if name == "MIN" else maxs).tolist()
+                    if state is not None:
+                        extremes.insert(0, state)
+                    states[index] = (min if name == "MIN" else max)(extremes)
+
+    def _slices(
+        self,
+        segment,
+        span: tuple[int, int],
+        wanted: list[bool] | None,
+        planes: Sequence[int],
+    ) -> tuple[np.ndarray, bool]:
+        """An exact row's slice sums, minima and maxima (``planes`` of
+        them) over ``span`` for its ``wanted`` group columns (None: all),
+        as a ``(3, 1, len(tids))`` block, from its own model (Gorilla
+        through the LRU); and whether that model is constant-time."""
+        model = self.cache.model_of(segment)
+        tids = segment.group_tids
+        calls = (model.slice_sum, model.slice_min, model.slice_max)
+        cells = np.zeros((3, 1, len(tids)))
+        for column, tid in enumerate(segment.member_tids):
+            position = tids.index(tid)
+            if wanted is None or wanted[position]:
+                for plane in planes:
+                    cells[plane, 0, position] = calls[plane](*span, column)
+        return cells, model.constant_time_aggregates
+
+
+#: The slice-aggregate plane each Segment View aggregate folds.
+_PLANES = {"SUM": 0, "AVG": 0, "MIN": 1, "MAX": 2, "COUNT": None}
+
+
+def _ordered_sum(state: float, values: np.ndarray) -> float:
+    """``state + values[0] + values[1] + ...`` left to right, as Python
+    ``+`` adds them: a sequential accumulate, never numpy's pairwise
+    ``sum``."""
+    return float(np.add.accumulate(np.concatenate(([state], values)))[-1])
+
+
 class _ColumnSharedModel:
-    """Memoising proxy for constant-time models within one segment.
+    """Memoising proxy for column-independent models within one segment.
 
     Constant and linear group models produce the same estimate for every
     member series at a timestamp, so slice aggregates do not depend on
     the column — computing them once per segment and sharing the result
     across the group's series makes aggregate cost O(1) in group size.
+    ``Multi`` models are constant-time too, but per column, so callers
+    wrap only :attr:`~repro.models.base.FittedModel.column_independent`
+    models.
     """
 
     __slots__ = ("_model", "_memo")
 
     constant_time_aggregates = True
+    column_independent = True
 
     def __init__(self, model) -> None:
         self._model = model

@@ -44,13 +44,13 @@ import struct
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ..core.errors import StorageError
 from ..core.segment import REVISION_EXTENSION_BYTES, SegmentGroup
 from ..obs import get_registry
 from .interface import Storage
-from .scan import Partition, SegmentScan, stamp_revisions
+from .scan import Partition, stamp_revisions
 from .schema import TimeSeriesRecord
 from .serialization import HEADER_BYTES, decode_segment, encode_segment
 
@@ -184,12 +184,6 @@ class FileStorage(Storage):
             time.perf_counter() - started
         )
 
-    def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
-        for gid in request.partitions(self._groups):
-            table = self._resident(gid)
-            if table is not None:
-                yield from table.scan(request)
-
     def segment_count(self) -> int:
         return sum(self._counts.values())
 
@@ -236,7 +230,10 @@ class FileStorage(Storage):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resident(self, gid: int) -> Partition | None:
+    def _gids(self) -> Iterable[int]:
+        return self._groups
+
+    def _partition(self, gid: int) -> Partition | None:
         """The partition's table, current with its file (None: no rows).
 
         A table that matches the file's size is returned as is. Anything

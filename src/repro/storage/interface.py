@@ -6,9 +6,10 @@ push-down happens at :meth:`Storage.scan`: the query processor hands
 down a typed :class:`~repro.storage.scan.SegmentScan` request — Gids
 (after Tid/member rewriting), the time interval, and the ``AS OF``
 knowledge-time bound — so backends skip irrelevant partitions instead
-of filtering in the engine. Both shipped backends answer a scan from
-one resident :class:`~repro.storage.scan.Partition` table per Gid
-through its single ``scan`` implementation.
+of filtering in the engine. Both shipped backends keep one resident
+:class:`~repro.storage.scan.Partition` per Gid, so :meth:`Storage.scan`
+and its per-partition counterpart :meth:`Storage.tables` are written
+once here; a backend supplies its Gids and partitions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ..core.errors import StorageError
 from ..core.segment import SegmentGroup
-from .scan import SegmentScan
+from .scan import Partition, SegmentScan, Table
 from .schema import TimeSeriesRecord
 
 
@@ -71,7 +72,6 @@ class Storage(ABC):
         :func:`~repro.storage.scan.stamp_revisions`).
         """
 
-    @abstractmethod
     def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
         """Scan segments matching a typed read request.
 
@@ -80,6 +80,31 @@ class Storage(ABC):
         ``request.all_revisions`` is set; survivors overlapping the
         request's closed time interval are yielded in append order.
         """
+        for table in self.tables(request):
+            yield from table.overlapping(request.start_time, request.end_time)
+
+    def tables(self, request: SegmentScan) -> Iterator[Table]:
+        """Each requested partition's :class:`~repro.storage.scan.Table`
+        of survivors in Gid order, before the time interval is applied.
+
+        The batch counterpart of :meth:`scan`, for readers that work a
+        partition at a time: the resident table itself (with its fold
+        memo), or a transient one for an ``AS OF`` read of a revised
+        partition.
+        """
+        for gid in request.partitions(self._gids()):
+            partition = self._partition(gid)
+            if partition is not None:
+                yield partition.table(request)
+
+    @abstractmethod
+    def _gids(self) -> Iterable[int]:
+        """The Gids an unrestricted request scans."""
+
+    @abstractmethod
+    def _partition(self, gid: int) -> Partition | None:
+        """The resident table of ``gid``, current with the store (None:
+        no rows)."""
 
     @abstractmethod
     def segment_count(self) -> int:

@@ -9,12 +9,12 @@ against either backend.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ..core.segment import SegmentGroup
 from ..obs import get_registry
 from .interface import Storage
-from .scan import Partition, SegmentScan, stamp_revisions
+from .scan import Partition, stamp_revisions
 from .schema import TimeSeriesRecord
 from .serialization import encoded_size
 
@@ -69,11 +69,11 @@ class MemoryStorage(Storage):
         registry.counter("storage.segments_written_total").inc(len(stamped))
         registry.counter("storage.bytes_written_total").inc(written_bytes)
 
-    def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
-        for gid in request.partitions(self._partitions):
-            partition = self._partitions.get(gid)
-            if partition is not None:
-                yield from partition.scan(request)
+    def _gids(self) -> Iterable[int]:
+        return self._partitions
+
+    def _partition(self, gid: int) -> Partition | None:
+        return self._partitions.get(gid)
 
     def segment_count(self) -> int:
         return self._count

@@ -21,14 +21,14 @@ which is what makes a zero-revision store's scan bit-identical to the
 pre-revision code path.
 
 :class:`Partition` is the resident table both backends keep per Gid;
-its :meth:`~Partition.scan` is the single implementation turning a
-table and a request into survivors.
+its :meth:`~Partition.table` is the single implementation turning a
+partition and a request into a :class:`Table` of survivors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -122,20 +122,48 @@ def resolve_visible(
     ]
 
 
-class _Rows(NamedTuple):
-    """Segments in append order with their time bounds as arrays."""
+@dataclass(eq=False, slots=True)
+class Table:
+    """Segments in append order with their time bounds as arrays.
+
+    Published whole and never changed, except for ``fold``: a memo slot
+    the query layer fills with per-row fold columns (see
+    :meth:`repro.query.cache.SegmentCache.fold_columns`). Storage never
+    reads it; it only hands a table's memo to the table that extends
+    it, so the memo always covers a prefix of the rows, is built once
+    per row, and dies with its table. A table of survivors names the
+    table of every row it was resolved from and its rows' positions
+    there (``source``), so its memo is a gather from that table's.
+    """
 
     segments: Sequence[SegmentGroup]
     starts: _Times
     ends: _Times
+    fold: object = None
+    source: tuple["Table", npt.NDArray[np.intp]] | None = None
 
     @classmethod
-    def of(cls, segments: Sequence[SegmentGroup]) -> "_Rows":
+    def of(cls, segments: Sequence[SegmentGroup]) -> "Table":
         count = len(segments)
         return cls(
             segments,
             np.fromiter((s.start_time for s in segments), np.int64, count),
             np.fromiter((s.end_time for s in segments), np.int64, count),
+        )
+
+    def survivors(self, as_of: int | None = None) -> "Table":
+        """This table's latest-wins survivors at ``as_of``, with their
+        positions here."""
+        segments = resolve_visible(self.segments, as_of)
+        where = {id(segment): row for row, segment in enumerate(self.segments)}
+        positions = np.fromiter(
+            (where[id(segment)] for segment in segments), np.intp, len(segments)
+        )
+        return Table(
+            segments,
+            self.starts[positions],
+            self.ends[positions],
+            source=(self, positions),
         )
 
     def overlapping(
@@ -157,20 +185,22 @@ class Partition:
     """The resident table of one Gid partition.
 
     Holds every stored row in append order and the latest-wins
-    survivors of an unbounded read (the same rows while the partition
-    has no revisions). Both are published together as one immutable
-    pair, so a scan that read the pair once filters a consistent prefix
-    of the partition without holding a lock; :meth:`extend` calls must
-    be serialised by the owning store. ``offset`` is for a file-backed
-    owner: the bytes of the partition file decoded into the table so
-    far.
+    survivors of an unbounded read (the same :class:`Table` while the
+    partition has no revisions). Both are published together as one
+    immutable pair, so a reader that read the pair once sees a
+    consistent prefix of the partition without holding a lock;
+    :meth:`extend` calls must be serialised by the owning store. An
+    extended table inherits its prefix's fold memo, so the query layer
+    builds fold columns for the appended rows only, and survivors
+    gather theirs from it. ``offset`` is for a file-backed owner: the
+    bytes of the partition file decoded into the table so far.
     """
 
     __slots__ = ("offset", "_published")
 
     def __init__(self) -> None:
         self.offset = 0
-        empty = _Rows.of(())
+        empty = Table.of(())
         self._published = (empty, empty)
 
     def extend(self, segments: Sequence[SegmentGroup]) -> None:
@@ -181,36 +211,33 @@ class Partition:
         has_revisions = latest is not rows or any(
             segment.revision for segment in segments
         )
-        added = _Rows.of(segments)
-        rows = _Rows(
+        added = Table.of(segments)
+        rows = Table(
             [*rows.segments, *segments],
             np.concatenate((rows.starts, added.starts)),
             np.concatenate((rows.ends, added.ends)),
+            rows.fold,
         )
         self._published = (
-            rows,
-            _Rows.of(resolve_visible(rows.segments)) if has_revisions else rows,
+            rows, rows.survivors() if has_revisions else rows
         )
 
-    def scan(self, request: SegmentScan) -> Sequence[SegmentGroup]:
-        """The partition's survivors for one request, in append order.
+    def table(self, request: SegmentScan) -> Table:
+        """The partition's survivors for one request, in append order,
+        before the request's time interval is applied.
 
-        The one place a table and a request become segments, shared by
-        every backend. ``all_revisions`` reads every row and an
-        unbounded read the resident survivors; only an ``AS OF`` read
-        of a partition that has revisions resolves visibility on
-        demand.
+        The one place a table and a request meet, shared by every
+        backend. ``all_revisions`` reads every row and an unbounded read
+        the resident survivors; only an ``AS OF`` read of a partition
+        that has revisions resolves visibility on demand, into a
+        transient table.
         """
         rows, latest = self._published
         if request.all_revisions:
-            latest = rows
-        elif request.as_of is not None and latest is not rows:
-            return [
-                segment
-                for segment in resolve_visible(rows.segments, request.as_of)
-                if segment.overlaps(request.start_time, request.end_time)
-            ]
-        return latest.overlapping(request.start_time, request.end_time)
+            return rows
+        if request.as_of is not None and latest is not rows:
+            return rows.survivors(request.as_of)
+        return latest
 
 
 def stamp_revisions(

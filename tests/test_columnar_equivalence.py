@@ -7,7 +7,10 @@ one plan — including the per-subtree pushdown decisions — and promise
 the *same bits*: every float in every result row must compare equal at
 the ``struct.pack`` level, for SUM/MIN/MAX/AVG/COUNT over PMC-Mean,
 Swing and Gorilla segments, with lossy error bounds, scaled correlated
-groups, and time ranges that cut segments mid-way.
+groups, and time ranges that cut segments mid-way. A second corpus
+aims at the columnar Segment View fold, which answers a partition at a
+time: gaps, long partitions, dimension keys spanning columns, ``AS OF``
+over revisions, and ``Multi`` models.
 
 Uses hypothesis when installed; otherwise the same properties run over
 seeded pseudo-random cases so the suite stays meaningful without the
@@ -20,9 +23,22 @@ import struct
 import numpy as np
 import pytest
 
-from repro import Configuration, MemoryStorage, ModelarDB, TimeSeries
+from repro import (
+    Configuration,
+    Dimension,
+    DimensionSet,
+    MemoryStorage,
+    ModelarDB,
+    TimeSeries,
+)
 from repro.core.group import TimeSeriesGroup
-from repro.storage import SegmentScan
+from repro.core.segment import SegmentGroup
+from repro.models.gorilla import Gorilla
+from repro.models.multi import MultiModel
+from repro.models.pmc_mean import PMCMean
+from repro.models.registry import ModelRegistry
+from repro.query.engine import QueryEngine
+from repro.storage import SegmentScan, TimeSeriesRecord
 
 try:
     from hypothesis import given, settings
@@ -179,6 +195,146 @@ if HAVE_HYPOTHESIS:
     )
     def test_equivalence_hypothesis(seed, bound, chunk_size):
         check_equivalence(seed, bound, chunk_size)
+
+
+# ----------------------------------------------------------------------
+# Where a partition-at-a-time fold can go wrong
+# ----------------------------------------------------------------------
+FOLD_TICKS = 900  # with a length limit of 4: >= 200 segments per partition
+MULTI_MODELS = ("Multi(PMC)", "Swing", "Multi(Gorilla)")
+
+
+def build_fold_db(seed, bound, multi=False):
+    """A three-series group and a singleton, shaped against the
+    partition fold's shortcuts:
+
+    * series 2 has NaN gaps, so member Tids change inside a partition;
+    * a length limit of 4 gives every partition >= 200 segments, so the
+      order of ~1 000 additions shows in the last bits;
+    * a ``Park`` dimension puts columns 0 and 2 of the group and the
+      singleton under one key, so a key interleaves columns and
+      partitions;
+    * a correction revises the group's partition after ``mark``, so
+      reads resolve revisions, and ``AS OF mark`` reads a transient
+      table;
+    * ``multi`` stores column-dependent ``Multi`` rows beside Swing.
+
+    Returns the database, the pre-correction knowledge time and the
+    timestamps.
+    """
+    rng = random.Random(seed)
+    matrix = make_values(rng, FOLD_TICKS, 3)
+    for _ in range(6):
+        start = rng.randrange(FOLD_TICKS - 30)
+        matrix[start:start + rng.randint(1, 25), 1] = np.nan
+    timestamps = np.arange(FOLD_TICKS, dtype=np.int64) * SI + START
+    park = Dimension("Location", ["Park"])
+    for tid, member in zip((1, 2, 3, 4), ("north", "south", "north", "north")):
+        park.assign(tid, (member,))
+    # Divided by their scaling, the series store equal holds and ramps,
+    # which one group model fits.
+    series = [
+        TimeSeries(
+            tid, SI, timestamps, matrix[:, tid - 1] / scaling, scaling=scaling
+        )
+        for tid, scaling in zip((1, 2, 3), (1.0, 3.0, 0.7))
+    ]
+    solo = TimeSeries(4, SI, timestamps, matrix[:, 0] * 1.5 + 3.0)
+    config = Configuration(
+        error_bound=bound,
+        model_length_limit=4,
+        models=MULTI_MODELS if multi else ("PMC", "Swing", "Gorilla"),
+    )
+    db = ModelarDB(
+        config,
+        storage=MemoryStorage(),
+        dimensions=DimensionSet([park]),
+        extra_models=[MultiModel(PMCMean()), MultiModel(Gorilla())],
+    )
+    db.ingest([TimeSeriesGroup(1, series), TimeSeriesGroup(2, [solo])])
+    mark = db.knowledge_time()
+    db.correct(
+        [
+            (1, int(timestamps[rng.randrange(FOLD_TICKS)]), 7.25),
+            (3, int(timestamps[rng.randrange(FOLD_TICKS)]), None),
+        ]
+    )
+    return db, mark, timestamps
+
+
+def fold_queries(timestamps):
+    """Every Segment-answerable aggregate shape the fold serves, with
+    bounds that cut the first and last segments off the grid."""
+    lo = int(timestamps[2]) + SI // 2
+    hi = int(timestamps[-3]) - SI // 3
+    every = "SUM_S(*), MIN_S(*), MAX_S(*), AVG_S(*), COUNT_S(*)"
+    return [
+        f"SELECT {every} FROM Segment",
+        f"SELECT Tid, {every} FROM Segment GROUP BY Tid",
+        f"SELECT Park, {every} FROM Segment GROUP BY Park",
+        f"SELECT Park, Tid, SUM_S(*), AVG_S(*) FROM Segment "
+        f"WHERE TS >= {lo} AND TS <= {hi} GROUP BY Park, Tid",
+        f"SELECT SUM(*), MIN(*), MAX(*), COUNT(*) FROM DataPoint "
+        f"WHERE TS >= {lo} AND TS <= {hi}",
+        "SELECT Park, SUM(*), AVG(*) FROM DataPoint "
+        "WHERE Tid IN (2, 3, 4) GROUP BY Park",
+    ]
+
+
+class TestPartitionFold:
+    @pytest.mark.parametrize("multi", (False, True))
+    @pytest.mark.parametrize("bound", (0.0, 5.0))
+    def test_fold_matches_the_row_engine_bitwise(self, bound, multi):
+        for seed in range(3):
+            db, mark, timestamps = build_fold_db(seed, bound, multi)
+            for sql in fold_queries(timestamps):
+                for as_of in (None, mark):
+                    assert_rows_bit_identical(
+                        db.query(sql, as_of=as_of, columnar=True),
+                        db.query(sql, as_of=as_of, columnar=False),
+                        context=f"seed={seed} bound={bound} multi={multi} "
+                        f"as_of={as_of}: {sql}",
+                    )
+
+    @pytest.mark.parametrize("multi", (False, True))
+    def test_the_corpus_reaches_the_corner_cases(self, multi):
+        db, mark, _ = build_fold_db(0, 5.0, multi)
+        group = list(db.storage.scan(SegmentScan(gids=(1,))))
+        assert len(group) >= 200
+        assert any(s.gaps for s in group) and not all(s.gaps for s in group)
+        assert any(s.revision for s in group)
+        names = {db.registry.by_mid(s.mid).name for s in group}
+        expected = {"Multi(PMC)", "Swing"} if multi else {"PMC", "Swing"}
+        assert expected <= names
+        before = db.query("SELECT COUNT_S(*) FROM Segment", as_of=mark)
+        after = db.query("SELECT COUNT_S(*) FROM Segment")
+        assert before != after  # the correction erased a point
+
+    def test_a_partition_mixing_group_layouts_folds_exactly(self):
+        # MemoryStorage stores rows as given: hand-built rows of one Gid
+        # may disagree on the group's Tids and sampling interval.
+        storage = MemoryStorage()
+        storage.insert_time_series(
+            [TimeSeriesRecord(tid, SI, 1) for tid in (1, 2, 3)]
+        )
+        registry = ModelRegistry()
+        mid = registry.mid_of("PMC")
+        storage.insert_segments(
+            [
+                SegmentGroup(
+                    1, START + first * SI, START + (first + 4) * SI, SI, mid,
+                    struct.pack("<f", value), group_tids=tids,
+                )
+                for first, value, tids in (
+                    (0, 2.5, (1, 2)), (5, -1.25, (1, 2, 3)), (10, 0.75, (1, 2))
+                )
+            ]
+        )
+        engine = QueryEngine(storage, registry)
+        sql = "SELECT Tid, SUM_S(*), MIN_S(*), COUNT_S(*) FROM Segment GROUP BY Tid"
+        rows = engine.sql(sql, columnar=True)
+        assert_rows_bit_identical(rows, engine.sql(sql, columnar=False))
+        assert [row["COUNT_S(*)"] for row in rows] == [15, 15, 5]
 
 
 # ----------------------------------------------------------------------

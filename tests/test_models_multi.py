@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import Configuration, MemoryStorage, ModelarDB, TimeSeries
 from repro.core.errors import ModelError
+from repro.core.group import TimeSeriesGroup
 from repro.models.gorilla import Gorilla
 from repro.models.multi import MultiModel
 from repro.models.pmc_mean import PMCMean
@@ -121,3 +123,68 @@ class TestAggregates:
         assert MultiModel(Swing()).name == "Multi(Swing)"
         assert MultiModel(Gorilla()).always_fits
         assert not MultiModel(Swing()).always_fits
+
+    def test_constant_time_but_not_column_independent(self):
+        fitter = MultiModel(PMCMean()).fitter(2, 0.0, 50)
+        fitter.append((10.0, 30.0))
+        model = MultiModel(PMCMean()).decode(fitter.parameters(), 2, 1)
+        assert model.constant_time_aggregates
+        assert not model.column_independent
+        assert not MultiModel(PMCMean()).column_independent
+        assert PMCMean().column_independent and Swing().column_independent
+
+
+def multi_db(columnar):
+    """A group of two series held at 10.0 and 30.0 (100 ticks each),
+    stored only through ``Multi`` models: one sub-model per column."""
+    timestamps = np.arange(100, dtype=np.int64) * 1000
+    series = [
+        TimeSeries(1, 1000, timestamps, np.full(100, 10.0)),
+        TimeSeries(2, 1000, timestamps, np.full(100, 30.0)),
+    ]
+    bases = (PMCMean(), Swing(), Gorilla())
+    config = Configuration(
+        error_bound=0.0,
+        models=tuple(f"Multi({base.name})" for base in bases),
+        columnar_read=columnar,
+    )
+    db = ModelarDB(
+        config,
+        storage=MemoryStorage(),
+        extra_models=[MultiModel(base) for base in bases],
+    )
+    db.ingest([TimeSeriesGroup(1, series)])
+    return db
+
+
+class TestSegmentOnlyAggregates:
+    """Segment-only aggregates read each member's own sub-model; they
+    once answered column 0's series for every member."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT Tid, SUM_S(*), MIN_S(*), MAX_S(*), AVG_S(*) "
+            "FROM Segment GROUP BY Tid",
+            "SELECT Tid, SUM(*), MIN(*), MAX(*), AVG(*) "
+            "FROM DataPoint GROUP BY Tid",
+        ],
+    )
+    def test_each_member_answers_its_own_values(self, columnar, sql):
+        rows = multi_db(columnar).sql(sql)
+        assert [list(row.values()) for row in rows] == [
+            [1, 1000.0, 10.0, 10.0, 10.0],
+            [2, 3000.0, 30.0, 30.0, 30.0],
+        ]
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_segment_only_matches_materialized(self, columnar):
+        db = multi_db(columnar)
+        for tid in (1, 2):
+            folded = db.sql(f"SELECT SUM(*) FROM DataPoint WHERE Tid = {tid}")
+            points = db.sql(
+                f"SELECT SUM(*) FROM DataPoint WHERE Tid = {tid} "
+                "AND Value > 0.0"
+            )
+            assert folded == points == [{"SUM(*)": 1000.0 * (2 * tid - 1)}]

@@ -76,6 +76,18 @@ class TestFitting:
         fitter, accepted = fit(swing, linear(0.0, 1.0, 60), limit=50)
         assert accepted == 50
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [[(1.0,), (1.0861723971511578e-20,)], [(513.0,), (5.39e-14,)]],
+    )
+    def test_slope_that_decodes_outside_bound_rejected(self, swing, vectors):
+        # In float64 the slope interval is exactly [-1.0, -1.0] for the
+        # first pair, and 1.0 - 1.0 decodes the tiny value as 0.0.
+        _, accepted = fit(swing, vectors, error_bound=0.0)
+        assert accepted == 1
+        fitter = swing.fitter(1, 0.0, 50)
+        assert fitter.extend(None, np.array(vectors)) == 1
+
 
 class TestEncoding:
     def test_parameters_are_eight_bytes(self, swing):

@@ -107,18 +107,19 @@ def test_scaling_round_trips_through_queries(values, scaling):
         )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Swing at bound 0 cancels a tiny value beside a large one to "
-    "0.0; remove this mark when the segment-format v2 fix lands",
-)
 @pytest.mark.parametrize(
     "values",
-    [[513.0, 5.3917380813967714e-14], [1.0, 3.5198528673411e-23]],
+    [
+        [513.0, 5.3917380813967714e-14],
+        [1.0, 3.5198528673411e-23],
+        [1.0, 1.0982115729047644e-27],
+        [1.0, 1.0861723971511578e-20],
+    ],
 )
 def test_swing_keeps_tiny_values_at_bound_zero(values):
     """The examples hypothesis drew for the round-trip property above,
-    pinned so the known bound violation is checked on every run."""
+    where Swing once decoded the tiny value beside a large one as 0.0,
+    pinned so they are checked on every run."""
     series = TimeSeries(1, 100, [0, 100], values)
     db = ModelarDB(Configuration(error_bound=0.0))
     db.ingest([series])
