@@ -32,14 +32,6 @@ from ..core.dimensions import DimensionSet
 from ..core.errors import UnsupportedQueryError
 from ..core.timeseries import TimeSeries
 
-_LEVEL_UNIT = {
-    "MINUTE": "m",
-    "HOUR": "h",
-    "DAY": "D",
-    "MONTH": "M",
-    "YEAR": "Y",
-}
-
 _REDUCTIONS = {
     "COUNT": len,
     "SUM": np.sum,
@@ -226,31 +218,23 @@ class StorageFormat(ABC):
                 for tid in targets
                 if self._dimension_rows.get(tid, {}).get(column) == value
             ]
-        from ..query.rollup import DATEPART_LEVELS, datepart_of
+        from ..query import rollup
 
-        part_level = DATEPART_LEVELS.get(level.upper())
-        walk_level = part_level if part_level else level
+        name = level.upper()
         states: dict[tuple, tuple[float, float, int]] = {}
         for tid in targets:
             timestamps, values = self._read_series(tid)
             if len(values) == 0:
                 continue
-            buckets = _calendar_buckets(timestamps, walk_level)
-            unique, inverse = np.unique(buckets, return_inverse=True)
+            if name not in rollup.TIME_LEVELS and not rollup.is_datepart(name):
+                raise UnsupportedQueryError(f"unknown time level {level!r}")
             key_base: tuple = ()
             if group_by is not None:
                 key_base += (self._dimension_rows.get(tid, {}).get(group_by),)
             if per_tid:
                 key_base += (tid,)
-            for position, bucket in enumerate(unique):
-                slice_values = values[inverse == position]
-                bucket_key = (
-                    int(bucket)
-                    if part_level is None
-                    else datepart_of(int(bucket), level.upper())
-                )
-                key = key_base + (bucket_key,)
-                _fold_bucket(states, key, slice_values)
+            for bucket_key, mask in rollup.bucket_masks(timestamps, name):
+                _fold_bucket(states, key_base + (bucket_key,), values[mask])
         return _format_rollup(states, reduce_name, level, group_by, per_tid)
 
     # ------------------------------------------------------------------
@@ -284,18 +268,6 @@ def _mask_range(
     if end is not None:
         mask &= timestamps <= end
     return timestamps[mask], values[mask]
-
-
-def _calendar_buckets(timestamps: np.ndarray, level: str) -> np.ndarray:
-    unit = _LEVEL_UNIT.get(level.upper())
-    if unit is None:
-        raise UnsupportedQueryError(f"unknown time level {level!r}")
-    moments = timestamps.astype("datetime64[ms]")
-    return (
-        moments.astype(f"datetime64[{unit}]")
-        .astype("datetime64[ms]")
-        .astype(np.int64)
-    )
 
 
 def _fold_bucket(

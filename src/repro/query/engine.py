@@ -30,7 +30,7 @@ from ..models.registry import ModelRegistry
 from ..obs import SpanRecorder, annotate, get_registry, span
 from ..storage.interface import Storage
 from ..storage.scan import Table
-from . import analytics
+from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
 from .cache import CONSTANT, EXACT, FOREIGN, SegmentCache
 from .columnar import compare as _compare
@@ -66,14 +66,6 @@ __all__ = [
     "parse_timestamp",
     "EXPLAIN_ANALYZE_RE",
 ]
-
-_NUMPY_LEVEL_UNIT = {
-    "MINUTE": "m",
-    "HOUR": "h",
-    "DAY": "D",
-    "MONTH": "M",
-    "YEAR": "Y",
-}
 
 #: ``EXPLAIN ANALYZE <statement>`` prefix (the profiled execution mode).
 EXPLAIN_ANALYZE_RE = re.compile(
@@ -503,21 +495,23 @@ class QueryEngine:
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        Columnar mode folds every non-CUBE statement one partition at a
-        time (:meth:`_SegmentFold.table`): numpy passes over the fold
-        columns pinned on the partition's resident table, then one
-        ordered accumulate per group key. The row engine and CUBE
-        rollups visit one segment at a time (:meth:`_SegmentFold.segment`):
-        a column-independent model's slice aggregates are memoised and
-        *shared* across the group's member series, so aggregate work per
-        segment is O(1) in the group size — the benefit of executing
-        queries on models representing multiple time series. Both add
-        the same floats in the same (segment, column) order, so their
-        results are bit-identical.
+        Columnar mode folds every statement one partition at a time
+        (:meth:`_SegmentFold.table`): numpy passes over the fold columns
+        pinned on the partition's resident table, CUBE calls splitting
+        the rows at calendar boundaries first, then one ordered
+        accumulate per group key (and bucket). The row engine visits one
+        segment at a time (:meth:`_SegmentFold.segment`), walking CUBE
+        buckets with :func:`rollup_segment`: a column-independent
+        model's slice aggregates are memoised and *shared* across the
+        group's member series, so aggregate work per segment is O(1) in
+        the group size — the benefit of executing queries on models
+        representing multiple time series. Both add the same floats in
+        the same (segment, column, bucket) order, so their results are
+        bit-identical.
         """
         fold = _SegmentFold(self, query, plan)
         request = plan.scan_request()
-        if columnar and all(spec.level is None for spec in fold.specs):
+        if columnar:
             for table in self._storage.tables(request):
                 fold.table(table)
         else:
@@ -752,6 +746,10 @@ class _SegmentFold:
     ) -> None:
         metadata = engine.metadata
         self.specs = [_CallSpec.from_call(call) for call in _calls(query)]
+        # Spec positions per CUBE level; None holds the simple calls.
+        self.levels: dict[str | None, list[int]] = {}
+        for index, spec in enumerate(self.specs):
+            self.levels.setdefault(spec.level, []).append(index)
         self.group_columns = _validated_group_by(query, metadata)
         self.plan = plan
         self.scalings = metadata.scalings()
@@ -824,7 +822,7 @@ class _SegmentFold:
                 )
 
     def table(self, table: Table) -> None:
-        """Fold one partition from its fold columns (no CUBE calls).
+        """Fold one partition from its fold columns.
 
         One vectorised clip, slice aggregate and scaling division over
         the table's rows, each model's own formulas elementwise: PMC-Mean
@@ -834,6 +832,12 @@ class _SegmentFold:
         calls, in place. Each group key then folds its cells in
         (segment, column) order — the row engine's order of Python
         ``+``, ``min`` and ``max``.
+
+        A CUBE level first splits the rows into one piece per calendar
+        bucket (:func:`rollup.split_at_boundaries`, :func:`rollup_segment`'s
+        walk for every row at once) and runs the same formulas over the
+        pieces. Each (group key, bucket) then folds its cells in
+        (segment, column, piece) order, the row engine's order again.
         """
         plan = self.plan
         keep = np.ones(len(table.segments), dtype=bool)
@@ -870,7 +874,7 @@ class _SegmentFold:
             rows, selected, first, last = (
                 rows[used], selected[used], first[used], last[used]
             )
-            full = full[used]
+            starts, full = starts[used], full[used]
         full = (first == 0) & (last == full)
         kinds = columns.kinds[rows]
         counts = last - first + 1
@@ -882,27 +886,31 @@ class _SegmentFold:
         # planes (sum, min, max) and columns this statement reads, or —
         # for a whole segment read on every column — all of them, kept
         # in the row's memo. COUNT alone reads no plane, so exact rows
-        # then only look their model up, as the row engine does.
-        planes = sorted(
-            {_PLANES[spec.aggregate.name] for spec in self.specs} - {None}
-        )
-        every = all(wanted) and bool(planes)
+        # then only look their model up, as the row engine does. A CUBE
+        # call slices pieces of the row: it looks the model up once for
+        # them all, and the memo is neither read nor kept.
+        simple = self.levels.get(None, [])
+        cube = len(simple) < len(self.specs)
+        planes = self._planes(simple)
+        every = all(wanted) and bool(planes) and not cube
         exact = np.flatnonzero(~folded)
-        memos = []
+        memos, models = [], []
         for row, index, whole in zip(
             exact.tolist(), rows[exact].tolist(), full[exact].tolist()
         ):
-            memo = columns.exact.get(index) if whole else None
+            memo = columns.exact.get(index) if whole and not cube else None
             if memo is not None:
                 hits += 1
-            elif whole and every:
-                memo = self._slices(
-                    table.segments[index], (0, int(last[row])), None, (0, 1, 2)
-                )
-                columns.exact[index] = memo
             else:
-                span = (int(first[row]), int(last[row]))
-                memo = self._slices(table.segments[index], span, wanted, planes)
+                segment = table.segments[index]
+                model = self.cache.model_of(segment)
+                models.append((model, segment))
+                span = [(int(first[row]), int(last[row]))]
+                if whole and every:
+                    memo = _slices(model, segment, span, None, (0, 1, 2))
+                    columns.exact[index] = memo
+                else:
+                    memo = _slices(model, segment, span, wanted, planes)
             memos.append(memo)
         self.cache.count_pinned_hits(int(hits))
         constant_time = folded
@@ -913,79 +921,145 @@ class _SegmentFold:
             (selected.sum(axis=1) * counts)[constant_time].sum()
         )
 
-        if planes:
-            intercept, slope = columns.parameters[rows].T
-            head, tail = intercept + slope * first, intercept + slope * last
-            constant = kinds == CONSTANT
-            cells = np.zeros((3, len(rows)))
-            if 0 in planes:
-                cells[0] = np.where(
-                    constant, intercept * counts, counts * (head + tail) / 2.0
-                )
-            if 1 in planes:
-                cells[1] = np.where(
-                    constant, intercept, np.where(tail < head, tail, head)
-                )
-            if 2 in planes:
-                cells[2] = np.where(
-                    constant, intercept, np.where(tail > head, tail, head)
-                )
-            scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
-            scaled = cells[:, :, np.newaxis] / scalings
-            if memos:
-                blocks = np.concatenate([memo[0] for memo in memos], axis=1)
-                scaled[:, exact] = blocks / scalings
-
+        parameters = columns.parameters[rows]
+        scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
         keys: dict[tuple, list[int]] = {}
         for position in np.flatnonzero(wanted).tolist():
             keys.setdefault(self._key(tids[position]), []).append(position)
-        for key, positions in keys.items():
-            mask = selected[:, positions]
-            if not mask.any():
-                continue
-            ticks = int(mask.sum(axis=1) @ counts)
+        if simple:
             if planes:
-                sums, mins, maxs = scaled[:, :, positions][:, mask]  # row-major
-            states = self._states(key)
-            for index, spec in enumerate(self.specs):
-                name, state = spec.aggregate.name, states[index]
-                if name == "COUNT":
-                    states[index] = state + ticks
-                elif name == "SUM":
-                    states[index] = _ordered_sum(state, sums)
-                elif name == "AVG":
-                    states[index] = (
-                        _ordered_sum(state[0], sums), state[1] + ticks
-                    )
-                else:
-                    # Python's own min/max over the row engine's sequence:
-                    # the first of equal extremes wins (the sign of a zero).
-                    extremes = (mins if name == "MIN" else maxs).tolist()
-                    if state is not None:
-                        extremes.insert(0, state)
-                    states[index] = (min if name == "MIN" else max)(extremes)
+                scaled = _cells(planes, kinds, parameters, first, last) / scalings
+                if memos:
+                    blocks = np.concatenate([memo[0] for memo in memos], axis=1)
+                    scaled[:, exact] = blocks / scalings
+            for key, positions in keys.items():
+                mask = selected[:, positions]
+                if not mask.any():
+                    continue
+                ticks = int(mask.sum(axis=1) @ counts)
+                cells = scaled[:, :, positions][:, mask] if planes else None
+                states = self._states(key)
+                for index in simple:
+                    aggregate = self.specs[index].aggregate
+                    states[index] = _fold(aggregate, states[index], ticks, cells)
 
-    def _slices(
-        self,
-        segment,
-        span: tuple[int, int],
-        wanted: list[bool] | None,
-        planes: Sequence[int],
-    ) -> tuple[np.ndarray, bool]:
-        """An exact row's slice sums, minima and maxima (``planes`` of
-        them) over ``span`` for its ``wanted`` group columns (None: all),
-        as a ``(3, 1, len(tids))`` block, from its own model (Gorilla
-        through the LRU); and whether that model is constant-time."""
-        model = self.cache.model_of(segment)
-        tids = segment.group_tids
-        calls = (model.slice_sum, model.slice_min, model.slice_max)
-        cells = np.zeros((3, 1, len(tids)))
-        for column, tid in enumerate(segment.member_tids):
-            position = tids.index(tid)
-            if wanted is None or wanted[position]:
-                for plane in planes:
-                    cells[plane, 0, position] = calls[plane](*span, column)
-        return cells, model.constant_time_aggregates
+        for level, indices in self.levels.items():
+            if level is None:
+                continue
+            row, lo, hi, buckets = rollup.split_at_boundaries(
+                starts, first, last, step, level
+            )
+            chosen = selected[row]
+            planes = self._planes(indices)
+            if planes:
+                scaled = _cells(planes, kinds[row], parameters[row], lo, hi) / scalings
+                # An exact row's pieces are one run, sliced from the model
+                # it looked up once.
+                begins = np.searchsorted(row, exact, "left").tolist()
+                ends = np.searchsorted(row, exact, "right").tolist()
+                for (model, segment), begin, end in zip(models, begins, ends):
+                    span = np.stack((lo[begin:end], hi[begin:end]), 1).tolist()
+                    cells = _slices(model, segment, span, wanted, planes)[0]
+                    scaled[:, begin:end] = cells / scalings
+            for key, positions in keys.items():
+                pieces, members = np.nonzero(chosen[:, positions])
+                if not len(pieces):
+                    continue
+                # Bucket by bucket, in the order the row engine's walks
+                # reach a bucket: (segment, column, piece).
+                order = np.lexsort((pieces, members, row[pieces], buckets[pieces]))
+                pieces, members = pieces[order], members[order]
+                keyed = buckets[pieces]
+                cuts = (np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist()
+                begins, ends = [0, *cuts], [*cuts, len(pieces)]
+                ticks = np.add.reduceat((hi - lo + 1)[pieces], begins).tolist()
+                if planes:
+                    cells = scaled[:, pieces, np.asarray(positions)[members]]
+                states = self.cubes.setdefault(key, [{} for _ in self.specs])
+                for bucket, begin, end, count in zip(
+                    keyed[begins].tolist(), begins, ends, ticks
+                ):
+                    part = cells[:, begin:end] if planes else None
+                    for index in indices:
+                        aggregate = self.specs[index].aggregate
+                        state = states[index].get(bucket, aggregate.initialize())
+                        states[index][bucket] = _fold(aggregate, state, count, part)
+
+    def _planes(self, indices: Sequence[int]) -> list[int]:
+        """The slice-aggregate planes the calls at ``indices`` read."""
+        names = {self.specs[index].aggregate.name for index in indices}
+        return sorted({_PLANES[name] for name in names} - {None})
+
+
+def _cells(
+    planes: Sequence[int],
+    kinds: np.ndarray,
+    parameters: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+) -> np.ndarray:
+    """Constant and line rows' slice sums, minima and maxima (``planes``
+    of them) over ``first..last``, as a ``(3, rows, 1)`` block (zeros for
+    exact rows)."""
+    intercept, slope = parameters.T
+    head, tail = intercept + slope * first, intercept + slope * last
+    counts = last - first + 1
+    constant = kinds == CONSTANT
+    cells = np.zeros((3, len(kinds)))
+    if 0 in planes:
+        cells[0] = np.where(
+            constant, intercept * counts, counts * (head + tail) / 2.0
+        )
+    if 1 in planes:
+        cells[1] = np.where(
+            constant, intercept, np.where(tail < head, tail, head)
+        )
+    if 2 in planes:
+        cells[2] = np.where(
+            constant, intercept, np.where(tail > head, tail, head)
+        )
+    return cells[:, :, np.newaxis]
+
+
+def _slices(
+    model,
+    segment,
+    spans: Sequence[Sequence[int]],
+    wanted: list[bool] | None,
+    planes: Sequence[int],
+) -> tuple[np.ndarray, bool]:
+    """An exact row's slice sums, minima and maxima (``planes`` of them)
+    over each of ``spans`` for its ``wanted`` group columns (None: all),
+    as a ``(3, len(spans), len(tids))`` block, from its own model (the
+    caller looked it up); and whether that model is constant-time."""
+    tids = segment.group_tids
+    calls = (model.slice_sum, model.slice_min, model.slice_max)
+    cells = np.zeros((3, len(spans), len(tids)))
+    for column, tid in enumerate(segment.member_tids):
+        position = tids.index(tid)
+        if wanted is None or wanted[position]:
+            for plane in planes:
+                for piece, span in enumerate(spans):
+                    cells[plane, piece, position] = calls[plane](*span, column)
+    return cells, model.constant_time_aggregates
+
+
+def _fold(aggregate: Aggregate, state, ticks: int, cells: np.ndarray | None):
+    """``state`` after ``ticks`` points whose slice sums, minima and
+    maxima are ``cells``, in the row engine's order."""
+    name = aggregate.name
+    if name == "COUNT":
+        return state + ticks
+    if name == "SUM":
+        return _ordered_sum(state, cells[0])
+    if name == "AVG":
+        return _ordered_sum(state[0], cells[0]), state[1] + ticks
+    # Python's own min/max over the row engine's sequence: the first of
+    # equal extremes wins (the sign of a zero).
+    extremes = cells[1 if name == "MIN" else 2].tolist()
+    if state is not None:
+        extremes.insert(0, state)
+    return (min if name == "MIN" else max)(extremes)
 
 
 #: The slice-aggregate plane each Segment View aggregate folds.
@@ -1428,26 +1502,10 @@ def _numpy_rollup(
     timestamps: np.ndarray,
     values: np.ndarray,
 ) -> None:
-    """Vectorised calendar bucketing for Data Point View rollups."""
-    from .rollup import DATEPART_LEVELS, datepart_of
-
-    part_level = DATEPART_LEVELS.get(spec.level)
-    unit = _NUMPY_LEVEL_UNIT[part_level if part_level else spec.level]
-    moments = timestamps.astype("datetime64[ms]")
-    starts = (
-        moments.astype(f"datetime64[{unit}]")
-        .astype("datetime64[ms]")
-        .astype(np.int64)
-    )
-    unique, inverse = np.unique(starts, return_inverse=True)
-    for position, bucket in enumerate(unique):
-        slice_values = values[inverse == position]
-        state = _numpy_state(spec.aggregate, slice_values)
-        key = (
-            int(bucket)
-            if part_level is None
-            else datepart_of(int(bucket), spec.level)
-        )
+    """Vectorised calendar bucketing for Data Point View rollups: one
+    state per interval, merged into its key's bucket in time order."""
+    for key, mask in rollup.bucket_masks(timestamps, spec.level):
+        state = _numpy_state(spec.aggregate, values[mask])
         existing = buckets.get(key)
         if existing is None:
             buckets[key] = state

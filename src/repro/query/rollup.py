@@ -2,11 +2,15 @@
 
 Because every segment stores its start and end time, aggregates per
 calendar interval (``CUBE_SUM_HOUR``, ``CUBE_AVG_MONTH``, ...) are
-computed directly on segments — no join with a time dimension table. A
-segment is walked boundary by boundary: the first partial interval runs
-from the segment start to the next level boundary, whole intervals
-follow, and the final interval includes the segment's inclusive end time
-(segments are stored disconnected, Fig. 12).
+computed directly on segments — no join with a time dimension table. The
+row engine walks a segment boundary by boundary (:func:`rollup_segment`):
+the first partial interval runs from the segment start to the next level
+boundary, whole intervals follow, and the final interval includes the
+segment's inclusive end time (segments are stored disconnected, Fig. 12).
+The columnar engine splits a whole partition's rows at the same
+boundaries at once (:func:`split_at_boundaries`), from
+:func:`bucket_numbers` and :func:`bucket_bounds`; Data Point View
+rollups and the baselines bucket points with them (:func:`bucket_masks`).
 
 Timestamps are milliseconds since the Unix epoch, interpreted in UTC.
 """
@@ -16,7 +20,9 @@ from __future__ import annotations
 import calendar
 import datetime as dt
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterator
+
+import numpy as np
 
 from ..core.errors import QueryError
 from ..models.base import FittedModel
@@ -40,6 +46,19 @@ DATEPART_LEVELS = {
 }
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+
+#: The numpy ``datetime64`` unit each level counts its buckets in; a
+#: DatePart level counts in its walked interval level's.
+_NUMPY_LEVEL_UNIT = {
+    "MINUTE": "datetime64[m]",
+    "HOUR": "datetime64[h]",
+    "DAY": "datetime64[D]",
+    "MONTH": "datetime64[M]",
+    "YEAR": "datetime64[Y]",
+}
+_NUMPY_LEVEL_UNIT.update(
+    (part, _NUMPY_LEVEL_UNIT[walk]) for part, walk in DATEPART_LEVELS.items()
+)
 
 
 def is_datepart(level: str) -> bool:
@@ -110,6 +129,86 @@ def next_boundary(bucket_start_ms: int, level: str) -> int:
         days = 366 if calendar.isleap(moment.year) else 365
         return bucket_start_ms + days * 86_400_000
     raise QueryError(f"unknown time level {level!r}")
+
+
+def bucket_numbers(timestamps: np.ndarray, level: str) -> np.ndarray:
+    """Per timestamp, the number of the interval containing it, counted
+    from the epoch in the level's unit (a DatePart level's walked
+    interval level): :func:`floor_to_level` for every timestamp at once.
+    numpy floors pre-1970 timestamps as ``floor_to_level`` does."""
+    moments = timestamps.astype("datetime64[ms]")
+    return moments.astype(_NUMPY_LEVEL_UNIT[level]).astype(np.int64)
+
+
+def bucket_bounds(
+    numbers: np.ndarray, level: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per bucket number: the bucket's start, the next boundary
+    (:func:`next_boundary`) and the bucket key — its start, or for a
+    DatePart level its calendar component (:func:`datepart_of`)."""
+    moments = numbers.astype(_NUMPY_LEVEL_UNIT[level])
+    starts = moments.astype("datetime64[ms]").astype(np.int64)
+    ends = (moments + 1).astype("datetime64[ms]").astype(np.int64)
+    if level == "HOUROFDAY":
+        keys = numbers % 24
+    elif level == "DAYOFWEEK":
+        keys = (numbers + 3) % 7  # 1970-01-01 was a Thursday
+    elif level == "DAYOFMONTH":
+        month_starts = moments.astype("datetime64[M]").astype(moments.dtype)
+        keys = numbers - month_starts.astype(np.int64) + 1
+    elif level == "MONTHOFYEAR":
+        keys = numbers % 12 + 1
+    else:
+        keys = starts
+    return starts, ends, keys
+
+
+def bucket_masks(
+    timestamps: np.ndarray, level: str
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each bucket the timestamps fall into, in time order: its key and
+    the mask of its timestamps."""
+    unique, inverse = np.unique(bucket_numbers(timestamps, level), return_inverse=True)
+    for position, key in enumerate(bucket_bounds(unique, level)[2].tolist()):
+        yield key, inverse == position
+
+
+def split_at_boundaries(
+    starts: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+    sampling_interval: int,
+    level: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rollup_segment`'s walk for many rows at once.
+
+    Row ``i`` starts at ``starts[i]`` and is clipped to the inclusive
+    indices ``first[i]..last[i]``. Returns one entry per non-empty
+    (row, bucket) piece, in row order and time order within a row: the
+    row, the piece's inclusive first and last index, and its bucket key.
+    A row's ``k``-th candidate is its ``k``-th bucket, or the bucket of
+    its ``k``-th tick when that is later; with min(buckets spanned,
+    ticks) candidates a row reaches every bucket holding a tick, and
+    never enumerates the empty buckets between sparse ticks.
+    """
+    step = sampling_interval
+    head = bucket_numbers(starts + first * step, level)
+    spanned = bucket_numbers(starts + last * step, level) - head + 1
+    pieces = np.minimum(spanned, last - first + 1)
+    row = np.repeat(np.arange(len(starts)), pieces)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    origin, first, last = starts[row], first[row], last[row]
+    numbers = np.maximum(
+        head[row] + offset,
+        bucket_numbers(origin + (first + offset) * step, level),
+    )
+    bucket_starts, bucket_ends, keys = bucket_bounds(numbers, level)
+    first = np.maximum(first, -((origin - bucket_starts) // step))
+    last = np.minimum(last, (bucket_ends - 1 - origin) // step)
+    # Empty buckets go, and so do repeats (several ticks of one bucket).
+    keep = first <= last
+    keep[1:] &= (numbers[1:] != numbers[:-1]) | (row[1:] != row[:-1])
+    return row[keep], first[keep], last[keep], keys[keep]
 
 
 def rollup_segment(

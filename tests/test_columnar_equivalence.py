@@ -10,13 +10,16 @@ Swing and Gorilla segments, with lossy error bounds, scaled correlated
 groups, and time ranges that cut segments mid-way. A second corpus
 aims at the columnar Segment View fold, which answers a partition at a
 time: gaps, long partitions, dimension keys spanning columns, ``AS OF``
-over revisions, and ``Multi`` models.
+over revisions, and ``Multi`` models; its CUBE part places stores across
+calendar boundaries, so that segments (Gorilla ones too) straddle every
+level's buckets and one segment feeds a DatePart component twice.
 
 Uses hypothesis when installed; otherwise the same properties run over
 seeded pseudo-random cases so the suite stays meaningful without the
 dependency.
 """
 
+import datetime as dt
 import random
 import struct
 
@@ -38,6 +41,12 @@ from repro.models.multi import MultiModel
 from repro.models.pmc_mean import PMCMean
 from repro.models.registry import ModelRegistry
 from repro.query.engine import QueryEngine
+from repro.query.rollup import (
+    DATEPART_LEVELS,
+    TIME_LEVELS,
+    datepart_of,
+    floor_to_level,
+)
 from repro.storage import SegmentScan, TimeSeriesRecord
 
 try:
@@ -204,9 +213,9 @@ FOLD_TICKS = 900  # with a length limit of 4: >= 200 segments per partition
 MULTI_MODELS = ("Multi(PMC)", "Swing", "Multi(Gorilla)")
 
 
-def build_fold_db(seed, bound, multi=False):
-    """A three-series group and a singleton, shaped against the
-    partition fold's shortcuts:
+def build_fold_db(seed, bound, multi=False, origin=START, si=SI, revise=True):
+    """A three-series group and a singleton, sampled every ``si`` ms
+    from ``origin``, shaped against the partition fold's shortcuts:
 
     * series 2 has NaN gaps, so member Tids change inside a partition;
     * a length limit of 4 gives every partition >= 200 segments, so the
@@ -214,9 +223,9 @@ def build_fold_db(seed, bound, multi=False):
     * a ``Park`` dimension puts columns 0 and 2 of the group and the
       singleton under one key, so a key interleaves columns and
       partitions;
-    * a correction revises the group's partition after ``mark``, so
-      reads resolve revisions, and ``AS OF mark`` reads a transient
-      table;
+    * unless ``revise`` is false, a correction revises the group's
+      partition after ``mark``, so reads resolve revisions, and ``AS OF
+      mark`` reads a transient table;
     * ``multi`` stores column-dependent ``Multi`` rows beside Swing.
 
     Returns the database, the pre-correction knowledge time and the
@@ -227,7 +236,7 @@ def build_fold_db(seed, bound, multi=False):
     for _ in range(6):
         start = rng.randrange(FOLD_TICKS - 30)
         matrix[start:start + rng.randint(1, 25), 1] = np.nan
-    timestamps = np.arange(FOLD_TICKS, dtype=np.int64) * SI + START
+    timestamps = np.arange(FOLD_TICKS, dtype=np.int64) * si + origin
     park = Dimension("Location", ["Park"])
     for tid, member in zip((1, 2, 3, 4), ("north", "south", "north", "north")):
         park.assign(tid, (member,))
@@ -235,11 +244,11 @@ def build_fold_db(seed, bound, multi=False):
     # which one group model fits.
     series = [
         TimeSeries(
-            tid, SI, timestamps, matrix[:, tid - 1] / scaling, scaling=scaling
+            tid, si, timestamps, matrix[:, tid - 1] / scaling, scaling=scaling
         )
         for tid, scaling in zip((1, 2, 3), (1.0, 3.0, 0.7))
     ]
-    solo = TimeSeries(4, SI, timestamps, matrix[:, 0] * 1.5 + 3.0)
+    solo = TimeSeries(4, si, timestamps, matrix[:, 0] * 1.5 + 3.0)
     config = Configuration(
         error_bound=bound,
         model_length_limit=4,
@@ -253,12 +262,13 @@ def build_fold_db(seed, bound, multi=False):
     )
     db.ingest([TimeSeriesGroup(1, series), TimeSeriesGroup(2, [solo])])
     mark = db.knowledge_time()
-    db.correct(
-        [
-            (1, int(timestamps[rng.randrange(FOLD_TICKS)]), 7.25),
-            (3, int(timestamps[rng.randrange(FOLD_TICKS)]), None),
-        ]
-    )
+    if revise:
+        db.correct(
+            [
+                (1, int(timestamps[rng.randrange(FOLD_TICKS)]), 7.25),
+                (3, int(timestamps[rng.randrange(FOLD_TICKS)]), None),
+            ]
+        )
     return db, mark, timestamps
 
 
@@ -278,6 +288,89 @@ def fold_queries(timestamps):
         f"WHERE TS >= {lo} AND TS <= {hi}",
         "SELECT Park, SUM(*), AVG(*) FROM DataPoint "
         "WHERE Tid IN (2, 3, 4) GROUP BY Park",
+    ]
+
+
+def utc(year, month, day, hour=0, minute=0, second=0):
+    """Epoch milliseconds of a UTC wall-clock time."""
+    moment = dt.datetime(
+        year, month, day, hour, minute, second, tzinfo=dt.timezone.utc
+    )
+    return int(moment.timestamp() * 1000)
+
+
+HOUR_MS, DAY_MS = 3_600_000, 86_400_000
+
+#: Where the CUBE corpus's stores sit on the calendar: (origin, SI,
+#: levels). With at most four ticks a segment, segments straddle the
+#: named levels' boundaries. A level much finer than a segment is left
+#: out where the row engine, which walks every bucket, would crawl.
+CALENDARS = {
+    # 5 hours over Dec 31 -> Jan 1: every level's boundary at once.
+    "new-year": (
+        utc(2015, 12, 31, 23, 40, 10),
+        20_000,
+        (*TIME_LEVELS, *DATEPART_LEVELS),
+    ),
+    # A 7-minute SI under MINUTE, over Feb 29 2016 and a month end.
+    "coarse": (
+        utc(2016, 2, 27, 5, 3),
+        420_000,
+        ("MINUTE", "HOUR", "DAY", "MONTH", "DAYOFMONTH"),
+    ),
+    # From before 1970; a segment spans a day: HOUROFDAY twice.
+    "daily": (
+        utc(1969, 12, 20, 7),
+        8 * HOUR_MS,
+        ("HOUR", "DAY", "MONTH", "YEAR", "HOUROFDAY", "DAYOFWEEK"),
+    ),
+    # A segment spans a week: DAYOFWEEK twice.
+    "weekly": (utc(2019, 6, 1, 3), 56 * HOUR_MS, ("DAY", "DAYOFWEEK")),
+    # A segment spans a 30-day month: DAYOFMONTH twice.
+    "monthly": (utc(2016, 1, 5), 10 * DAY_MS, ("MONTH", "DAYOFMONTH")),
+    # From 1950; a segment spans a year: MONTHOFYEAR twice.
+    "yearly": (
+        utc(1950, 3, 5, 11),
+        122 * DAY_MS,
+        ("MONTH", "YEAR", "MONTHOFYEAR"),
+    ),
+}
+
+#: The DatePart component one segment of a calendar feeds twice.
+FED_TWICE = {
+    "daily": "HOUROFDAY",
+    "weekly": "DAYOFWEEK",
+    "monthly": "DAYOFMONTH",
+    "yearly": "MONTHOFYEAR",
+}
+
+
+def rollup_queries(timestamps, si, levels):
+    """Every aggregate at every level of a calendar, then mixed select
+    lists, two levels in one statement, and bounds that cut a bucket
+    inside a segment."""
+    lo = int(timestamps[2]) + si // 2
+    hi = int(timestamps[-3]) - si // 3
+    cut = f"TS >= {lo} AND TS <= {hi}"
+    queries = [
+        "SELECT Park, "
+        + ", ".join(
+            f"CUBE_{name}_{level}(*)"
+            for name in ("SUM", "AVG", "MIN", "MAX", "COUNT")
+        )
+        + " FROM Segment GROUP BY Park"
+        for level in levels
+    ]
+    fine, coarse = levels[0], levels[-1]
+    return queries + [
+        f"SELECT Tid, SUM_S(*), CUBE_MAX_{fine}(*), COUNT_S(*), "
+        f"CUBE_AVG_{fine}(*) FROM Segment GROUP BY Tid",
+        f"SELECT CUBE_SUM_{fine}(*), MIN_S(*), CUBE_MIN_{coarse}(*) "
+        "FROM Segment",
+        f"SELECT Park, CUBE_SUM_{coarse}(*), CUBE_MIN_{fine}(*) "
+        f"FROM Segment WHERE {cut} GROUP BY Park",
+        f"SELECT CUBE_AVG_{fine}(*), CUBE_COUNT_{fine}(*) FROM DataPoint "
+        f"WHERE Tid IN (2, 3, 4) AND {cut}",
     ]
 
 
@@ -335,6 +428,82 @@ class TestPartitionFold:
         rows = engine.sql(sql, columnar=True)
         assert_rows_bit_identical(rows, engine.sql(sql, columnar=False))
         assert [row["COUNT_S(*)"] for row in rows] == [15, 15, 5]
+        sql = (
+            "SELECT Tid, CUBE_SUM_MINUTE(*), CUBE_MAX_DAYOFWEEK(*) "
+            "FROM Segment GROUP BY Tid"
+        )
+        assert_rows_bit_identical(
+            engine.sql(sql, columnar=True), engine.sql(sql, columnar=False)
+        )
+
+    @pytest.mark.parametrize("multi", (False, True))
+    @pytest.mark.parametrize("bound", (0.0, 5.0))
+    @pytest.mark.parametrize("calendar", CALENDARS)
+    def test_rollups_match_the_row_engine_bitwise(self, calendar, bound, multi):
+        origin, si, levels = CALENDARS[calendar]
+        db, mark, timestamps = build_fold_db(
+            len(calendar), bound, multi, origin=origin, si=si
+        )
+        for sql in rollup_queries(timestamps, si, levels):
+            for as_of in (None, mark):
+                assert_rows_bit_identical(
+                    db.query(sql, as_of=as_of, columnar=True),
+                    db.query(sql, as_of=as_of, columnar=False),
+                    context=f"{calendar} bound={bound} multi={multi} "
+                    f"as_of={as_of}: {sql}",
+                )
+
+    @pytest.mark.parametrize("calendar", CALENDARS)
+    def test_the_rollup_corpus_reaches_the_corner_cases(self, calendar):
+        origin, si, levels = CALENDARS[calendar]
+        db, _, _ = build_fold_db(len(calendar), 0.0, origin=origin, si=si)
+        segments = list(db.storage.scan(SegmentScan()))
+        fine = levels[0]
+        gorilla = db.registry.mid_of("Gorilla")
+        assert any(
+            segment.mid == gorilla
+            and floor_to_level(segment.start_time, fine)
+            != floor_to_level(segment.end_time, fine)
+            for segment in segments
+        )
+        level = FED_TWICE.get(calendar)
+        if level is not None:
+            walk = DATEPART_LEVELS[level]
+            floors = [
+                (floor_to_level(s.start_time, walk), floor_to_level(s.end_time, walk))
+                for s in segments
+            ]
+            assert any(
+                a != b and datepart_of(a, level) == datepart_of(b, level)
+                for a, b in floors
+            )
+
+    def test_a_rollup_counts_what_the_row_engine_counts(self):
+        """On a fresh handle each, a CUBE statement over Gorilla rows
+        split into several buckets looks every model up once, as the row
+        engine does: equal cache hits and misses, scanned segments and
+        skipped points, cold and then warm. (Without revisions: fold
+        columns also decode the rows a revision shadows.)"""
+        origin, si, _ = CALENDARS["new-year"]
+        sql = (
+            "EXPLAIN ANALYZE SELECT Park, CUBE_SUM_MINUTE(*), MAX_S(*), "
+            "CUBE_COUNT_HOUR(*) FROM Segment GROUP BY Park"
+        )
+        counted = {}
+        for columnar in (True, False):
+            db, _, _ = build_fold_db(0, 0.0, origin=origin, si=si, revise=False)
+            for _ in range(2):
+                report = db.query(sql, columnar=columnar)
+                (scan,) = [r["detail"] for r in report if r["stage"] == "scan"]
+                fields = dict(item.split("=") for item in scan.split())
+                assert fields.pop("mode") == ("columnar" if columnar else "row")
+                counted.setdefault(columnar, []).append(fields)
+            counted[columnar].append(db.engine.cache_stats)
+        assert counted[True] == counted[False]
+        cold, warm, (hits, misses) = counted[True]
+        assert int(cold["decoded"]) == misses > 0
+        assert int(warm["cache_hits"]) == hits == int(cold["segments"]) > 200
+        assert int(cold["rows_skipped_materialization"]) > 0
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,11 @@ ingestion.
 
 The columnar fold reads each partition's published table and builds (or
 extends) fold columns on it without a lock, while ingestion publishes
-new tables beside it. Four reader threads run aggregates while one
-thread ingests slices, under a 10 µs switch interval: every answer must
-equal the same statement on a fresh handle at some published prefix,
-and the long-lived handle must end where a fresh handle starts.
+new tables beside it. Four reader threads run aggregates (an hourly
+rollup among them) while one thread ingests slices, under a 10 µs
+switch interval: every answer must equal the same statement on a fresh
+handle at some published prefix, and the long-lived handle must end
+where a fresh handle starts.
 """
 
 import random
@@ -16,12 +17,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Configuration, MemoryStorage, ModelarDB, TimeSeries
+from repro import (
+    Configuration,
+    Dimension,
+    DimensionSet,
+    MemoryStorage,
+    ModelarDB,
+    TimeSeries,
+)
 from repro.core.group import TimeSeriesGroup
 
 from .test_columnar_equivalence import make_values
 
-SI = 100
+SI = 10_000  # 480 ticks: 80 minutes, over an hour boundary
 START = 1_600_000_000_000
 SLICES = 16
 SLICE_TICKS = 30
@@ -37,7 +45,16 @@ STATEMENTS = [
     f"SELECT SUM(*), COUNT(*) FROM DataPoint WHERE {GROUP}",
     f"SELECT AVG_S(*), MIN_S(*) FROM Segment WHERE {GROUP} AND TS >= {MIDDLE}",
     "SELECT SUM_S(*), MAX_S(*) FROM Segment WHERE Tid = 4",
+    f"SELECT Park, CUBE_AVG_HOUR(*) FROM Segment WHERE {GROUP} GROUP BY Park",
 ]
+
+
+def dimensions():
+    """A ``Park`` dimension that puts series 1 and 3 under one key."""
+    park = Dimension("Location", ["Park"])
+    for tid, member in zip((1, 2, 3, 4), ("north", "south", "north", "north")):
+        park.assign(tid, (member,))
+    return DimensionSet([park])
 
 
 def slices():
@@ -69,7 +86,7 @@ def prefix_answers(cut):
     """Each statement's answer on a fresh handle after slices 0..k."""
     expected = []
     for count in range(1, len(cut) + 1):
-        db = ModelarDB(CONFIG, storage=MemoryStorage())
+        db = ModelarDB(CONFIG, storage=MemoryStorage(), dimensions=dimensions())
         for part in cut[:count]:
             db.ingest(part)
         expected.append(answers(db))
@@ -81,7 +98,11 @@ def test_concurrent_folds_answer_a_published_prefix(tmp_path, backend):
     cut = slices()
     expected = prefix_answers(cut)
     directory = tmp_path / "store"
-    db = ModelarDB.open(None if backend == "memory" else directory, config=CONFIG)
+    db = ModelarDB.open(
+        None if backend == "memory" else directory,
+        config=CONFIG,
+        dimensions=dimensions(),
+    )
     db.ingest(cut[0])
     seen: list[tuple[str, list[dict]]] = []
     errors: list[BaseException] = []
@@ -128,5 +149,7 @@ def test_concurrent_folds_answer_a_published_prefix(tmp_path, backend):
     assert final == expected[-1]
     if backend == "file":
         db.close()
-        with ModelarDB.open(directory, config=CONFIG) as fresh:
+        with ModelarDB.open(
+            directory, config=CONFIG, dimensions=dimensions()
+        ) as fresh:
             assert answers(fresh) == final

@@ -1,7 +1,9 @@
 """Time-dimension rollups (Algorithm 6, Fig. 12)."""
 
 import datetime as dt
+import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import QueryError
@@ -9,12 +11,20 @@ from repro.models.pmc_mean import FittedPMCMean
 from repro.models.swing import FittedSwing
 from repro.query.aggregates import aggregate_by_name
 from repro.query.rollup import (
+    DATEPART_LEVELS,
+    TIME_LEVELS,
+    bucket_bounds,
+    bucket_numbers,
+    datepart_of,
     floor_to_level,
     format_bucket,
     next_boundary,
     parse_cube_function,
     rollup_segment,
+    split_at_boundaries,
 )
+
+ALL_LEVELS = (*TIME_LEVELS, *DATEPART_LEVELS)
 
 
 def ms(year, month, day, hour=0, minute=0, second=0):
@@ -59,6 +69,86 @@ class TestBoundaries:
             floor_to_level(0, "FORTNIGHT")
         with pytest.raises(QueryError):
             next_boundary(0, "FORTNIGHT")
+
+
+def calendar_corners():
+    """Seeded random timestamps from 1901 to 2099 plus the calendar's
+    corners, each with its neighbours one millisecond either side."""
+    rng = random.Random(11)
+    corners = [
+        ms(1969, 12, 31, 23, 59, 59),  # negative milliseconds
+        ms(1900, 3, 1),
+        ms(1970, 1, 1),
+        ms(2016, 2, 29),
+        ms(2016, 2, 29, 23, 59, 59),
+        ms(2016, 3, 1),
+        ms(2015, 12, 31, 23, 59, 59),
+        ms(2016, 1, 1),
+        ms(2016, 12, 31, 12),
+        ms(2017, 1, 1),
+    ]
+    corners += [ms(2016, month, 1) for month in range(1, 13)]
+    timestamps = [rng.randint(ms(1901, 1, 1), ms(2099, 1, 1)) for _ in range(2000)]
+    for corner in corners:
+        timestamps += [corner - 1, corner, corner + 1]
+    return np.array(timestamps, dtype=np.int64)
+
+
+class TestVectorisedCalendar:
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_equals_the_scalar_calendar(self, level):
+        timestamps = calendar_corners()
+        walk = DATEPART_LEVELS.get(level, level)
+        starts, ends, keys = bucket_bounds(bucket_numbers(timestamps, level), level)
+        floors = [floor_to_level(t, walk) for t in timestamps.tolist()]
+        assert starts.tolist() == floors
+        assert ends.tolist() == [next_boundary(f, walk) for f in floors]
+        if level in DATEPART_LEVELS:
+            assert keys.tolist() == [datepart_of(f, level) for f in floors]
+        else:
+            assert keys.tolist() == floors
+
+    @pytest.mark.parametrize("si", (1_000, 61_000, 7 * 3_600_000, 40 * 86_400_000))
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_split_walks_like_rollup_segment(self, level, si):
+        """Sampling intervals finer and coarser than the level, clipped
+        rows: the pieces are exactly the (first, last) calls
+        rollup_segment makes, keyed like its states."""
+        rng = random.Random(f"{level}/{si}")
+        walk = DATEPART_LEVELS.get(level, level)
+        calls = []
+
+        class Recorder:
+            def initialize(self):
+                return None
+
+            def iterate(self, state, model, first, last, column, scaling):
+                calls.append((first, last))
+
+        origins = rng.sample(calendar_corners().tolist(), 150)
+        firsts, lasts, expected = [], [], []
+        for origin in origins:
+            length = rng.randint(1, 40)
+            first = rng.randrange(length)
+            last = rng.randrange(first, length)
+            firsts.append(first)
+            lasts.append(last)
+            calls.clear()
+            rollup_segment({}, Recorder(), None, origin, si, first, last, 0, 1.0, level)
+            # A call's first index is the first tick of its bucket.
+            floors = [floor_to_level(origin + a * si, walk) for a, _ in calls]
+            if level in DATEPART_LEVELS:
+                floors = [datepart_of(floor, level) for floor in floors]
+            expected.append([(*call, key) for call, key in zip(calls, floors)])
+        row, first, last, keys = split_at_boundaries(
+            np.array(origins), np.array(firsts), np.array(lasts), si, level
+        )
+        got = [[] for _ in origins]
+        for index, *piece in zip(
+            row.tolist(), first.tolist(), last.tolist(), keys.tolist()
+        ):
+            got[index].append(tuple(piece))
+        assert got == expected
 
 
 class TestParseCube:
