@@ -13,18 +13,25 @@ Reproduces the distribution properties the evaluation relies on:
 
 The one master that applies these steps is
 :class:`~repro.shard.ShardedCluster`; the cluster classes differ only in
-placement and in the transport that reaches the workers.
+the transport that reaches the workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from ..core.group import TimeSeriesGroup
 from ..query.analytics import merge_analytics_rows
 from ..query.engine import PartialResult, merge_partial_results
 from ..query.sql import Condition, Query, tid_values
+
+if TYPE_CHECKING:
+    from ..shard.map import SegmentBatch
+
+#: What placement weighs and pins: a raw group (``ingest``) or a stored
+#: group's segments (``load_storage``).
+Placeable = TypeVar("Placeable", bound="TimeSeriesGroup | SegmentBatch")
 
 
 @dataclass
@@ -81,30 +88,37 @@ def restrict_query_to_tids(query: Query, owned: set[int]) -> Query | None:
 
 
 def assign_least_loaded(
-    groups: Sequence[TimeSeriesGroup],
-    owned: dict[int, Sequence[TimeSeriesGroup]],
-) -> list[tuple[TimeSeriesGroup, int]]:
-    """Least-loaded assignment (Section 3.1): biggest groups first, each
-    to the worker with the fewest data points so far.
+    items: Sequence[Placeable],
+    owned: dict[int, Sequence[TimeSeriesGroup | SegmentBatch]],
+) -> list[tuple[Placeable, int]]:
+    """Least-loaded assignment (Section 3.1): heaviest items first, each
+    to the shard with the fewest data points so far.
 
-    ``owned`` maps every eligible worker id to the groups it already
-    holds; ties go to the first worker in its order. Returns the
-    (group, worker id) placements in assignment order.
+    ``items`` are raw groups or stored groups' segment batches, both
+    weighed in data points; ``owned`` maps every eligible shard to the
+    items it already holds, and ties go to the first shard in its
+    order. Returns the (item, shard) placements in assignment order.
     """
     loads = {
-        worker_id: sum(_points(group) for group in held)
-        for worker_id, held in owned.items()
+        shard: sum(_points(item) for item in held)
+        for shard, held in owned.items()
     }
     placed = []
-    for group in sorted(groups, key=_points, reverse=True):
+    for item in sorted(items, key=_points, reverse=True):
         target = min(loads, key=loads.__getitem__)
-        loads[target] += _points(group)
-        placed.append((group, target))
+        loads[target] += _points(item)
+        placed.append((item, target))
     return placed
 
 
-def _points(group: TimeSeriesGroup) -> int:
-    return sum(len(ts) for ts in group)
+def _points(item: TimeSeriesGroup | SegmentBatch) -> int:
+    """A group's raw points, or the points a batch's segments represent
+    (every revision counted)."""
+    if isinstance(item, TimeSeriesGroup):
+        return sum(len(ts) for ts in item)
+    return sum(
+        segment.length * segment.n_columns for segment in item.segments
+    )
 
 
 def gather(

@@ -6,13 +6,14 @@ admission control, result cache) with the cluster's worker fleet
 retry/backoff RPC, fault plans) into a tier that scales query serving
 across workers:
 
-* :class:`ShardMap` — consistent-hash Gid→shard placement plus mutable
-  shard→workers replica tuples, with an explicit generation number;
+* :class:`ShardMap` — mutable shard→workers replica tuples, with an
+  explicit generation number;
 * :class:`ShardedCluster` — the one cluster master (also behind
   :class:`~repro.cluster.ProcessCluster` and the simulator
-  :class:`~repro.cluster.ModelarCluster`): concurrent scatter-gather
-  over the fleet, retry-on-replica query failover, shard recovery and
-  metric-driven rebalancing;
+  :class:`~repro.cluster.ModelarCluster`): least-loaded placement of
+  whole groups on shards, concurrent scatter-gather over the fleet,
+  retry-on-replica query failover, shard recovery and metric-driven
+  rebalancing;
 * :class:`ShardedDispatcher` — plugs the tier under
   :class:`~repro.server.QueryServer` with the result cache keyed by
   the shard-map generation;

@@ -1,16 +1,12 @@
-"""The shard map: consistent-hash Gid placement with generation numbers.
+"""The shard map: shard → owning workers, with generation numbers.
 
-The sharded serving tier's single routing authority. A
-:class:`ShardMap` answers two questions:
-
-* ``shard_of(gid)`` — which *logical shard* a group belongs to. Decided
-  by consistent hashing over a virtual-node ring (``blake2b``, so the
-  placement is deterministic across processes and Python hash
-  randomization), which keeps the Gid→shard function stable as workers
-  come and go: logical placement never depends on cluster membership.
-* ``owners_of(shard)`` — which *workers* currently hold that shard's
-  replicas, primary first. Ownership is the mutable half: failover and
-  rebalancing rewrite owner tuples, never the ring.
+The sharded serving tier's single routing authority for *workers*:
+``owners_of(shard)`` names the workers currently holding a shard's
+replicas, primary first. Which shard a group lives on is not the map's
+business: the tier pins each group whole to the least-loaded shard
+(Section 3.1) and remembers the choice in the payloads it retains per
+shard. Failover and rebalancing rewrite owner tuples and move whole
+shards, never single groups.
 
 Every ownership mutation bumps ``generation``. The front-end snapshots
 the generation per query and the result cache keys its validity on it,
@@ -26,23 +22,11 @@ segments (rather than raw series) to a shard's owners.
 
 from __future__ import annotations
 
-import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..core.errors import ClusterError
 from ..core.segment import SegmentGroup
 from ..storage.schema import TimeSeriesRecord
-
-#: Virtual nodes per shard on the hash ring. 64 keeps the expected
-#: imbalance across shards under a few percent for realistic Gid counts.
-_VNODES = 64
-
-
-def _ring_hash(text: str) -> int:
-    """Deterministic 64-bit ring position (stable across processes)."""
-    digest = hashlib.blake2b(text.encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 @dataclass
@@ -69,14 +53,13 @@ class SegmentBatch:
 
 
 class ShardMap:
-    """Gid → shard (immutable ring) and shard → workers (mutable)."""
+    """Shard → workers (mutable), versioned by ``generation``."""
 
     def __init__(
         self,
         n_shards: int,
         n_workers: int,
         n_replicas: int = 1,
-        vnodes: int = _VNODES,
     ) -> None:
         if n_shards < 1:
             raise ClusterError("a shard map needs at least one shard")
@@ -88,13 +71,6 @@ class ShardMap:
         self.n_workers = n_workers
         self.n_replicas = min(n_replicas, n_workers)
         self.generation = 0
-        ring = sorted(
-            (_ring_hash(f"shard-{shard}-vnode-{vnode}"), shard)
-            for shard in range(n_shards)
-            for vnode in range(vnodes)
-        )
-        self._ring_keys = tuple(entry[0] for entry in ring)
-        self._ring_shards = tuple(entry[1] for entry in ring)
         #: shard id -> worker ids holding a replica, primary first.
         #: The initial spread staggers replicas round-robin so every
         #: worker is primary for ~n_shards/n_workers shards.
@@ -105,15 +81,6 @@ class ShardMap:
             )
             for shard in range(n_shards)
         }
-
-    # -- logical placement (never changes) -----------------------------
-    def shard_of(self, gid: int) -> int:
-        """The shard owning ``gid``: first ring vnode at or after its
-        hash, wrapping at the top of the ring."""
-        index = bisect_right(self._ring_keys, _ring_hash(f"gid-{gid}"))
-        if index == len(self._ring_keys):
-            index = 0
-        return self._ring_shards[index]
 
     # -- physical ownership (failover / rebalancing mutate this) -------
     def owners_of(self, shard: int) -> tuple[int, ...]:
@@ -171,7 +138,7 @@ class ShardMap:
             },
         }
 
-    # Pure-data pickling: the ring tuples, owner dict and counters are
+    # Pure-data pickling: the owner dict and counters are
     # all plain builtins, so the default protocol works; these exist to
     # make the contract explicit (and RPR004-checkable).
     def __getstate__(self) -> dict:

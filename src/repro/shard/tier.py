@@ -7,20 +7,20 @@ in :attr:`ShardedCluster.fleet_type`: the
 retry/backoff RPC, injectable faults) or the
 :class:`~repro.cluster.fleet.InProcessFleet` (nodes as objects, called
 inline and in turn). The measured
-:class:`~repro.cluster.ProcessCluster` is this class with one shard per
-worker, one replica and least-loaded group placement, and the
-simulator :class:`~repro.cluster.ModelarCluster` is ``ProcessCluster``
-over in-process workers, so every cluster shares one ingest path, one
-scatter, one retry/recovery path and one query report. It is built to
-sit under a multi-threaded front-end:
+:class:`~repro.cluster.ProcessCluster` is this class under its own
+name, and the simulator :class:`~repro.cluster.ModelarCluster` is it
+over in-process workers, so every cluster shares one placement rule,
+one ingest path, one scatter, one retry/recovery path and one query
+report. It is built to sit under a multi-threaded front-end:
 
 * the fleet serialises one request/reply exchange per worker at a time,
   so *different* queries proceed concurrently as long as they touch
   different workers (and interleave at exchange granularity on shared
   ones);
-* placement is delegated to a :class:`~repro.shard.map.ShardMap` —
-  consistent-hash Gid→shard, explicit shard→owners replica tuples, and
-  a generation number bumped on every ownership change;
+* each group is pinned whole to the least-loaded of ``n_workers``
+  shards (Section 3.1), and a :class:`~repro.shard.map.ShardMap` holds
+  the shard→owners replica tuples with a generation number bumped on
+  every ownership change;
 * the scatter-gather planner routes each query to the shards whose
   Tids it can touch (via
   :func:`~repro.cluster.cluster.restrict_query_to_tids`, whose
@@ -42,14 +42,13 @@ sit under a multi-threaded front-end:
   owner tuple, and bumps the map generation so cached results computed
   under the old placement die with it.
 
-Data reaches workers on two paths sharing the same shard→owner map:
-raw series are partitioned into groups, placed on shards by
-:meth:`ShardedCluster._place` (consistent hashing here, least-loaded in
-``ProcessCluster``) and ingested on every owner of their shard
-(``assign`` + ``ingest``, both idempotent), while an existing store is
-sharded by shipping per-Gid :class:`SegmentBatch` payloads
-(``load_segments``, idempotent by batch id) — the clean cut between
-logical series and physical placement.
+Data reaches workers on two paths sharing one placement rule,
+:meth:`ShardedCluster._place` (least-loaded in data points), and one
+shard→owner map: raw series are partitioned into groups and ingested on
+every owner of their shard (``assign`` + ``ingest``, both idempotent),
+while an existing store is sharded by shipping per-Gid
+:class:`SegmentBatch` payloads (``load_segments``, idempotent by batch
+id) — the clean cut between logical series and physical placement.
 """
 
 from __future__ import annotations
@@ -75,6 +74,8 @@ from ..storage.scan import SegmentScan
 from ..storage.schema import records_for_groups
 from ..cluster.cluster import (
     ClusterIngestReport,
+    Placeable,
+    assign_least_loaded,
     gather,
     restrict_query_to_tids,
 )
@@ -124,22 +125,25 @@ class ShardedCluster:
     Parameters
     ----------
     n_workers:
-        Workers to start.
-    n_shards:
-        Logical shards on the consistent-hash ring (defaults to
-        ``n_workers`` — one primary shard per worker).
-    n_replicas:
-        Workers holding each shard (capped at ``n_workers``). With
-        ``>= 2`` a worker crash during a query is survived by asking
-        the next replica.
+        Workers to start, and shards to place groups on (shard *i*
+        starts on worker *i*).
     config / dimensions:
         The configuration every worker runs with and the dimensions
         recorded with every ingested group (defaults: ``Configuration()``
         and an empty set).
+    group_compression:
+        Partition ingested series into correlated groups (``False``:
+        one group per series).
     storage_root / fault_plan / timeout / max_retries / backoff /
     start_method:
         Handed to the fleet (see
-        :class:`~repro.cluster.fleet.WorkerFleet`).
+        :class:`~repro.cluster.fleet.WorkerFleet`). A worker whose
+        process died, or that stays silent through every retry, is
+        retired and its shards recovered on survivors.
+    n_replicas:
+        Workers holding each shard (capped at ``n_workers``). With
+        ``>= 2`` a worker crash during a query is survived by asking
+        the next replica.
     auto_rebalance_interval:
         When ``> 0``, :meth:`maybe_rebalance` (called by the serving
         dispatcher after each query) runs :meth:`rebalance` every that
@@ -156,8 +160,6 @@ class ShardedCluster:
     def __init__(
         self,
         n_workers: int,
-        n_shards: int | None = None,
-        n_replicas: int = 1,
         config: Configuration | None = None,
         dimensions: DimensionSet | None = None,
         storage_root: str | os.PathLike | None = None,
@@ -167,6 +169,8 @@ class ShardedCluster:
         max_retries: int = 3,
         backoff: float = 2.0,
         start_method: str | None = None,
+        *,
+        n_replicas: int = 1,
         auto_rebalance_interval: int = 0,
         rebalance_threshold: float = 2.0,
     ) -> None:
@@ -177,11 +181,7 @@ class ShardedCluster:
             dimensions if dimensions is not None else DimensionSet()
         )
         self.group_compression = group_compression
-        self.map = ShardMap(
-            n_shards if n_shards is not None else n_workers,
-            n_workers,
-            n_replicas,
-        )
+        self.map = ShardMap(n_workers, n_workers, n_replicas)
         self.auto_rebalance_interval = auto_rebalance_interval
         self.rebalance_threshold = rebalance_threshold
         #: Serialises placement mutations (retire/recover/rebalance) and
@@ -336,12 +336,19 @@ class ShardedCluster:
         )
 
     def _place(
-        self, groups: Sequence[TimeSeriesGroup]
-    ) -> list[tuple[TimeSeriesGroup, int]]:
-        """An ingest batch's (group, shard) placements: consistent
-        hashing, so a Gid's shard never depends on membership. The one
-        hook :class:`~repro.cluster.ProcessCluster` overrides."""
-        return [(group, self.map.shard_of(group.gid)) for group in groups]
+        self, items: Sequence[Placeable]
+    ) -> list[tuple[Placeable, int]]:
+        """Pin each group (raw or stored) whole to the least-loaded
+        shard, loads counted in data points over what every shard
+        already holds."""
+        owned = {
+            shard: [
+                *self._shard_groups.get(shard, ()),
+                *self._shard_batches.get(shard, ()),
+            ]
+            for shard in range(self.map.n_shards)
+        }
+        return assign_least_loaded(items, owned)
 
     # -- data shipping -------------------------------------------------
     def _ship_shard(self, worker_id: int, shard: int) -> float:
@@ -391,9 +398,8 @@ class ShardedCluster:
         records_by_gid: dict[int, list] = {}
         for record in storage.time_series():
             records_by_gid.setdefault(record.gid, []).append(record)
-        shards: set[int] = set()
-        for gid in sorted(metadata):
-            batch = SegmentBatch(
+        batches = [
+            SegmentBatch(
                 batch_id=f"gid-{gid}",
                 gid=gid,
                 time_series=records_by_gid.get(gid, []),
@@ -406,7 +412,10 @@ class ShardedCluster:
                     )
                 ),
             )
-            shard = self.map.shard_of(gid)
+            for gid in sorted(metadata)
+        ]
+        shards: set[int] = set()
+        for batch, shard in self._place(batches):
             self._shard_batches.setdefault(shard, []).append(batch)
             self._shard_tids.setdefault(shard, set()).update(batch.tids)
             shards.add(shard)

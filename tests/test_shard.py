@@ -1,7 +1,8 @@
 """The sharded serving tier (tier 1).
 
 Fast coverage of the pieces that do not need a full fleet: the shard
-map's placement/ownership/generation contract, the idempotent
+map's ownership/generation contract, least-loaded placement over
+in-process workers on both data paths, the idempotent
 ``SegmentBatch`` payload, mid-run (``after``) fault arming, the
 client's transport retry surface, and one small 2-process smoke of the
 scatter-gather path (ingest and load paths, dispatcher caching, cache
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Configuration, ModelarDB, TimeSeries
+from repro.cluster import InProcessFleet, ModelarCluster
 from repro.cluster.faults import Fault, FaultPlan, FaultPlanError
 from repro.core.errors import ClusterError
 from repro.server import ConnectionLostError, ServerClient
@@ -42,28 +44,6 @@ def make_series(n_series: int = 4, n_points: int = 200) -> list[TimeSeries]:
 # The shard map
 # ----------------------------------------------------------------------
 class TestShardMap:
-    def test_placement_is_deterministic_across_instances(self):
-        a = ShardMap(n_shards=8, n_workers=4)
-        b = ShardMap(n_shards=8, n_workers=4)
-        for gid in range(1, 200):
-            assert a.shard_of(gid) == b.shard_of(gid)
-
-    def test_placement_is_independent_of_membership(self):
-        """The ring hashes shards, not workers: Gid->shard never moves
-        when the worker count changes."""
-        few = ShardMap(n_shards=8, n_workers=2)
-        many = ShardMap(n_shards=8, n_workers=16)
-        for gid in range(1, 200):
-            assert few.shard_of(gid) == many.shard_of(gid)
-
-    def test_placement_is_roughly_balanced(self):
-        shard_map = ShardMap(n_shards=4, n_workers=4)
-        counts = {shard: 0 for shard in range(4)}
-        for gid in range(1, 401):
-            counts[shard_map.shard_of(gid)] += 1
-        assert all(count > 0 for count in counts.values())
-        assert max(counts.values()) < 4 * min(counts.values())
-
     def test_initial_owners_stagger_replicas(self):
         shard_map = ShardMap(n_shards=4, n_workers=4, n_replicas=2)
         assert shard_map.owners_of(0) == (0, 1)
@@ -114,8 +94,65 @@ class TestShardMap:
         clone = pickle.loads(pickle.dumps(shard_map))
         assert clone.generation == shard_map.generation
         assert clone.owners_of(1) == (2, 0)
-        for gid in range(1, 100):
-            assert clone.shard_of(gid) == shard_map.shard_of(gid)
+
+
+# ----------------------------------------------------------------------
+# Placement: one least-loaded rule on both data paths
+# ----------------------------------------------------------------------
+class InProcessTier(ShardedCluster):
+    """The tier with its defaults, over workers called in this process."""
+
+    fleet_type = InProcessFleet
+
+
+def uneven_series(n_series: int = 7) -> list[TimeSeries]:
+    """Series of distinct lengths, so groups weigh differently."""
+    return [
+        TimeSeries(
+            tid, 100, np.arange(50 * tid) * 100,
+            np.float32(np.sin(np.arange(50 * tid) / 7.0) + tid),
+        )
+        for tid in range(1, n_series + 1)
+    ]
+
+
+class TestPlacement:
+    CONFIG = Configuration(error_bound=0.0)
+
+    def test_simulator_and_tier_place_alike(self):
+        series = uneven_series()
+        with ModelarCluster(2, self.CONFIG) as simulated:
+            simulated.ingest(series)
+            expected = simulated.assignment()
+        with InProcessTier(2, config=self.CONFIG) as tier:
+            tier.ingest(series)
+            assert tier.assignment() == expected
+
+    def test_load_storage_balances_every_shard(self):
+        """Stored groups land on every shard, and the heaviest and the
+        lightest shard differ by at most one group's data points."""
+        source = ModelarDB(self.CONFIG)
+        source.ingest(uneven_series())
+        gid_of = {
+            record.tid: record.gid
+            for record in source.storage.time_series()
+        }
+        weight: dict[int, int] = {}
+        for row in source.sql(
+            "SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid"
+        ):
+            gid = gid_of[row["Tid"]]
+            weight[gid] = weight.get(gid, 0) + row["COUNT(*)"]
+        n_shards = 3
+        assert len(weight) >= n_shards
+        with InProcessTier(n_shards, config=self.CONFIG) as tier:
+            tier.load_storage(source.storage)
+            loads = [
+                sum(weight[gid] for gid in gids)
+                for gids in tier.assignment().values()
+            ]
+        assert len(loads) == n_shards and min(loads) > 0
+        assert max(loads) - min(loads) <= max(weight.values())
 
 
 class TestSegmentBatch:

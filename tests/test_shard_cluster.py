@@ -240,16 +240,14 @@ class TestCrashFailover:
             fault_plan=plan, timeout=3.0,
         ) as tier:
             tier.ingest(ep.series)
-            orphans = [
-                shard for shard in tier._shard_tids
-                if tier.map.owners_of(shard) == (1,)
-            ]
+            # Least-loaded placement populates every shard, so worker 1
+            # always holds one for the crash to orphan.
+            assert sorted(tier._shard_tids) == [0, 1, 2, 3]
             rows, report = tier.sql(STATEMENTS[0])
             assert rows == baseline[STATEMENTS[0]]
             assert tier.lost_workers == 1
-            if orphans:  # worker 1 owned a populated shard
-                assert report.recovered_shards
-                assert tier.map.orphaned_shards() == []
+            assert report.recovered_shards == [1]
+            assert tier.map.orphaned_shards() == []
             for sql in STATEMENTS[1:]:
                 assert tier.sql(sql)[0] == baseline[sql]
 
