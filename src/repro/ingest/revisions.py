@@ -33,7 +33,7 @@ from ..core.errors import IngestionError
 from ..core.segment import SegmentGroup
 from ..models.registry import ModelRegistry
 from ..storage.interface import Storage
-from ..storage.scan import SegmentScan, resolve_visible
+from ..storage.scan import SegmentScan
 from .generator import SegmentGenerator
 from .ingestor import record_ingest_stats
 from .stats import IngestStats
@@ -108,9 +108,7 @@ def _revise_group(
 ) -> list[SegmentGroup]:
     """Re-fit one group's affected window; returns unstamped revisions."""
     si = sampling_interval
-    visible = list(
-        storage.scan(SegmentScan(gids=(gid,)))
-    )
+    visible = [s for t in storage.tables(SegmentScan(gids=(gid,))) for s in t.segments]
     start = min(timestamp for _, timestamp, _ in corrections)
     end = max(timestamp for _, timestamp, _ in corrections)
     affected = _affected_fixpoint(visible, start, end)

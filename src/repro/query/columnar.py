@@ -29,7 +29,7 @@ from ..storage.interface import Storage
 from .cache import SegmentCache
 from .rewriter import RewrittenQuery
 from .sql import Condition, parse_timestamp
-from .views import _clip
+from .views import clipped
 
 
 class SegmentBlock(NamedTuple):
@@ -67,6 +67,9 @@ def iter_blocks(
 ) -> Iterator[SegmentBlock]:
     """Decode every planned segment into a block, one storage pass.
 
+    Segments and their index ranges come from
+    :func:`~repro.query.views.clipped`: one vectorised clip per
+    partition table, blocks in Gid, then append order.
     Grid restoration happens here: each block carries the int64
     timestamps ``start + index * SI`` for its clipped index range —
     the same arithmetic the row path applies per point. Decode count
@@ -76,11 +79,7 @@ def iter_blocks(
     tids = set(plan.tids)
     blocks = 0
     decode_seconds = 0.0
-    for segment in storage.scan(plan.scan_request()):
-        clipped = _clip(segment, plan.start_time, plan.end_time)
-        if clipped is None:
-            continue
-        first, last = clipped
+    for segment, first, last in clipped(storage, plan):
         series = tuple(
             (column, tid)
             for column, tid in enumerate(segment.member_tids)

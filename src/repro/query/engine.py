@@ -57,7 +57,7 @@ from .sql import (
     parse_timestamp,
     tid_values,
 )
-from .views import DataPointRow, DataPointView, SegmentView, _clip
+from .views import DataPointRow, DataPointView, SegmentView
 
 __all__ = [
     "QueryEngine",
@@ -495,13 +495,15 @@ class QueryEngine:
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        Columnar mode folds every statement one partition at a time
-        (:meth:`_SegmentFold.table`): numpy passes over the fold columns
-        pinned on the partition's resident table, CUBE calls splitting
-        the rows at calendar boundaries first, then one ordered
-        accumulate per group key (and bucket). The row engine visits one
-        segment at a time (:meth:`_SegmentFold.segment`), walking CUBE
-        buckets with :func:`rollup_segment`: a column-independent
+        Both engines take one partition table at a time
+        (:meth:`_SegmentFold.table`) and clip it once
+        (:meth:`~repro.storage.scan.Table.clip`). Columnar mode folds
+        every statement with numpy passes over the fold columns pinned
+        on the partition's resident table, CUBE calls splitting the rows
+        at calendar boundaries first, then one ordered accumulate per
+        group key (and bucket). The row engine visits the clipped rows
+        one segment at a time (:meth:`_SegmentFold.segment`), walking
+        CUBE buckets with :func:`rollup_segment`: a column-independent
         model's slice aggregates are memoised and *shared* across the
         group's member series, so aggregate work per segment is O(1) in
         the group size — the benefit of executing queries on models
@@ -510,14 +512,8 @@ class QueryEngine:
         bit-identical.
         """
         fold = _SegmentFold(self, query, plan)
-        request = plan.scan_request()
-        if columnar:
-            for table in self._storage.tables(request):
-                fold.table(table)
-        else:
-            for segment in self._storage.scan(request):
-                fold.scanned += 1
-                fold.segment(segment)
+        for table in self._storage.tables(plan.scan_request()):
+            fold.table(table, columnar)
         registry = get_registry()
         registry.counter("query.segments_scanned_total").inc(fold.scanned)
         registry.counter("query.rows_skipped_materialization_total").inc(
@@ -772,17 +768,15 @@ class _SegmentFold:
             self.simple[key] = states
         return states
 
-    def segment(self, segment) -> None:
-        """Fold one segment's selected member series."""
-        plan = self.plan
-        clipped = _clip(segment, plan.start_time, plan.end_time)
-        if clipped is None:
+    def segment(self, segment, first: int, last: int) -> None:
+        """Fold one segment's selected member series over its clipped
+        index range (none when ``first > last``)."""
+        if first > last:
             return
-        first, last = clipped
         selected = [
             (column, tid)
             for column, tid in enumerate(segment.member_tids)
-            if tid in plan.tids
+            if tid in self.plan.tids
         ]
         if not selected:
             return
@@ -821,7 +815,7 @@ class _SegmentFold:
                     spec.level,
                 )
 
-    def table(self, table: Table) -> None:
+    def table(self, table: Table, columnar: bool) -> None:
         """Fold one partition from its fold columns.
 
         One vectorised clip, slice aggregate and scaling division over
@@ -838,34 +832,23 @@ class _SegmentFold:
         walk for every row at once) and runs the same formulas over the
         pieces. Each (group key, bucket) then folds its cells in
         (segment, column, piece) order, the row engine's order again.
+
+        The row engine (``columnar`` false) and a partition holding a
+        ``FOREIGN`` row fold the clipped rows one :meth:`segment` at a
+        time instead.
         """
         plan = self.plan
-        keep = np.ones(len(table.segments), dtype=bool)
-        if plan.start_time is not None:
-            keep &= table.ends >= plan.start_time
-        if plan.end_time is not None:
-            keep &= table.starts <= plan.end_time
-        rows = np.flatnonzero(keep)
+        rows, first, last = table.clip(plan.start_time, plan.end_time)
         self.scanned += len(rows)
         if not len(rows):
             return
-        columns, decoded = self.cache.fold_columns(table)
-        if (columns.kinds[rows] == FOREIGN).any():
-            for row in rows.tolist():
-                self.segment(table.segments[row])
+        columns, decoded = (
+            self.cache.fold_columns(table) if columnar else (None, None)
+        )
+        if columns is None or (columns.kinds[rows] == FOREIGN).any():
+            for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+                self.segment(table.segments[row], lo, hi)
             return
-        # views._clip, every row at once.
-        starts, ends = table.starts[rows], table.ends[rows]
-        step = columns.sampling_interval
-        first = np.zeros(len(rows), dtype=np.int64)
-        last = full = (ends - starts) // step
-        if plan.start_time is not None:
-            late = plan.start_time > starts
-            first[late] = -(-(plan.start_time - starts[late]) // step)
-        if plan.end_time is not None:
-            last = np.where(
-                plan.end_time < ends, (plan.end_time - starts) // step, full
-            )
         tids = columns.tids
         wanted = [tid in plan.tids for tid in tids]
         selected = columns.members[rows] & wanted & (first <= last)[:, None]
@@ -874,8 +857,8 @@ class _SegmentFold:
             rows, selected, first, last = (
                 rows[used], selected[used], first[used], last[used]
             )
-            starts, full = starts[used], full[used]
-        full = (first == 0) & (last == full)
+        starts, step = table.starts[rows], columns.sampling_interval
+        full = (first == 0) & (last == (table.ends[rows] - starts) // step)
         kinds = columns.kinds[rows]
         counts = last - first + 1
         folded = kinds != EXACT

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..core.segment import SegmentRow, explode
+from ..core.segment import SegmentGroup, SegmentRow, explode
 from ..models.base import FittedModel
 from ..storage.interface import Storage
 from .cache import SegmentCache
@@ -43,6 +43,19 @@ class DataPointRow(NamedTuple):
     dimensions: dict[str, str]
 
 
+def clipped(
+    storage: Storage, plan: RewrittenQuery
+) -> Iterator[tuple[SegmentGroup, int, int]]:
+    """Every planned segment holding a tick inside the query interval,
+    with its inclusive model index range, in Gid then append order: one
+    :meth:`~repro.storage.scan.Table.clip` per partition table."""
+    for table in storage.tables(plan.scan_request()):
+        rows, first, last = table.clip(plan.start_time, plan.end_time)
+        for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+            if lo <= hi:
+                yield table.segments[row], lo, hi
+
+
 class SegmentView:
     """Model-level access to stored segments."""
 
@@ -61,11 +74,7 @@ class SegmentView:
         scalings = self._metadata.scalings()
         dimension_rows = self._metadata.dimension_rows()
         tids = set(plan.tids)
-        for segment in self._storage.scan(plan.scan_request()):
-            clipped = _clip(segment, plan.start_time, plan.end_time)
-            if clipped is None:
-                continue
-            first, last = clipped
+        for segment, first, last in clipped(self._storage, plan):
             model = None
             for row in explode(segment, scalings, dimension_rows, tids):
                 if model is None:
@@ -117,19 +126,3 @@ class DataPointView:
             )
             yield row, timestamps, values[first:last + 1]
 
-
-def _clip(
-    segment, start_time: int | None, end_time: int | None
-) -> tuple[int, int] | None:
-    """Inclusive model index range of the segment within [start, end]."""
-    first = 0
-    last = segment.length - 1
-    si = segment.sampling_interval
-    if start_time is not None and start_time > segment.start_time:
-        offset = start_time - segment.start_time
-        first = -(-offset // si)  # ceiling division
-    if end_time is not None and end_time < segment.end_time:
-        last = (end_time - segment.start_time) // si
-    if first > last:
-        return None
-    return first, last

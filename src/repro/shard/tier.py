@@ -406,11 +406,13 @@ class ShardedCluster:
                 model_table=model_table,
                 # Every revision ships, stamps intact, so shard replicas
                 # answer AS OF exactly like the source store.
-                segments=list(
-                    storage.scan(
+                segments=[
+                    s
+                    for t in storage.tables(
                         SegmentScan(gids=(gid,), all_revisions=True)
                     )
-                ),
+                    for s in t.segments
+                ],
             )
             for gid in sorted(metadata)
         ]

@@ -2,14 +2,17 @@
 
 The engine is storage-agnostic: any backend implementing
 :class:`Storage` can hold the three tables of Fig. 6. Predicate
-push-down happens at :meth:`Storage.scan`: the query processor hands
-down a typed :class:`~repro.storage.scan.SegmentScan` request — Gids
-(after Tid/member rewriting), the time interval, and the ``AS OF``
-knowledge-time bound — so backends skip irrelevant partitions instead
-of filtering in the engine. Both shipped backends keep one resident
-:class:`~repro.storage.scan.Partition` per Gid, so :meth:`Storage.scan`
-and its per-partition counterpart :meth:`Storage.tables` are written
-once here; a backend supplies its Gids and partitions.
+push-down happens at :meth:`Storage.tables` and
+:meth:`~repro.storage.scan.Table.clip`: the query processor hands down a
+typed :class:`~repro.storage.scan.SegmentScan` request — Gids (after
+Tid/member rewriting), the time interval, and the ``AS OF``
+knowledge-time bound — so backends skip irrelevant partitions instead of
+filtering in the engine, and every reader clips each partition's table
+to the time interval in one vectorised call. Both shipped backends keep
+one resident :class:`~repro.storage.scan.Partition` per Gid, so
+:meth:`Storage.tables` is written once here; a backend supplies its Gids
+and partitions. :meth:`Storage.scan` is a segment-at-a-time convenience
+over the two for tests and tools.
 """
 
 from __future__ import annotations
@@ -73,24 +76,26 @@ class Storage(ABC):
         """
 
     def scan(self, request: SegmentScan) -> Iterator[SegmentGroup]:
-        """Scan segments matching a typed read request.
-
-        Latest-wins revision resolution is applied per partition (see
-        :func:`~repro.storage.scan.resolve_visible`) unless
-        ``request.all_revisions`` is set; survivors overlapping the
-        request's closed time interval are yielded in append order.
+        """The segments matching a typed read request, in Gid then
+        append order: each partition's :meth:`tables` entry clipped to
+        the request's closed time interval. A convenience for tests and
+        tools; the engine reads :meth:`tables`.
         """
         for table in self.tables(request):
-            yield from table.overlapping(request.start_time, request.end_time)
+            rows, _, _ = table.clip(request.start_time, request.end_time)
+            yield from (table.segments[row] for row in rows.tolist())
 
     def tables(self, request: SegmentScan) -> Iterator[Table]:
         """Each requested partition's :class:`~repro.storage.scan.Table`
         of survivors in Gid order, before the time interval is applied.
 
-        The batch counterpart of :meth:`scan`, for readers that work a
-        partition at a time: the resident table itself (with its fold
-        memo), or a transient one for an ``AS OF`` read of a revised
-        partition.
+        The read seam of every reader: latest-wins revision resolution
+        is applied per partition (see
+        :func:`~repro.storage.scan.resolve_visible`) unless
+        ``request.all_revisions`` is set, and the reader applies the
+        time interval with :meth:`~repro.storage.scan.Table.clip`. A
+        table is the resident one (with its fold memo), or a transient
+        one for an ``AS OF`` read of a revised partition.
         """
         for gid in request.partitions(self._gids()):
             partition = self._partition(gid)

@@ -3,12 +3,12 @@
 :class:`SegmentScan` replaces the positional/keyword filter signature
 that ``Storage.segments(...)`` had grown: one frozen request object
 carries every push-down predicate — the Gid partitions, the time
-interval, the ``AS OF`` knowledge time, a columnar-consumer hint, and
-the ``all_revisions`` escape hatch the sharded tier uses to ship whole
-revision histories. It crosses the cluster RPC boundary unchanged
-(pure ints/tuples, registered with reprolint's RPR004 rule), so the
-engine, the columnar reader, the shard tier and the baselines adapter
-all speak the same request type.
+interval, the ``AS OF`` knowledge time, and the ``all_revisions``
+escape hatch the sharded tier uses to ship whole revision histories.
+It crosses the cluster RPC boundary unchanged (pure ints/tuples,
+registered with reprolint's RPR004 rule), so the engine, the columnar
+reader, the shard tier and the baselines adapter all speak the same
+request type.
 
 :func:`resolve_visible` is the single implementation of latest-wins
 revision resolution shared by every backend: a segment is shadowed iff
@@ -22,7 +22,9 @@ pre-revision code path.
 
 :class:`Partition` is the resident table both backends keep per Gid;
 its :meth:`~Partition.table` is the single implementation turning a
-partition and a request into a :class:`Table` of survivors.
+partition and a request into a :class:`Table` of survivors, and
+:meth:`Table.clip` the single implementation of the request's time
+interval: which rows overlap it, and which model indexes of each.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ class SegmentScan:
         Knowledge-time bound: only revisions stamped at or before this
         counter value are considered when resolving latest-wins.
         ``None`` reads the latest-known state.
-    columnar:
-        Hint that the consumer decodes blocks columnar-wise; backends
-        may use it to batch reads. Never changes which segments match.
     all_revisions:
         Bypass latest-wins resolution and return every stored revision
         (the sharded tier ships whole histories with this).
@@ -64,7 +63,6 @@ class SegmentScan:
     start_time: int | None = None
     end_time: int | None = None
     as_of: int | None = None
-    columnar: bool | None = None
     all_revisions: bool = False
 
     def __post_init__(self) -> None:
@@ -124,7 +122,9 @@ def resolve_visible(
 
 @dataclass(eq=False, slots=True)
 class Table:
-    """Segments in append order with their time bounds as arrays.
+    """Segments in append order with their time bounds and sampling
+    intervals as arrays (one interval per row: a partition may hold a
+    row of another group layout).
 
     Published whole and never changed, except for ``fold``: a memo slot
     the query layer fills with per-row fold columns (see
@@ -139,6 +139,7 @@ class Table:
     segments: Sequence[SegmentGroup]
     starts: _Times
     ends: _Times
+    intervals: _Times
     fold: object = None
     source: tuple["Table", npt.NDArray[np.intp]] | None = None
 
@@ -149,6 +150,7 @@ class Table:
             segments,
             np.fromiter((s.start_time for s in segments), np.int64, count),
             np.fromiter((s.end_time for s in segments), np.int64, count),
+            np.fromiter((s.sampling_interval for s in segments), np.int64, count),
         )
 
     def survivors(self, as_of: int | None = None) -> "Table":
@@ -163,22 +165,38 @@ class Table:
             segments,
             self.starts[positions],
             self.ends[positions],
+            self.intervals[positions],
             source=(self, positions),
         )
 
-    def overlapping(
+    def clip(
         self, start: int | None, end: int | None
-    ) -> Sequence[SegmentGroup]:
-        """Rows intersecting the closed interval, in append order."""
-        if start is None and end is None:
-            return self.segments
+    ) -> tuple[npt.NDArray[np.intp], _Times, _Times]:
+        """The rows intersecting the closed interval, in ascending order,
+        and each one's inclusive model index range inside it.
+
+        ``first`` is the row's first tick at or after ``start`` (ceiling
+        division), ``last`` its last tick at or before ``end`` (floor
+        division). A row that overlaps the interval but holds no tick in
+        it comes back with ``first > last``; readers skip it.
+        """
         keep = np.ones(len(self.segments), dtype=bool)
         if start is not None:
             keep &= self.ends >= start
         if end is not None:
             keep &= self.starts <= end
-        segments = self.segments
-        return [segments[index] for index in np.flatnonzero(keep).tolist()]
+        rows = np.flatnonzero(keep)
+        starts, ends = self.starts[rows], self.ends[rows]
+        intervals = self.intervals[rows]
+        first = np.zeros(len(rows), dtype=np.int64)
+        last = (ends - starts) // intervals
+        # Only rows the bound cuts are rounded, so an out-of-range bound
+        # never meets int64 arithmetic.
+        if start is not None and (late := starts < start).any():
+            first[late] = -((starts[late] - start) // intervals[late])
+        if end is not None and (early := ends > end).any():
+            last[early] = (end - starts[early]) // intervals[early]
+        return rows, first, last
 
 
 class Partition:
@@ -216,6 +234,7 @@ class Partition:
             [*rows.segments, *segments],
             np.concatenate((rows.starts, added.starts)),
             np.concatenate((rows.ends, added.ends)),
+            np.concatenate((rows.intervals, added.intervals)),
             rows.fold,
         )
         self._published = (

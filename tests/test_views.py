@@ -1,16 +1,20 @@
 """Segment/Data Point views: clipping, decoding, vectorised access."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.core import Configuration, SegmentGroup, TimeSeries
+from repro import ModelarDB
+from repro.core import SegmentGroup, TimeSeries
 from repro.models import ModelRegistry
 from repro.query.cache import SegmentCache
 from repro.query.engine import _ColumnSharedModel
 from repro.query.metadata import MetadataCache
 from repro.query.rewriter import Predicates, rewrite
-from repro.query.views import DataPointView, SegmentView, _clip
+from repro.query.views import DataPointView, SegmentView
 from repro.storage import MemoryStorage, TimeSeriesRecord
+from repro.storage.scan import Table
 
 
 def make_segment(start=0, end=900, si=100):
@@ -21,29 +25,97 @@ def make_segment(start=0, end=900, si=100):
     )
 
 
+def clipped(start, end, segments=None):
+    """(row, first, last) per row of a table clipped to [start, end]."""
+    table = Table.of([make_segment()] if segments is None else segments)
+    rows, first, last = table.clip(start, end)
+    return list(zip(rows.tolist(), first.tolist(), last.tolist()))
+
+
+def reference_clip(segment, start_time, end_time):
+    """The per-segment clip the views applied before ``Table.clip``:
+    the inclusive model index range inside [start, end], or None."""
+    first = 0
+    last = segment.length - 1
+    si = segment.sampling_interval
+    if start_time is not None and start_time > segment.start_time:
+        offset = start_time - segment.start_time
+        first = -(-offset // si)  # ceiling division
+    if end_time is not None and end_time < segment.end_time:
+        last = (end_time - segment.start_time) // si
+    if first > last:
+        return None
+    return first, last
+
+
 class TestClip:
     def test_no_predicates(self):
-        assert _clip(make_segment(), None, None) == (0, 9)
+        assert clipped(None, None) == [(0, 0, 9)]
 
     def test_start_inside(self):
-        assert _clip(make_segment(), 250, None) == (3, 9)
+        assert clipped(250, None) == [(0, 3, 9)]
 
     def test_start_on_grid(self):
-        assert _clip(make_segment(), 300, None) == (3, 9)
+        assert clipped(300, None) == [(0, 3, 9)]
 
     def test_end_inside(self):
-        assert _clip(make_segment(), None, 450) == (0, 4)
+        assert clipped(None, 450) == [(0, 0, 4)]
 
     def test_both(self):
-        assert _clip(make_segment(), 200, 700) == (2, 7)
+        assert clipped(200, 700) == [(0, 2, 7)]
 
     def test_empty_intersection(self):
-        assert _clip(make_segment(), 901, None) is None
-        assert _clip(make_segment(), None, -1) is None
+        assert clipped(901, None) == []
+        assert clipped(None, -1) == []
 
     def test_point_interval(self):
-        assert _clip(make_segment(), 500, 500) == (5, 5)
-        assert _clip(make_segment(), 501, 599) is None
+        assert clipped(500, 500) == [(0, 5, 5)]
+        # Overlaps the segment but holds none of its ticks.
+        ((_, first, last),) = clipped(501, 599)
+        assert first > last
+
+    def test_rows_of_two_sampling_intervals_in_one_call(self):
+        segments = [
+            make_segment(1000, 1900, 100),
+            make_segment(0, 900, 300),
+            make_segment(0, 900, 100),
+        ]
+        assert clipped(250, 700, segments) == [(1, 1, 2), (2, 3, 7)]
+
+    def test_empty_table(self):
+        assert clipped(None, None, []) == []
+        assert clipped(0, 10, []) == []
+
+    def test_agrees_with_the_per_segment_clip(self):
+        generator = random.Random(7)
+        far = 10**30  # beyond int64: only ever compared, never rounded
+
+        def bound():
+            return generator.choice(
+                [None, -far, far, generator.randint(-1500, 1500)]
+            )
+
+        for _ in range(300):
+            segments = []
+            for _ in range(generator.randint(0, 12)):
+                start = generator.randint(-1000, 1000)
+                si = generator.choice([1, 3, 7, 100])
+                length = generator.randint(1, 20)
+                segments.append(
+                    make_segment(start, start + (length - 1) * si, si)
+                )
+            start, end = bound(), bound()
+            expected = [
+                (row, reference_clip(segment, start, end))
+                for row, segment in enumerate(segments)
+                if (start is None or segment.end_time >= start)
+                and (end is None or segment.start_time <= end)
+            ]
+            actual = [
+                (row, (first, last) if first <= last else None)
+                for row, first, last in clipped(start, end, segments)
+            ]
+            assert actual == expected, (start, end)
 
 
 class TestViews:
@@ -95,6 +167,20 @@ class TestViews:
         ((row, timestamps, values),) = list(view.arrays(plan))
         assert list(timestamps) == [200, 300, 400]
         assert list(values) == [1.0, 1.0, 1.0]
+
+    def test_bounds_beyond_int64_read_like_no_bound(self):
+        db = ModelarDB()
+        db.ingest([
+            TimeSeries(1, 100, np.arange(50) * 100, np.arange(50.0, dtype=np.float32))
+        ])
+        far = "99999999999999999999"
+        for sql in (
+            f"SELECT COUNT_S(*) FROM Segment WHERE TS >= -{far}",
+            f"SELECT COUNT(*) FROM DataPoint WHERE TS <= {far}",
+        ):
+            for columnar in (True, False):
+                (row,) = db.query(sql, columnar=columnar)
+                assert list(row.values()) == [50], (sql, columnar)
 
 
 class TestColumnSharedModel:
