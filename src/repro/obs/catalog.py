@@ -135,6 +135,11 @@ _SPECS = (
         "(ticks x series) blocks decoded by the columnar read path.",
     ),
     MetricSpec(
+        "query.segments_pruned_total", COUNTER, (),
+        "Segments the columnar read path skipped before decode because "
+        "their model bounds cannot meet the statement's Value predicate.",
+    ),
+    MetricSpec(
         "query.analytics_forecasts_total", COUNTER, (),
         "Forecast points produced by FORECAST(TS, horizon) statements, "
         "extrapolated from model parameters.",

@@ -18,17 +18,16 @@ this down.
 from __future__ import annotations
 
 import time
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..core.errors import QueryError
 from ..core.segment import SegmentGroup
-from ..obs import get_registry
+from ..obs import annotate, get_registry
 from ..storage.interface import Storage
-from .cache import SegmentCache
+from .cache import CONSTANT, LINE, FoldColumns, SegmentCache
 from .rewriter import RewrittenQuery
-from .sql import Condition, parse_timestamp
 from .views import clipped
 
 
@@ -64,6 +63,8 @@ def iter_blocks(
     storage: Storage,
     cache: SegmentCache,
     plan: RewrittenQuery,
+    scalings: Mapping[int, float],
+    conditions: Sequence[tuple[str, str, float]],
 ) -> Iterator[SegmentBlock]:
     """Decode every planned segment into a block, one storage pass.
 
@@ -75,30 +76,109 @@ def iter_blocks(
     the same arithmetic the row path applies per point. Decode count
     and time land in the ``query.columnar_blocks_total`` /
     ``query.block_decode_seconds`` instruments, batched per scan.
+
+    ``conditions`` are the statement's parsed ``TS`` and ``Value``
+    conditions (see :func:`point_mask`). With a ``Value`` one, a
+    segment none of whose selected series' model bounds can meet them
+    (:func:`unmeetable`) is dropped before decode: exactly the segments
+    whose masks would select nothing, so answers do not change. Such
+    segments count in ``query.segments_pruned_total``. The bounds come
+    from the table's fold columns, whose build decodes and pins every
+    PMC-Mean and Swing row of the table once; like the Segment View
+    fold, each segment read counts one lookup, a miss if that build
+    decoded it and a pinned hit otherwise.
     """
+    value_conditions = [
+        (operator, literal)
+        for column, operator, literal in conditions
+        if column == "value"
+    ]
     tids = set(plan.tids)
-    blocks = 0
+    blocks = pruned = hits = 0
     decode_seconds = 0.0
-    for segment, first, last in clipped(storage, plan):
-        series = tuple(
-            (column, tid)
-            for column, tid in enumerate(segment.member_tids)
-            if tid in tids
-        )
-        if not series:
-            continue
-        started = time.perf_counter()
-        values = cache.model_of(segment).values_block(first, last)
-        decode_seconds += time.perf_counter() - started
-        timestamps = segment.start_time + (
-            np.arange(first, last + 1, dtype=np.int64)
-            * segment.sampling_interval
-        )
-        blocks += 1
-        yield SegmentBlock(segment, first, last, series, timestamps, values)
+    for table, rows, first, last in clipped(storage, plan):
+        if value_conditions and len(rows):
+            columns, decoded = cache.fold_columns(table)
+            cannot = unmeetable(
+                columns, rows, first, last, scalings, value_conditions
+            )
+            selected = columns.members[rows] & [tid in tids for tid in columns.tids]
+            read = (first <= last) & selected.any(axis=1)
+            gone = read & ~(selected & ~cannot).any(axis=1)
+            pruned += int(np.count_nonzero(gone))
+            # A pruned row's lookup is the fold columns' pinned model; a
+            # kept row's is model_of's pinned hit, taken back when the
+            # fold columns just decoded it and counted its miss.
+            hits += int(np.count_nonzero(gone))
+            if decoded is not None:
+                hits -= int(np.count_nonzero(read & decoded[rows]))
+            keep = ~gone
+            rows, first, last = rows[keep], first[keep], last[keep]
+        for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+            if lo > hi:
+                continue
+            segment = table.segments[row]
+            series = tuple(
+                (column, tid)
+                for column, tid in enumerate(segment.member_tids)
+                if tid in tids
+            )
+            if not series:
+                continue
+            started = time.perf_counter()
+            values = cache.model_of(segment).values_block(lo, hi)
+            decode_seconds += time.perf_counter() - started
+            timestamps = segment.start_time + (
+                np.arange(lo, hi + 1, dtype=np.int64)
+                * segment.sampling_interval
+            )
+            blocks += 1
+            yield SegmentBlock(segment, lo, hi, series, timestamps, values)
     registry = get_registry()
     registry.counter("query.columnar_blocks_total").inc(blocks)
     registry.histogram("query.block_decode_seconds").record(decode_seconds)
+    if value_conditions:
+        cache.count_pinned_hits(hits)
+        registry.counter("query.segments_pruned_total").inc(pruned)
+        annotate(pruned=pruned)
+
+
+def unmeetable(
+    columns: FoldColumns,
+    rows: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+    scalings: Mapping[int, float],
+    conditions: Sequence[tuple[str, float]],
+) -> np.ndarray:
+    """A (clipped rows × ``columns.tids``) mask, True where no value the
+    series can decode from the row's index range meets every condition.
+
+    A PMC-Mean row decodes to its level (slope 0 here) and a Swing row
+    to ``intercept + slope * index``, monotone in the index, so the
+    decode's own float expression at ``first`` and at ``last`` bounds
+    every value exactly. Dividing by a series' scaling keeps them
+    bounds, swapped when the scaling is negative. ``EXACT`` and
+    ``FOREIGN`` rows, and bounds that are not finite, are never pruned.
+    """
+    intercept, slope = columns.parameters[rows].T
+    scaling = np.array([scalings.get(tid, 1.0) for tid in columns.tids], float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = (
+            (intercept + slope * first)[:, None] / scaling,
+            (intercept + slope * last)[:, None] / scaling,
+        )
+    low, high = np.minimum(*ends), np.maximum(*ends)
+    cannot = np.zeros(low.shape, bool)
+    for operator, literal in conditions:
+        if operator == "=":
+            meets = (low <= literal) & (high >= literal)
+        else:
+            meets = compare(high if ">" in operator else low, operator, literal)
+        cannot |= ~meets
+    kinds = columns.kinds[rows]
+    cannot &= ((kinds == CONSTANT) | (kinds == LINE))[:, None]
+    return cannot & np.isfinite(low) & np.isfinite(high)
 
 
 # ----------------------------------------------------------------------
@@ -122,19 +202,14 @@ def compare(array: np.ndarray, operator: str, literal) -> np.ndarray:
 def point_mask(
     timestamps: np.ndarray,
     values: np.ndarray,
-    conditions: list[Condition],
+    conditions: Sequence[tuple[str, str, float]],
 ) -> np.ndarray | None:
-    """AND-combined boolean mask for TS/Value conditions; None when
+    """AND-combined boolean mask for parsed ``(column, operator,
+    literal)`` conditions, column ``"ts"`` or ``"value"``; None when
     unconditioned (callers skip the indexing entirely)."""
     mask = None
-    for condition in conditions:
-        name = condition.column.lower()
-        if name in ("ts", "timestamp"):
-            target = timestamps
-            literal = parse_timestamp(condition.value)
-        else:
-            target = values
-            literal = float(condition.value)
-        current = compare(target, condition.operator, literal)
+    for column, operator, literal in conditions:
+        target = values if column == "value" else timestamps
+        current = compare(target, operator, literal)
         mask = current if mask is None else (mask & current)
     return mask

@@ -59,6 +59,9 @@ from .sql import (
 )
 from .views import DataPointRow, DataPointView, SegmentView
 
+#: A statement's parsed ``TS`` and ``Value`` conditions (see ``_plan``).
+_PointConditions = list[tuple[str, str, float]]
+
 __all__ = [
     "QueryEngine",
     "PartialResult",
@@ -379,12 +382,15 @@ class QueryEngine:
             query, plan, row_predicates, use_columnar
         )
 
-    def _plan(self, query: Query) -> tuple[RewrittenQuery, list[Condition]]:
+    def _plan(self, query: Query) -> tuple[RewrittenQuery, _PointConditions]:
+        """The rewritten scan and the statement's ``TS`` and ``Value``
+        conditions, each literal parsed once: ``(column, operator,
+        literal)`` with column ``"ts"`` or ``"value"``."""
         tids: frozenset[int] | None = None
         members: list[tuple[str, str]] = []
         start: int | None = None
         end: int | None = None
-        point_conditions: list[Condition] = []
+        point_conditions: _PointConditions = []
         for condition in query.where:
             column = condition.column
             name = column.lower()
@@ -392,11 +398,15 @@ class QueryEngine:
                 tids = _intersect(tids, tid_values(condition))
             elif name in ("ts", "timestamp"):
                 start, end = _narrow_interval(start, end, condition)
-                point_conditions.append(condition)
+                point_conditions.append(
+                    ("ts", condition.operator, parse_timestamp(condition.value))
+                )
             elif name in ("starttime", "endtime"):
                 start, end = _narrow_interval(start, end, condition)
             elif name == "value":
-                point_conditions.append(condition)
+                point_conditions.append(
+                    ("value", condition.operator, _value_literal(condition))
+                )
             elif name == "anomaly":
                 if query.view != "segment":
                     raise QueryError(
@@ -533,7 +543,7 @@ class QueryEngine:
         self,
         query: Query,
         plan: RewrittenQuery,
-        point_conditions: list[Condition],
+        point_conditions: _PointConditions,
         columnar: bool,
     ) -> "PartialResult":
         calls = _calls(query)
@@ -543,7 +553,7 @@ class QueryEngine:
         cubes: dict[tuple, list] = {}
 
         for tid, dimensions, timestamps, values in self._series_arrays(
-            plan, columnar
+            plan, columnar, point_conditions
         ):
             mask = _point_mask(timestamps, values, point_conditions)
             if mask is not None:
@@ -568,19 +578,23 @@ class QueryEngine:
         return PartialResult(specs, group_columns, simple, cubes)
 
     def _series_arrays(
-        self, plan: RewrittenQuery, columnar: bool
+        self, plan: RewrittenQuery, columnar: bool, conditions: _PointConditions
     ) -> Iterator[tuple[int, dict[str, str], np.ndarray, np.ndarray]]:
         """(tid, dimensions, timestamps, scaled values) per series slice.
 
         Both strategies visit the same (segment, series) pairs in the
         same order and produce elementwise bit-identical arrays; the
         columnar strategy just decodes each segment once into a block
-        instead of regenerating the reconstruction per member column.
+        instead of regenerating the reconstruction per member column,
+        and skips the segments whose model bounds cannot meet a ``Value``
+        condition (their masks would select nothing).
         """
         if columnar:
             scalings = self.metadata.scalings()
             dimension_rows = self.metadata.dimension_rows()
-            for block in iter_blocks(self._storage, self._segment_cache, plan):
+            for block in iter_blocks(
+                self._storage, self._segment_cache, plan, scalings, conditions
+            ):
                 for column, tid in block.series:
                     yield (
                         tid,
@@ -597,7 +611,7 @@ class QueryEngine:
         self,
         query: Query,
         plan: RewrittenQuery,
-        point_conditions: list[Condition],
+        point_conditions: _PointConditions,
         columnar: bool,
     ) -> list[dict]:
         columns = _selection_columns(
@@ -629,7 +643,7 @@ class QueryEngine:
         self,
         columns: list[str],
         plan: RewrittenQuery,
-        point_conditions: list[Condition],
+        point_conditions: _PointConditions,
     ) -> list[dict]:
         """Block-at-a-time point selection.
 
@@ -637,12 +651,16 @@ class QueryEngine:
         of one comparison per point, and the surviving timestamps/values
         convert to Python scalars in two batched ``tolist()`` calls. Row
         dicts come out in the row path's exact order: segment by segment,
-        member series by member series, tick ascending.
+        member series by member series, tick ascending. Segments whose
+        model bounds cannot meet a ``Value`` condition are skipped before
+        decode (:func:`~repro.query.columnar.iter_blocks`).
         """
         scalings = self.metadata.scalings()
         dimension_rows = self.metadata.dimension_rows()
         results: list[dict] = []
-        for block in iter_blocks(self._storage, self._segment_cache, plan):
+        for block in iter_blocks(
+            self._storage, self._segment_cache, plan, scalings, point_conditions
+        ):
             for column_index, tid in block.series:
                 values = block.column(column_index, scalings.get(tid, 1.0))
                 mask = _point_mask(block.timestamps, values, point_conditions)
@@ -1448,19 +1466,23 @@ def _shape_results(
     return results
 
 
-def _point_matches(point: DataPointRow, conditions: list[Condition]) -> bool:
-    for condition in conditions:
-        name = condition.column.lower()
-        if name in ("ts", "timestamp"):
-            actual = point.timestamp
-            literal = parse_timestamp(condition.value)
-        else:
-            actual = point.value
-            literal = float(condition.value)
-        array = np.array([actual])
-        if not bool(_compare(array, condition.operator, literal)[0]):
+def _point_matches(point: DataPointRow, conditions: _PointConditions) -> bool:
+    for column, operator, literal in conditions:
+        actual = point.value if column == "value" else point.timestamp
+        if not bool(_compare(np.array([actual]), operator, literal)[0]):
             return False
     return True
+
+
+def _value_literal(condition: Condition) -> float:
+    """A ``Value`` condition's literal as the float every mask compares
+    against; a query error for anything the masks cannot compare."""
+    if condition.operator not in ("=", "<", "<=", ">", ">="):
+        raise QueryError(f"unsupported Value operator {condition.operator!r}")
+    try:
+        return float(condition.value)
+    except (TypeError, ValueError):
+        raise QueryError(f"cannot compare Value with {condition.value!r}") from None
 
 
 def _numpy_state(aggregate: Aggregate, values: np.ndarray):

@@ -54,6 +54,7 @@ _TOKEN = re.compile(
         '(?:[^']*)'            # single-quoted string
       | "(?:[^"]*)"            # double-quoted string
       | [A-Za-z_][\w.]*        # identifier (dots allow Dimension.Level)
+      | -?\d+(?:\.\d+)?[eE][-+]?\d+  # float with an exponent
       | -?\d+\.\d+             # float
       | -?\d+                  # int
       | <=|>=|<>|!=|[(),*=<>]  # symbols

@@ -17,9 +17,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ..core.segment import SegmentGroup, SegmentRow, explode
+from ..core.segment import SegmentRow, explode
 from ..models.base import FittedModel
 from ..storage.interface import Storage
+from ..storage.scan import Table
 from .cache import SegmentCache
 from .metadata import MetadataCache
 from .rewriter import RewrittenQuery
@@ -45,15 +46,13 @@ class DataPointRow(NamedTuple):
 
 def clipped(
     storage: Storage, plan: RewrittenQuery
-) -> Iterator[tuple[SegmentGroup, int, int]]:
-    """Every planned segment holding a tick inside the query interval,
-    with its inclusive model index range, in Gid then append order: one
-    :meth:`~repro.storage.scan.Table.clip` per partition table."""
+) -> Iterator[tuple[Table, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every planned partition table with the rows overlapping the query
+    interval and their inclusive model index ranges, in Gid then append
+    order: one :meth:`~repro.storage.scan.Table.clip` per table. A row
+    whose range is empty (``first > last``) holds no tick inside."""
     for table in storage.tables(plan.scan_request()):
-        rows, first, last = table.clip(plan.start_time, plan.end_time)
-        for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
-            if lo <= hi:
-                yield table.segments[row], lo, hi
+        yield (table, *table.clip(plan.start_time, plan.end_time))
 
 
 class SegmentView:
@@ -74,12 +73,17 @@ class SegmentView:
         scalings = self._metadata.scalings()
         dimension_rows = self._metadata.dimension_rows()
         tids = set(plan.tids)
-        for segment, first, last in clipped(self._storage, plan):
-            model = None
-            for row in explode(segment, scalings, dimension_rows, tids):
-                if model is None:
-                    model = self._cache.model_of(segment)
-                yield SegmentViewRow(row, model, first, last)
+        for table, rows, firsts, lasts in clipped(self._storage, plan):
+            for index, first, last in zip(
+                rows.tolist(), firsts.tolist(), lasts.tolist()
+            ):
+                if first > last:
+                    continue
+                segment, model = table.segments[index], None
+                for row in explode(segment, scalings, dimension_rows, tids):
+                    if model is None:
+                        model = self._cache.model_of(segment)
+                    yield SegmentViewRow(row, model, first, last)
 
 
 class DataPointView:

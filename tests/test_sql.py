@@ -93,6 +93,13 @@ class TestWhere:
         query = parse("SELECT Value FROM DataPoint WHERE Value >= -3.5")
         assert query.where == (Condition("Value", ">=", -3.5),)
 
+    @pytest.mark.parametrize("x", (1e-05, -2.5e-07, 1.5e16, 0.1, 3.0))
+    def test_float_literals_round_trip_through_repr(self, x):
+        # repr writes values below 1e-4 or from 1e16 up with an exponent.
+        query = parse(f"SELECT Value FROM DataPoint WHERE Value > {x!r}")
+        (condition,) = query.where
+        assert type(condition.value) is float and condition.value == x
+
 
 class TestErrors:
     def test_missing_from(self):
