@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,8 +34,8 @@ from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
 from .cache import CONSTANT, EXACT, FOREIGN, SegmentCache
+from .columnar import ResultColumns, as_rows, iter_blocks
 from .columnar import compare as _compare
-from .columnar import iter_blocks
 from .columnar import point_mask as _point_mask
 from .metadata import MetadataCache
 from .rewriter import (
@@ -124,7 +125,7 @@ class QueryEngine:
         as_of: int | None = None,
         columnar: bool | None = None,
     ) -> list[dict]:
-        """Parse and execute one SQL statement.
+        """Parse and execute one SQL statement, returning its rows.
 
         ``as_of`` bounds the read at a knowledge time, equivalent to an
         ``AS OF`` clause in the statement (both may be given if they
@@ -134,6 +135,14 @@ class QueryEngine:
         returns its per-stage time/row breakdown instead of its rows
         (see :meth:`explain_analyze`).
         """
+        return as_rows(self.run(text, as_of=as_of, columnar=columnar))
+
+    def run(
+        self, text: str, *, as_of: int | None = None, columnar: bool | None = None
+    ) -> list[dict] | ResultColumns:
+        """:meth:`sql` without filling rows: a columnar Data Point View
+        selection stays :class:`~repro.query.columnar.ResultColumns`
+        (what the server caches and writes to the columnar wire)."""
         explain = EXPLAIN_ANALYZE_RE.match(text)
         if explain is not None:
             return self.explain_analyze(
@@ -280,7 +289,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def execute(
         self, query: Query, *, columnar: bool | None = None
-    ) -> list[dict]:
+    ) -> list[dict] | ResultColumns:
         # Per-statement strategy override, threaded explicitly — the
         # engine is shared by server threads, so self._columnar is
         # never mutated per query.
@@ -369,9 +378,10 @@ class QueryEngine:
             return self._execute_analytics(query, plan, use_columnar)
         if not query.is_aggregate:
             if query.view == "datapoint":
-                return self._execute_point_selection(
+                selection = self._execute_point_selection(
                     query, plan, row_predicates, use_columnar
                 )
+                return as_rows(selection)
             return self._execute_segment_selection(query, plan)
         _validate_aggregate_select(query)
         # The same plan-level routing as execute(): workers and the
@@ -613,7 +623,7 @@ class QueryEngine:
         plan: RewrittenQuery,
         point_conditions: _PointConditions,
         columnar: bool,
-    ) -> list[dict]:
+    ) -> list[dict] | ResultColumns:
         columns = _selection_columns(
             query, ["Tid", "TS", "Value"], self.metadata
         )
@@ -644,20 +654,23 @@ class QueryEngine:
         columns: list[str],
         plan: RewrittenQuery,
         point_conditions: _PointConditions,
-    ) -> list[dict]:
-        """Block-at-a-time point selection.
+    ) -> ResultColumns:
+        """Block-at-a-time point selection, gathered into columns.
 
         WHERE evaluates as one boolean mask per (block, series) instead
-        of one comparison per point, and the surviving timestamps/values
-        convert to Python scalars in two batched ``tolist()`` calls. Row
-        dicts come out in the row path's exact order: segment by segment,
-        member series by member series, tick ascending. Segments whose
-        model bounds cannot meet a ``Value`` condition are skipped before
-        decode (:func:`~repro.query.columnar.iter_blocks`).
+        of one comparison per point. The surviving arrays are kept with
+        their Tid and concatenated once per column at the end, so rows
+        come out in the row path's exact order: segment by segment,
+        member series by member series, tick ascending. A dimension
+        column is looked up once per Tid. Segments whose model bounds
+        cannot meet a ``Value`` condition are skipped before decode
+        (:func:`~repro.query.columnar.iter_blocks`).
         """
         scalings = self.metadata.scalings()
-        dimension_rows = self.metadata.dimension_rows()
-        results: list[dict] = []
+        timestamp_parts = [np.empty(0, np.int64)]
+        value_parts = [np.empty(0)]
+        tids: list[int] = []
+        counts: list[int] = []
         for block in iter_blocks(
             self._storage, self._segment_cache, plan, scalings, point_conditions
         ):
@@ -668,25 +681,26 @@ class QueryEngine:
                 if mask is not None:
                     timestamps = timestamps[mask]
                     values = values[mask]
-                if len(values) == 0:
-                    continue
-                dimensions = dimension_rows.get(tid, {})
-                timestamp_list = timestamps.tolist()
-                value_list = values.tolist()
-                for position in range(len(value_list)):
-                    row = {}
-                    for column in columns:
-                        name = column.lower()
-                        if name == "tid":
-                            row[column] = tid
-                        elif name == "ts":
-                            row[column] = timestamp_list[position]
-                        elif name == "value":
-                            row[column] = value_list[position]
-                        else:
-                            row[column] = dimensions.get(column)
-                    results.append(row)
-        return results
+                timestamp_parts.append(timestamps)
+                value_parts.append(values)
+                tids.append(tid)
+                counts.append(len(values))
+        built_in = {
+            "tid": np.repeat(np.array(tids, np.int64), counts),
+            "ts": np.concatenate(timestamp_parts),
+            "value": np.concatenate(value_parts),
+        }
+        dimension_rows = self.metadata.dimension_rows()
+        names = tuple(dict.fromkeys(columns))
+        gathered = []
+        for name in names:
+            if name.lower() in built_in:
+                gathered.append(built_in[name.lower()])
+                continue
+            member = {t: dimension_rows.get(t, {}).get(name) for t in set(tids)}
+            runs = map(repeat, map(member.get, tids), counts)
+            gathered.append(list(chain.from_iterable(runs)))
+        return ResultColumns(names, tuple(gathered))
 
     def _execute_segment_selection(
         self, query: Query, plan: RewrittenQuery
@@ -1384,16 +1398,17 @@ def _selection_columns(
     extra: tuple[str, ...] = (),
 ) -> list[str]:
     """Validated output columns. ``extra`` names computed columns
-    (``Anomaly``) selectable explicitly but excluded from ``*``."""
+    (``Anomaly``) selectable explicitly but excluded from ``*``.
+    Built-in names match in any case; a dimension name matches exactly,
+    as in WHERE and GROUP BY."""
     if any(isinstance(item, Star) for item in query.select):
         return default + metadata.dimension_columns()
-    known = {name.lower() for name in default}
-    known |= {name.lower() for name in extra}
-    known |= {name.lower() for name in metadata.dimension_columns()}
+    built_in = {name.lower() for name in (*default, *extra)}
+    dimensions = set(metadata.dimension_columns())
     columns = []
     for item in query.select:
         if isinstance(item, Column):
-            if item.name.lower() not in known:
+            if item.name.lower() not in built_in and item.name not in dimensions:
                 raise QueryError(f"unknown column {item.name!r}")
             columns.append(item.name)
         else:

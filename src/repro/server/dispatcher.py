@@ -25,6 +25,7 @@ from typing import Callable
 
 from ..modelardb import ModelarDB
 from ..obs import get_registry
+from ..query.columnar import ResultColumns
 from ..query.engine import QueryEngine
 from ..storage.interface import Storage
 from .protocol import CancelledError, DeadlineError
@@ -97,7 +98,7 @@ class Dispatcher:
         self._execute_hook = execute_hook
 
     # -- to be provided by subclasses ----------------------------------
-    def _run(self, sql: str, as_of: int | None = None) -> list[dict]:
+    def _run(self, sql: str, as_of: int | None = None) -> list[dict] | ResultColumns:
         raise NotImplementedError
 
     def _backend_stats(self) -> dict:
@@ -110,7 +111,7 @@ class Dispatcher:
         """Release backend resources; idempotent."""
 
     # -- shared paths --------------------------------------------------
-    def cached(self, sql: str, as_of: int | None = None) -> list[dict] | None:
+    def cached(self, sql: str, as_of: int | None = None) -> CachedResult | None:
         """The cached result of a statement, or None.
 
         The server asks this on its event loop before admitting a query.
@@ -126,8 +127,8 @@ class Dispatcher:
         sql: str,
         token: CancelToken | None = None,
         as_of: int | None = None,
-    ) -> tuple[list[dict], bool]:
-        """Execute one statement; returns (rows, served-from-cache).
+    ) -> tuple[CachedResult | list[dict], bool]:
+        """Execute one statement; returns (result, served-from-cache).
 
         ``as_of`` bounds the read at a knowledge time (the request-level
         spelling of the statement's ``AS OF`` clause) and keys the
@@ -155,8 +156,8 @@ class Dispatcher:
                 token.raise_if_cancelled()
         rows = self._run(sql, as_of)
         if cacheable:
-            # CachedResult memoises the columnar wire encoding, so every
-            # hit on this entry serves byte-identical frames for free.
+            # CachedResult memoises both wire encodings, so every hit on
+            # this entry serves byte-identical frames for free.
             rows = CachedResult(rows)
             self.result_cache.put(cache_key, rows, generation)
         return rows, False
@@ -229,8 +230,8 @@ class EmbeddedDispatcher(Dispatcher):
     def engine(self) -> QueryEngine:
         return self._engine
 
-    def _run(self, sql: str, as_of: int | None = None) -> list[dict]:
-        return self._engine.sql(sql, as_of=as_of)
+    def _run(self, sql: str, as_of: int | None = None) -> list[dict] | ResultColumns:
+        return self._engine.run(sql, as_of=as_of)
 
     def notify_flush(self) -> None:
         super().notify_flush()

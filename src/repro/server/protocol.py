@@ -58,6 +58,8 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from ..core.errors import ModelarError
+from ..query.columnar import ResultColumns, fill_rows
+from .result_cache import CachedResult
 
 #: Length prefix: one unsigned 32-bit big-endian integer.
 HEADER = struct.Struct(">I")
@@ -202,7 +204,10 @@ def error_response(code: str, message: str) -> dict[str, Any]:
 # Frame encoding
 # ----------------------------------------------------------------------
 def _json_default(value: Any) -> Any:
-    """Serialise numpy scalars (engine rows may carry them) by value."""
+    """Serialise a :class:`CachedResult` as its rows (filled once) and
+    numpy scalars (engine rows may carry them) by value."""
+    if isinstance(value, CachedResult):
+        return value.rows
     item = getattr(value, "item", None)
     if callable(item):
         return item()
@@ -250,8 +255,11 @@ def negotiated_wire(request: dict[str, Any]) -> str:
     return WIRE_JSON
 
 
-def _column_encoding(values: list[Any]) -> str:
-    """The tightest wire encoding holding every value of one column."""
+def _column_encoding(values: list[Any] | np.ndarray) -> str:
+    """The tightest wire encoding holding every value of one column; an
+    int64 or float64 array's own type, with no pass over its values."""
+    if isinstance(values, np.ndarray):
+        return "i8" if values.dtype.kind == "i" else "f8"
     types = {type(value) for value in values}
     if types == {int}:
         # int64 covers every timestamp/Tid the engine produces; anything
@@ -265,34 +273,34 @@ def _column_encoding(values: list[Any]) -> str:
 
 
 def encode_columns(
-    rows: list[dict[str, Any]],
+    rows: list[dict[str, Any]] | ResultColumns,
 ) -> tuple[list[dict[str, Any]], list[bytes]] | None:
     """Column descriptors and payload buffers for a rectangular result.
 
-    Returns None when the rows do not form a rectangle (some row is not
-    a dict, or key order differs) — the caller falls back to JSON.
+    :class:`~repro.query.columnar.ResultColumns` are written as they
+    are. A row list is turned into columns first; None when its rows
+    do not form a rectangle (some row is not a dict, or key order
+    differs) — the caller falls back to JSON.
     """
-    if not rows:
+    if not len(rows):
         return [], []
-    if not isinstance(rows[0], dict):
-        return None
-    names = list(rows[0].keys())
-    for row in rows:
-        if not isinstance(row, dict) or list(row.keys()) != names:
+    if isinstance(rows, ResultColumns):
+        names, values = rows.names, rows.columns
+    else:
+        names = tuple(rows[0]) if isinstance(rows[0], dict) else ()
+        if any(not isinstance(row, dict) or tuple(row) != names for row in rows):
             return None
+        values = tuple([row[name] for row in rows] for name in names)
     columns: list[dict[str, Any]] = []
     buffers: list[bytes] = []
-    for name in names:
-        values = [row[name] for row in rows]
-        encoding = _column_encoding(values)
-        if encoding == "i8":
-            buffer = np.asarray(values, dtype="<i8").tobytes()
-        elif encoding == "f8":
-            buffer = np.asarray(values, dtype="<f8").tobytes()
-        else:
+    for name, column in zip(names, values):
+        encoding = _column_encoding(column)
+        if encoding == "json":
             buffer = json.dumps(
-                values, separators=(",", ":"), default=_json_default
+                column, separators=(",", ":"), default=_json_default
             ).encode("utf-8")
+        else:
+            buffer = np.asarray(column, dtype=f"<{encoding}").tobytes()
         columns.append(
             {"name": name, "enc": encoding, "nbytes": len(buffer)}
         )
@@ -306,22 +314,22 @@ def encode_columnar_frame(payload: dict[str, Any]) -> bytes | None:
     Returns None when the payload has no rectangular ``rows`` list or
     the encoded body would exceed the frame limit; the caller falls
     back to :func:`encode_frame`. When ``rows`` is a
-    :class:`~repro.server.result_cache.CachedResult` the encoded
-    columns are memoised on it, so a result-cache hit re-serialises to
-    the exact same bytes without re-encoding.
+    :class:`~repro.server.result_cache.CachedResult` its result is
+    encoded (columns straight from their arrays) and the buffers are
+    memoised on it, so a result-cache hit re-serialises to the exact
+    same bytes without re-encoding.
     """
     rows = payload.get("rows")
-    if not isinstance(rows, list):
-        return None
-    encoded = getattr(rows, "columnar_columns", None)
-    if encoded is None:
+    if isinstance(rows, CachedResult):
+        if rows.columnar_columns is None:
+            rows.columnar_columns = encode_columns(rows.result)
+        encoded = rows.columnar_columns
+    elif isinstance(rows, list):
         encoded = encode_columns(rows)
-        if encoded is None:
-            return None
-        try:
-            rows.columnar_columns = encoded  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # plain lists cannot memoise; CachedResult can
+    else:
+        return None
+    if encoded is None:
+        return None
     columns, buffers = encoded
     meta = {key: value for key, value in payload.items() if key != "rows"}
     header = json.dumps(
@@ -368,11 +376,7 @@ def _decode_columnar_body(body: bytes) -> dict[str, Any]:
             names.append(column["name"])
             column_values.append(values)
         payload = dict(header["meta"])
-        payload["rows"] = [
-            {name: column_values[index][position]
-             for index, name in enumerate(names)}
-            for position in range(n_rows)
-        ]
+        payload["rows"] = fill_rows(names, column_values, n_rows)
         return payload
     except (KeyError, TypeError, ValueError, AttributeError,
             UnicodeDecodeError, json.JSONDecodeError, struct.error) as exc:

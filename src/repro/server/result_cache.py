@@ -1,7 +1,9 @@
 """Query-result LRU cache keyed on normalized SQL.
 
 Serving workloads repeat the same statements (dashboards, polling
-clients), so finished row sets are cached whole. The key is the SQL
+clients), so finished results are cached whole (:class:`CachedResult`:
+a Data Point View selection's columns, or the rows of any other
+statement). The key is the SQL
 text with whitespace collapsed and keywords/identifiers upper-cased —
 *outside* string literals, which stay verbatim so ``Park = 'Aalborg'``
 and ``Park = 'AALBORG'`` never share an entry.
@@ -18,25 +20,43 @@ import threading
 from collections import OrderedDict
 
 from ..obs import get_registry
+from ..query.columnar import ResultColumns, as_rows
 
 _DEFAULT_CAPACITY = 256
 
 
-class CachedResult(list):
-    """A result row list that memoises its columnar wire encoding.
+class CachedResult:
+    """A finished statement result that memoises its wire forms.
 
-    The wire layer (:func:`repro.server.protocol.encode_columnar_frame`)
-    stores the encoded column buffers here the first time the result is
-    serialised, so every result-cache hit re-serialises to the exact
-    same bytes without re-walking the rows. Behaves as a plain list
-    everywhere else.
+    ``result`` is what the engine returned: the columns of a Data Point
+    View selection (:class:`~repro.query.columnar.ResultColumns`) or a
+    row list. The columnar wire
+    (:func:`repro.server.protocol.encode_columnar_frame`) writes and
+    stores its column buffers here the first time the result is
+    serialised; the JSON wire fills :attr:`rows` once. Every
+    result-cache hit therefore re-serialises to the exact same bytes
+    without re-walking anything. Iterates and sizes as its rows.
     """
 
-    __slots__ = ("columnar_columns",)
+    __slots__ = ("result", "_rows", "columnar_columns")
 
-    def __init__(self, rows=()) -> None:
-        super().__init__(rows)
+    def __init__(self, result: ResultColumns | list[dict]) -> None:
+        self.result = result
+        self._rows: list[dict] | None = None
         self.columnar_columns: tuple[list[dict], list[bytes]] | None = None
+
+    @property
+    def rows(self) -> list[dict]:
+        """The result as row dicts, filled on first use."""
+        if self._rows is None:
+            self._rows = as_rows(self.result)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.result)
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 def normalize_sql(text: str) -> str:
@@ -65,15 +85,17 @@ def normalize_sql(text: str) -> str:
 
 
 class QueryResultCache:
-    """Thread-safe LRU from normalized SQL to finished row lists.
+    """Thread-safe LRU from normalized SQL to finished results
+    (:class:`CachedResult`: columns or rows, with their memoised wire
+    forms).
 
-    Cached rows are returned by reference and must be treated as
+    Cached results are returned by reference and must be treated as
     immutable — the server only ever serialises them.
     """
 
     def __init__(self, capacity: int = _DEFAULT_CAPACITY) -> None:
         self._capacity = max(capacity, 0)
-        self._entries: OrderedDict[str, list[dict]] = OrderedDict()
+        self._entries: OrderedDict[str, CachedResult] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -88,7 +110,7 @@ class QueryResultCache:
             "server.result_cache_invalidations_total"
         )
 
-    def get(self, sql: str) -> list[dict] | None:
+    def get(self, sql: str) -> CachedResult | None:
         """The cached rows for ``sql``, or None; counts a hit or a miss."""
         rows = self.lookup(sql)
         if rows is None:
@@ -97,7 +119,7 @@ class QueryResultCache:
             self._misses_total.inc()
         return rows
 
-    def lookup(self, sql: str) -> list[dict] | None:
+    def lookup(self, sql: str) -> CachedResult | None:
         """Like :meth:`get`, but counts only a hit.
 
         For a caller that probes first and, on a miss, goes on to a
@@ -119,7 +141,7 @@ class QueryResultCache:
             self._hits_total.inc()
         return rows
 
-    def put(self, sql: str, rows: list[dict], generation: int) -> None:
+    def put(self, sql: str, rows: CachedResult, generation: int) -> None:
         """Store a result computed while ``generation`` was current.
 
         A result computed before an invalidation raced with it is stale;
