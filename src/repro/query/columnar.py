@@ -1,19 +1,21 @@
-"""Columnar read-path kernels: block decode and vectorized WHERE.
+"""Columnar read-path kernels: partition decode and vectorized WHERE.
 
-The read-side mirror of the columnar ingestion path (PR 4's batch
-kernels): instead of restoring segments to data points row at a time,
-each stored segment is decoded once into a ``(ticks × series)`` numpy
-block — PMC-Mean level fill, Swing linear ramp, Gorilla array-at-once
-unpack (:meth:`~repro.models.base.FittedModel.values_block`) — and WHERE
-predicates evaluate as vectorized masks over whole blocks.
+The read-side mirror of the columnar ingestion path's batch kernels:
+instead of restoring segments to data points row at a time, a partition
+table's points are decoded at once — one numpy pass fills its PMC-Mean
+levels and Swing ramps, Gorilla and ``Multi`` rows unpack array at once
+(:meth:`~repro.models.base.FittedModel.values_block`) — and WHERE
+predicates evaluate as vectorized masks over them.
 
-Everything here is bit-identical to the row path by construction: blocks
-slice the same reconstruction the row path produces, grid restoration
-uses the same ``start + index * SI`` arithmetic on int64, and scaling
-divides elementwise exactly as ``column_values(column) / scaling`` does.
-The equivalence suite (``tests/test_columnar_equivalence.py``) locks
-this down. Selections gather their masked arrays into one
-:class:`ResultColumns`, which stays columns until a boundary needs rows.
+Everything here is bit-identical to the row path by construction: a
+level is repeated as stored, a ramp is ``values_block``'s own
+expression, exact rows slice the row path's reconstruction, grid
+restoration uses the same ``start + index * SI`` arithmetic on int64,
+and scaling divides elementwise exactly as ``column_values(column) /
+scaling`` does. ``tests/test_columnar_equivalence.py`` and
+``tests/test_partition_decode.py`` lock this down. Selections gather
+their masked arrays into one :class:`ResultColumns`, which stays
+columns until a boundary needs rows.
 """
 
 from __future__ import annotations
@@ -25,40 +27,27 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.segment import SegmentGroup
 from ..obs import annotate, get_registry
 from ..storage.interface import Storage
-from .cache import CONSTANT, LINE, FoldColumns, SegmentCache
+from .cache import CONSTANT, EXACT, FOREIGN, LINE, FoldColumns, SegmentCache
 from .rewriter import RewrittenQuery
 from .views import clipped
 
+#: Row kinds as int8 scalars: comparing the int8 kinds with one skips a
+#: Python int's conversion on every call.
+_LINE, _EXACT, _FOREIGN = np.int8(LINE), np.int8(EXACT), np.int8(FOREIGN)
 
-class SegmentBlock(NamedTuple):
-    """One stored segment decoded to a ``(ticks × series)`` block.
 
-    ``values`` holds the *raw* (unscaled) reconstruction for every model
-    column over the clipped tick range; ``series`` lists the
-    ``(model column, Tid)`` pairs the plan's Tid filter kept, in member
-    order — the same order :func:`repro.core.segment.explode` yields
-    rows. Per-series scaling is applied when a column is read
-    (:meth:`column`), mirroring the row path's divide-then-use order.
-    """
+class PartitionPoints(NamedTuple):
+    """One partition table's points that meet the WHERE conditions, in
+    the row engine's order: segment, member series, tick. ``tids`` and
+    ``counts`` run per decoded (segment, series) pair, a count zero when
+    the mask left none of its points; the rest run per point."""
 
-    segment: SegmentGroup
-    first: int  # first model index inside the query interval (inclusive)
-    last: int  # last model index inside the query interval (inclusive)
-    series: tuple[tuple[int, int], ...]  # (model column, tid), member order
-    timestamps: np.ndarray  # int64 grid timestamps, one per tick
-    values: np.ndarray  # (ticks, n_columns) float64, unscaled
-
-    def column(self, column: int, scaling: float) -> np.ndarray:
-        """One series' scaled values over the block's tick range.
-
-        Elementwise this is exactly the row path's
-        ``model.column_values(column) / scaling`` restricted to the
-        clipped range, so the floats are bit-identical.
-        """
-        return self.values[:, column] / scaling
+    tids: np.ndarray  # int64, one per pair
+    counts: np.ndarray  # int64, points per pair
+    timestamps: np.ndarray  # int64, one per point
+    values: np.ndarray  # float64, scaled, one per point
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,86 +96,148 @@ def as_rows(result: ResultColumns | list[dict]) -> list[dict]:
     return fill_rows(result.names, columns, len(result))
 
 
-def iter_blocks(
+def partition_points(
     storage: Storage,
     cache: SegmentCache,
     plan: RewrittenQuery,
     scalings: Mapping[int, float],
     conditions: Sequence[tuple[str, str, float]],
-) -> Iterator[SegmentBlock]:
-    """Decode every planned segment into a block, one storage pass.
+) -> Iterator[PartitionPoints]:
+    """Decode and filter every planned partition table's points in one
+    pass each.
 
-    Segments and their index ranges come from
-    :func:`~repro.query.views.clipped`: one vectorised clip per
-    partition table, blocks in Gid, then append order.
-    Grid restoration happens here: each block carries the int64
-    timestamps ``start + index * SI`` for its clipped index range —
-    the same arithmetic the row path applies per point. Decode count
-    and time land in the ``query.columnar_blocks_total`` /
-    ``query.block_decode_seconds`` instruments, batched per scan.
+    Rows and their index ranges come from
+    :func:`~repro.query.views.clipped`; the (row, series) pairs the plan
+    keeps come from the table's fold columns (built on first use). A
+    PMC-Mean row is a level fill of its value and a Swing row the ramp
+    ``intercept + slope * index`` — the float expressions of their
+    ``values_block`` — computed for all of a table's pairs at once.
+    Gorilla and ``Multi`` rows, and rows stored under another group
+    layout, are decoded once per row through
+    :meth:`~repro.models.base.FittedModel.values_block`, each series
+    read from its rank among the row's members. Timestamps are
+    ``start + index * SI`` on int64 and values are divided by each
+    series' scaling, as the row path does, so every point is
+    bit-identical to it. ``query.columnar_blocks_total`` counts the rows
+    decoded and ``query.block_decode_seconds`` the time spent decoding.
 
     ``conditions`` are the statement's parsed ``TS`` and ``Value``
-    conditions (see :func:`point_mask`). With a ``Value`` one, a
-    segment none of whose selected series' model bounds can meet them
-    (:func:`unmeetable`) is dropped before decode: exactly the segments
-    whose masks would select nothing, so answers do not change. Such
-    segments count in ``query.segments_pruned_total``. The bounds come
-    from the table's fold columns, whose build decodes and pins every
-    PMC-Mean and Swing row of the table once; like the Segment View
-    fold, each segment read counts one lookup, a miss if that build
-    decoded it and a pinned hit otherwise.
+    conditions (see :func:`point_mask`). The clip already holds the
+    ``TS`` ones, as the plan's interval is their intersection, so only
+    the ``Value`` ones are masked, once per table. Before decode, a pair
+    whose model bounds cannot meet them (:func:`unmeetable`) is dropped:
+    its mask would select nothing, so answers do not change. Rows left
+    without a pair count in ``query.segments_pruned_total``. Like the
+    Segment View fold, each row read counts one cache lookup: a PMC-Mean
+    or Swing row a miss if the fold columns' build decoded it and a
+    pinned hit otherwise.
     """
-    value_conditions = [
-        (operator, literal)
-        for column, operator, literal in conditions
-        if column == "value"
-    ]
-    tids = set(plan.tids)
+    value_conditions = [c for c in conditions if c[0] == "value"]
+    tids = plan.tids
     blocks = pruned = hits = 0
     decode_seconds = 0.0
     for table, rows, first, last in clipped(storage, plan):
-        if value_conditions and len(rows):
-            columns, decoded = cache.fold_columns(table)
-            cannot = unmeetable(
+        if not len(rows):
+            continue
+        columns, decoded = cache.fold_columns(table)
+        started = time.perf_counter()
+        kinds = columns.kinds[rows]
+        selected = columns.members[rows]
+        selected &= np.array([tid in tids for tid in columns.tids])
+        selected &= (first <= last)[:, None]
+        foreign = kinds == _FOREIGN
+        if has_foreign := np.count_nonzero(foreign):
+            selected[foreign] = False
+        # One lookup per row read: a row the fold columns just decoded
+        # counted its miss there, an exact row counts in model_of below.
+        read = selected.any(axis=1)
+        hits += (count := int(np.count_nonzero(read)))
+        if decoded is not None:
+            hits -= int(np.count_nonzero(read & decoded[rows]))
+        if value_conditions:
+            selected &= ~unmeetable(
                 columns, rows, first, last, scalings, value_conditions
             )
-            selected = columns.members[rows] & [tid in tids for tid in columns.tids]
-            read = (first <= last) & selected.any(axis=1)
-            gone = read & ~(selected & ~cannot).any(axis=1)
-            pruned += int(np.count_nonzero(gone))
-            # A pruned row's lookup is the fold columns' pinned model; a
-            # kept row's is model_of's pinned hit, taken back when the
-            # fold columns just decoded it and counted its miss.
-            hits += int(np.count_nonzero(gone))
-            if decoded is not None:
-                hits -= int(np.count_nonzero(read & decoded[rows]))
-            keep = ~gone
-            rows, first, last = rows[keep], first[keep], last[keep]
-        for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
-            if lo > hi:
-                continue
-            segment = table.segments[row]
-            series = tuple(
-                (column, tid)
-                for column, tid in enumerate(segment.member_tids)
-                if tid in tids
-            )
-            if not series:
-                continue
-            started = time.perf_counter()
-            values = cache.model_of(segment).values_block(lo, hi)
-            decode_seconds += time.perf_counter() - started
-            timestamps = segment.start_time + (
-                np.arange(lo, hi + 1, dtype=np.int64)
-                * segment.sampling_interval
-            )
-            blocks += 1
-            yield SegmentBlock(segment, lo, hi, series, timestamps, values)
+            kept = int(np.count_nonzero(selected.any(axis=1)))
+            pruned, count = pruned + count - kept, kept
+        blocks += count
+        pair_row, pair_column = selected.nonzero()
+        scaling = [scalings.get(tid, 1.0) for tid in columns.tids]
+        pairs = [
+            pair_row,
+            np.array(columns.tids, np.int64)[pair_column],
+            pair_column,
+            np.array(scaling)[pair_column],
+        ]
+        pair_kinds = kinds[pair_row]
+        exact = (pair_kinds == _EXACT).nonzero()[0]
+        if len(exact):
+            # A row's model columns hold its members only: a series'
+            # model column is its rank among them.
+            ranks = columns.members[rows].cumsum(axis=1) - 1
+            pairs[2] = ranks[pair_row, pair_column]
+        if has_foreign:
+            # A row of another group layout adds its own member series,
+            # model columns their ranks there, merged in row order.
+            extra = np.array(
+                [
+                    (row, tid, rank, scalings.get(tid, 1.0))
+                    for row in (foreign & (first <= last)).nonzero()[0].tolist()
+                    for rank, tid in enumerate(table.segments[rows[row]].member_tids)
+                    if tid in tids
+                ]
+            ).reshape(-1, 4)
+            merged = [
+                np.concatenate([part, more.astype(part.dtype)])
+                for part, more in zip(pairs, extra.T)
+            ]
+            order = np.argsort(merged[0], kind="stable")
+            pairs = [part[order] for part in merged]
+            pair_kinds = kinds[pairs[0]]
+            exact = (pair_kinds >= _EXACT).nonzero()[0]
+        pair_row, pair_tids, ranks, scaling = pairs
+        if not len(pair_row):
+            continue
+        pair_first = first[pair_row]
+        counts = last[pair_row] - pair_first + 1
+        ends = counts.cumsum()
+        offsets = ends - counts
+        index = np.arange(ends[-1]) - np.repeat(offsets - pair_first, counts)
+        pair_rows = rows[pair_row]
+        interval = columns.sampling_interval
+        if has_foreign:
+            interval = np.repeat(table.intervals[pair_rows], counts)
+        timestamps = np.repeat(table.starts[pair_rows], counts) + index * interval
+        intercept, slope = columns.parameters[pair_rows].T
+        raw = np.repeat(intercept, counts)
+        line = pair_kinds == _LINE
+        if np.count_nonzero(line):
+            ramp = np.repeat(slope, counts) * index
+            np.add(raw, ramp, out=raw, where=np.repeat(line, counts))
+        if len(exact):
+            spans = (part[exact].tolist() for part in (pair_row, ranks, offsets, ends))
+            current, block = -1, raw
+            for row, rank, start, end in zip(*spans):
+                if row != current:
+                    current, segment = row, table.segments[rows[row]]
+                    block = cache.model_of(segment).values_block(
+                        int(first[row]), int(last[row])
+                    )
+                    blocks += bool(foreign[row])
+                    hits -= not foreign[row]
+                raw[start:end] = block[:, rank]
+        values = raw / np.repeat(scaling, counts)
+        decode_seconds += time.perf_counter() - started
+        mask = point_mask(timestamps, values, value_conditions)
+        if mask is not None:
+            timestamps, values = timestamps[mask], values[mask]
+            counts = np.add.reduceat(mask, offsets, dtype=np.int64)
+        yield PartitionPoints(pair_tids, counts, timestamps, values)
     registry = get_registry()
     registry.counter("query.columnar_blocks_total").inc(blocks)
     registry.histogram("query.block_decode_seconds").record(decode_seconds)
+    cache.count_pinned_hits(hits)
     if value_conditions:
-        cache.count_pinned_hits(hits)
         registry.counter("query.segments_pruned_total").inc(pruned)
         annotate(pruned=pruned)
 
@@ -197,7 +248,7 @@ def unmeetable(
     first: np.ndarray,
     last: np.ndarray,
     scalings: Mapping[int, float],
-    conditions: Sequence[tuple[str, float]],
+    conditions: Sequence[tuple[str, str, float]],
 ) -> np.ndarray:
     """A (clipped rows × ``columns.tids``) mask, True where no value the
     series can decode from the row's index range meets every condition.
@@ -218,7 +269,7 @@ def unmeetable(
         )
     low, high = np.minimum(*ends), np.maximum(*ends)
     cannot = np.zeros(low.shape, bool)
-    for operator, literal in conditions:
+    for _, operator, literal in conditions:
         if operator == "=":
             meets = (low <= literal) & (high >= literal)
         else:

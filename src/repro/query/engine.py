@@ -34,7 +34,7 @@ from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
 from .cache import CONSTANT, EXACT, FOREIGN, SegmentCache
-from .columnar import ResultColumns, as_rows, iter_blocks
+from .columnar import PartitionPoints, ResultColumns, as_rows, partition_points
 from .columnar import compare as _compare
 from .columnar import point_mask as _point_mask
 from .metadata import MetadataCache
@@ -62,6 +62,10 @@ from .views import DataPointRow, DataPointView, SegmentView
 
 #: A statement's parsed ``TS`` and ``Value`` conditions (see ``_plan``).
 _PointConditions = list[tuple[str, str, float]]
+#: An empty selection's columns.
+_NO_POINTS = PartitionPoints(
+    np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+)
 
 __all__ = [
     "QueryEngine",
@@ -565,12 +569,6 @@ class QueryEngine:
         for tid, dimensions, timestamps, values in self._series_arrays(
             plan, columnar, point_conditions
         ):
-            mask = _point_mask(timestamps, values, point_conditions)
-            if mask is not None:
-                timestamps = timestamps[mask]
-                values = values[mask]
-            if len(values) == 0:
-                continue
             key = _group_key(tid, dimensions, group_columns)
             for index, spec in enumerate(specs):
                 if spec.level is None:
@@ -590,31 +588,39 @@ class QueryEngine:
     def _series_arrays(
         self, plan: RewrittenQuery, columnar: bool, conditions: _PointConditions
     ) -> Iterator[tuple[int, dict[str, str], np.ndarray, np.ndarray]]:
-        """(tid, dimensions, timestamps, scaled values) per series slice.
+        """(tid, dimensions, timestamps, scaled values) per series slice
+        the WHERE mask keeps, empty slices skipped.
 
         Both strategies visit the same (segment, series) pairs in the
         same order and produce elementwise bit-identical arrays; the
-        columnar strategy just decodes each segment once into a block
-        instead of regenerating the reconstruction per member column,
-        and skips the segments whose model bounds cannot meet a ``Value``
-        condition (their masks would select nothing).
+        columnar strategy decodes and masks a partition at a time
+        (:func:`~repro.query.columnar.partition_points`, which skips the
+        pairs whose model bounds cannot meet a ``Value`` condition) and
+        yields views of its arrays.
         """
-        if columnar:
-            scalings = self.metadata.scalings()
-            dimension_rows = self.metadata.dimension_rows()
-            for block in iter_blocks(
-                self._storage, self._segment_cache, plan, scalings, conditions
-            ):
-                for column, tid in block.series:
+        if not columnar:
+            for row, timestamps, values in self._data_point_view().arrays(plan):
+                mask = _point_mask(timestamps, values, conditions)
+                if mask is not None:
+                    timestamps, values = timestamps[mask], values[mask]
+                if len(values):
+                    yield row.tid, row.dimensions, timestamps, values
+            return
+        scalings = self.metadata.scalings()
+        dimension_rows = self.metadata.dimension_rows()
+        for points in partition_points(
+            self._storage, self._segment_cache, plan, scalings, conditions
+        ):
+            end = 0
+            for tid, count in zip(points.tids.tolist(), points.counts.tolist()):
+                if count:
+                    start, end = end, end + count
                     yield (
                         tid,
                         dimension_rows.get(tid, {}),
-                        block.timestamps,
-                        block.column(column, scalings.get(tid, 1.0)),
+                        points.timestamps[start:end],
+                        points.values[start:end],
                     )
-            return
-        for row, timestamps, values in self._data_point_view().arrays(plan):
-            yield row.tid, row.dimensions, timestamps, values
 
     # -- Selections ---------------------------------------------------------
     def _execute_point_selection(
@@ -655,40 +661,30 @@ class QueryEngine:
         plan: RewrittenQuery,
         point_conditions: _PointConditions,
     ) -> ResultColumns:
-        """Block-at-a-time point selection, gathered into columns.
+        """Partition-at-a-time point selection, gathered into columns.
 
-        WHERE evaluates as one boolean mask per (block, series) instead
-        of one comparison per point. The surviving arrays are kept with
-        their Tid and concatenated once per column at the end, so rows
-        come out in the row path's exact order: segment by segment,
-        member series by member series, tick ascending. A dimension
-        column is looked up once per Tid. Segments whose model bounds
-        cannot meet a ``Value`` condition are skipped before decode
-        (:func:`~repro.query.columnar.iter_blocks`).
+        WHERE evaluates as one boolean mask per partition table instead
+        of one comparison per point
+        (:func:`~repro.query.columnar.partition_points`, which also
+        skips the series whose model bounds cannot meet a ``Value``
+        condition before decode). The surviving arrays are concatenated
+        once per column at the end, so rows come out in the row path's
+        exact order: segment by segment, member series by member series,
+        tick ascending. A dimension column is looked up once per Tid.
         """
         scalings = self.metadata.scalings()
-        timestamp_parts = [np.empty(0, np.int64)]
-        value_parts = [np.empty(0)]
-        tids: list[int] = []
-        counts: list[int] = []
-        for block in iter_blocks(
-            self._storage, self._segment_cache, plan, scalings, point_conditions
-        ):
-            for column_index, tid in block.series:
-                values = block.column(column_index, scalings.get(tid, 1.0))
-                mask = _point_mask(block.timestamps, values, point_conditions)
-                timestamps = block.timestamps
-                if mask is not None:
-                    timestamps = timestamps[mask]
-                    values = values[mask]
-                timestamp_parts.append(timestamps)
-                value_parts.append(values)
-                tids.append(tid)
-                counts.append(len(values))
+        partitions = list(
+            partition_points(
+                self._storage, self._segment_cache, plan, scalings, point_conditions
+            )
+        )
+        tids, counts, timestamps, values = map(
+            np.concatenate, zip(*partitions or [_NO_POINTS])
+        )
         built_in = {
-            "tid": np.repeat(np.array(tids, np.int64), counts),
-            "ts": np.concatenate(timestamp_parts),
-            "value": np.concatenate(value_parts),
+            "tid": np.repeat(tids, counts),
+            "ts": timestamps,
+            "value": values,
         }
         dimension_rows = self.metadata.dimension_rows()
         names = tuple(dict.fromkeys(columns))
@@ -697,8 +693,9 @@ class QueryEngine:
             if name.lower() in built_in:
                 gathered.append(built_in[name.lower()])
                 continue
-            member = {t: dimension_rows.get(t, {}).get(name) for t in set(tids)}
-            runs = map(repeat, map(member.get, tids), counts)
+            pairs = tids.tolist()
+            member = {t: dimension_rows.get(t, {}).get(name) for t in set(pairs)}
+            runs = map(repeat, map(member.get, pairs), counts.tolist())
             gathered.append(list(chain.from_iterable(runs)))
         return ResultColumns(names, tuple(gathered))
 

@@ -98,9 +98,9 @@ def decide_pushdown(query: Query) -> tuple[PushdownDecision, ...]:
     A ``Value`` predicate, by contrast, filters on reconstructed values,
     so any aggregate under it must materialize. The route stays
     ``materialize`` even though the columnar reader skips, before
-    decode, every segment whose model bounds cannot meet the predicate
-    (:func:`repro.query.columnar.iter_blocks`): what survives is still
-    decoded and filtered point by point.
+    decode, every series of a segment whose model bounds cannot meet
+    the predicate (:func:`repro.query.columnar.partition_points`): what
+    survives is still decoded and filtered point by point.
 
     Selections have one decision for their scan: Data Point View
     selections return points and materialize by definition; Segment View

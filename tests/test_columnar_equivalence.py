@@ -415,11 +415,14 @@ class TestPartitionFold:
         storage.insert_segments(
             [
                 SegmentGroup(
-                    1, START + first * SI, START + (first + 4) * SI, SI, mid,
-                    struct.pack("<f", value), group_tids=tids,
+                    1, START + first * SI, START + (first + 4 * si) * SI,
+                    si * SI, mid, struct.pack("<f", value), group_tids=tids,
                 )
-                for first, value, tids in (
-                    (0, 2.5, (1, 2)), (5, -1.25, (1, 2, 3)), (10, 0.75, (1, 2))
+                for first, si, value, tids in (
+                    (0, 1, 2.5, (1, 2)),
+                    (5, 1, -1.25, (1, 2, 3)),
+                    (10, 1, 0.75, (1, 2)),
+                    (15, 2, -0.5, (2, 3)),
                 )
             ]
         )
@@ -427,7 +430,7 @@ class TestPartitionFold:
         sql = "SELECT Tid, SUM_S(*), MIN_S(*), COUNT_S(*) FROM Segment GROUP BY Tid"
         rows = engine.sql(sql, columnar=True)
         assert_rows_bit_identical(rows, engine.sql(sql, columnar=False))
-        assert [row["COUNT_S(*)"] for row in rows] == [15, 15, 5]
+        assert [row["COUNT_S(*)"] for row in rows] == [15, 20, 10]
         sql = (
             "SELECT Tid, CUBE_SUM_MINUTE(*), CUBE_MAX_DAYOFWEEK(*) "
             "FROM Segment GROUP BY Tid"
@@ -435,6 +438,24 @@ class TestPartitionFold:
         assert_rows_bit_identical(
             engine.sql(sql, columnar=True), engine.sql(sql, columnar=False)
         )
+        # The Data Point View decodes the foreign rows (another Tid
+        # layout, another SI) one at a time within the partition.
+        for sql in (
+            "SELECT Tid, TS, Value FROM DataPoint",
+            "SELECT Tid, TS, Value FROM DataPoint WHERE Value > 0",
+            "SELECT Tid, TS, Value FROM DataPoint WHERE Tid = 3",
+            "SELECT Tid, SUM(*), COUNT(*) FROM DataPoint "
+            "WHERE Value < 1 GROUP BY Tid",
+        ):
+            rows = engine.sql(sql, columnar=True)
+            assert rows, sql
+            assert_rows_bit_identical(
+                rows, engine.sql(sql, columnar=False), context=sql
+            )
+        rows = engine.sql("SELECT TS FROM DataPoint WHERE Tid = 3")
+        assert [row["TS"] for row in rows] == [
+            START + tick * SI for tick in (*range(5, 10), *range(15, 24, 2))
+        ]
 
     @pytest.mark.parametrize("multi", (False, True))
     @pytest.mark.parametrize("bound", (0.0, 5.0))
