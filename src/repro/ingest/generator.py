@@ -13,6 +13,13 @@ of time series:
 4. the data points represented by the flushed model are removed from the
    buffer and the process restarts from the first model.
 
+:meth:`SegmentGenerator.tick` runs this loop a tick at a time and is the
+oracle for :meth:`SegmentGenerator.tick_block`, which runs it a segment
+window at a time: each cascade model is fitted once over the rows from
+the segment start up to the length limit + 1, and the flush happens at
+the tick where the scalar loop's last model rejects. Both paths store
+the same bytes and count the same fits.
+
 Gaps use the paper's second method (Fig. 5): whenever the set of present
 series changes, the open segment is closed and the next segment records
 the absent Tids in its ``gaps`` set, so every segment represents a static
@@ -46,9 +53,10 @@ class _LazyFitter(ModelFitter):
     """Count-only stand-in for an always-fitting model.
 
     Accepts every vector up to the length limit without touching the
-    values (the generator's buffer already holds them); the real fitter
-    is built by :meth:`materialize` only if the model might win at flush
-    time. ``parameters``/``size_bytes`` are never called on the stand-in.
+    values (the generator's buffer already holds them, and a window
+    offered as one block is kept by reference); the real fitter is built
+    by :meth:`materialize` only if the model might win at flush time.
+    ``parameters``/``size_bytes`` are never called on the stand-in.
     """
 
     def __init__(
@@ -60,11 +68,15 @@ class _LazyFitter(ModelFitter):
     ) -> None:
         super().__init__(n_columns, error_bound, length_limit)
         self._model_type = model_type
+        #: The covered rows when they arrived as one block, else None.
+        self._block: np.ndarray | None = None
 
     def _try_append(self, values) -> bool:
+        self._block = None
         return True
 
     def _extend(self, block) -> int:
+        self._block = block if self.length == 0 else None
         return block.shape[0]
 
     def best_possible_ratio(self) -> float | None:
@@ -83,9 +95,11 @@ class _LazyFitter(ModelFitter):
         fitter = self._model_type.fitter(
             self.n_columns, self.error_bound, self.length_limit
         )
-        covered = np.asarray(
-            [vector for _, vector in buffer[:self.length]], dtype=np.float64
-        )
+        covered = self._block
+        if covered is None:
+            covered = np.asarray(
+                [vector for _, vector in buffer[:self.length]], dtype=np.float64
+            )
         if fitter.extend(None, covered) != self.length:  # pragma: no cover
             raise IngestionError(
                 f"always-fitting model {self._model_type.name} "
@@ -181,46 +195,30 @@ class SegmentGenerator:
         self,
         timestamps: np.ndarray,
         matrix: np.ndarray,
-        finite: np.ndarray | None = None,
-        pause_on_emit: bool = False,
-        boundaries: np.ndarray | None = None,
+        finite: np.ndarray,
+        boundaries: np.ndarray,
+        on_emit: Callable[[int], bool] | None = None,
     ) -> int:
         """Columnar counterpart of :meth:`tick` over a ``(ticks, n)`` block.
 
         ``matrix`` columns follow ``subset_tids`` order with NaN marking
-        gaps; ``finite`` may pass a precomputed ``np.isfinite(matrix)``
-        and ``boundaries`` the sorted presence-change row indices (both
-        derived from ``matrix`` when omitted). Consumes leading ticks and
-        returns how many — all of them, unless ``pause_on_emit`` is set
-        and a tick's processing emitted at least one segment, in which
-        case the generator stops right after that tick (the point where
-        the scalar loop's caller inspects ``last_emitted_ratio`` for
-        dynamic splitting). Segments are bit-identical to feeding the
-        same ticks through :meth:`tick`.
+        gaps; ``finite`` is ``np.isfinite(matrix)`` and ``boundaries``
+        the sorted presence-change row indices. Each presence run is
+        quantized once and cut into segment windows by
+        :meth:`_cascade_run`, which fits every cascade model once per
+        window. ``on_emit`` is called once per tick that emitted a
+        segment, after that tick's last flush, with the number of rows
+        consumed so far — where the scalar loop's caller inspects
+        ``last_emitted_ratio`` for dynamic splitting; when it returns
+        True the generator stops there. Returns the rows consumed (all
+        of them unless stopped). Segments, stats and errors are
+        identical to feeding the same ticks through :meth:`tick`.
         """
-        if finite is None:
-            finite = np.isfinite(matrix)
         n = len(timestamps)
-        if boundaries is None:
-            # Presence-run boundaries: segments close whenever the set
-            # of present series changes (gap method 2, Fig. 5).
-            if n > 1:
-                boundaries = (
-                    np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1))
-                    + 1
-                )
-            else:
-                boundaries = np.empty(0, dtype=np.intp)
-        # When pausing at emissions, only a segment's worth of rows is
-        # consumed per round — quantizing a whole run up front would be
-        # thrown-away work, so cap the lookahead at a couple of segments.
-        lookahead = max(2 * self._config.model_length_limit, 64)
         full_width = matrix.shape[1]
-        consumed = 0
-        while consumed < n:
-            cursor = int(np.searchsorted(boundaries, consumed, side="right"))
-            run_end = int(boundaries[cursor]) if cursor < len(boundaries) else n
-            row_mask = finite[consumed]
+        edges = boundaries.tolist()
+        for first, run_end in zip([0, *edges], [*edges, n]):
+            row_mask = finite[first]
             emitted_before = self.segments_emitted
             present = tuple(
                 tid
@@ -231,27 +229,24 @@ class SegmentGenerator:
                 self.close()
                 self._present = present
                 self._quantizer = struct.Struct(f"<{len(present)}f")
+            emitted = self.segments_emitted > emitted_before
             if not present:
-                if pause_on_emit and self.segments_emitted > emitted_before:
-                    return consumed + 1
-                consumed = run_end
+                if emitted and on_emit is not None and on_emit(first + 1):
+                    return first + 1
                 continue
-            if pause_on_emit:
-                run_end = min(run_end, consumed + lookahead)
-            block = matrix[consumed:run_end]
+            block = matrix[first:run_end]
             if len(present) != full_width:
                 block = block[:, row_mask]
-            rows = self._scale_quantize(block, present)
-            done = self._ingest_rows(
-                timestamps[consumed:run_end],
-                rows,
-                pause_on_emit,
-                self.segments_emitted > emitted_before,
+            stopped_at = self._cascade_run(
+                timestamps[first:run_end],
+                self._scale_quantize(block, present),
+                emitted,
+                on_emit,
+                first,
             )
-            consumed += done
-            if done < run_end - (consumed - done):
-                return consumed  # paused mid-run after an emission
-        return consumed
+            if stopped_at is not None:
+                return stopped_at
+        return n
 
     def close(self) -> None:
         """Flush everything buffered, ending the current segment run."""
@@ -316,55 +311,100 @@ class SegmentGenerator:
             block = block * scale
         return block.astype(np.float32).astype(np.float64)
 
-    def _ingest_rows(
+    def _cascade_run(
         self,
         timestamps: np.ndarray,
         rows: np.ndarray,
-        pause_on_emit: bool,
-        first_tick_emitted: bool,
-    ) -> int:
-        """Feed quantized rows of one presence run; returns rows consumed.
+        emitted: bool,
+        on_emit: Callable[[int], bool] | None,
+        offset: int,
+    ) -> int | None:
+        """Feed one presence run's quantized rows a segment window at a time.
 
-        Accepted prefixes go through the active fitter's batch kernel;
-        every rejection or cascade restart is exactly one scalar step
-        (:meth:`_ingest_vector`), so model racing, flush selection and
-        stats are shared verbatim with the scalar path.
+        A window is the rows from the segment start ``s`` up to the length
+        limit + 1. Each cascade model gets one fitter and one
+        :meth:`ModelFitter.extend` over it, so its accepted length is what
+        scalar appends reach. As in the scalar loop, a model tried at
+        tick ``t`` stays active when it covers rows ``s..t``; once every
+        model is rejected, tick ``t`` flushes through :meth:`_flush_best`
+        and the cascade restarts there over the leftover. A model that
+        covers the whole window means the run ended: the state is left as
+        the scalar loop leaves it, so the next block, a scalar tick or
+        :meth:`close` resume it without refitting. ``emitted`` says the
+        presence change before row 0 flushed. Returns the caller's rows
+        consumed (row 0 is its row ``offset``) when ``on_emit`` stopped
+        the run, else None.
         """
-        width = len(self._present)
+        carried = len(self._buffer)
         ts_list = timestamps.tolist()
-        if pause_on_emit and first_tick_emitted:
-            # The presence change at this tick already emitted: take the
-            # one tick and let the caller run its split check first.
-            self.stats.data_points += width
-            self._ingest_vector(ts_list[0], tuple(rows[0].tolist()))
-            return 1
-        buffer = self._buffer
+        if carried:
+            # The buffered rows belong to this run: prepend them once.
+            ts_list = [timestamp for timestamp, _ in self._buffer] + ts_list
+            rows = np.concatenate(
+                (np.asarray([v for _, v in self._buffer], dtype=np.float64), rows)
+            )
+            t = carried - 1  # the active model covers rows 0..t
+        else:
+            t = 0  # row 0 seeds the cascade
+            self._pending_models = list(self._config.models)
         n = len(rows)
-        i = 0
-        while i < n:
-            emitted_before = self.segments_emitted
+        width = len(self._present)
+        limit = self._config.model_length_limit
+        counted = carried  # rows already in stats.data_points
+        s = 0
+        reach = carried  # rows offered to the active fitter
+        while True:
+            if emitted and (self._active is not None or s > t):
+                # Every flush and the cascade restart of tick t are done:
+                # hand the caller the scalar loop's state at this tick
+                # (only a close before row 0 leaves the buffer short).
+                if len(self._buffer) != t + 1 - s:
+                    self._buffer = list(zip(ts_list[s:t + 1], rows[s:t + 1]))
+                self.stats.data_points += (t + 1 - counted) * width
+                counted = t + 1
+                if on_emit is not None and on_emit(offset + t + 1 - carried):
+                    return offset + t + 1 - carried
+                emitted = False
+            if s > t:  # the flush emptied the buffer
+                if t + 1 == n:
+                    break
+                t += 1
+                self._pending_models = list(self._config.models)
+            end = min(n, s + limit + 1)
             if self._active is not None:
-                _, fitter = self._active
-                taken = fitter.extend(None, rows[i:])
-                if taken:
-                    # Row views: every buffer consumer treats a vector as
-                    # a float64 sequence, so ndarray rows behave exactly
-                    # like the scalar path's tuples.
-                    buffer.extend(zip(ts_list[i:i + taken], rows[i:i + taken]))
-                    i += taken
-                    if i == n:
-                        break  # acceptance never emits
-                    # A short accept means the fitter is full or row i is
-                    # deterministically rejected (state is unchanged past
-                    # the prefix), so skip the re-extend straight to the
-                    # scalar step.
-            # Cascade restart, or the next row was rejected: one scalar step.
-            self._ingest_vector(ts_list[i], tuple(rows[i].tolist()))
-            i += 1
-            if pause_on_emit and self.segments_emitted > emitted_before:
-                break
-        self.stats.data_points += i * width
-        return i
+                fitter = self._active[1]
+                if s + fitter.length == reach < end:
+                    fitter.extend(None, rows[reach:end])
+                    reach = end
+                if s + fitter.length == n:
+                    break  # covers the rest of the run: wait for rows
+                t = s + fitter.length  # the tick that rejects it
+                self._finished.append(self._active)
+                self._active = None
+            while self._pending_models:
+                mid, fitter = self._new_fitter(self._pending_models.pop(0))
+                fitter.extend(None, rows[s:end])
+                if fitter.length > t - s:
+                    self._active = (mid, fitter)
+                    reach = end
+                    break
+                if fitter.length > 0:
+                    self._finished.append((mid, fitter))
+            if self._active is not None:
+                continue
+            # Every model rejected a row: tick t flushes (step iii).
+            self._buffer = list(zip(ts_list[s:t + 1], rows[s:t + 1]))
+            self._flush_best()
+            emitted = True
+            s = t + 1 - len(self._buffer)
+            if self._buffer:
+                self._pending_models = list(self._config.models)
+        # Row views: every buffer consumer treats a vector as a float64
+        # sequence, so ndarray rows behave exactly like the scalar path's
+        # tuples.
+        self._buffer = list(zip(ts_list[s:], rows[s:]))
+        self.stats.data_points += (n - counted) * width
+        return None
 
     def _seed_cascade(self) -> None:
         """(Re)start the model cascade over the whole buffer."""
@@ -380,33 +420,11 @@ class SegmentGenerator:
         one that covers the entire buffer becomes the active model. When
         every model has been tried, the best candidate is flushed and the
         cascade restarts over the remaining buffer (step iv).
-
-        Always-fitting models (lossless fallbacks such as Gorilla) are
-        represented by a lazy stand-in that just counts timestamps: their
-        parameters are only needed if they win at flush time, so the
-        expensive encode is deferred until then (and skipped when the
-        model's exact best-case size cannot beat the other candidates).
         """
         buffer_matrix: np.ndarray | None = None
         while True:
             while self._pending_models:
-                name = self._pending_models.pop(0)
-                mid = self._registry.mid_of(name)
-                model_type = self._registry.by_name(name)
-                self.stats.record_fit(name)
-                if model_type.always_fits:
-                    fitter = _LazyFitter(
-                        model_type,
-                        len(self._present),
-                        self._config.error_bound,
-                        self._config.model_length_limit,
-                    )
-                else:
-                    fitter = model_type.fitter(
-                        len(self._present),
-                        self._config.error_bound,
-                        self._config.model_length_limit,
-                    )
+                mid, fitter = self._new_fitter(self._pending_models.pop(0))
                 if len(self._buffer) == 1:
                     covered_all = fitter.append(self._buffer[0][1])
                 else:
@@ -435,6 +453,26 @@ class SegmentGenerator:
                 return
             self._pending_models = list(self._config.models)
             self._finished = []
+
+    def _new_fitter(self, name: str) -> tuple[int, ModelFitter]:
+        """A fresh fitter for one cascade model, counted as a fit.
+
+        Always-fitting models (lossless fallbacks such as Gorilla) get a
+        lazy stand-in that just counts timestamps: their parameters are
+        only needed if they win at flush time, so the expensive encode
+        is deferred until then (and skipped when the model's exact
+        best-case size cannot beat the other candidates).
+        """
+        model_type = self._registry.by_name(name)
+        self.stats.record_fit(name)
+        shape = (
+            len(self._present),
+            self._config.error_bound,
+            self._config.model_length_limit,
+        )
+        if model_type.always_fits:
+            return self._registry.mid_of(name), _LazyFitter(model_type, *shape)
+        return self._registry.mid_of(name), model_type.fitter(*shape)
 
     def _flush_best(self) -> None:
         """Emit the candidate with the best compression ratio (step iii)."""

@@ -163,9 +163,11 @@ class GroupIngestor:
         """Columnar ingestion of a ``(ticks, len(group.tids))`` block.
 
         While the group is unsplit (the overwhelmingly common state) the
-        block flows straight into the sub-generator's batch path, pausing
-        at segment emissions exactly where the scalar loop would run its
-        split check. Once a dynamic split is active the driver falls back
+        block flows straight into the sub-generator's windowed batch
+        path, which calls back once per tick that emitted a segment —
+        exactly where the scalar loop would run its split check. The
+        callback records the window and runs the check; once a dynamic
+        split is active the generator stops and the ingestor falls back
         to per-tick scalar processing — sub-generators then cover
         different column subsets and each tick can reshape the partition
         — counting the fallback in ``stats.fallback_ticks``. Emitted
@@ -173,6 +175,8 @@ class GroupIngestor:
         """
         n = len(timestamps)
         finite = np.isfinite(matrix)
+        # Presence-run boundaries: segments close whenever the set of
+        # present series changes (gap method 2, Fig. 5).
         if n > 1:
             boundaries = (
                 np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1
@@ -181,11 +185,21 @@ class GroupIngestor:
             boundaries = np.empty(0, dtype=np.intp)
         group_tids = self.group.tids
         # A 1-member group never splits (and a disabled splitter never
-        # consumes ratios), so emissions need no pause in those cases.
-        pause = self._config.splitting_enabled and len(group_tids) >= 2
+        # consumes ratios), so emissions need no check in those cases.
+        check = self._config.splitting_enabled and len(group_tids) >= 2
         index = self._column_index
-        window = self._recent.maxlen or n
-        offset = 0
+        offset = recorded = 0
+
+        def on_emit(consumed: int) -> bool:
+            """The scalar loop's split check; True if the group changed."""
+            nonlocal recorded
+            self._remember(timestamps, matrix, recorded, offset + consumed)
+            recorded = offset + consumed
+            self._maybe_split()
+            if len(self._subgroups) > 1:
+                self._maybe_join()
+            return len(self._subgroups) != 1 or self._subgroups[0] is not subgroup
+
         while offset < n:
             subgroups = self._subgroups
             if len(subgroups) != 1 or subgroups[0].tids != group_tids:
@@ -196,34 +210,41 @@ class GroupIngestor:
                 )
                 offset += 1
                 continue
+            subgroup = subgroups[0]
+            recorded = offset
             cursor = int(np.searchsorted(boundaries, offset, side="right"))
-            consumed = subgroups[0].generator.tick_block(
+            consumed = subgroup.generator.tick_block(
                 timestamps[offset:],
                 matrix[offset:],
                 finite[offset:],
-                pause_on_emit=pause,
-                boundaries=boundaries[cursor:] - offset,
+                boundaries[cursor:] - offset,
+                on_emit if check else None,
             )
-            if pause:
-                # Only the deque's window survives — keep a slice
-                # reference to the tail and materialize rows lazily.
-                first = offset + max(0, consumed - window)
-                end = offset + consumed
-                if first < end:
-                    pending = self._recent_pending
-                    pending.append((timestamps, matrix, first, end))
-                    self._recent_pending_rows += end - first
-                    while (
-                        self._recent_pending_rows
-                        - (pending[0][3] - pending[0][2])
-                        >= window
-                    ):
-                        _, _, f0, e0 = pending.pop(0)
-                        self._recent_pending_rows -= e0 - f0
-                self._maybe_split()
-                if len(self._subgroups) > 1:
-                    self._maybe_join()
+            if check:
+                self._remember(timestamps, matrix, recorded, offset + consumed)
             offset += consumed
+
+    def _remember(
+        self, timestamps: np.ndarray, matrix: np.ndarray, first: int, end: int
+    ) -> None:
+        """Queue block rows ``first..end-1`` for the split/join window.
+
+        Only the deque's window survives, so keep a slice reference to
+        the tail and materialize rows lazily (:meth:`_sync_recent`).
+        """
+        window = self._recent.maxlen or end
+        first = max(first, end - window)
+        if first >= end:
+            return
+        pending = self._recent_pending
+        pending.append((timestamps, matrix, first, end))
+        self._recent_pending_rows += end - first
+        while (
+            self._recent_pending_rows - (pending[0][3] - pending[0][2])
+            >= window
+        ):
+            _, _, f0, e0 = pending.pop(0)
+            self._recent_pending_rows -= e0 - f0
 
     def finish(self) -> None:
         """Flush every sub-group at end of stream."""

@@ -1,6 +1,14 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Hypothesis profiles: ``default`` is Hypothesis's own; ``nightly`` runs
+ten times its examples. Pick one with ``HYPOTHESIS_PROFILE=nightly``;
+property tests that scale their example count read it from
+``settings.default``.
+"""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +16,17 @@ import pytest
 from repro.core import Configuration, Dimension, DimensionSet, TimeSeries
 from repro.core.group import TimeSeriesGroup
 from repro.models import ModelRegistry
+
+try:
+    from hypothesis import settings
+except ImportError:  # pragma: no cover - depends on the environment
+    pass
+else:
+    settings.register_profile(
+        "nightly",
+        max_examples=10 * settings.get_profile("default").max_examples,
+    )
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -132,7 +132,8 @@ def test_fitter_equivalence_seeded(model_key, bound):
 
 if HAVE_HYPOTHESIS:
 
-    @settings(max_examples=150, deadline=None)
+    # 150 examples under the default profile, ten times that nightly.
+    @settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
     @given(
         model_key=st.sampled_from(sorted(FITTERS)),
         bound=st.sampled_from(ERROR_BOUNDS),
