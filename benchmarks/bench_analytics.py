@@ -165,45 +165,35 @@ def time_call(fn) -> float:
 # Sections
 # ----------------------------------------------------------------------
 def measure_similarity(
-    db: ModelarDB, pattern: np.ndarray, repeats: int
+    engine: QueryEngine, pattern: np.ndarray, repeats: int
 ) -> dict:
-    row_engine = QueryEngine(
-        db.storage, db.registry, columnar=False, error_bound=ERROR_BOUND
-    )
-    col_engine = QueryEngine(
-        db.storage, db.registry, columnar=True, error_bound=ERROR_BOUND
-    )
     literals = ", ".join(repr(float(value)) for value in pattern)
     sql = f"SELECT * FROM DataPoint SIMILAR TO ({literals}) LIMIT {K}"
 
-    # Verify before timing: row mode, columnar mode and the brute-force
-    # decode must return bit-identical top-k rows.
-    row_rows = row_engine.sql(sql)
-    col_rows = col_engine.sql(sql)
-    assert row_bits(col_rows) == row_bits(row_rows), (
-        "SIMILAR TO: columnar result is not bit-identical to the row path"
-    )
+    # Verify before timing: the pruned search and the brute-force decode
+    # must return bit-identical top-k rows.
+    rows = engine.sql(sql)
     brute = [
         {"Tid": m.tid, "StartTime": m.start_time, "Distance": m.distance}
-        for m in brute_force_search(row_engine, pattern, K)
+        for m in brute_force_search(engine, pattern, K)
     ]
-    assert row_bits(brute) == row_bits(row_rows), (
+    assert row_bits(brute) == row_bits(rows), (
         "SIMILAR TO: pruned search disagrees with the brute-force decode"
     )
 
     stats = SearchStats()
-    plan = rewrite(Predicates(), row_engine.metadata)
-    index = SignatureIndex(row_engine._segment_view().rows(plan))
+    plan = rewrite(Predicates(), engine.metadata)
+    index = SignatureIndex(engine._segment_view().rows(plan))
     from repro.query.analytics import search
 
     search(index, pattern, K, stats)
 
     model_best = brute_best = float("inf")
     for _ in range(repeats):
-        model_best = min(model_best, time_call(lambda: row_engine.sql(sql)))
+        model_best = min(model_best, time_call(lambda: engine.sql(sql)))
         brute_best = min(
             brute_best,
-            time_call(lambda: brute_force_search(row_engine, pattern, K)),
+            time_call(lambda: brute_force_search(engine, pattern, K)),
         )
     return {
         "sql": f"SELECT * FROM DataPoint SIMILAR TO (...) LIMIT {K}",
@@ -215,30 +205,20 @@ def measure_similarity(
         "model_native_seconds": round(model_best, 6),
         "point_decode_seconds": round(brute_best, 6),
         "speedup": round(brute_best / model_best, 3),
-        "top_distance": row_rows[0]["Distance"] if row_rows else None,
+        "top_distance": rows[0]["Distance"] if rows else None,
     }
 
 
-def measure_forecast(db: ModelarDB, repeats: int) -> dict:
-    row_engine = QueryEngine(
-        db.storage, db.registry, columnar=False, error_bound=ERROR_BOUND
-    )
-    col_engine = QueryEngine(
-        db.storage, db.registry, columnar=True, error_bound=ERROR_BOUND
-    )
+def measure_forecast(engine: QueryEngine, repeats: int) -> dict:
     sql = f"SELECT FORECAST(TS, {HORIZON}) FROM DataPoint"
-    row_rows = row_engine.sql(sql)
-    col_rows = col_engine.sql(sql)
-    assert row_bits(col_rows) == row_bits(row_rows), (
-        "FORECAST: columnar result is not bit-identical to the row path"
-    )
+    rows = engine.sql(sql)
     best = float("inf")
     for _ in range(repeats):
-        best = min(best, time_call(lambda: row_engine.sql(sql)))
+        best = min(best, time_call(lambda: engine.sql(sql)))
     return {
         "sql": sql,
         "horizon": HORIZON,
-        "rows": len(row_rows),
+        "rows": len(rows),
         "seconds": round(best, 6),
     }
 
@@ -331,8 +311,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"ingesting {n_series} series × {n_points:,} points ...")
     db, pattern = build_db(n_groups, n_points)
+    engine = QueryEngine(db.storage, db.registry, error_bound=ERROR_BOUND)
 
-    similarity = measure_similarity(db, pattern, repeats)
+    similarity = measure_similarity(engine, pattern, repeats)
     print(
         f"  SIMILAR TO      model-native "
         f"{similarity['model_native_seconds'] * 1000:9.2f} ms   "
@@ -340,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         f"speedup {similarity['speedup']:.2f}x   "
         f"pruned {similarity['pruned_fraction']:.1%}"
     )
-    forecast = measure_forecast(db, repeats)
+    forecast = measure_forecast(engine, repeats)
     print(
         f"  FORECAST        {forecast['rows']} rows in "
         f"{forecast['seconds'] * 1000:9.2f} ms"

@@ -42,10 +42,7 @@ class WorkerNode:
         self._loaded_batches: set[str] = set()
         self.stats = IngestStats()
         self._engine = QueryEngine(
-            self.storage,
-            self.registry,
-            columnar=config.columnar_read,
-            error_bound=config.error_bound,
+            self.storage, self.registry, error_bound=config.error_bound
         )
 
     # ------------------------------------------------------------------

@@ -54,12 +54,6 @@ class Configuration:
         Ticks per columnar chunk on the batch ingestion path. Segments
         are bit-identical at any setting; ``1`` selects the scalar
         per-tick path (the batch baseline for ``bench_ingest``).
-    columnar_read:
-        Whether the query engine executes over (ticks × series) numpy
-        blocks (the columnar read path) or row at a time. Results are
-        bit-identical either way — the flag exists so every columnar
-        result can be cross-checked against the row path (and as the
-        row baseline for ``bench_query``).
     models:
         Ordered model classpaths tried during ingestion. Names must be
         resolvable via :mod:`repro.models.registry`.
@@ -73,7 +67,6 @@ class Configuration:
     dynamic_split_fraction: int = DEFAULT_DYNAMIC_SPLIT_FRACTION
     bulk_write_size: int = DEFAULT_BULK_WRITE_SIZE
     ingest_chunk_size: int = DEFAULT_INGEST_CHUNK_SIZE
-    columnar_read: bool = True
     models: tuple[str, ...] = DEFAULT_MODELS
     correlation: list[str] = field(default_factory=list)
 

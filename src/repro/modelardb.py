@@ -88,10 +88,7 @@ class ModelarDB:
         self.stats = IngestStats()
         self._groups: dict[int, TimeSeriesGroup] = {}
         self._engine = QueryEngine(
-            self.storage,
-            self.registry,
-            columnar=self.config.columnar_read,
-            error_bound=self.config.error_bound,
+            self.storage, self.registry, error_bound=self.config.error_bound
         )
         self._flush_listeners: list[Callable[[], None]] = []
 
@@ -253,20 +250,13 @@ class ModelarDB:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        sql: str,
-        *,
-        as_of: int | None = None,
-        columnar: bool | None = None,
-    ) -> list[dict]:
+    def query(self, sql: str, *, as_of: int | None = None) -> list[dict]:
         """Execute one SQL statement — the public query entrypoint.
 
         ``as_of`` bounds the read at a knowledge time (equivalent to an
-        ``AS OF`` clause in the statement); ``columnar`` overrides the
-        execution strategy for this statement only.
+        ``AS OF`` clause in the statement).
         """
-        return self._engine.sql(sql, as_of=as_of, columnar=columnar)
+        return self._engine.sql(sql, as_of=as_of)
 
     def sql(self, text: str) -> list[dict]:
         """Execute a SQL statement against the views (Section 6.1).

@@ -14,11 +14,10 @@ from .rollup import (
     is_datepart,
     next_boundary,
     parse_cube_function,
-    rollup_segment,
 )
 from .similarity import Match, SearchStats, similarity_search
 from .sql import Call, Column, Condition, Query, Star, parse
-from .views import DataPointRow, DataPointView, SegmentView, SegmentViewRow
+from .views import DataPointRow, SegmentView, SegmentViewRow
 
 __all__ = [
     "Aggregate",
@@ -39,7 +38,6 @@ __all__ = [
     "format_bucket",
     "next_boundary",
     "parse_cube_function",
-    "rollup_segment",
     "Match",
     "SearchStats",
     "similarity_search",
@@ -50,7 +48,6 @@ __all__ = [
     "Star",
     "parse",
     "DataPointRow",
-    "DataPointView",
     "SegmentView",
     "SegmentViewRow",
 ]

@@ -5,12 +5,14 @@ additional ``merge`` step so both distributive (SUM, MIN, MAX, COUNT) and
 algebraic (AVG) functions [17] can be computed from per-worker partial
 states in the distributed setting (the master's *mergeResults*).
 
-``iterate`` receives the decoded model, the inclusive index range the
-query's time predicates clip the segment to, the model column, and the
-series' scaling constant — results are divided by the scaling constant
-here, as the paper specifies (Section 6.1). With constant or linear
-models, SUM/MIN/MAX/AVG over an entire segment cost O(1), which is the
-source of the Segment View's speed.
+Each aggregate here is its state's shape: ``initialize``, ``merge`` and
+``finalize``. The iterate step is the engine's partition fold
+(:class:`repro.query.engine._SegmentFold`): it adds the models' slice
+aggregates over the inclusive index range the query's time predicates
+clip each segment to, divided by the series' scaling constant, as the
+paper specifies (Section 6.1). With constant or linear models,
+SUM/MIN/MAX/AVG over an entire segment cost O(1), which is the source
+of the Segment View's speed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from ..core.errors import QueryError
-from ..models.base import FittedModel
 
 
 class Aggregate(ABC):
@@ -30,18 +31,6 @@ class Aggregate(ABC):
     @abstractmethod
     def initialize(self) -> Any:
         """A fresh accumulator state."""
-
-    @abstractmethod
-    def iterate(
-        self,
-        state: Any,
-        model: FittedModel,
-        first: int,
-        last: int,
-        column: int,
-        scaling: float,
-    ) -> Any:
-        """Fold one segment's clipped index range into the state."""
 
     @abstractmethod
     def merge(self, state_a: Any, state_b: Any) -> Any:
@@ -58,9 +47,6 @@ class CountS(Aggregate):
     def initialize(self) -> int:
         return 0
 
-    def iterate(self, state, model, first, last, column, scaling) -> int:
-        return state + (last - first + 1)
-
     def merge(self, state_a, state_b) -> int:
         return state_a + state_b
 
@@ -74,9 +60,6 @@ class SumS(Aggregate):
     def initialize(self) -> float:
         return 0.0
 
-    def iterate(self, state, model, first, last, column, scaling) -> float:
-        return state + model.slice_sum(first, last, column) / scaling
-
     def merge(self, state_a, state_b) -> float:
         return state_a + state_b
 
@@ -89,10 +72,6 @@ class MinS(Aggregate):
 
     def initialize(self) -> float | None:
         return None
-
-    def iterate(self, state, model, first, last, column, scaling):
-        value = model.slice_min(first, last, column) / scaling
-        return value if state is None else min(state, value)
 
     def merge(self, state_a, state_b):
         if state_a is None:
@@ -110,10 +89,6 @@ class MaxS(Aggregate):
 
     def initialize(self) -> float | None:
         return None
-
-    def iterate(self, state, model, first, last, column, scaling):
-        value = model.slice_max(first, last, column) / scaling
-        return value if state is None else max(state, value)
 
     def merge(self, state_a, state_b):
         if state_a is None:
@@ -133,12 +108,6 @@ class AvgS(Aggregate):
 
     def initialize(self) -> tuple[float, int]:
         return (0.0, 0)
-
-    def iterate(self, state, model, first, last, column, scaling):
-        total, count = state
-        total += model.slice_sum(first, last, column) / scaling
-        count += last - first + 1
-        return (total, count)
 
     def merge(self, state_a, state_b):
         return (state_a[0] + state_b[0], state_a[1] + state_b[1])

@@ -37,9 +37,7 @@ model-based store):
 
 Every entry point works from the Segment View: forecasts and envelopes
 never materialise stored points, and similarity reconstructs only the
-candidate windows that survive pruning. Both engine execution modes
-(row and columnar) share this code path, so results are bit-identical
-by construction, preserving the PR 6 contract.
+candidate windows that survive pruning.
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ levels and Swing ramps, Gorilla and ``Multi`` rows unpack array at once
 (:meth:`~repro.models.base.FittedModel.values_block`) — and WHERE
 predicates evaluate as vectorized masks over them.
 
-Everything here is bit-identical to the row path by construction: a
-level is repeated as stored, a ramp is ``values_block``'s own
-expression, exact rows slice the row path's reconstruction, grid
-restoration uses the same ``start + index * SI`` arithmetic on int64,
+Everything here is bit-identical to decoding one segment row at a time
+by construction: a level is repeated as stored, a ramp is
+``values_block``'s own expression, exact rows slice the model's own
+reconstruction, grid restoration uses ``start + index * SI`` on int64,
 and scaling divides elementwise exactly as ``column_values(column) /
-scaling`` does. ``tests/test_columnar_equivalence.py`` and
-``tests/test_partition_decode.py`` lock this down. Selections gather
+scaling`` does. ``tests/test_partition_decode.py`` and its neighbours
+lock this down against the row-at-a-time oracle in ``tests/oracle.py``. Selections gather
 their masked arrays into one :class:`ResultColumns`, which stays
 columns until a boundary needs rows.
 """
@@ -40,7 +40,7 @@ _LINE, _EXACT, _FOREIGN = np.int8(LINE), np.int8(EXACT), np.int8(FOREIGN)
 
 class PartitionPoints(NamedTuple):
     """One partition table's points that meet the WHERE conditions, in
-    the row engine's order: segment, member series, tick. ``tids`` and
+    view-row order: segment, member series, tick. ``tids`` and
     ``counts`` run per decoded (segment, series) pair, a count zero when
     the mask left none of its points; the rest run per point."""
 
@@ -117,8 +117,8 @@ def partition_points(
     :meth:`~repro.models.base.FittedModel.values_block`, each series
     read from its rank among the row's members. Timestamps are
     ``start + index * SI`` on int64 and values are divided by each
-    series' scaling, as the row path does, so every point is
-    bit-identical to it. ``query.columnar_blocks_total`` counts the rows
+    series' scaling, so every point is bit-identical to a row-at-a-time
+    ``column_values(column) / scaling`` decode. ``query.columnar_blocks_total`` counts the rows
     decoded and ``query.block_decode_seconds`` the time spent decoding.
 
     ``conditions`` are the statement's parsed ``TS`` and ``Value``

@@ -5,10 +5,10 @@ against a segment store:
 
 1. *Rewriting*: Tid and dimension-member predicates become Gids
    (Section 6.2) so the store scans only relevant partitions.
-2. *Initialize/iterate*: aggregates fold decoded models over the clipped
-   index range of every Segment View row; time rollups walk calendar
-   boundaries per segment (Algorithm 6); Data Point View queries
-   reconstruct values first.
+2. *Initialize/iterate*: aggregates fold model parameters over the
+   clipped index ranges of a partition table's rows at a time; time
+   rollups first split the rows at calendar boundaries (Algorithm 6);
+   Data Point View queries decode a partition's values first.
 3. *Finalize*: algebraic functions compute their final value, results are
    shaped into rows.
 
@@ -33,10 +33,8 @@ from ..storage.interface import Storage
 from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
-from .cache import CONSTANT, EXACT, FOREIGN, SegmentCache
+from .cache import CONSTANT, EXACT, FOREIGN, FoldColumns, SegmentCache
 from .columnar import PartitionPoints, ResultColumns, as_rows, partition_points
-from .columnar import compare as _compare
-from .columnar import point_mask as _point_mask
 from .metadata import MetadataCache
 from .rewriter import (
     Predicates,
@@ -45,7 +43,7 @@ from .rewriter import (
     decide_pushdown,
     rewrite,
 )
-from .rollup import format_bucket, parse_cube_function, rollup_segment
+from .rollup import format_bucket, parse_cube_function
 from .sql import (
     Call,
     Column,
@@ -58,7 +56,7 @@ from .sql import (
     parse_timestamp,
     tid_values,
 )
-from .views import DataPointRow, DataPointView, SegmentView
+from .views import DataPointRow, SegmentView
 
 #: A statement's parsed ``TS`` and ``Value`` conditions (see ``_plan``).
 _PointConditions = list[tuple[str, str, float]]
@@ -89,7 +87,6 @@ class QueryEngine:
         storage: Storage,
         registry: ModelRegistry,
         cache_capacity: int = 4096,
-        columnar: bool = True,
         error_bound: float = 0.0,
     ) -> None:
         self._storage = storage
@@ -97,22 +94,11 @@ class QueryEngine:
         self._segment_cache = SegmentCache(registry, cache_capacity)
         self._metadata: MetadataCache | None = None
         self._metadata_lock = threading.Lock()
-        # Execution strategy only: the columnar path runs over
-        # (ticks × series) blocks, the row path one value at a time.
-        # Plans (pushdown decisions included) are shared, and both
-        # strategies fold with identical arithmetic and order, so
-        # results are bit-identical either way.
-        self._columnar = columnar
         # The ingestion-time relative error bound (percent). Analytics
         # propagates it into forecast intervals and anomaly tolerances;
         # the bound is not persisted per segment, so the opener passes
         # its configuration's value down.
         self._error_bound = error_bound
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the block (columnar) execution strategy is active."""
-        return self._columnar
 
     @property
     def error_bound(self) -> float:
@@ -122,46 +108,32 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
-    def sql(
-        self,
-        text: str,
-        *,
-        as_of: int | None = None,
-        columnar: bool | None = None,
-    ) -> list[dict]:
+    def sql(self, text: str, *, as_of: int | None = None) -> list[dict]:
         """Parse and execute one SQL statement, returning its rows.
 
         ``as_of`` bounds the read at a knowledge time, equivalent to an
         ``AS OF`` clause in the statement (both may be given if they
-        agree). ``columnar`` overrides the engine's execution strategy
-        for this statement only; None keeps the configured default.
-        ``EXPLAIN ANALYZE <statement>`` executes the statement and
-        returns its per-stage time/row breakdown instead of its rows
+        agree). ``EXPLAIN ANALYZE <statement>`` executes the statement
+        and returns its per-stage time/row breakdown instead of its rows
         (see :meth:`explain_analyze`).
         """
-        return as_rows(self.run(text, as_of=as_of, columnar=columnar))
+        return as_rows(self.run(text, as_of=as_of))
 
     def run(
-        self, text: str, *, as_of: int | None = None, columnar: bool | None = None
+        self, text: str, *, as_of: int | None = None
     ) -> list[dict] | ResultColumns:
-        """:meth:`sql` without filling rows: a columnar Data Point View
-        selection stays :class:`~repro.query.columnar.ResultColumns`
-        (what the server caches and writes to the columnar wire)."""
+        """:meth:`sql` without filling rows: a Data Point View selection
+        stays :class:`~repro.query.columnar.ResultColumns` (what the
+        server caches and writes to the columnar wire)."""
         explain = EXPLAIN_ANALYZE_RE.match(text)
         if explain is not None:
-            return self.explain_analyze(
-                explain.group("statement"), as_of=as_of, columnar=columnar
-            )
+            return self.explain_analyze(explain.group("statement"), as_of=as_of)
         with span("parse"):
             query = apply_as_of(parse(text), as_of)
-        return self.execute(query, columnar=columnar)
+        return self.execute(query)
 
     def explain_analyze(
-        self,
-        text: str,
-        *,
-        as_of: int | None = None,
-        columnar: bool | None = None,
+        self, text: str, *, as_of: int | None = None
     ) -> list[dict]:
         """Execute ``text`` and report where the time and rows went.
 
@@ -177,7 +149,7 @@ class QueryEngine:
         with recorder:
             with span("parse"):
                 query = apply_as_of(parse(text), as_of)
-            rows = self.execute(query, columnar=columnar)
+            rows = self.execute(query)
         hits_after, misses_after = self.cache_stats
         report = []
         for depth, stage in recorder.root.walk():
@@ -256,7 +228,8 @@ class QueryEngine:
         end_time: int | None = None,
         as_of: int | None = None,
     ) -> Iterator[DataPointRow]:
-        """Programmatic Data Point View scan."""
+        """Programmatic Data Point View scan: the points of each
+        segment's member series in turn, tick ascending."""
         predicates = Predicates(
             tids=frozenset(tids) if tids is not None else None,
             members=tuple(members),
@@ -264,7 +237,11 @@ class QueryEngine:
             end_time=end_time,
         )
         plan = rewrite(predicates, self.metadata, as_of)
-        return self._data_point_view().rows(plan)
+        return (
+            DataPointRow(tid, timestamp, value, dimensions)
+            for tid, dimensions, timestamps, values in self._series_arrays(plan, [])
+            for timestamp, value in zip(timestamps.tolist(), values.tolist())
+        )
 
     @property
     def metadata(self) -> MetadataCache:
@@ -291,13 +268,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(
-        self, query: Query, *, columnar: bool | None = None
-    ) -> list[dict] | ResultColumns:
-        # Per-statement strategy override, threaded explicitly — the
-        # engine is shared by server threads, so self._columnar is
-        # never mutated per query.
-        use_columnar = self._columnar if columnar is None else columnar
+    def execute(self, query: Query) -> list[dict] | ResultColumns:
         registry = get_registry()
         registry.counter("query.statements_total").inc()
         started = time.perf_counter()
@@ -309,18 +280,16 @@ class QueryEngine:
                 self._observe_plan(plan, decisions, registry)
             if query.has_forecast or query.similar_to is not None:
                 with span("scan"):
-                    rows = self._execute_analytics(query, plan, use_columnar)
+                    rows = self._execute_analytics(query, plan)
                     annotate(rows=len(rows))
             elif query.is_aggregate:
                 _validate_aggregate_select(query)
                 with span("scan"):
                     if all(d.segment_only for d in decisions):
-                        partial = self._accumulate_segment(
-                            query, plan, use_columnar
-                        )
+                        partial = self._accumulate_segment(query, plan)
                     else:
                         partial = self._accumulate_point(
-                            query, plan, row_predicates, use_columnar
+                            query, plan, row_predicates
                         )
                 with span("finalize"):
                     rows = partial.finalize()
@@ -329,7 +298,7 @@ class QueryEngine:
                 with span("scan"):
                     if query.view == "datapoint":
                         rows = self._execute_point_selection(
-                            query, plan, row_predicates, use_columnar
+                            query, plan, row_predicates
                         )
                     else:
                         rows = self._execute_segment_selection(query, plan)
@@ -367,23 +336,20 @@ class QueryEngine:
             ),
         )
 
-    def execute_partial(
-        self, query: Query, *, columnar: bool | None = None
-    ) -> "PartialResult | list[dict]":
+    def execute_partial(self, query: Query) -> "PartialResult | list[dict]":
         """Worker-side execution: aggregate queries return mergeable
         partial states (the distributed step of Algorithm 5); selections
         return their rows directly."""
-        use_columnar = self._columnar if columnar is None else columnar
         _validate_analytics(query)
         plan, row_predicates = self._plan(query)
         if query.has_forecast or query.similar_to is not None:
             # Plain-data rows; the master's merge_analytics_rows
             # re-establishes the single-node total order and top-k.
-            return self._execute_analytics(query, plan, use_columnar)
+            return self._execute_analytics(query, plan)
         if not query.is_aggregate:
             if query.view == "datapoint":
                 selection = self._execute_point_selection(
-                    query, plan, row_predicates, use_columnar
+                    query, plan, row_predicates
                 )
                 return as_rows(selection)
             return self._execute_segment_selection(query, plan)
@@ -391,10 +357,8 @@ class QueryEngine:
         # The same plan-level routing as execute(): workers and the
         # single-node engine take identical pushdown decisions.
         if all(d.segment_only for d in decide_pushdown(query)):
-            return self._accumulate_segment(query, plan, use_columnar)
-        return self._accumulate_point(
-            query, plan, row_predicates, use_columnar
-        )
+            return self._accumulate_segment(query, plan)
+        return self._accumulate_point(query, plan, row_predicates)
 
     def _plan(self, query: Query) -> tuple[RewrittenQuery, _PointConditions]:
         """The rewritten scan and the statement's ``TS`` and ``Value``
@@ -450,15 +414,10 @@ class QueryEngine:
 
     # -- Model-native analytics (FORECAST / SIMILAR TO) --------------------
     def _execute_analytics(
-        self, query: Query, plan: RewrittenQuery, columnar: bool
+        self, query: Query, plan: RewrittenQuery
     ) -> list[dict]:
         """One Segment View pass into a signature index, then forecast
         extrapolation or pruned similarity search from model parameters.
-
-        Shared verbatim by both execution modes (the index and kernels
-        have a single code path), so row and columnar engines return
-        bit-identical analytics rows — the PR 6 contract extends to the
-        analytics surface for free.
         """
         registry = get_registry()
         started = time.perf_counter()
@@ -478,11 +437,7 @@ class QueryEngine:
                 registry.counter("query.analytics_forecasts_total").inc(
                     len(rows)
                 )
-                annotate(
-                    series=len(index.tids),
-                    horizon=item.horizon,
-                    mode="columnar" if columnar else "row",
-                )
+                annotate(series=len(index.tids), horizon=item.horizon)
                 return rows
             k = (
                 query.limit
@@ -500,12 +455,7 @@ class QueryEngine:
             registry.counter("query.analytics_windows_pruned_total").inc(
                 stats.windows - stats.verified
             )
-            annotate(
-                windows=stats.windows,
-                verified=stats.verified,
-                k=k,
-                mode="columnar" if columnar else "row",
-            )
+            annotate(windows=stats.windows, verified=stats.verified, k=k)
             return rows
         finally:
             registry.histogram("query.analytics_seconds").record(
@@ -514,30 +464,25 @@ class QueryEngine:
 
     # -- Segment View aggregates ------------------------------------------
     def _accumulate_segment(
-        self, query: Query, plan: RewrittenQuery, columnar: bool
+        self, query: Query, plan: RewrittenQuery
     ) -> "PartialResult":
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        Both engines take one partition table at a time
-        (:meth:`_SegmentFold.table`) and clip it once
-        (:meth:`~repro.storage.scan.Table.clip`). Columnar mode folds
-        every statement with numpy passes over the fold columns pinned
-        on the partition's resident table, CUBE calls splitting the rows
-        at calendar boundaries first, then one ordered accumulate per
-        group key (and bucket). The row engine visits the clipped rows
-        one segment at a time (:meth:`_SegmentFold.segment`), walking
-        CUBE buckets with :func:`rollup_segment`: a column-independent
-        model's slice aggregates are memoised and *shared* across the
-        group's member series, so aggregate work per segment is O(1) in
-        the group size — the benefit of executing queries on models
-        representing multiple time series. Both add the same floats in
-        the same (segment, column, bucket) order, so their results are
-        bit-identical.
+        One partition table at a time (:meth:`_SegmentFold.table`),
+        clipped once (:meth:`~repro.storage.scan.Table.clip`), folded
+        with numpy passes over the fold columns pinned on the
+        partition's resident table, CUBE calls splitting the rows at
+        calendar boundaries first, then one ordered accumulate per group
+        key (and bucket). A column-independent group model is one row of
+        the fold columns for all its member series, so its slice
+        aggregates are computed once per segment, not once per series —
+        the benefit of executing queries on models representing multiple
+        time series.
         """
         fold = _SegmentFold(self, query, plan)
         for table in self._storage.tables(plan.scan_request()):
-            fold.table(table, columnar)
+            fold.table(table)
         registry = get_registry()
         registry.counter("query.segments_scanned_total").inc(fold.scanned)
         registry.counter("query.rows_skipped_materialization_total").inc(
@@ -546,7 +491,6 @@ class QueryEngine:
         annotate(
             segments=fold.scanned,
             rows_skipped_materialization=fold.skipped,
-            mode="columnar" if columnar else "row",
         )
         return PartialResult(
             fold.specs, fold.group_columns, fold.simple, fold.cubes
@@ -558,7 +502,6 @@ class QueryEngine:
         query: Query,
         plan: RewrittenQuery,
         point_conditions: _PointConditions,
-        columnar: bool,
     ) -> "PartialResult":
         calls = _calls(query)
         group_columns = _validated_group_by(query, self.metadata)
@@ -567,7 +510,7 @@ class QueryEngine:
         cubes: dict[tuple, list] = {}
 
         for tid, dimensions, timestamps, values in self._series_arrays(
-            plan, columnar, point_conditions
+            plan, point_conditions
         ):
             key = _group_key(tid, dimensions, group_columns)
             for index, spec in enumerate(specs):
@@ -586,26 +529,15 @@ class QueryEngine:
         return PartialResult(specs, group_columns, simple, cubes)
 
     def _series_arrays(
-        self, plan: RewrittenQuery, columnar: bool, conditions: _PointConditions
+        self, plan: RewrittenQuery, conditions: _PointConditions
     ) -> Iterator[tuple[int, dict[str, str], np.ndarray, np.ndarray]]:
-        """(tid, dimensions, timestamps, scaled values) per series slice
-        the WHERE mask keeps, empty slices skipped.
-
-        Both strategies visit the same (segment, series) pairs in the
-        same order and produce elementwise bit-identical arrays; the
-        columnar strategy decodes and masks a partition at a time
+        """(tid, dimensions, timestamps, scaled values) per (segment,
+        series) slice the WHERE mask keeps, in segment then member
+        order, empty slices skipped: views of the arrays a partition at
+        a time decodes and masks
         (:func:`~repro.query.columnar.partition_points`, which skips the
-        pairs whose model bounds cannot meet a ``Value`` condition) and
-        yields views of its arrays.
+        pairs whose model bounds cannot meet a ``Value`` condition).
         """
-        if not columnar:
-            for row, timestamps, values in self._data_point_view().arrays(plan):
-                mask = _point_mask(timestamps, values, conditions)
-                if mask is not None:
-                    timestamps, values = timestamps[mask], values[mask]
-                if len(values):
-                    yield row.tid, row.dimensions, timestamps, values
-            return
         scalings = self.metadata.scalings()
         dimension_rows = self.metadata.dimension_rows()
         for points in partition_points(
@@ -628,38 +560,6 @@ class QueryEngine:
         query: Query,
         plan: RewrittenQuery,
         point_conditions: _PointConditions,
-        columnar: bool,
-    ) -> list[dict] | ResultColumns:
-        columns = _selection_columns(
-            query, ["Tid", "TS", "Value"], self.metadata
-        )
-        if columnar:
-            return self._point_selection_columnar(
-                columns, plan, point_conditions
-            )
-        results = []
-        for point in self._data_point_view().rows(plan):
-            if not _point_matches(point, point_conditions):
-                continue
-            row = {}
-            for column in columns:
-                name = column.lower()
-                if name == "tid":
-                    row[column] = point.tid
-                elif name == "ts":
-                    row[column] = point.timestamp
-                elif name == "value":
-                    row[column] = point.value
-                else:
-                    row[column] = point.dimensions.get(column)
-            results.append(row)
-        return results
-
-    def _point_selection_columnar(
-        self,
-        columns: list[str],
-        plan: RewrittenQuery,
-        point_conditions: _PointConditions,
     ) -> ResultColumns:
         """Partition-at-a-time point selection, gathered into columns.
 
@@ -668,10 +568,13 @@ class QueryEngine:
         (:func:`~repro.query.columnar.partition_points`, which also
         skips the series whose model bounds cannot meet a ``Value``
         condition before decode). The surviving arrays are concatenated
-        once per column at the end, so rows come out in the row path's
-        exact order: segment by segment, member series by member series,
-        tick ascending. A dimension column is looked up once per Tid.
+        once per column at the end, so rows come out segment by
+        segment, member series by member series, tick ascending. A
+        dimension column is looked up once per Tid.
         """
+        columns = _selection_columns(
+            query, ["Tid", "TS", "Value"], self.metadata
+        )
         scalings = self.metadata.scalings()
         partitions = list(
             partition_points(
@@ -755,16 +658,11 @@ class QueryEngine:
     def _segment_view(self) -> SegmentView:
         return SegmentView(self._storage, self._segment_cache, self.metadata)
 
-    def _data_point_view(self) -> DataPointView:
-        return DataPointView(
-            self._storage, self._segment_cache, self.metadata
-        )
-
 
 class _SegmentFold:
     """The fold stage of one Segment View aggregate (Algorithm 5's
-    iterate): per group key states, fed one segment or one partition
-    table at a time."""
+    iterate): per group key states, fed one partition table at a
+    time."""
 
     def __init__(
         self, engine: QueryEngine, query: Query, plan: RewrittenQuery
@@ -797,54 +695,7 @@ class _SegmentFold:
             self.simple[key] = states
         return states
 
-    def segment(self, segment, first: int, last: int) -> None:
-        """Fold one segment's selected member series over its clipped
-        index range (none when ``first > last``)."""
-        if first > last:
-            return
-        selected = [
-            (column, tid)
-            for column, tid in enumerate(segment.member_tids)
-            if tid in self.plan.tids
-        ]
-        if not selected:
-            return
-        model = self.cache.model_of(segment)
-        if model.constant_time_aggregates:
-            # Answered from model parameters alone: every data point
-            # this segment represents for the selected series stays
-            # unmaterialised.
-            self.skipped += len(selected) * (last - first + 1)
-        if model.column_independent:
-            model = _ColumnSharedModel(model)
-        for column, tid in selected:
-            key = self._key(tid)
-            scaling = self.scalings.get(tid, 1.0)
-            for index, spec in enumerate(self.specs):
-                if spec.level is None:
-                    states = self._states(key)
-                    states[index] = spec.aggregate.iterate(
-                        states[index], model, first, last, column, scaling
-                    )
-                    continue
-                buckets = self.cubes.get(key)
-                if buckets is None:
-                    buckets = [{} for _ in self.specs]
-                    self.cubes[key] = buckets
-                rollup_segment(
-                    buckets[index],
-                    spec.aggregate,
-                    model,
-                    segment.start_time,
-                    segment.sampling_interval,
-                    first,
-                    last,
-                    column,
-                    scaling,
-                    spec.level,
-                )
-
-    def table(self, table: Table, columnar: bool) -> None:
+    def table(self, table: Table) -> None:
         """Fold one partition from its fold columns.
 
         One vectorised clip, slice aggregate and scaling division over
@@ -853,31 +704,56 @@ class _SegmentFold:
         / 2.0`` and the ``min``/``max`` of its end values. Gorilla and
         ``Multi`` rows fill their cells with their own per-column slice
         calls, in place. Each group key then folds its cells in
-        (segment, column) order — the row engine's order of Python
-        ``+``, ``min`` and ``max``.
+        (segment, column) order of Python ``+``, ``min`` and ``max``.
 
         A CUBE level first splits the rows into one piece per calendar
-        bucket (:func:`rollup.split_at_boundaries`, :func:`rollup_segment`'s
+        bucket (:func:`rollup.split_at_boundaries`, a boundary-by-boundary
         walk for every row at once) and runs the same formulas over the
         pieces. Each (group key, bucket) then folds its cells in
-        (segment, column, piece) order, the row engine's order again.
+        (segment, column, piece) order.
 
-        The row engine (``columnar`` false) and a partition holding a
-        ``FOREIGN`` row fold the clipped rows one :meth:`segment` at a
-        time instead.
+        A partition holding a ``FOREIGN`` row (stored under another
+        group layout) is folded one layout run at a time: each maximal
+        run of consecutive rows sharing ``(group_tids,
+        sampling_interval)`` as a table of its own, in append order, so
+        each key still folds in (segment, column[, piece]) order.
         """
         plan = self.plan
         rows, first, last = table.clip(plan.start_time, plan.end_time)
         self.scanned += len(rows)
         if not len(rows):
             return
-        columns, decoded = (
-            self.cache.fold_columns(table) if columnar else (None, None)
-        )
-        if columns is None or (columns.kinds[rows] == FOREIGN).any():
-            for row, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
-                self.segment(table.segments[row], lo, hi)
+        columns, decoded = self.cache.fold_columns(table)
+        if (columns.kinds[rows] == FOREIGN).any():
+            segments = table.segments
+            layouts = [(s.group_tids, s.sampling_interval) for s in segments]
+            cuts = [
+                row
+                for row in range(1, len(layouts))
+                if layouts[row] != layouts[row - 1]
+            ]
+            for begin, end in zip([0, *cuts], [*cuts, len(segments)]):
+                inside = (rows >= begin) & (rows < end)
+                if inside.any():
+                    run = Table.of(segments[begin:end])
+                    self._fold_rows(
+                        run, rows[inside] - begin, first[inside], last[inside],
+                        *self.cache.fold_columns(run),
+                    )
             return
+        self._fold_rows(table, rows, first, last, columns, decoded)
+
+    def _fold_rows(
+        self,
+        table: Table,
+        rows: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+        columns: FoldColumns,
+        decoded: np.ndarray | None,
+    ) -> None:
+        """Fold the clipped ``rows`` of a table of one group layout."""
+        plan = self.plan
         tids = columns.tids
         wanted = [tid in plan.tids for tid in tids]
         selected = columns.members[rows] & wanted & (first <= last)[:, None]
@@ -898,9 +774,9 @@ class _SegmentFold:
         # planes (sum, min, max) and columns this statement reads, or —
         # for a whole segment read on every column — all of them, kept
         # in the row's memo. COUNT alone reads no plane, so exact rows
-        # then only look their model up, as the row engine does. A CUBE
-        # call slices pieces of the row: it looks the model up once for
-        # them all, and the memo is neither read nor kept.
+        # then only look their model up. A CUBE call slices pieces of
+        # the row: it looks the model up once for them all, and the memo
+        # is neither read nor kept.
         simple = self.levels.get(None, [])
         cube = len(simple) < len(self.specs)
         planes = self._planes(simple)
@@ -977,8 +853,8 @@ class _SegmentFold:
                 pieces, members = np.nonzero(chosen[:, positions])
                 if not len(pieces):
                     continue
-                # Bucket by bucket, in the order the row engine's walks
-                # reach a bucket: (segment, column, piece).
+                # Bucket by bucket, in the order a segment-at-a-time
+                # walk reaches a bucket: (segment, column, piece).
                 order = np.lexsort((pieces, members, row[pieces], buckets[pieces]))
                 pieces, members = pieces[order], members[order]
                 keyed = buckets[pieces]
@@ -1058,7 +934,7 @@ def _slices(
 
 def _fold(aggregate: Aggregate, state, ticks: int, cells: np.ndarray | None):
     """``state`` after ``ticks`` points whose slice sums, minima and
-    maxima are ``cells``, in the row engine's order."""
+    maxima are ``cells``, added one cell at a time in order."""
     name = aggregate.name
     if name == "COUNT":
         return state + ticks
@@ -1066,8 +942,8 @@ def _fold(aggregate: Aggregate, state, ticks: int, cells: np.ndarray | None):
         return _ordered_sum(state, cells[0])
     if name == "AVG":
         return _ordered_sum(state[0], cells[0]), state[1] + ticks
-    # Python's own min/max over the row engine's sequence: the first of
-    # equal extremes wins (the sign of a zero).
+    # Python's own min/max over the cells in order: the first of equal
+    # extremes wins (the sign of a zero).
     extremes = cells[1 if name == "MIN" else 2].tolist()
     if state is not None:
         extremes.insert(0, state)
@@ -1083,69 +959,6 @@ def _ordered_sum(state: float, values: np.ndarray) -> float:
     ``+`` adds them: a sequential accumulate, never numpy's pairwise
     ``sum``."""
     return float(np.add.accumulate(np.concatenate(([state], values)))[-1])
-
-
-class _ColumnSharedModel:
-    """Memoising proxy for column-independent models within one segment.
-
-    Constant and linear group models produce the same estimate for every
-    member series at a timestamp, so slice aggregates do not depend on
-    the column — computing them once per segment and sharing the result
-    across the group's series makes aggregate cost O(1) in group size.
-    ``Multi`` models are constant-time too, but per column, so callers
-    wrap only :attr:`~repro.models.base.FittedModel.column_independent`
-    models.
-    """
-
-    __slots__ = ("_model", "_memo")
-
-    constant_time_aggregates = True
-    column_independent = True
-
-    def __init__(self, model) -> None:
-        self._model = model
-        self._memo: dict[tuple, float] = {}
-
-    @property
-    def length(self) -> int:
-        return self._model.length
-
-    @property
-    def n_columns(self) -> int:
-        return self._model.n_columns
-
-    def values(self):
-        return self._model.values()
-
-    def value_at(self, index: int, column: int) -> float:
-        return self._model.value_at(index, 0)
-
-    def column_values(self, column: int):
-        return self._model.column_values(column)
-
-    def slice_sum(self, first: int, last: int, column: int) -> float:
-        key = ("sum", first, last)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._model.slice_sum(first, last, 0)
-            self._memo[key] = value
-        return value
-
-    def slice_min(self, first: int, last: int, column: int) -> float:
-        key = ("min", first, last)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._model.slice_min(first, last, 0)
-            self._memo[key] = value
-        return value
-
-    def slice_max(self, first: int, last: int, column: int) -> float:
-        key = ("max", first, last)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._model.slice_max(first, last, 0)
-            self._memo[key] = value
-        return value
 
 
 # ----------------------------------------------------------------------
@@ -1476,14 +1289,6 @@ def _shape_results(
                     row[spec.label] = spec.aggregate.finalize(state)
             results.append(row)
     return results
-
-
-def _point_matches(point: DataPointRow, conditions: _PointConditions) -> bool:
-    for column, operator, literal in conditions:
-        actual = point.value if column == "value" else point.timestamp
-        if not bool(_compare(np.array([actual]), operator, literal)[0]):
-            return False
-    return True
 
 
 def _value_literal(condition: Condition) -> float:

@@ -10,9 +10,8 @@ afterwards (Figs. 11 and 12's *Rewriting* step).
 The rewriter also decides, per select-list subtree, whether an aggregate
 can be answered *segment-only* — directly from model parameters, without
 reconstructing data points (Section 6.1) — or has to materialize. The
-decision is part of the plan, shared by both execution modes, so the
-row and columnar executors take exactly the same route and stay
-bit-identical by construction.
+decision is part of the plan: the engine, the workers of the sharded
+tier and the test oracle all take exactly the same route.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ class RewrittenQuery:
     def scan_request(self, *, all_revisions: bool = False) -> SegmentScan:
         """The typed storage read for this plan.
 
-        Both execution modes build their scan here, so the partitions
-        visited, the time clip, and the revision resolution are shared
-        verbatim — the row/columnar bit-identity contract extends to
-        ``AS OF`` reads by construction.
+        Every reader of the plan builds its scan here, so the
+        partitions visited, the time clip, and the revision resolution
+        are shared verbatim, ``AS OF`` reads included.
         """
         return SegmentScan(
             gids=tuple(sorted(self.gids)),

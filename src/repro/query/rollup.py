@@ -2,15 +2,16 @@
 
 Because every segment stores its start and end time, aggregates per
 calendar interval (``CUBE_SUM_HOUR``, ``CUBE_AVG_MONTH``, ...) are
-computed directly on segments — no join with a time dimension table. The
-row engine walks a segment boundary by boundary (:func:`rollup_segment`):
-the first partial interval runs from the segment start to the next level
-boundary, whole intervals follow, and the final interval includes the
-segment's inclusive end time (segments are stored disconnected, Fig. 12).
-The columnar engine splits a whole partition's rows at the same
-boundaries at once (:func:`split_at_boundaries`), from
+computed directly on segments — no join with a time dimension table. A
+segment splits at the level's boundaries: the first partial interval
+runs from the segment start to the next level boundary, whole intervals
+follow, and the final interval includes the segment's inclusive end
+time (segments are stored disconnected, Fig. 12). The engine splits a
+whole partition's rows at once (:func:`split_at_boundaries`), from
 :func:`bucket_numbers` and :func:`bucket_bounds`; Data Point View
 rollups and the baselines bucket points with them (:func:`bucket_masks`).
+:func:`floor_to_level` and :func:`next_boundary` are the scalar calendar
+these vectorised kernels are checked against.
 
 Timestamps are milliseconds since the Unix epoch, interpreted in UTC.
 """
@@ -20,13 +21,11 @@ from __future__ import annotations
 import calendar
 import datetime as dt
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..core.errors import QueryError
-from ..models.base import FittedModel
-from .aggregates import Aggregate
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -180,7 +179,7 @@ def split_at_boundaries(
     sampling_interval: int,
     level: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`rollup_segment`'s walk for many rows at once.
+    """Split many rows at a level's boundaries at once.
 
     Row ``i`` starts at ``starts[i]`` and is clipped to the inclusive
     indices ``first[i]..last[i]``. Returns one entry per non-empty
@@ -209,51 +208,6 @@ def split_at_boundaries(
     keep = first <= last
     keep[1:] &= (numbers[1:] != numbers[:-1]) | (row[1:] != row[:-1])
     return row[keep], first[keep], last[keep], keys[keep]
-
-
-def rollup_segment(
-    states: dict[int, Any],
-    aggregate: Aggregate,
-    model: FittedModel,
-    segment_start: int,
-    sampling_interval: int,
-    first: int,
-    last: int,
-    column: int,
-    scaling: float,
-    level: str,
-) -> None:
-    """Fold one segment's clipped index range into per-bucket states.
-
-    ``states`` maps the bucket key to the aggregate state; updated in
-    place. For interval levels the key is the bucket's start timestamp;
-    for DatePart levels (``DAYOFWEEK``, ...) it is the calendar
-    component, so intervals sharing the component accumulate together.
-    ``first``/``last`` are inclusive model indices (the query's time
-    predicates have already clipped them).
-    """
-    part = DATEPART_LEVELS.get(level)
-    walk_level = part if part is not None else level
-    index = first
-    first_timestamp = segment_start + first * sampling_interval
-    bucket = floor_to_level(first_timestamp, walk_level)
-    boundary = next_boundary(bucket, walk_level)
-    while index <= last:
-        # Largest index whose timestamp is strictly before the boundary;
-        # the final interval includes the inclusive segment end.
-        last_in_bucket = (boundary - 1 - segment_start) // sampling_interval
-        last_in_bucket = min(last_in_bucket, last)
-        if last_in_bucket >= index:
-            key = bucket if part is None else datepart_of(bucket, level)
-            state = states.get(key)
-            if state is None:
-                state = aggregate.initialize()
-            states[key] = aggregate.iterate(
-                state, model, index, last_in_bucket, column, scaling
-            )
-            index = last_in_bucket + 1
-        bucket = boundary
-        boundary = next_boundary(bucket, walk_level)
 
 
 def parse_cube_function(name: str) -> tuple[str, str]:

@@ -1,14 +1,14 @@
-"""The Segment View and Data Point View (Section 6.1).
+"""The Segment View (Section 6.1) and the Data Point View's row type.
 
 The Segment View exposes stored segments one row per (segment, Tid) with
-schema (Tid, StartTime, EndTime, SI, Mid, Parameters, Gaps, Dimensions);
-aggregates executed on it use the models directly. The Data Point View
-reconstructs data points with schema (Tid, TS, Value, Dimensions) and is
-the fallback for anything that needs actual points.
-
-Both views attach denormalised dimension members from the metadata cache
-and clip rows to the query's time interval, yielding the inclusive model
-index range the aggregate framework consumes.
+schema (Tid, StartTime, EndTime, SI, Mid, Parameters, Gaps, Dimensions),
+attaches denormalised dimension members from the metadata cache and
+clips rows to the query's time interval, yielding the inclusive model
+index range each row's model is read over; analytics and segment
+selections walk it row by row. The Data Point View, with schema (Tid,
+TS, Value, Dimensions), is decoded a partition at a time
+(:func:`repro.query.columnar.partition_points`); :class:`DataPointRow`
+is its row as :meth:`repro.query.engine.QueryEngine.points` yields it.
 """
 
 from __future__ import annotations
@@ -84,49 +84,3 @@ class SegmentView:
                     if model is None:
                         model = self._cache.model_of(segment)
                     yield SegmentViewRow(row, model, first, last)
-
-
-class DataPointView:
-    """Point-level access: reconstructs data points from segments."""
-
-    def __init__(
-        self,
-        storage: Storage,
-        cache: SegmentCache,
-        metadata: MetadataCache,
-    ) -> None:
-        self._segment_view = SegmentView(storage, cache, metadata)
-
-    def rows(self, plan: RewrittenQuery) -> Iterator[DataPointRow]:
-        """Reconstructed data points, ordered per segment."""
-        for view_row in self._segment_view.rows(plan):
-            row = view_row.row
-            values = view_row.model.column_values(row.column) / row.scaling
-            base = row.start_time
-            si = row.sampling_interval
-            for index in range(view_row.first, view_row.last + 1):
-                yield DataPointRow(
-                    row.tid,
-                    base + index * si,
-                    float(values[index]),
-                    row.dimensions,
-                )
-
-    def arrays(
-        self, plan: RewrittenQuery
-    ) -> Iterator[tuple[SegmentRow, np.ndarray, np.ndarray]]:
-        """Vectorised access: (row, timestamps, values) per segment row.
-
-        Used by aggregate execution on the Data Point View so the
-        point-level path is a fair (numpy-speed) baseline rather than a
-        strawman.
-        """
-        for view_row in self._segment_view.rows(plan):
-            row = view_row.row
-            values = view_row.model.column_values(row.column) / row.scaling
-            first, last = view_row.first, view_row.last
-            timestamps = row.start_time + np.arange(first, last + 1) * (
-                row.sampling_interval
-            )
-            yield row, timestamps, values[first:last + 1]
-

@@ -1,11 +1,6 @@
 """Per-server serving metrics, backed by the unified ``repro.obs`` layer.
 
-The latency histogram implementation that used to live here was
-generalised into :class:`repro.obs.Histogram`; ``LatencyHistogram`` is a
-re-export kept for compatibility (same geometric buckets, same
-``snapshot()`` payload — and ``min``/``min_ms`` report 0.0 instead of
-``inf`` while empty).
-
+A server's latency histogram is a :class:`repro.obs.Histogram`.
 :class:`ServerCounters` keeps exact per-server integers for the
 ``stats`` op (tests and dashboards rely on per-instance values) while
 mirroring every bump into the process-wide registry as
@@ -17,11 +12,7 @@ from __future__ import annotations
 
 import threading
 
-from ..obs import Histogram, get_registry
-
-#: The serving latency histogram — one geometric-bucket implementation
-#: for the whole system, owned by :mod:`repro.obs.registry`.
-LatencyHistogram = Histogram
+from ..obs import get_registry
 
 
 class ServerCounters:

@@ -37,9 +37,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..core.errors import ModelarError
-from ..obs import get_registry
+from ..obs import Histogram, get_registry
 from .dispatcher import CancelToken, Dispatcher
-from .metrics import LatencyHistogram, ServerCounters
+from .metrics import ServerCounters
 from .protocol import (
     WIRE_COLUMNAR,
     BadRequestError,
@@ -77,7 +77,7 @@ class QueryServer:
         self._max_waiting = max_waiting
         self._default_timeout = default_timeout
         self.counters = ServerCounters()
-        self.latency = LatencyHistogram()
+        self.latency = Histogram()
         self._query_seconds = get_registry().histogram(
             "server.query_seconds"
         )

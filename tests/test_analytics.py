@@ -9,8 +9,6 @@ The contracts locked here:
   the rows a brute-force decode-everything scan returns, bit for bit —
   including on tie-heavy flat data where runs of equal-distance windows
   must resolve under the (Distance, Tid, StartTime) total order.
-- **Bit-identity**: row and columnar execution modes return identical
-  bits for all three analytics surfaces (the PR 6 contract).
 - **Containment**: for trend data the store fits with a trend model,
   the true continuation lies inside the forecast's [Lo, Hi] interval,
   and interval widths never shrink with the horizon.
@@ -64,11 +62,8 @@ def assert_rows_bit_identical(left_rows, right_rows, context=""):
             )
 
 
-def make_db(series, error_bound=0.0, columnar=True):
-    db = ModelarDB(
-        Configuration(error_bound=error_bound, columnar_read=columnar),
-        storage=MemoryStorage(),
-    )
+def make_db(series, error_bound=0.0):
+    db = ModelarDB(Configuration(error_bound=error_bound), storage=MemoryStorage())
     db.ingest(series)
     return db
 
@@ -225,8 +220,7 @@ if HAVE_HYPOTHESIS:
 # ----------------------------------------------------------------------
 # SIMILAR TO
 # ----------------------------------------------------------------------
-def walk_db(seed=14, n_series=3, n_points=240, error_bound=0.0,
-            columnar=True, planted=None):
+def walk_db(seed=14, n_series=3, n_points=240, error_bound=0.0, planted=None):
     """Random-walk series; ``planted=(tid, position, pattern)`` embeds
     an exact copy of the pattern."""
     rng = np.random.default_rng(seed)
@@ -240,7 +234,7 @@ def walk_db(seed=14, n_series=3, n_points=240, error_bound=0.0,
             TimeSeries(tid, SI, np.arange(n_points, dtype=np.int64) * SI,
                        values)
         )
-    return make_db(series, error_bound=error_bound, columnar=columnar)
+    return make_db(series, error_bound=error_bound)
 
 
 def brute_force_rows(db, pattern, k):
@@ -497,29 +491,6 @@ class TestAnomaly:
 
 
 # ----------------------------------------------------------------------
-# Row/columnar bit-identity (the PR 6 contract, extended)
-# ----------------------------------------------------------------------
-class TestRowColumnarBitIdentity:
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "SELECT FORECAST(TS, 12) FROM DataPoint",
-            "SELECT FORECAST(TS, 3) FROM DataPoint WHERE Tid IN (1, 2)",
-            pattern_sql((101.0, 103.5, 106.0, 103.5, 101.0), k=6),
-            "SELECT Tid, StartTime, Anomaly FROM Segment",
-            "SELECT Tid FROM Segment WHERE Anomaly = 1",
-        ],
-    )
-    def test_modes_agree_bit_for_bit(self, sql):
-        planted = (2, 120, (101.0, 103.5, 106.0, 103.5, 101.0))
-        columnar = walk_db(error_bound=1.0, columnar=True, planted=planted)
-        row_mode = walk_db(error_bound=1.0, columnar=False, planted=planted)
-        assert_rows_bit_identical(
-            columnar.sql(sql), row_mode.sql(sql), sql
-        )
-
-
-# ----------------------------------------------------------------------
 # Validation and EXPLAIN ANALYZE
 # ----------------------------------------------------------------------
 class TestValidation:
@@ -581,7 +552,6 @@ class TestExplainAnalyze:
         details = {row["stage"].strip(): row["detail"] for row in report}
         assert "horizon=3" in details["scan"]
         assert "series=1" in details["scan"]
-        assert "mode=columnar" in details["scan"]
 
     def test_similarity_scan_stage_reports_pruning(self):
         db = walk_db(planted=(2, 120, (101.0, 103.5, 106.0)))

@@ -1,18 +1,20 @@
-"""Row-vs-columnar equivalence: the read path must be bit-identical.
+"""The engine against the row-at-a-time oracle: bit-identical answers.
 
-The columnar read path (``Configuration.columnar_read``) decodes stored
-segments into ``(ticks × series)`` blocks and folds aggregates from
-vectorized slices; the row path walks points one at a time. Both share
-one plan — including the per-subtree pushdown decisions — and promise
-the *same bits*: every float in every result row must compare equal at
-the ``struct.pack`` level, for SUM/MIN/MAX/AVG/COUNT over PMC-Mean,
-Swing and Gorilla segments, with lossy error bounds, scaled correlated
-groups, and time ranges that cut segments mid-way. A second corpus
-aims at the columnar Segment View fold, which answers a partition at a
-time: gaps, long partitions, dimension keys spanning columns, ``AS OF``
-over revisions, and ``Multi`` models; its CUBE part places stores across
-calendar boundaries, so that segments (Gorilla ones too) straddle every
-level's buckets and one segment feeds a DatePart component twice.
+The engine decodes stored segments a partition table at a time and
+folds aggregates from vectorized slices; the oracle (``tests/oracle.py``)
+walks the Segment View one row at a time, as the retired row engine did.
+Both share one plan — including the per-subtree pushdown decisions —
+and must produce the *same bits*: every float in every result row must
+compare equal at the ``struct.pack`` level, for SUM/MIN/MAX/AVG/COUNT
+over PMC-Mean, Swing and Gorilla segments, with lossy error bounds,
+scaled correlated groups, and time ranges that cut segments mid-way. A
+second corpus aims at the Segment View fold, which answers a partition
+at a time: gaps, long partitions, dimension keys spanning columns,
+``AS OF`` over revisions, ``Multi`` models, and partitions mixing group
+layouts, which fold one layout run at a time; its CUBE part places
+stores across calendar boundaries, so that segments (Gorilla ones too)
+straddle every level's buckets and one segment feeds a DatePart
+component twice.
 
 Uses hypothesis when installed; otherwise the same properties run over
 seeded pseudo-random cases so the suite stays meaningful without the
@@ -49,6 +51,8 @@ from repro.query.rollup import (
 )
 from repro.storage import SegmentScan, TimeSeriesRecord
 
+from . import oracle
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -71,9 +75,9 @@ def bits(value):
     return value
 
 
-def assert_rows_bit_identical(columnar_rows, row_rows, context=""):
-    assert len(columnar_rows) == len(row_rows), context
-    for left, right in zip(columnar_rows, row_rows):
+def assert_rows_bit_identical(rows, expected, context=""):
+    assert len(rows) == len(expected), context
+    for left, right in zip(rows, expected):
         assert list(left.keys()) == list(right.keys()), context
         for key in left:
             assert type(left[key]) is type(right[key]), (context, key)
@@ -110,9 +114,9 @@ def make_values(rng: random.Random, n_ticks: int, n_columns: int):
     return np.float64(np.float32(matrix))
 
 
-def build_db(seed, bound, chunk_size, columnar, grouped=True):
+def build_db(seed, bound, chunk_size, grouped=True):
     """One in-memory instance: a correlated group (distinct scalings)
-    plus a singleton series, same data for any (columnar, chunk_size)."""
+    plus a singleton series, same data for any chunk_size."""
     rng = random.Random(seed)
     n_ticks = rng.randint(40, 260)
     matrix = make_values(rng, n_ticks, 3)
@@ -129,7 +133,6 @@ def build_db(seed, bound, chunk_size, columnar, grouped=True):
         error_bound=bound,
         model_length_limit=16,
         ingest_chunk_size=chunk_size,
-        columnar_read=columnar,
     )
     db = ModelarDB(config, storage=MemoryStorage())
     if grouped:
@@ -165,13 +168,11 @@ def query_matrix(n_ticks):
 
 
 def check_equivalence(seed, bound, chunk_size, grouped=True):
-    columnar, n_ticks = build_db(seed, bound, chunk_size, True, grouped)
-    row, _ = build_db(seed, bound, chunk_size, False, grouped)
-    assert columnar.engine.columnar and not row.engine.columnar
+    db, n_ticks = build_db(seed, bound, chunk_size, grouped)
     for sql in query_matrix(n_ticks):
         assert_rows_bit_identical(
-            columnar.sql(sql),
-            row.sql(sql),
+            db.sql(sql),
+            oracle.query(db, sql),
             context=f"seed={seed} bound={bound} chunk={chunk_size}: {sql}",
         )
 
@@ -189,7 +190,7 @@ class TestSeededEquivalence:
             check_equivalence(seed, 10.0, 1024, grouped=False)
 
     def test_mixed_model_types_are_exercised(self):
-        db, _ = build_db(seed=1, bound=5.0, chunk_size=1024, columnar=True)
+        db, _ = build_db(seed=1, bound=5.0, chunk_size=1024)
         mids = {segment.mid for segment in db.storage.scan(SegmentScan())}
         assert len(mids) >= 2, "data should select more than one model type"
 
@@ -304,7 +305,7 @@ HOUR_MS, DAY_MS = 3_600_000, 86_400_000
 #: Where the CUBE corpus's stores sit on the calendar: (origin, SI,
 #: levels). With at most four ticks a segment, segments straddle the
 #: named levels' boundaries. A level much finer than a segment is left
-#: out where the row engine, which walks every bucket, would crawl.
+#: out where the oracle, which walks every bucket, would crawl.
 CALENDARS = {
     # 5 hours over Dec 31 -> Jan 1: every level's boundary at once.
     "new-year": (
@@ -374,6 +375,82 @@ def rollup_queries(timestamps, si, levels):
     ]
 
 
+#: The group layouts of the mixed-layout corpus's one Gid: (Tids,
+#: sampling interval). The last two differ in their interval only.
+LAYOUTS = (((1, 2), 100), ((1, 2, 3), 100), ((2, 3), 200), ((2, 3), 100))
+#: Three seconds before a new year: stores cross a minute, an hour and
+#: a day boundary.
+MIXED_ORIGIN = utc(2015, 12, 31, 23, 59, 57)
+
+
+def mixed_layout_engine(seed):
+    """An engine over one Gid whose rows disagree on the group's Tids
+    and sampling interval (``LAYOUTS``, in runs that may come back after
+    another layout's), and those rows. Each row is a PMC-Mean hold, a
+    Swing ramp or Gorilla noise, fitted at an error bound of 0, 1 or 5 %
+    (Gorilla where the chosen model does not fit); the series have
+    distinct scalings. MemoryStorage stores rows as given."""
+    rng = random.Random(seed)
+    bound = (0.0, 1.0, 5.0)[seed % 3]
+    registry = ModelRegistry()
+    storage = MemoryStorage()
+    storage.insert_time_series(
+        [
+            TimeSeriesRecord(tid, 100, 1, scaling)
+            for tid, scaling in ((1, 1.0), (2, 2.5), (3, -0.5))
+        ]
+    )
+    segments, start, layout = [], MIXED_ORIGIN, rng.choice(LAYOUTS)
+    for _ in range(rng.randint(4, 16)):
+        if rng.random() < 0.5:
+            layout = rng.choice(LAYOUTS)
+        tids, si = layout
+        length = rng.randint(1, 12)
+        base, slope = rng.uniform(-20, 20), rng.uniform(-2, 2)
+        name = rng.choice(("PMC", "Swing", "Gorilla"))
+        matrix = np.full((length, len(tids)), base)
+        if name == "Swing":
+            matrix += slope * np.arange(length)[:, np.newaxis]
+        elif name == "Gorilla":
+            matrix += np.array([[rng.uniform(-5, 5) for _ in tids] for _ in matrix])
+        matrix = np.float64(np.float32(matrix))
+        for name in (name, "Gorilla"):
+            fitter = registry.by_name(name).fitter(len(tids), bound, length)
+            if all(fitter.append(tuple(row.tolist())) for row in matrix):
+                break
+        segments.append(
+            SegmentGroup(
+                1, start, start + (length - 1) * si, si, registry.mid_of(name),
+                fitter.parameters(), group_tids=tids,
+            )
+        )
+        start += length * si + rng.choice((0, 0, si, 7))
+    storage.insert_segments(segments)
+    return QueryEngine(storage, registry), segments
+
+
+def mixed_layout_queries(segments):
+    """GROUP BY Tid, TS cuts off the grid, MINUTE and HOUROFDAY CUBEs
+    and every aggregate, over a mixed-layout store."""
+    first, end = segments[0].start_time, segments[-1].end_time
+    lo, hi = first + (end - first) // 3 + 1, end - (end - first) // 4 - 1
+    every = "COUNT_S(*), SUM_S(*), MIN_S(*), MAX_S(*), AVG_S(*)"
+    return [
+        f"SELECT {every} FROM Segment",
+        f"SELECT Tid, {every} FROM Segment GROUP BY Tid",
+        f"SELECT Tid, SUM_S(*), MIN_S(*), MAX_S(*) FROM Segment "
+        f"WHERE TS >= {lo} AND TS <= {hi} GROUP BY Tid",
+        "SELECT Tid, CUBE_SUM_MINUTE(*), CUBE_MAX_MINUTE(*), "
+        "CUBE_COUNT_MINUTE(*) FROM Segment GROUP BY Tid",
+        "SELECT CUBE_AVG_HOUROFDAY(*), CUBE_MIN_HOUROFDAY(*), MAX_S(*) "
+        "FROM Segment",
+        f"SELECT Tid, CUBE_SUM_MINUTE(*), AVG_S(*) FROM Segment "
+        f"WHERE TS >= {lo} GROUP BY Tid",
+        f"SELECT Tid, SUM(*), COUNT(*), MIN(*) FROM DataPoint "
+        f"WHERE Value < 1 AND TS <= {hi} GROUP BY Tid",
+    ]
+
+
 class TestPartitionFold:
     @pytest.mark.parametrize("multi", (False, True))
     @pytest.mark.parametrize("bound", (0.0, 5.0))
@@ -383,8 +460,8 @@ class TestPartitionFold:
             for sql in fold_queries(timestamps):
                 for as_of in (None, mark):
                     assert_rows_bit_identical(
-                        db.query(sql, as_of=as_of, columnar=True),
-                        db.query(sql, as_of=as_of, columnar=False),
+                        db.query(sql, as_of=as_of),
+                        oracle.query(db, sql, as_of=as_of),
                         context=f"seed={seed} bound={bound} multi={multi} "
                         f"as_of={as_of}: {sql}",
                     )
@@ -404,6 +481,30 @@ class TestPartitionFold:
         assert before != after  # the correction erased a point
 
     def test_a_partition_mixing_group_layouts_folds_exactly(self):
+        """Sixty seeded stores whose one Gid mixes three group layouts,
+        some in interleaved runs: every statement folds each layout run
+        as its own table and matches the oracle bit for bit."""
+        interleaved, names, registry = 0, set(), ModelRegistry()
+        for seed in range(60):
+            engine, segments = mixed_layout_engine(seed)
+            layouts = [(s.group_tids, s.sampling_interval) for s in segments]
+            runs = [
+                layout
+                for row, layout in enumerate(layouts)
+                if row == 0 or layout != layouts[row - 1]
+            ]
+            interleaved += len(runs) > len(set(runs))
+            names |= {registry.by_mid(s.mid).name for s in segments}
+            for sql in mixed_layout_queries(segments):
+                assert_rows_bit_identical(
+                    engine.sql(sql),
+                    oracle.query(engine, sql),
+                    context=f"seed={seed}: {sql}",
+                )
+        assert interleaved >= 10
+        assert names == {"PMC", "Swing", "Gorilla"}
+
+    def test_a_hand_built_mixed_partition_answers_exactly(self):
         # MemoryStorage stores rows as given: hand-built rows of one Gid
         # may disagree on the group's Tids and sampling interval.
         storage = MemoryStorage()
@@ -428,30 +529,23 @@ class TestPartitionFold:
         )
         engine = QueryEngine(storage, registry)
         sql = "SELECT Tid, SUM_S(*), MIN_S(*), COUNT_S(*) FROM Segment GROUP BY Tid"
-        rows = engine.sql(sql, columnar=True)
-        assert_rows_bit_identical(rows, engine.sql(sql, columnar=False))
+        rows = engine.sql(sql)
+        assert_rows_bit_identical(rows, oracle.query(engine, sql))
         assert [row["COUNT_S(*)"] for row in rows] == [15, 20, 10]
-        sql = (
-            "SELECT Tid, CUBE_SUM_MINUTE(*), CUBE_MAX_DAYOFWEEK(*) "
-            "FROM Segment GROUP BY Tid"
-        )
-        assert_rows_bit_identical(
-            engine.sql(sql, columnar=True), engine.sql(sql, columnar=False)
-        )
         # The Data Point View decodes the foreign rows (another Tid
         # layout, another SI) one at a time within the partition.
         for sql in (
+            "SELECT Tid, CUBE_SUM_MINUTE(*), CUBE_MAX_DAYOFWEEK(*) "
+            "FROM Segment GROUP BY Tid",
             "SELECT Tid, TS, Value FROM DataPoint",
             "SELECT Tid, TS, Value FROM DataPoint WHERE Value > 0",
             "SELECT Tid, TS, Value FROM DataPoint WHERE Tid = 3",
             "SELECT Tid, SUM(*), COUNT(*) FROM DataPoint "
             "WHERE Value < 1 GROUP BY Tid",
         ):
-            rows = engine.sql(sql, columnar=True)
+            rows = engine.sql(sql)
             assert rows, sql
-            assert_rows_bit_identical(
-                rows, engine.sql(sql, columnar=False), context=sql
-            )
+            assert_rows_bit_identical(rows, oracle.query(engine, sql), context=sql)
         rows = engine.sql("SELECT TS FROM DataPoint WHERE Tid = 3")
         assert [row["TS"] for row in rows] == [
             START + tick * SI for tick in (*range(5, 10), *range(15, 24, 2))
@@ -468,8 +562,8 @@ class TestPartitionFold:
         for sql in rollup_queries(timestamps, si, levels):
             for as_of in (None, mark):
                 assert_rows_bit_identical(
-                    db.query(sql, as_of=as_of, columnar=True),
-                    db.query(sql, as_of=as_of, columnar=False),
+                    db.query(sql, as_of=as_of),
+                    oracle.query(db, sql, as_of=as_of),
                     context=f"{calendar} bound={bound} multi={multi} "
                     f"as_of={as_of}: {sql}",
                 )
@@ -501,28 +595,34 @@ class TestPartitionFold:
 
     def test_a_rollup_counts_what_the_row_engine_counts(self):
         """On a fresh handle each, a CUBE statement over Gorilla rows
-        split into several buckets looks every model up once, as the row
-        engine does: equal cache hits and misses, scanned segments and
-        skipped points, cold and then warm. (Without revisions: fold
-        columns also decode the rows a revision shadows.)"""
+        split into several buckets looks every model up once, as the
+        oracle's row-at-a-time walk does: equal cache hits and misses,
+        cold and then warm. (Without revisions: fold columns also decode
+        the rows a revision shadows.)"""
         origin, si, _ = CALENDARS["new-year"]
         sql = (
-            "EXPLAIN ANALYZE SELECT Park, CUBE_SUM_MINUTE(*), MAX_S(*), "
+            "SELECT Park, CUBE_SUM_MINUTE(*), MAX_S(*), "
             "CUBE_COUNT_HOUR(*) FROM Segment GROUP BY Park"
         )
-        counted = {}
-        for columnar in (True, False):
+        counted, reports = {}, []
+        for reference in (False, True):
             db, _, _ = build_fold_db(0, 0.0, origin=origin, si=si, revise=False)
             for _ in range(2):
-                report = db.query(sql, columnar=columnar)
-                (scan,) = [r["detail"] for r in report if r["stage"] == "scan"]
-                fields = dict(item.split("=") for item in scan.split())
-                assert fields.pop("mode") == ("columnar" if columnar else "row")
-                counted.setdefault(columnar, []).append(fields)
-            counted[columnar].append(db.engine.cache_stats)
-        assert counted[True] == counted[False]
-        cold, warm, (hits, misses) = counted[True]
-        assert int(cold["decoded"]) == misses > 0
+                before = db.engine.cache_stats
+                if reference:
+                    oracle.query(db, sql)
+                else:
+                    report = db.query("EXPLAIN ANALYZE " + sql)
+                    (scan,) = [r["detail"] for r in report if r["stage"] == "scan"]
+                    reports.append(dict(item.split("=") for item in scan.split()))
+                after = db.engine.cache_stats
+                counted.setdefault(reference, []).append(
+                    (after[0] - before[0], after[1] - before[1])
+                )
+        assert counted[False] == counted[True]
+        (_, misses), (hits, warm_misses) = counted[False]
+        cold, warm = reports
+        assert int(cold["decoded"]) == misses > 0 and warm_misses == 0
         assert int(warm["cache_hits"]) == hits == int(cold["segments"]) > 200
         assert int(cold["rows_skipped_materialization"]) > 0
 
@@ -532,7 +632,7 @@ class TestPartitionFold:
 # ----------------------------------------------------------------------
 class TestValuesBlockContract:
     def test_blocks_slice_the_full_reconstruction(self):
-        db, _ = build_db(seed=3, bound=5.0, chunk_size=1024, columnar=True)
+        db, _ = build_db(seed=3, bound=5.0, chunk_size=1024)
         cache = db.engine.segment_cache
         checked = 0
         for segment in db.storage.scan(SegmentScan()):

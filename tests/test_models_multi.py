@@ -11,6 +11,9 @@ from repro.models.multi import MultiModel
 from repro.models.pmc_mean import PMCMean
 from repro.models.swing import Swing
 
+from . import oracle
+from .test_columnar_equivalence import assert_rows_bit_identical
+
 
 class TestFitting:
     def test_independent_columns_fit_separately(self):
@@ -134,19 +137,21 @@ class TestAggregates:
         assert PMCMean().column_independent and Swing().column_independent
 
 
-def multi_db(columnar):
+def multi_db(scaled):
     """A group of two series held at 10.0 and 30.0 (100 ticks each),
-    stored only through ``Multi`` models: one sub-model per column."""
+    stored only through ``Multi`` models: one sub-model per column.
+    ``scaled`` gives the series scaling constants 4 and 0.5, which the
+    stored values carry and every answer divides out again."""
     timestamps = np.arange(100, dtype=np.int64) * 1000
+    scalings = (4.0, 0.5) if scaled else (1.0, 1.0)
     series = [
-        TimeSeries(1, 1000, timestamps, np.full(100, 10.0)),
-        TimeSeries(2, 1000, timestamps, np.full(100, 30.0)),
+        TimeSeries(tid, 1000, timestamps, np.full(100, value), scaling=scaling)
+        for tid, value, scaling in zip((1, 2), (10.0, 30.0), scalings)
     ]
     bases = (PMCMean(), Swing(), Gorilla())
     config = Configuration(
         error_bound=0.0,
         models=tuple(f"Multi({base.name})" for base in bases),
-        columnar_read=columnar,
     )
     db = ModelarDB(
         config,
@@ -161,7 +166,7 @@ class TestSegmentOnlyAggregates:
     """Segment-only aggregates read each member's own sub-model; they
     once answered column 0's series for every member."""
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("scaled", [True, False])
     @pytest.mark.parametrize(
         "sql",
         [
@@ -171,20 +176,21 @@ class TestSegmentOnlyAggregates:
             "FROM DataPoint GROUP BY Tid",
         ],
     )
-    def test_each_member_answers_its_own_values(self, columnar, sql):
-        rows = multi_db(columnar).sql(sql)
+    def test_each_member_answers_its_own_values(self, scaled, sql):
+        db = multi_db(scaled)
+        rows = db.sql(sql)
         assert [list(row.values()) for row in rows] == [
             [1, 1000.0, 10.0, 10.0, 10.0],
             [2, 3000.0, 30.0, 30.0, 30.0],
         ]
+        assert_rows_bit_identical(rows, oracle.query(db, sql))
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_segment_only_matches_materialized(self, columnar):
-        db = multi_db(columnar)
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_segment_only_matches_materialized(self, scaled):
+        db = multi_db(scaled)
         for tid in (1, 2):
-            folded = db.sql(f"SELECT SUM(*) FROM DataPoint WHERE Tid = {tid}")
-            points = db.sql(
-                f"SELECT SUM(*) FROM DataPoint WHERE Tid = {tid} "
-                "AND Value > 0.0"
-            )
-            assert folded == points == [{"SUM(*)": 1000.0 * (2 * tid - 1)}]
+            folded = f"SELECT SUM(*) FROM DataPoint WHERE Tid = {tid}"
+            for sql in (folded, folded + " AND Value > 0.0"):
+                rows = db.sql(sql)
+                assert rows == [{"SUM(*)": 1000.0 * (2 * tid - 1)}], sql
+                assert_rows_bit_identical(rows, oracle.query(db, sql), sql)

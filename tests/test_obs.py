@@ -27,7 +27,6 @@ from repro.obs import (
     set_registry,
     span,
 )
-from repro.server.metrics import LatencyHistogram
 
 
 @pytest.fixture
@@ -170,7 +169,7 @@ class TestSnapshotMerge:
 
 
 # ----------------------------------------------------------------------
-# The empty-histogram min bugfix and the LatencyHistogram re-export
+# The empty-histogram min bugfix
 # ----------------------------------------------------------------------
 class TestHistogramMin:
     def test_empty_histogram_reports_zero_not_inf(self):
@@ -185,9 +184,6 @@ class TestHistogramMin:
         histogram.record(0.25)
         histogram.record(0.01)
         assert histogram.min == pytest.approx(0.01)
-
-    def test_latency_histogram_is_the_obs_histogram(self):
-        assert LatencyHistogram is Histogram
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""The Data Point View decoded a partition at a time, held to the row
-engine bit for bit.
+"""The Data Point View decoded a partition at a time, held to the
+row-at-a-time oracle bit for bit.
 
-The columnar engine fills a partition table's PMC-Mean levels and Swing
-ramps with one numpy pass, decodes Gorilla and ``Multi`` rows one at a
-time, reads a series from its rank among a row's members, divides by
-each series' scaling and drops the series whose model bounds cannot
-meet a ``Value`` predicate. The row engine, which reconstructs one
-segment row at a time, is the oracle: every selection and Data Point
-View aggregate must return the same rows in the same order, each key in
+The engine fills a partition table's PMC-Mean levels and Swing ramps
+with one numpy pass, decodes Gorilla and ``Multi`` rows one at a time,
+reads a series from its rank among a row's members, divides by each
+series' scaling and drops the series whose model bounds cannot meet a
+``Value`` predicate. The oracle (``tests/oracle.py``), which
+reconstructs one segment row at a time, is the reference: every
+selection and Data Point View aggregate must return the same rows in
+the same order, each key in
 the same order, each value of the same Python type (never a numpy
 scalar) and ``struct.pack``-identical. The corpus aims at the decode's
 edges: a ``-0.0`` level, negative and non-unit scalings, gaps that move
 a series' model column, ``Multi`` rows, ``TS`` bounds that cut segments
 on both sides, ``AS OF`` after a correction and a predicate that prunes
 some series of a row but not the others. Last, readers race an
-ingesting ``FileStorage`` handle: every answer must be the row engine's
-at some published prefix.
+ingesting ``FileStorage`` handle: every answer must be the oracle's at
+some published prefix.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.obs import get_registry
 from repro.query.engine import QueryEngine
 from repro.storage import SegmentScan, TimeSeriesRecord
 
+from . import oracle
 from .test_columnar_equivalence import assert_rows_bit_identical, make_values
 
 START = 1_600_000_000_000
@@ -53,10 +55,10 @@ SOLO = (4, -3.0)
 EVERYTHING = "Value > -1e30"
 
 
-def assert_same(columnar_rows, row_rows, context=""):
+def assert_same(rows, expected, context=""):
     """Rows bit-identical to the oracle's, every value a Python scalar."""
-    assert_rows_bit_identical(columnar_rows, row_rows, context)
-    for row in columnar_rows:
+    assert_rows_bit_identical(rows, expected, context)
+    for row in rows:
         for value in row.values():
             assert type(value) in (int, float, str, type(None)), (context, value)
 
@@ -126,11 +128,7 @@ class TestHandBuiltPartition:
             "SELECT Tid, SUM(*), AVG(*), MIN(*), MAX(*), COUNT(*) "
             f"FROM DataPoint WHERE Value < 2 AND TS >= {lo} GROUP BY Tid",
         ):
-            assert_same(
-                engine.sql(sql, columnar=True),
-                engine.sql(sql, columnar=False),
-                context=sql,
-            )
+            assert_same(engine.sql(sql), oracle.query(engine, sql), context=sql)
 
     def test_a_negative_zero_level_keeps_its_sign(self):
         # The Swing row in range puts a ramp beside the level fill.
@@ -139,8 +137,8 @@ class TestHandBuiltPartition:
             "SELECT Tid, TS, Value FROM DataPoint "
             f"WHERE Tid IN (1, 2, 3) AND TS < {START + 18 * SI}"
         )
-        rows = engine.sql(sql, columnar=True)
-        assert_same(rows, engine.sql(sql, columnar=False))
+        rows = engine.sql(sql)
+        assert_same(rows, oracle.query(engine, sql))
         # -0.0 divided by 1.0 and 0.5 stays -0.0; by -2.5 it turns +0.0.
         signs = {
             row["Tid"]: struct.pack("<d", row["Value"])
@@ -159,8 +157,8 @@ class TestHandBuiltPartition:
             "SELECT Tid, TS, Value FROM DataPoint "
             f"WHERE TS >= {START + 18 * SI} AND TS <= {START + 25 * SI}"
         )
-        rows = engine.sql(sql, columnar=True)
-        assert_same(rows, engine.sql(sql, columnar=False))
+        rows = engine.sql(sql)
+        assert_same(rows, oracle.query(engine, sql))
         assert [row["Tid"] for row in rows] == [1] * 8 + [3] * 8
         noise = np.float32(np.sin(np.arange(24).reshape(8, 3) * 1.7) * 9.0)
         assert [row["Value"] for row in rows[8:]] == (noise[:, 2] / 0.5).tolist()
@@ -176,13 +174,13 @@ class TestHandBuiltPartition:
         )
         pruned = counter("query.segments_pruned_total")
         blocks = counter("query.columnar_blocks_total")
-        rows = engine.sql(sql, columnar=True)
+        rows = engine.sql(sql)
         assert counter("query.segments_pruned_total") == pruned
         assert counter("query.columnar_blocks_total") == blocks + 1
-        assert_same(rows, engine.sql(sql, columnar=False))
+        assert_same(rows, oracle.query(engine, sql))
         assert [(row["Tid"], row["Value"]) for row in rows] == [(3, 8.0)] * 5
         sql = sql.replace("Value > 5", "Value > 9")
-        assert engine.sql(sql, columnar=True) == []
+        assert engine.sql(sql) == []
         assert counter("query.segments_pruned_total") == pruned + 1
 
 
@@ -267,8 +265,8 @@ class TestIngestedCorpus:
                 for sql in statements(threshold):
                     for as_of in (None, mark):
                         assert_same(
-                            db.query(sql, as_of=as_of, columnar=True),
-                            db.query(sql, as_of=as_of, columnar=False),
+                            db.query(sql, as_of=as_of),
+                            oracle.query(db, sql, as_of=as_of),
                             context=f"seed={seed} bound={bound} "
                             f"multi={multi} as_of={as_of}: {sql}",
                         )
@@ -354,11 +352,11 @@ def test_readers_beside_an_ingesting_file_store_answer_a_prefix(tmp_path):
     cut = raced_slices()
     expected = []
     for count in range(1, len(cut) + 1):
-        oracle = ModelarDB(CONFIG, storage=MemoryStorage())
+        reference = ModelarDB(CONFIG, storage=MemoryStorage())
         for part in cut[:count]:
-            oracle.ingest(part)
+            reference.ingest(part)
         expected.append(
-            {sql: bits_of(oracle.query(sql, columnar=False)) for sql in RACED}
+            {sql: bits_of(oracle.query(reference, sql)) for sql in RACED}
         )
     db = ModelarDB.open(tmp_path / "store", config=CONFIG)
     db.ingest(cut[0])
@@ -370,7 +368,7 @@ def test_readers_beside_an_ingesting_file_store_answer_a_prefix(tmp_path):
         try:
             while not done.is_set():
                 for sql in RACED:
-                    seen.append((sql, bits_of(db.query(sql, columnar=True))))
+                    seen.append((sql, bits_of(db.query(sql))))
         except BaseException as error:  # reported by the main thread
             errors.append(error)
 
@@ -405,6 +403,6 @@ def test_readers_beside_an_ingesting_file_store_answer_a_prefix(tmp_path):
             prefixes.update(matches)
         assert len(prefixes) > 1  # readers saw the store grow
         for sql in RACED:
-            assert bits_of(db.query(sql, columnar=True)) == expected[-1][sql]
+            assert bits_of(db.query(sql)) == expected[-1][sql]
     finally:
         db.close()

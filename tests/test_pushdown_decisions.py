@@ -8,17 +8,20 @@ classification; the metric tests assert that segment-routed aggregates
 really never touch ``_accumulate_point``; and the regression test shows
 the equivalence suite is a real safety net — a deliberately wrong
 "segment-only" claim for a Value-predicate query produces a *different
-answer*, so it cannot slip through the row-vs-columnar bit check.
+answer*, so it cannot slip through the bit check against the oracle.
 """
 
 import numpy as np
 import pytest
 
 from repro import Configuration, MemoryStorage, ModelarDB, TimeSeries
+from repro.core.group import TimeSeriesGroup
 from repro.obs import get_registry
 from repro.query import engine as engine_module
 from repro.query.rewriter import decide_pushdown
 from repro.query.sql import parse
+
+from . import oracle
 
 START = 1_700_000_000_000
 SI = 1000
@@ -93,17 +96,18 @@ class TestDecisionCorpus:
 # ----------------------------------------------------------------------
 # Execution: segment-routed aggregates never materialize points
 # ----------------------------------------------------------------------
-def constant_db(columnar=True):
+def constant_db(grouped=False):
     """Two constant series (PMC-Mean everywhere): one at +4, one at -6,
-    50 ticks each. Every aggregate is exactly predictable."""
+    50 ticks each, stored alone or, ``grouped``, as one group of two.
+    Their scalings (1.5 and -1) make both store 6.0, so the group fits
+    one PMC-Mean model. Every aggregate is exactly predictable."""
     timestamps = np.arange(50, dtype=np.int64) * SI + START
     series = [
-        TimeSeries(1, SI, timestamps, np.full(50, 4.0)),
-        TimeSeries(2, SI, timestamps, np.full(50, -6.0)),
+        TimeSeries(1, SI, timestamps, np.full(50, 4.0), scaling=1.5),
+        TimeSeries(2, SI, timestamps, np.full(50, -6.0), scaling=-1.0),
     ]
-    config = Configuration(error_bound=0.0, columnar_read=columnar)
-    db = ModelarDB(config, storage=MemoryStorage())
-    db.ingest(series)
+    db = ModelarDB(Configuration(error_bound=0.0), storage=MemoryStorage())
+    db.ingest([TimeSeriesGroup(1, series)] if grouped else series)
     return db
 
 
@@ -112,9 +116,9 @@ def counter_value(name):
 
 
 class TestNeverMaterializes:
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_pushdown_skips_materialization(self, columnar, monkeypatch):
-        db = constant_db(columnar)
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_pushdown_skips_materialization(self, grouped, monkeypatch):
+        db = constant_db(grouped)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("segment-answerable query materialized")
@@ -156,7 +160,6 @@ class TestExplainAnalyze:
         details = {row["stage"].strip(): row["detail"] for row in report}
         assert "pushdown=SUM(*):segment" in details["plan"]
         assert "rows_skipped_materialization=100" in details["scan"]
-        assert "mode=columnar" in details["scan"]
 
     def test_materialized_subtree_is_visible(self):
         db = constant_db()
@@ -175,11 +178,13 @@ class TestWrongClaimIsCaught:
     def test_false_segment_claim_changes_the_answer(self, monkeypatch):
         """If the rewriter ever wrongly declared a Value-predicate
         aggregate segment-answerable, the pushed-down fold would ignore
-        the predicate — and the equivalence suite's row-vs-columnar
-        comparison would fail loudly rather than bless the wrong plan.
+        the predicate and answer differently from the oracle (computed
+        here before the wrong claim is patched in), so a bit check
+        against the oracle fails loudly rather than bless the wrong
+        plan.
         """
         sql = "SELECT SUM(*) FROM DataPoint WHERE Value > 0.0"
-        correct = constant_db(columnar=False).sql(sql)
+        correct = oracle.query(constant_db(), sql)
         assert correct == [{"SUM(*)": 200.0}]
 
         real = engine_module.decide_pushdown
@@ -191,7 +196,7 @@ class TestWrongClaimIsCaught:
             )
 
         monkeypatch.setattr(engine_module, "decide_pushdown", overconfident)
-        wrong = constant_db(columnar=True).sql(sql)
+        wrong = constant_db().sql(sql)
         # The fold summed both series over all ticks: predicate ignored.
         assert wrong == [{"SUM(*)": -100.0}]
         assert wrong != correct

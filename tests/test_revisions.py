@@ -4,7 +4,7 @@ The revision contract, end to end:
 
 * corrections append superseding revisions — latest-known reads see
   them, ``AS OF`` a pre-correction knowledge time reproduces the
-  original answer *bit for bit* (row and columnar modes alike);
+  original answer *bit for bit* (the row-at-a-time oracle too);
 * a brute-force replay oracle: every knowledge time ever observed
   re-answers exactly as the store answered at that moment;
 * latest-known reads equal a fresh store ingested in order;
@@ -41,6 +41,8 @@ from repro.server import (
 )
 from repro.shard import ShardedCluster
 from repro.storage import FileStorage
+
+from . import oracle
 
 SI = 100
 N_POINTS = 240
@@ -145,9 +147,8 @@ class TestCorrections:
             if rest:
                 inline += f" {rest}"
             assert db.query(inline) == before[sql]
-            # And in both execution modes.
-            assert db.query(sql, as_of=mark, columnar=True) == before[sql]
-            assert db.query(sql, as_of=mark, columnar=False) == before[sql]
+            # And by the row-at-a-time oracle.
+            assert oracle.query(db, sql, as_of=mark) == before[sql]
 
     def test_correction_stats_and_metrics(self):
         db = make_db()

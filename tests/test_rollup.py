@@ -20,9 +20,11 @@ from repro.query.rollup import (
     format_bucket,
     next_boundary,
     parse_cube_function,
-    rollup_segment,
     split_at_boundaries,
 )
+
+from . import oracle
+from .oracle import rollup
 
 ALL_LEVELS = (*TIME_LEVELS, *DATEPART_LEVELS)
 
@@ -112,19 +114,10 @@ class TestVectorisedCalendar:
     @pytest.mark.parametrize("level", ALL_LEVELS)
     def test_split_walks_like_rollup_segment(self, level, si):
         """Sampling intervals finer and coarser than the level, clipped
-        rows: the pieces are exactly the (first, last) calls
-        rollup_segment makes, keyed like its states."""
+        rows: the pieces are exactly the oracle's scalar boundary walk's
+        (first, last, key), each keyed by the bucket of its first tick."""
         rng = random.Random(f"{level}/{si}")
         walk = DATEPART_LEVELS.get(level, level)
-        calls = []
-
-        class Recorder:
-            def initialize(self):
-                return None
-
-            def iterate(self, state, model, first, last, column, scaling):
-                calls.append((first, last))
-
         origins = rng.sample(calendar_corners().tolist(), 150)
         firsts, lasts, expected = [], [], []
         for origin in origins:
@@ -133,13 +126,13 @@ class TestVectorisedCalendar:
             last = rng.randrange(first, length)
             firsts.append(first)
             lasts.append(last)
-            calls.clear()
-            rollup_segment({}, Recorder(), None, origin, si, first, last, 0, 1.0, level)
-            # A call's first index is the first tick of its bucket.
-            floors = [floor_to_level(origin + a * si, walk) for a, _ in calls]
+            pieces = oracle.walk(origin, si, first, last, level)
+            # A piece's first index is the first tick of its bucket.
+            floors = [floor_to_level(origin + a * si, walk) for a, _, _ in pieces]
             if level in DATEPART_LEVELS:
                 floors = [datepart_of(floor, level) for floor in floors]
-            expected.append([(*call, key) for call, key in zip(calls, floors)])
+            assert [key for _, _, key in pieces] == floors
+            expected.append(pieces)
         row, first, last, keys = split_at_boundaries(
             np.array(origins), np.array(firsts), np.array(lasts), si, level
         )
@@ -166,6 +159,9 @@ class TestParseCube:
 
 
 class TestRollupSegment:
+    """The oracle's per-segment CUBE fold (Algorithm 6), which the
+    engine's partition-at-a-time rollups are held to."""
+
     def test_paper_fig12_structure(self):
         """A segment from 00:13 to 02:48 splits into [00:13, 01:00),
         [01:00, 02:00) and [02:00, 02:48] with an inclusive end."""
@@ -175,7 +171,7 @@ class TestRollupSegment:
         model = FittedPMCMean(1.0, n_columns=1, length=length)
         agg = aggregate_by_name("SUM")
         states: dict[int, object] = {}
-        rollup_segment(
+        rollup(
             states, agg, model, start, si, 0, length - 1, 0, 1.0, "HOUR"
         )
         assert sorted(states) == [
@@ -196,7 +192,7 @@ class TestRollupSegment:
         agg = aggregate_by_name("SUM")
         states: dict[int, object] = {}
         # Only indices 30..89 (00:30 .. 01:29).
-        rollup_segment(states, agg, model, start, si, 30, 89, 0, 1.0, "HOUR")
+        rollup(states, agg, model, start, si, 30, 89, 0, 1.0, "HOUR")
         assert agg.finalize(states[ms(2016, 4, 12, 0)]) == 60.0
         assert agg.finalize(states[ms(2016, 4, 12, 1)]) == 60.0
 
@@ -206,7 +202,7 @@ class TestRollupSegment:
         model = FittedSwing(0.0, 1.0, n_columns=1, length=60)
         agg = aggregate_by_name("SUM")
         states: dict[int, object] = {}
-        rollup_segment(states, agg, model, start, si, 0, 59, 0, 1.0, "HOUR")
+        rollup(states, agg, model, start, si, 0, 59, 0, 1.0, "HOUR")
         # Indices 0..29 in hour 0 (values 0..29), 30..59 in hour 1.
         assert agg.finalize(states[ms(2016, 4, 12, 0)]) == sum(range(30))
         assert agg.finalize(states[ms(2016, 4, 12, 1)]) == sum(
@@ -219,7 +215,7 @@ class TestRollupSegment:
         model = FittedPMCMean(10.0, n_columns=1, length=10)
         agg = aggregate_by_name("SUM")
         states: dict[int, object] = {}
-        rollup_segment(states, agg, model, start, si, 0, 9, 0, 4.0, "HOUR")
+        rollup(states, agg, model, start, si, 0, 9, 0, 4.0, "HOUR")
         assert agg.finalize(states[ms(2016, 4, 12, 0)]) == 25.0
 
     def test_existing_states_are_merged(self):
@@ -228,8 +224,8 @@ class TestRollupSegment:
         model = FittedPMCMean(1.0, n_columns=1, length=10)
         agg = aggregate_by_name("SUM")
         states: dict[int, object] = {}
-        rollup_segment(states, agg, model, start, si, 0, 9, 0, 1.0, "HOUR")
-        rollup_segment(states, agg, model, start, si, 0, 9, 0, 1.0, "HOUR")
+        rollup(states, agg, model, start, si, 0, 9, 0, 1.0, "HOUR")
+        rollup(states, agg, model, start, si, 0, 9, 0, 1.0, "HOUR")
         assert agg.finalize(states[ms(2016, 4, 12, 0)]) == 20.0
 
 

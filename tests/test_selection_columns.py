@@ -1,9 +1,10 @@
-"""Data Point View selections gathered as columns equal the row engine.
+"""Data Point View selections gathered as columns equal the oracle.
 
-The columnar engine answers a selection with one
+The engine answers a selection with one
 :class:`~repro.query.columnar.ResultColumns` (one concatenated array per
-column) and fills row dicts only at the public boundary. The row engine
-shapes one dict per point and is the oracle: every cell must be the same
+column) and fills row dicts only at the public boundary. The oracle
+(``tests/oracle.py``) shapes one dict per point, one view row at a time,
+and is the reference: every cell must be the same
 Python ``int``/``float``/``str`` (never a numpy scalar) with the same
 bits, under the same keys in the same order, in the same row order
 (segment, member series, tick).
@@ -18,6 +19,7 @@ from repro.core.errors import QueryError
 from repro.obs import get_registry
 from repro.query.columnar import ResultColumns, as_rows
 
+from . import oracle
 from .test_columnar_equivalence import assert_rows_bit_identical, build_fold_db
 
 #: (seed, error bound %, Multi models) of the stores the corpus runs on.
@@ -72,8 +74,8 @@ class TestColumnsEqualRowEngine:
     def test_every_statement_bit_identical(self, store):
         db, statements = store
         for sql in statements:
-            expected = db.query(sql, columnar=False)
-            rows = db.query(sql, columnar=True)
+            expected = oracle.query(db, sql)
+            rows = db.query(sql)
             assert_rows_bit_identical(rows, expected, context=sql)
             assert_plain_scalars(rows)
 
@@ -82,10 +84,9 @@ class TestColumnsEqualRowEngine:
         for sql in statements:
             result = db.engine.run(sql)
             assert isinstance(result, ResultColumns), sql
-            assert len(result) == len(db.query(sql, columnar=False))
-            assert_rows_bit_identical(
-                as_rows(result), db.query(sql, columnar=False), context=sql
-            )
+            expected = oracle.query(db, sql)
+            assert len(result) == len(expected)
+            assert_rows_bit_identical(as_rows(result), expected, context=sql)
 
     def test_corpus_covers_its_cases(self, store):
         db, statements = store
@@ -114,23 +115,29 @@ class TestColumnsEqualRowEngine:
         db, _ = store
         assert isinstance(db.engine.run("SELECT COUNT(*) FROM DataPoint"), list)
         assert isinstance(db.engine.run("SELECT * FROM Segment"), list)
-        result = db.engine.run("SELECT * FROM DataPoint", columnar=False)
-        assert isinstance(result, list)
+
+
+def answer(db, sql, columns):
+    """``sql``'s rows, through :meth:`~repro.query.engine.QueryEngine.run`
+    (a selection's columns, filled into rows here) when ``columns``,
+    else through ``ModelarDB.query``."""
+    return as_rows(db.engine.run(sql)) if columns else db.query(sql)
 
 
 class TestDimensionNameCase:
     """A dimension column matches exactly, as WHERE and GROUP BY do;
-    built-in columns match in any case."""
+    built-in columns match in any case, whether a selection stays
+    columns or is filled into rows."""
 
     @pytest.fixture(scope="class")
     def db(self):
         return build_fold_db(0, 0.0, revise=False)[0]
 
     @pytest.mark.parametrize("view", ["DataPoint", "Segment"])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_other_case_dimension_is_unknown(self, db, view, columnar):
+    @pytest.mark.parametrize("columns", [True, False])
+    def test_other_case_dimension_is_unknown(self, db, view, columns):
         with pytest.raises(QueryError, match="unknown column 'park'"):
-            db.query(f"SELECT Tid, park FROM {view} WHERE Tid = 1", columnar=columnar)
+            answer(db, f"SELECT Tid, park FROM {view} WHERE Tid = 1", columns)
 
     def test_where_and_group_by_agree(self, db):
         with pytest.raises(QueryError):
@@ -138,15 +145,12 @@ class TestDimensionNameCase:
         with pytest.raises(QueryError):
             db.query("SELECT park, COUNT(*) FROM DataPoint GROUP BY park")
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_exact_dimension_and_any_case_built_ins(self, db, columnar):
-        rows = db.query(
-            "SELECT TID, ts, VALUE, Park FROM DataPoint WHERE Tid = 1",
-            columnar=columnar,
+    @pytest.mark.parametrize("columns", [True, False])
+    def test_exact_dimension_and_any_case_built_ins(self, db, columns):
+        rows = answer(
+            db, "SELECT TID, ts, VALUE, Park FROM DataPoint WHERE Tid = 1", columns
         )
         assert rows and list(rows[0]) == ["TID", "ts", "VALUE", "Park"]
         assert {row["Park"] for row in rows} == {"north"}
-        segments = db.query(
-            "SELECT tid, Park FROM Segment WHERE Tid = 2", columnar=columnar
-        )
+        segments = answer(db, "SELECT tid, Park FROM Segment WHERE Tid = 2", columns)
         assert segments and {row["Park"] for row in segments} == {"south"}

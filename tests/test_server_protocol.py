@@ -8,8 +8,9 @@ import struct
 import numpy as np
 import pytest
 
+from repro.obs import Histogram
 from repro.server import normalize_sql
-from repro.server.metrics import LatencyHistogram, ServerCounters
+from repro.server.metrics import ServerCounters
 from repro.server.protocol import (
     BadRequestError,
     BusyError,
@@ -175,7 +176,7 @@ class TestResultCacheUnit:
 
 class TestMetrics:
     def test_histogram_quantiles_bracket_samples(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for ms in (1, 2, 3, 4, 5, 6, 7, 8, 9, 100):
             histogram.record(ms / 1000.0)
         snapshot = histogram.snapshot()
@@ -189,7 +190,7 @@ class TestMetrics:
         assert snapshot["p99_ms"] > 50.0
 
     def test_empty_histogram_snapshot(self):
-        snapshot = LatencyHistogram().snapshot()
+        snapshot = Histogram().snapshot()
         assert snapshot["count"] == 0
         assert snapshot["p50_ms"] == 0.0
 

@@ -1,11 +1,12 @@
 """Value predicates skip the segments whose models cannot meet them.
 
-The columnar Data Point View skips every segment none of whose selected
-series' model bounds can satisfy the statement's ``Value`` conditions
-before decode: a PMC-Mean level, or a Swing line's values at
-the two ends of the clipped range, divided by the series' scaling.
-Answers must not change, so the row engine, which prunes nothing, is
-the oracle: rows and aggregates ``struct.pack``-identical, in order.
+The Data Point View skips every segment none of whose selected series'
+model bounds can satisfy the statement's ``Value`` conditions before
+decode: a PMC-Mean level, or a Swing line's values at the two ends of
+the clipped range, divided by the series' scaling. Answers must not
+change, so the row-at-a-time oracle (``tests/oracle.py``), which prunes
+nothing, is the reference: rows and aggregates
+``struct.pack``-identical, in order.
 The corpus aims at the bounds' edges — thresholds equal to a stored
 level and to a Swing end value, negative scalings that swap the ends,
 NaN gaps, lossless and lossy bounds, and ``AS OF`` after a correction.
@@ -31,6 +32,7 @@ from repro.obs import get_registry
 from repro.server import ErrorCode, ServerClient
 from repro.storage import SegmentScan
 
+from . import oracle
 from .test_columnar_equivalence import assert_rows_bit_identical, make_values
 from .test_server import _Harness
 
@@ -143,8 +145,8 @@ class TestPrunedAnswersMatchTheRowEngine:
                 for sql in statements(threshold):
                     for as_of in (None, mark):
                         assert_rows_bit_identical(
-                            db.query(sql, as_of=as_of, columnar=True),
-                            db.query(sql, as_of=as_of, columnar=False),
+                            db.query(sql, as_of=as_of),
+                            oracle.query(db, sql, as_of=as_of),
                             context=f"seed={seed} bound={bound} "
                             f"as_of={as_of}: {sql}",
                         )
@@ -168,8 +170,8 @@ class TestPrunedAnswersMatchTheRowEngine:
         ):
             for as_of in (None, mark):
                 assert_rows_bit_identical(
-                    db.query(sql, as_of=as_of, columnar=True),
-                    db.query(sql, as_of=as_of, columnar=False),
+                    db.query(sql, as_of=as_of),
+                    oracle.query(db, sql, as_of=as_of),
                     context=sql,
                 )
 
@@ -179,14 +181,13 @@ class TestCounters:
         db, _ = build(0, 0.0)
         levels, _ = model_values(db)
         blocks = counter("query.columnar_blocks_total")
-        db.query("SELECT Tid, TS, Value FROM DataPoint", columnar=True)
+        db.query("SELECT Tid, TS, Value FROM DataPoint")
         unconditioned = counter("query.columnar_blocks_total") - blocks
         blocks = counter("query.columnar_blocks_total")
         pruned = counter("query.segments_pruned_total")
         db.query(
             "SELECT Tid, TS, Value FROM DataPoint "
-            f"WHERE Value > {max(levels)!r}",
-            columnar=True,
+            f"WHERE Value > {max(levels)!r}"
         )
         assert counter("query.columnar_blocks_total") - blocks < unconditioned
         assert counter("query.segments_pruned_total") > pruned
@@ -201,13 +202,11 @@ class TestCounters:
             [TimeSeries(1, SI, np.arange(300, dtype=np.int64) * SI, values)]
         )
         blocks = counter("query.columnar_blocks_total")
-        db.query("SELECT Tid, TS, Value FROM DataPoint", columnar=True)
+        db.query("SELECT Tid, TS, Value FROM DataPoint")
         unconditioned = counter("query.columnar_blocks_total") - blocks
         blocks = counter("query.columnar_blocks_total")
         pruned = counter("query.segments_pruned_total")
-        rows = db.query(
-            "SELECT COUNT(*) FROM DataPoint WHERE Value > 1e5", columnar=True
-        )
+        rows = db.query("SELECT COUNT(*) FROM DataPoint WHERE Value > 1e5")
         assert rows == [{"COUNT(*)": 0}]
         assert counter("query.segments_pruned_total") == pruned
         assert counter("query.columnar_blocks_total") - blocks == unconditioned
@@ -215,11 +214,12 @@ class TestCounters:
 
 def test_lookups_count_what_the_row_engine_counts(tmp_path):
     """On a fresh handle each, a pruning statement cut by a ``TS`` bound
-    counts one cache lookup per segment it reads, as the row engine
-    does: equal hits cold and warm, and no miss warm. Cold, the fold
-    columns behind the bounds decode every PMC-Mean and Swing row of
-    the tables, also outside the clip, so the misses exceed the row
-    engine's by exactly the models pinned beyond its own."""
+    counts one cache lookup per segment it reads, as the oracle's
+    row-at-a-time walk does: equal hits cold and warm, and no miss warm.
+    Cold, the fold columns behind the bounds decode every PMC-Mean and
+    Swing row of the tables, also outside the clip, so the engine's
+    misses exceed the oracle's by exactly the models pinned beyond its
+    own."""
     directory = tmp_path / "store"
     db, _ = build(0, 1.0, directory)
     levels, _ = model_values(db)
@@ -230,28 +230,31 @@ def test_lookups_count_what_the_row_engine_counts(tmp_path):
         f"WHERE Value > {sorted(levels)[len(levels) // 2]!r} AND TS >= {middle}"
     )
     counted, pinned = {}, {}
-    for columnar in (True, False):
+    for reference in (False, True):
         fresh = ModelarDB.open(directory, config=config(1.0))
         try:
             before = fresh.engine.cache_stats
             for _ in range(2):
-                fresh.query(sql, columnar=columnar)
+                if reference:
+                    oracle.query(fresh, sql)
+                else:
+                    fresh.query(sql)
                 after = fresh.engine.cache_stats
-                counted.setdefault(columnar, []).append(
+                counted.setdefault(reference, []).append(
                     (after[0] - before[0], after[1] - before[1])
                 )
                 before = after
-            pinned[columnar] = sum(
+            pinned[reference] = sum(
                 "_model" in segment.__dict__ for segment in stored(fresh)
             )
         finally:
             fresh.close()
-    (cold_hits, cold_misses), warm = counted[True]
-    (row_hits, row_misses), row_warm = counted[False]
-    assert cold_hits == row_hits
-    assert warm == row_warm and warm[1] == 0 and warm[0] > 0
-    assert pinned[True] > pinned[False]
-    assert cold_misses - row_misses == pinned[True] - pinned[False]
+    (cold_hits, cold_misses), warm = counted[False]
+    (walk_hits, walk_misses), walk_warm = counted[True]
+    assert cold_hits == walk_hits
+    assert warm == walk_warm and warm[1] == 0 and warm[0] > 0
+    assert pinned[False] > pinned[True]
+    assert cold_misses - walk_misses == pinned[False] - pinned[True]
 
 
 def test_concurrent_scans_on_a_fresh_handle_agree(tmp_path):
@@ -259,7 +262,7 @@ def test_concurrent_scans_on_a_fresh_handle_agree(tmp_path):
     directory = tmp_path / "store"
     db, _ = build(1, 1.0, directory)
     sql = "SELECT Tid, TS, Value FROM DataPoint WHERE Value > 0.0"
-    expected = db.query(sql, columnar=False)
+    expected = oracle.query(db, sql)
     db.close()
     fresh = ModelarDB.open(directory, config=config(1.0))
     seen: list[list[dict]] = []
@@ -267,7 +270,7 @@ def test_concurrent_scans_on_a_fresh_handle_agree(tmp_path):
 
     def reader():
         try:
-            seen.append(fresh.query(sql, columnar=True))
+            seen.append(fresh.query(sql))
         except BaseException as error:  # reported by the main thread
             errors.append(error)
 
@@ -292,17 +295,14 @@ class TestBadValueLiterals:
     BAD = ("Value > 'abc'", "Value IN (5, 6)")
 
     @pytest.mark.parametrize("condition", BAD)
-    @pytest.mark.parametrize("columnar", (False, True))
-    def test_a_query_error_with_or_without_overlapping_segments(
-        self, condition, columnar
-    ):
+    def test_a_query_error_with_or_without_overlapping_segments(self, condition):
         db, _ = build(0, 0.0)
         far = START + 10 * TICKS * SI
         for where in (condition, f"{condition} AND TS > {far}"):
             for select in ("Tid, TS, Value", "COUNT(*)"):
                 sql = f"SELECT {select} FROM DataPoint WHERE {where}"
                 with pytest.raises(QueryError):
-                    db.query(sql, columnar=columnar)
+                    db.query(sql)
 
     @pytest.mark.parametrize("condition", BAD)
     def test_the_wire_reports_a_query_error(self, condition):

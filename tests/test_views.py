@@ -1,4 +1,4 @@
-"""Segment/Data Point views: clipping, decoding, vectorised access."""
+"""Segment/Data Point views: clipping, decoding, ``points()``."""
 
 import random
 
@@ -9,10 +9,9 @@ from repro import ModelarDB
 from repro.core import SegmentGroup, TimeSeries
 from repro.models import ModelRegistry
 from repro.query.cache import SegmentCache
-from repro.query.engine import _ColumnSharedModel
 from repro.query.metadata import MetadataCache
 from repro.query.rewriter import Predicates, rewrite
-from repro.query.views import DataPointView, SegmentView
+from repro.query.views import SegmentView
 from repro.storage import MemoryStorage, TimeSeriesRecord
 from repro.storage.scan import Table
 
@@ -149,24 +148,21 @@ class TestViews:
         assert [r.row.tid for r in rows] == [2]
 
     def test_data_point_view_applies_scaling(self, setup):
-        storage, cache, metadata = setup
-        view = DataPointView(storage, cache, metadata)
-        plan = rewrite(Predicates(tids=frozenset({1})), metadata)
-        points = list(view.rows(plan))
+        storage, _, _ = setup
+        points = list(ModelarDB(storage=storage).points(tids=[1]))
         # Stored constant 1.0 divided by the scaling constant 2.0.
         assert all(p.value == 0.5 for p in points)
-        assert len(points) == 10
+        assert [p.timestamp for p in points] == list(range(0, 1000, 100))
+        assert {(p.tid, type(p.value)) for p in points} == {(1, float)}
 
     def test_arrays_are_clipped(self, setup):
-        storage, cache, metadata = setup
-        view = DataPointView(storage, cache, metadata)
-        plan = rewrite(
-            Predicates(tids=frozenset({2}), start_time=200, end_time=400),
-            metadata,
+        storage, _, _ = setup
+        points = ModelarDB(storage=storage).points(
+            tids=[2], start_time=200, end_time=400
         )
-        ((row, timestamps, values),) = list(view.arrays(plan))
-        assert list(timestamps) == [200, 300, 400]
-        assert list(values) == [1.0, 1.0, 1.0]
+        assert [(p.timestamp, p.value) for p in points] == [
+            (200, 1.0), (300, 1.0), (400, 1.0)
+        ]
 
     def test_bounds_beyond_int64_read_like_no_bound(self):
         db = ModelarDB()
@@ -177,25 +173,31 @@ class TestViews:
         for sql in (
             f"SELECT COUNT_S(*) FROM Segment WHERE TS >= -{far}",
             f"SELECT COUNT(*) FROM DataPoint WHERE TS <= {far}",
+            f"SELECT COUNT(*) FROM DataPoint WHERE Value > -1 AND TS <= {far}",
         ):
-            for columnar in (True, False):
-                (row,) = db.query(sql, columnar=columnar)
-                assert list(row.values()) == [50], (sql, columnar)
+            (row,) = db.query(sql)
+            assert list(row.values()) == [50], sql
 
 
 class TestColumnSharedModel:
-    def test_delegates_and_memoises(self, registry):
+    def test_every_member_reads_the_group_model(self, registry):
+        """One Swing model stands for every member of its group: each
+        series' points are the shared line, divided by its own scaling."""
         fitter = registry.by_name("Swing").fitter(3, 1.0, 50)
         for i in range(10):
             fitter.append((float(i), float(i), float(i)))
-        model = registry.by_name("Swing").decode(fitter.parameters(), 3, 10)
-        shared = _ColumnSharedModel(model)
-        assert shared.constant_time_aggregates
-        assert shared.length == 10
-        assert shared.n_columns == 3
-        # Same answer for every column; second call hits the memo.
-        assert shared.slice_sum(0, 9, 0) == shared.slice_sum(0, 9, 2)
-        assert shared.slice_min(2, 5, 1) == model.slice_min(2, 5, 0)
-        assert shared.slice_max(2, 5, 1) == model.slice_max(2, 5, 0)
-        assert shared.value_at(4, 2) == model.value_at(4, 0)
-        assert shared.values().shape == (10, 3)
+        storage = MemoryStorage()
+        storage.insert_time_series(
+            [TimeSeriesRecord(tid, 100, 1, scaling) for tid, scaling in
+             ((1, 1.0), (2, 4.0), (3, -0.5))]
+        )
+        storage.insert_segments([
+            SegmentGroup(
+                1, 0, 900, 100, registry.mid_of("Swing"), fitter.parameters(),
+                group_tids=(1, 2, 3),
+            )
+        ])
+        line = [float(i) for i in range(10)]
+        for tid, scaling in ((1, 1.0), (2, 4.0), (3, -0.5)):
+            points = ModelarDB(storage=storage).points(tids=[tid])
+            assert [p.value for p in points] == [v / scaling for v in line]
