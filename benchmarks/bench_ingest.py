@@ -1,4 +1,4 @@
-"""Ingestion benchmark: scalar vs columnar batch throughput.
+"""Ingestion benchmark: one-row blocks vs columnar batch throughput.
 
 Not a paper figure — the paper reports ingestion rate per node
 (Fig. 13) but never isolates the ingestion loop's own overhead — yet the
@@ -10,11 +10,11 @@ group with small per-series jitter, which yields length-limit segments
 (the shape group compression targets) rather than pathological
 one-tick splits.
 
-Measures points/sec at 1-, 8- and 32-series groups, scalar
-(``ingest_chunk_size=1``) vs batch (default 1024), interleaved
-best-of-N so machine noise cancels out of the ratio, and verifies the
-two paths land byte-identical segments before timing anything. Writes a
-``BENCH_ingest.json`` artifact::
+Measures points/sec at 1-, 8- and 32-series groups, one-row blocks
+(``ingest_chunk_size=1``, reported as ``scalar``) vs batch (default
+1024), interleaved best-of-N so machine noise cancels out of the ratio,
+and verifies the two chunkings land byte-identical segments before
+timing anything. Writes a ``BENCH_ingest.json`` artifact::
 
     python benchmarks/bench_ingest.py            # ~1 min
     python benchmarks/bench_ingest.py --smoke    # seconds (CI)
@@ -106,7 +106,7 @@ def measure(group: TimeSeriesGroup, chunk_size: int, repeats: int) -> dict:
         elapsed, batch_db = ingest_once(group, chunk_size=chunk_size)
         batch_best = min(batch_best, elapsed)
     assert store_signature(batch_db) == store_signature(scalar_db), (
-        "batch path is not byte-identical to the scalar path"
+        "batch path is not byte-identical to one-row blocks"
     )
     scalar_rate = n_points / scalar_best
     batch_rate = n_points / batch_best

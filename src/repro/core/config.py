@@ -51,9 +51,9 @@ class Configuration:
     bulk_write_size:
         Number of segments buffered before a bulk flush to the store.
     ingest_chunk_size:
-        Ticks per columnar chunk on the batch ingestion path. Segments
-        are bit-identical at any setting; ``1`` selects the scalar
-        per-tick path (the batch baseline for ``bench_ingest``).
+        Ticks per columnar block on the ingestion path. Segments are
+        bit-identical at any setting; ``1`` feeds one-row blocks (the
+        baseline for ``bench_ingest``).
     models:
         Ordered model classpaths tried during ingestion. Names must be
         resolvable via :mod:`repro.models.registry`.

@@ -1,7 +1,7 @@
 """Ingestion: multi-model group compression of streaming data points."""
 
 from .generator import SegmentGenerator, SegmentSink
-from .ingestor import Ingestor, group_ticks
+from .ingestor import Ingestor
 from .revisions import CorrectionPoint, apply_corrections
 from .splitter import GroupIngestor, within_double_bound
 from .stats import IngestStats, ModelUsage
@@ -11,7 +11,6 @@ __all__ = [
     "SegmentGenerator",
     "SegmentSink",
     "Ingestor",
-    "group_ticks",
     "CorrectionPoint",
     "apply_corrections",
     "GroupIngestor",

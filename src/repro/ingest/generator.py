@@ -13,17 +13,20 @@ of time series:
 4. the data points represented by the flushed model are removed from the
    buffer and the process restarts from the first model.
 
-:meth:`SegmentGenerator.tick` runs this loop a tick at a time and is the
-oracle for :meth:`SegmentGenerator.tick_block`, which runs it a segment
-window at a time: each cascade model is fitted once over the rows from
-the segment start up to the length limit + 1, and the flush happens at
-the tick where the scalar loop's last model rejects. Both paths store
-the same bytes and count the same fits.
+:meth:`SegmentGenerator.tick_block` runs this loop a block of ticks at
+a time and a segment window at a time: each cascade model is fitted
+once over the rows from the segment start up to the length limit + 1,
+and the flush happens at the tick where the per-tick loop's last model
+rejects. It stores the bytes and counts the fits of the per-tick loop
+as the paper states it, which is the test oracle
+(``tests/write_oracle.py``). :meth:`SegmentGenerator.run` pauses around
+each flush so a split group's ingestor can run its checks at the right
+tick.
 
 Gaps use the paper's second method (Fig. 5): whenever the set of present
 series changes, the open segment is closed and the next segment records
 the absent Tids in its ``gaps`` set, so every segment represents a static
-number of series.
+number of series. A non-finite value (NaN, +-inf) is a gap.
 
 Values are cast to float32 on entry (ModelarDB stores float values), and
 each series' scaling constant is applied here so correlated series with
@@ -32,8 +35,7 @@ different magnitudes compress together (Fig. 6's ``Scaling`` column).
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -88,18 +90,12 @@ class _LazyFitter(ModelFitter):
         raw = n_values * RAW_POINT_BYTES
         return raw / (SEGMENT_OVERHEAD_BYTES + minimum)
 
-    def materialize(
-        self, buffer: list[tuple[int, tuple[float, ...]]]
-    ) -> ModelFitter:
+    def materialize(self, rows: np.ndarray) -> ModelFitter:
         """Fit the real model over the buffered prefix this covers."""
         fitter = self._model_type.fitter(
             self.n_columns, self.error_bound, self.length_limit
         )
-        covered = self._block
-        if covered is None:
-            covered = np.asarray(
-                [vector for _, vector in buffer[:self.length]], dtype=np.float64
-            )
+        covered = self._block if self._block is not None else rows[:self.length]
         if fitter.extend(None, covered) != self.length:  # pragma: no cover
             raise IngestionError(
                 f"always-fitting model {self._model_type.name} "
@@ -154,150 +150,147 @@ class SegmentGenerator:
         self.stats = stats if stats is not None else IngestStats()
 
         self._present: tuple[int, ...] = ()
-        self._buffer: list[tuple[int, tuple[float, ...]]] = []
+        #: The buffer: timestamps and quantized rows since the segment
+        #: start (slices of the block they arrived in).
+        self._times: np.ndarray = np.empty(0, dtype=np.int64)
+        self._rows: np.ndarray = np.empty((0, 0))
         self._finished: list[tuple[int, ModelFitter]] = []
         self._active: tuple[int, ModelFitter] | None = None
         self._pending_models: list[str] = []
-        self._quantizer: struct.Struct | None = None
         self._scale_cache: dict[tuple[int, ...], np.ndarray | None] = {}
         self.last_emitted_ratio: float | None = None
-        #: Lifetime count of emitted segments; the block path uses it to
-        #: detect that a tick's processing flushed something.
-        self.segments_emitted = 0
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
-    def tick(self, timestamp: int, values: Mapping[int, float | None]) -> None:
-        """Ingest one sampling interval's values for the subset.
+    def tick_block(self, timestamps: np.ndarray, matrix: np.ndarray) -> None:
+        """Ingest a ``(ticks, len(subset_tids))`` block in one go.
 
-        ``values`` maps Tid to a value; ``None`` or a missing key marks
-        the series as being in a gap at this timestamp.
+        ``matrix`` columns follow ``subset_tids`` order; a non-finite
+        value (NaN, +-inf) marks the series as being in a gap at that
+        tick.
         """
-        present = tuple(
-            tid for tid in self.subset_tids if values.get(tid) is not None
-        )
-        if present != self._present:
-            self.close()
-            self._present = present
-            self._quantizer = struct.Struct(f"<{len(present)}f")
-        if not present:
-            return
-        scalings = self._scalings
-        raw = [values[tid] * scalings.get(tid, 1.0) for tid in present]
-        # One struct round trip quantizes the whole vector to float32
-        # (the value type ModelarDB stores) without numpy dispatch cost.
-        vector = self._quantizer.unpack(self._quantizer.pack(*raw))
-        self.stats.data_points += len(present)
-        self._ingest_vector(timestamp, vector)
+        for _ in self.run(timestamps, matrix):
+            pass
 
-    def tick_block(
-        self,
-        timestamps: np.ndarray,
-        matrix: np.ndarray,
-        finite: np.ndarray,
-        boundaries: np.ndarray,
-        on_emit: Callable[[int], bool] | None = None,
-    ) -> int:
-        """Columnar counterpart of :meth:`tick` over a ``(ticks, n)`` block.
+    def run(
+        self, timestamps: np.ndarray, matrix: np.ndarray, offset: int = 0
+    ) -> Iterator[int]:
+        """Ingest a block as :meth:`tick_block` does, pausing at flushes.
 
-        ``matrix`` columns follow ``subset_tids`` order with NaN marking
-        gaps; ``finite`` is ``np.isfinite(matrix)`` and ``boundaries``
-        the sorted presence-change row indices. Each presence run is
-        quantized once and cut into segment windows by
-        :meth:`_cascade_run`, which fits every cascade model once per
-        window. ``on_emit`` is called once per tick that emitted a
-        segment, after that tick's last flush, with the number of rows
-        consumed so far — where the scalar loop's caller inspects
-        ``last_emitted_ratio`` for dynamic splitting; when it returns
-        True the generator stops there. Returns the rows consumed (all
-        of them unless stopped). Segments, stats and errors are
-        identical to feeding the same ticks through :meth:`tick`.
+        A generator. Before the first flush of a tick it yields the
+        tick's row (``offset`` + its index in the block): every model
+        has then been tried at that tick and the buffer ends there (at a
+        presence change, just before it). Resumed, it does the tick's
+        flushes and cascade restart and yields the row again: that is
+        where the per-tick loop runs its split and join checks. Each
+        presence run is quantized once and cut into segment windows by
+        :meth:`_cascade_run`.
         """
         n = len(timestamps)
-        full_width = matrix.shape[1]
-        edges = boundaries.tolist()
+        if not n:
+            return
+        finite = np.isfinite(matrix)
+        # Presence-run boundaries: segments close whenever the set of
+        # present series changes (gap method 2, Fig. 5).
+        edges = (
+            np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1
+        ).tolist()
+        width = matrix.shape[1]
         for first, run_end in zip([0, *edges], [*edges, n]):
             row_mask = finite[first]
-            emitted_before = self.segments_emitted
             present = tuple(
                 tid
                 for tid, bit in zip(self.subset_tids, row_mask.tolist())
                 if bit
             )
+            emitted = False
             if present != self._present:
+                emitted = len(self._times) > 0
+                if emitted:
+                    yield offset + first
                 self.close()
                 self._present = present
-                self._quantizer = struct.Struct(f"<{len(present)}f")
-            emitted = self.segments_emitted > emitted_before
             if not present:
-                if emitted and on_emit is not None and on_emit(first + 1):
-                    return first + 1
+                if emitted:
+                    yield offset + first
                 continue
             block = matrix[first:run_end]
-            if len(present) != full_width:
+            if len(present) != width:
                 block = block[:, row_mask]
-            stopped_at = self._cascade_run(
+            yield from self._cascade_run(
                 timestamps[first:run_end],
                 self._scale_quantize(block, present),
                 emitted,
-                on_emit,
-                first,
+                offset + first,
             )
-            if stopped_at is not None:
-                return stopped_at
-        return n
 
     def close(self) -> None:
         """Flush everything buffered, ending the current segment run."""
-        while self._buffer:
+        while len(self._times):
             self._flush_best()
-            if self._buffer:
-                self._seed_cascade()
+            if len(self._times):
+                self._restart()
         self._reset_cascade()
 
     def abandon(self) -> None:
         """Drop buffered data without emitting (used when a dynamic split
         replays the pending window into new sub-generators, which count
         the replayed points again — so they are un-counted here)."""
-        self.stats.data_points -= len(self._buffer) * len(self._present)
-        self._buffer.clear()
+        self.stats.data_points -= len(self._times) * len(self._present)
+        self._times, self._rows = self._times[:0], self._rows[:0]
         self._reset_cascade()
+
+    def rewind(self, timestamp: int) -> None:
+        """Return to the state the per-tick loop has after ``timestamp``.
+
+        For a generator paused at or beyond ``timestamp`` that flushed
+        nothing after it. Its buffered rows past ``timestamp`` are
+        dropped, and their data points and the fits tried since the
+        segment start are un-counted. The cascade is then refitted over
+        the rows kept, which counts again exactly the fits tried by
+        ``timestamp``; this also drops what a window fitter accepted
+        beyond the buffer. The cascade's state is a function of the rows
+        since the segment start, so the refit matches the per-tick
+        state. A paused :meth:`run` must not be resumed afterwards.
+        """
+        keep = int(np.searchsorted(self._times, timestamp, side="right"))
+        dropped = len(self._times) - keep
+        active = self._active
+        if not dropped and (active is None or active[1].length == keep):
+            return
+        models = self._config.models
+        for name in models[:len(models) - len(self._pending_models)]:
+            self.stats.record_fit(name, -1)
+        self.stats.data_points -= dropped * len(self._present)
+        self._times, self._rows = self._times[:keep], self._rows[:keep]
+        if keep:
+            self._restart()
+        else:
+            self._reset_cascade()
+        fits = self.stats.fits
+        for name in [name for name, count in fits.items() if not count]:
+            del fits[name]
 
     @property
     def buffered_length(self) -> int:
         """Number of pending (unflushed) timestamps."""
-        return len(self._buffer)
+        return len(self._times)
 
     @property
     def buffer_start_time(self) -> int | None:
-        return self._buffer[0][0] if self._buffer else None
+        return int(self._times[0]) if len(self._times) else None
 
     # ------------------------------------------------------------------
     # Cascade mechanics
     # ------------------------------------------------------------------
-    def _ingest_vector(
-        self, timestamp: int, vector: tuple[float, ...]
-    ) -> None:
-        self._buffer.append((timestamp, vector))
-        if self._active is None:
-            self._seed_cascade()
-            return
-        _, fitter = self._active
-        if fitter.append(vector):
-            return
-        self._finished.append(self._active)
-        self._active = None
-        self._try_pending_models()
-
     def _scale_quantize(
         self, block: np.ndarray, present: tuple[int, ...]
     ) -> np.ndarray:
         """Apply scaling constants and the float32 storage round trip.
 
-        ``astype(float32)`` rounds exactly like the scalar path's struct
-        pack, and multiplying by a scaling of 1.0 is an IEEE identity, so
-        skipping the all-unity multiply changes nothing.
+        Multiplying by a scaling of 1.0 is an IEEE identity, so skipping
+        the all-unity multiply changes nothing.
         """
         if present in self._scale_cache:
             scale = self._scale_cache[present]
@@ -316,33 +309,31 @@ class SegmentGenerator:
         timestamps: np.ndarray,
         rows: np.ndarray,
         emitted: bool,
-        on_emit: Callable[[int], bool] | None,
         offset: int,
-    ) -> int | None:
+    ) -> Iterator[int]:
         """Feed one presence run's quantized rows a segment window at a time.
 
         A window is the rows from the segment start ``s`` up to the length
         limit + 1. Each cascade model gets one fitter and one
         :meth:`ModelFitter.extend` over it, so its accepted length is what
-        scalar appends reach. As in the scalar loop, a model tried at
+        per-row appends reach. As in the per-tick loop, a model tried at
         tick ``t`` stays active when it covers rows ``s..t``; once every
         model is rejected, tick ``t`` flushes through :meth:`_flush_best`
         and the cascade restarts there over the leftover. A model that
         covers the whole window means the run ended: the state is left as
-        the scalar loop leaves it, so the next block, a scalar tick or
-        :meth:`close` resume it without refitting. ``emitted`` says the
-        presence change before row 0 flushed. Returns the caller's rows
-        consumed (row 0 is its row ``offset``) when ``on_emit`` stopped
-        the run, else None.
+        the per-tick loop leaves it, so the next block or :meth:`close`
+        resumes it without refitting. The buffered rows are prepended;
+        when no model covers them (:meth:`_restart`) the cascade starts
+        over at their first row. ``emitted`` says the presence change
+        before row 0 flushed. Yields as :meth:`run` describes; row 0 is
+        the caller's row ``offset``.
         """
-        carried = len(self._buffer)
-        ts_list = timestamps.tolist()
+        carried = len(self._times)
         if carried:
             # The buffered rows belong to this run: prepend them once.
-            ts_list = [timestamp for timestamp, _ in self._buffer] + ts_list
-            rows = np.concatenate(
-                (np.asarray([v for _, v in self._buffer], dtype=np.float64), rows)
-            )
+            timestamps = np.concatenate((self._times, timestamps))
+            rows = np.concatenate((self._rows, rows))
+        if self._active is not None:
             t = carried - 1  # the active model covers rows 0..t
         else:
             t = 0  # row 0 seeds the cascade
@@ -350,20 +341,18 @@ class SegmentGenerator:
         n = len(rows)
         width = len(self._present)
         limit = self._config.model_length_limit
+        base = offset - carried  # the caller's row of rows[0]
         counted = carried  # rows already in stats.data_points
         s = 0
         reach = carried  # rows offered to the active fitter
         while True:
             if emitted and (self._active is not None or s > t):
                 # Every flush and the cascade restart of tick t are done:
-                # hand the caller the scalar loop's state at this tick
-                # (only a close before row 0 leaves the buffer short).
-                if len(self._buffer) != t + 1 - s:
-                    self._buffer = list(zip(ts_list[s:t + 1], rows[s:t + 1]))
+                # hand the caller the per-tick loop's state at this tick.
+                self._times, self._rows = timestamps[s:t + 1], rows[s:t + 1]
                 self.stats.data_points += (t + 1 - counted) * width
                 counted = t + 1
-                if on_emit is not None and on_emit(offset + t + 1 - carried):
-                    return offset + t + 1 - carried
+                yield base + t
                 emitted = False
             if s > t:  # the flush emptied the buffer
                 if t + 1 == n:
@@ -393,66 +382,26 @@ class SegmentGenerator:
             if self._active is not None:
                 continue
             # Every model rejected a row: tick t flushes (step iii).
-            self._buffer = list(zip(ts_list[s:t + 1], rows[s:t + 1]))
+            self._times, self._rows = timestamps[s:t + 1], rows[s:t + 1]
+            if not emitted:
+                self.stats.data_points += (t + 1 - counted) * width
+                counted = t + 1
+                yield base + t  # pause before the tick's first flush
             self._flush_best()
             emitted = True
-            s = t + 1 - len(self._buffer)
-            if self._buffer:
+            s = t + 1 - len(self._times)
+            if len(self._times):
                 self._pending_models = list(self._config.models)
-        # Row views: every buffer consumer treats a vector as a float64
-        # sequence, so ndarray rows behave exactly like the scalar path's
-        # tuples.
-        self._buffer = list(zip(ts_list[s:], rows[s:]))
+        self._times, self._rows = timestamps[s:], rows[s:]
         self.stats.data_points += (n - counted) * width
-        return None
 
-    def _seed_cascade(self) -> None:
-        """(Re)start the model cascade over the whole buffer."""
-        self._pending_models = list(self._config.models)
-        self._finished = []
-        self._active = None
-        self._try_pending_models()
-
-    def _try_pending_models(self) -> None:
-        """Advance through the cascade until a model covers the buffer.
-
-        Each candidate model replays the buffered vectors from the start;
-        one that covers the entire buffer becomes the active model. When
-        every model has been tried, the best candidate is flushed and the
-        cascade restarts over the remaining buffer (step iv).
-        """
-        buffer_matrix: np.ndarray | None = None
-        while True:
-            while self._pending_models:
-                mid, fitter = self._new_fitter(self._pending_models.pop(0))
-                if len(self._buffer) == 1:
-                    covered_all = fitter.append(self._buffer[0][1])
-                else:
-                    # Replay through the batch kernel (bit-identical to
-                    # appending row by row, and much faster on long
-                    # buffers).
-                    if buffer_matrix is None or len(buffer_matrix) != len(
-                        self._buffer
-                    ):
-                        buffer_matrix = np.asarray(
-                            [vector for _, vector in self._buffer],
-                            dtype=np.float64,
-                        )
-                    covered_all = (
-                        fitter.extend(None, buffer_matrix)
-                        == len(self._buffer)
-                    )
-                if covered_all:
-                    self._active = (mid, fitter)
-                    return
-                if fitter.length > 0:
-                    self._finished.append((mid, fitter))
-            self._flush_best()
-            if not self._buffer:
-                self._reset_cascade()
-                return
-            self._pending_models = list(self._config.models)
-            self._finished = []
+    def _restart(self) -> None:
+        """Run the cascade afresh over the buffered rows (step iv)."""
+        self._reset_cascade()
+        for _ in self._cascade_run(
+            self._times[:0], self._rows[:0], False, 0
+        ):
+            pass
 
     def _new_fitter(self, name: str) -> tuple[int, ModelFitter]:
         """A fresh fitter for one cascade model, counted as a fit.
@@ -486,8 +435,8 @@ class SegmentGenerator:
         candidates = self._resolve_lazy(candidates)
         mid, fitter = select_best(candidates)
         length = fitter.length
-        start_time = self._buffer[0][0]
-        end_time = self._buffer[length - 1][0]
+        start_time = int(self._times[0])
+        end_time = int(self._times[length - 1])
         segment = SegmentGroup(
             gid=self.gid,
             start_time=start_time,
@@ -499,7 +448,6 @@ class SegmentGenerator:
             group_tids=self.group_tids,
         )
         self._sink(segment)
-        self.segments_emitted += 1
 
         data_points = length * len(self._present)
         self.stats.record_segment(
@@ -509,7 +457,7 @@ class SegmentGenerator:
             data_points * RAW_POINT_BYTES / segment.storage_bytes()
         )
 
-        del self._buffer[:length]
+        self._times, self._rows = self._times[length:], self._rows[length:]
         self._finished = []
         self._active = None
 
@@ -519,30 +467,38 @@ class SegmentGenerator:
         """Materialise (or prune) lazy always-fitting candidates.
 
         A lazy candidate is dropped without fitting when its best-case
-        compression ratio provably cannot beat an already-fitted
-        candidate; otherwise the real fitter is built by replaying the
-        buffered prefix it covers. Selection results are identical to
-        eagerly fitting every model.
+        compression ratio provably cannot win :func:`select_best`: it is
+        below an already-fitted candidate's, or no better than one that
+        comes before it in the cascade (ties keep the earliest).
+        Otherwise the real fitter is built by replaying the buffered
+        prefix it covers. Selection results are identical to eagerly
+        fitting every model.
         """
+        ratios = [
+            None
+            if isinstance(fitter, _LazyFitter) or not fitter.length
+            else fitter.compression_ratio()
+            for _, fitter in candidates
+        ]
         best_real_ratio = max(
-            (
-                fitter.compression_ratio()
-                for _, fitter in candidates
-                if not isinstance(fitter, _LazyFitter) and fitter.length
-            ),
-            default=0.0,
+            (ratio for ratio in ratios if ratio is not None), default=0.0
         )
         resolved = []
-        for mid, fitter in candidates:
+        best_before = 0.0  # the best fitted ratio earlier in the cascade
+        for (mid, fitter), ratio in zip(candidates, ratios):
+            if ratio is not None:
+                best_before = max(best_before, ratio)
             if not isinstance(fitter, _LazyFitter):
                 resolved.append((mid, fitter))
                 continue
             if fitter.length == 0:
                 continue
             upper = fitter.best_possible_ratio()
-            if upper is not None and upper <= best_real_ratio:
+            if upper is not None and (
+                upper < best_real_ratio or upper <= best_before
+            ):
                 continue
-            real = fitter.materialize(self._buffer)
+            real = fitter.materialize(self._rows)
             resolved.append((mid, real))
         return resolved
 

@@ -9,7 +9,6 @@ visible in the store as each bulk write lands.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Iterable, Iterator
 
@@ -37,9 +36,6 @@ def record_ingest_stats(stats: IngestStats) -> None:
     registry.counter("ingest.splits_total").inc(stats.splits)
     registry.counter("ingest.joins_total").inc(stats.joins)
     registry.counter("ingest.chunks_total").inc(stats.chunks)
-    registry.counter("ingest.scalar_fallback_ticks_total").inc(
-        stats.fallback_ticks
-    )
     registry.counter("ingest.revisions_total").inc(stats.revisions)
     registry.counter("ingest.out_of_order_points_total").inc(
         stats.out_of_order_points
@@ -57,44 +53,18 @@ def record_ingest_stats(stats: IngestStats) -> None:
         ).inc(attempts)
 
 
-def group_ticks(
-    group: TimeSeriesGroup,
-) -> Iterator[tuple[int, dict[int, float | None]]]:
-    """Yield (timestamp, {tid: value}) over the group's combined grid.
-
-    Series that have not started or have already ended at a timestamp
-    are reported as ``None`` exactly like an in-series gap, since from
-    the generator's point of view both mean "no value at this SI".
-    """
-    si = group.sampling_interval
-    start = min(ts.start_time for ts in group)
-    end = max(ts.end_time for ts in group)
-    columns = [
-        (ts.tid, ts.start_time, ts.values, len(ts)) for ts in group
-    ]
-    for timestamp in range(start, end + 1, si):
-        values: dict[int, float | None] = {}
-        for tid, series_start, series_values, length in columns:
-            index = (timestamp - series_start) // si
-            if 0 <= index < length:
-                value = series_values[index]
-                values[tid] = None if math.isnan(value) else float(value)
-            else:
-                values[tid] = None
-        yield timestamp, values
-
-
 def group_tick_blocks(
     group: TimeSeriesGroup, chunk_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(timestamps, matrix)`` columnar chunks over the group grid.
 
-    The columnar counterpart of :func:`group_ticks`: each chunk holds up
-    to ``chunk_size`` consecutive ticks as an int64 timestamp vector and
-    a ``(ticks, n_series)`` float64 matrix in group column order, with
-    NaN wherever a series has no value (in-series gap, not yet started,
-    or already ended). Built with slice copies instead of per-tick dict
-    assembly — this is where the batch path sheds the scalar overhead.
+    Each chunk holds up to ``chunk_size`` consecutive ticks as an int64
+    timestamp vector and a ``(ticks, n_series)`` float64 matrix in group
+    column order, with NaN wherever a series has no value (in-series
+    gap, not yet started, or already ended). A series that has not
+    started or has already ended is a gap exactly like an in-series one,
+    since from the generator's point of view both mean "no value at this
+    SI". Built with slice copies, one chunk at a time.
     """
     si = group.sampling_interval
     start = min(ts.start_time for ts in group)
@@ -145,14 +115,11 @@ class Ingestor:
         ingestor = GroupIngestor(
             group, self._config, self._registry, self._buffer_write, stats
         )
-        chunk_size = self._config.ingest_chunk_size
-        if chunk_size > 1:
-            for timestamps, matrix in group_tick_blocks(group, chunk_size):
-                ingestor.tick_block(timestamps, matrix)
-                stats.chunks += 1
-        else:
-            for timestamp, values in group_ticks(group):
-                ingestor.tick(timestamp, values)
+        for timestamps, matrix in group_tick_blocks(
+            group, self._config.ingest_chunk_size
+        ):
+            ingestor.tick_block(timestamps, matrix)
+            stats.chunks += 1
         ingestor.finish()
         self._flush()
         record_ingest_stats(stats)

@@ -154,12 +154,7 @@ def _revise_group(
         scalings=None,  # values are already scaled (decoded or pre-scaled)
         stats=stats,
     )
-    for row in range(ticks):
-        values: dict[int, float | None] = {}
-        for tid in group_tids:
-            value = matrix[row, columns[tid]]
-            values[tid] = None if math.isnan(value) else float(value)
-        generator.tick(start + row * si, values)
+    generator.tick_block(start + si * np.arange(ticks, dtype=np.int64), matrix)
     generator.close()
     return revisions
 

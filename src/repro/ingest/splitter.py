@@ -17,21 +17,26 @@ sub-groups, and merges when the overlap stays within the double bound.
 The required segment count doubles after every failed attempt, since each
 failure is further evidence the split is the right structure.
 
+The group ingestor takes blocks. The checks change state only at a tick where
+some sub-generator emitted, and between two such ticks the
+sub-generators are independent, so each runs a whole block on its
+columns until it pauses before a flush; the checks run at the earliest
+pause (see :meth:`GroupIngestor.tick_block`). The result is the per-tick
+loop's, which is the test oracle (``tests/write_oracle.py``).
+
 Deviations from the paper, both documented in DESIGN.md:
 
 * when splitting, the pending (unflushed) window is *replayed* into the
-  new sub-generators rather than handled by a retained SG0, which keeps
-  sub-generators synchronised because this driver ticks them all from a
-  single loop; and
+  new sub-generators, one block each, rather than handled by a retained
+  SG0, so every sub-generator starts at the split tick; and
 * when joining, both sub-generators are flushed before the merged
   generator starts, instead of aligning their pending buffers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -62,45 +67,21 @@ def within_double_bound(
     return max(lower_a, lower_b) <= min(upper_a, upper_b)
 
 
-class _BlockRow:
-    """Mapping-like view of one columnar block row (Tid -> value).
-
-    Stands in for the scalar path's per-tick dict inside the split/join
-    window: ``get`` returns ``None`` where the row holds NaN (a gap),
-    matching ``group_ticks`` semantics, without materializing a dict per
-    tick on the block path.
-    """
-
-    __slots__ = ("_index", "_row")
-
-    def __init__(self, index: dict[int, int], row: np.ndarray) -> None:
-        self._index = index
-        self._row = row
-
-    def get(self, tid: int, default=None):
-        column = self._index.get(tid)
-        if column is None:
-            return default
-        value = float(self._row[column])
-        return default if value != value else value
-
-    def __getitem__(self, tid: int) -> float:
-        value = self.get(tid)
-        if value is None:
-            raise KeyError(tid)
-        return value
-
-
-@dataclass
+@dataclass(eq=False)
 class _SubGroup:
-    """One active sub-group and its join bookkeeping."""
+    """One active sub-group, its join bookkeeping and its block cursor."""
 
     tids: tuple[int, ...]
     generator: SegmentGenerator
     emitted_since_split: int = 0
     join_threshold: int = INITIAL_JOIN_THRESHOLD
     is_split: bool = False
-    split_pending: bool = field(default=False, repr=False)
+    #: Rows ``[0, fed)`` of the current block went to ``run``; None for
+    #: a sub-group made by the current check (fed from its next row).
+    fed: int | None = field(default=None, repr=False)
+    run: Iterator[int] | None = field(default=None, repr=False)
+    #: The row ``run`` paused at, if it is paused.
+    stop: int | None = field(default=None, repr=False)
 
 
 class GroupIngestor:
@@ -122,14 +103,19 @@ class GroupIngestor:
 
         self._scalings = group.scalings()
         self._column_index = {tid: i for i, tid in enumerate(group.tids)}
-        self._recent: deque[tuple[int, Mapping[int, float | None]]] = deque(
-            maxlen=config.model_length_limit + 2
-        )
-        # Block-path tail of the window, kept as (timestamps, matrix,
-        # first, end) slice references and only materialized into
-        # ``_recent`` when a split/join decision actually reads it.
-        self._recent_pending: list[tuple[np.ndarray, np.ndarray, int, int]] = []
-        self._recent_pending_rows = 0
+        # A 1-member group never splits (and a disabled splitter never
+        # consumes ratios), so emissions need no check in those cases.
+        self._checking = config.splitting_enabled and len(group.tids) >= 2
+        #: The split/join window: ``(timestamps, matrix, first, end)``
+        #: block slices holding at most the last ``_window_rows`` rows.
+        self._recent: list[tuple[np.ndarray, np.ndarray, int, int]] = []
+        self._recent_rows = 0
+        self._window_rows = config.model_length_limit + 2
+        #: The block row where a check is due although nothing may emit
+        #: there (a split's replay left a ratio to consume), if any.
+        self._due: int | None = None
+        #: The timestamp of the tick the checks are running at.
+        self._now = 0
         self._ratio_sum = 0.0
         self._ratio_count = 0
         self._subgroups: list[_SubGroup] = [
@@ -142,109 +128,106 @@ class GroupIngestor:
         """Current partition of the group (diagnostics and tests)."""
         return [subgroup.tids for subgroup in self._subgroups]
 
-    def tick(self, timestamp: int, values: Mapping[int, float | None]) -> None:
-        """Ingest one sampling interval's values for the whole group.
-
-        ``values`` maps Tid to value (``None`` or absent inside a gap).
-        The mapping is kept by reference for the split/join window, so
-        callers must pass a fresh mapping per tick.
-        """
-        if self._recent_pending:
-            self._sync_recent()
-        self._recent.append((timestamp, values))
-        for subgroup in self._subgroups:
-            subgroup.generator.tick(timestamp, values)
-        if self._config.splitting_enabled:
-            self._maybe_split()
-            if len(self._subgroups) > 1:
-                self._maybe_join()
-
     def tick_block(self, timestamps: np.ndarray, matrix: np.ndarray) -> None:
-        """Columnar ingestion of a ``(ticks, len(group.tids))`` block.
+        """Ingest a ``(ticks, len(group.tids))`` block; NaN or +-inf is a gap.
 
-        While the group is unsplit (the overwhelmingly common state) the
-        block flows straight into the sub-generator's windowed batch
-        path, which calls back once per tick that emitted a segment —
-        exactly where the scalar loop would run its split check. The
-        callback records the window and runs the check; once a dynamic
-        split is active the generator stops and the ingestor falls back
-        to per-tick scalar processing — sub-generators then cover
-        different column subsets and each tick can reshape the partition
-        — counting the fallback in ``stats.fallback_ticks``. Emitted
-        segments are bit-identical to ticking row by row.
+        The split and join checks change state only at a tick where a
+        sub-generator emitted, and between two such ticks the
+        sub-generators are independent. So every sub-generator runs on
+        its column subset of the block to its first pause, just before
+        a flush (:meth:`SegmentGenerator.run`); let E be the earliest
+        pause. The generators paused at E finish tick E, the checks run
+        at E, and the round repeats. A generator paused beyond E has
+        flushed nothing past E: if a join at E closes it, it is first
+        rewound to E. Segments and stats are those of the per-tick loop.
         """
+        if not self._checking:  # one generator, nothing to pause for
+            self._subgroups[0].generator.tick_block(timestamps, matrix)
+            return
         n = len(timestamps)
-        finite = np.isfinite(matrix)
-        # Presence-run boundaries: segments close whenever the set of
-        # present series changes (gap method 2, Fig. 5).
-        if n > 1:
-            boundaries = (
-                np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1
-            )
-        else:
-            boundaries = np.empty(0, dtype=np.intp)
-        group_tids = self.group.tids
-        # A 1-member group never splits (and a disabled splitter never
-        # consumes ratios), so emissions need no check in those cases.
-        check = self._config.splitting_enabled and len(group_tids) >= 2
-        index = self._column_index
-        offset = recorded = 0
+        for subgroup in self._subgroups:
+            subgroup.fed, subgroup.run, subgroup.stop = 0, None, None
+        recorded = 0
+        while True:
+            # Rows past a due check wait for it.
+            limit = n if self._due is None else min(n, self._due + 1)
+            for subgroup in self._subgroups:
+                while subgroup.stop is None:
+                    if subgroup.run is None:
+                        if subgroup.fed >= limit:
+                            break
+                        self._feed(subgroup, timestamps, matrix, limit)
+                    subgroup.stop = next(subgroup.run, None)
+                    if subgroup.stop is None:
+                        subgroup.run = None
+            stops = [s.stop for s in self._subgroups if s.stop is not None]
+            if self._due is not None and self._due < n:
+                stops.append(self._due)
+            if not stops:
+                break
+            row = min(stops)
+            for subgroup in self._subgroups:
+                if subgroup.stop == row:
+                    next(subgroup.run)  # tick ``row``'s flushes
+                    subgroup.stop = None
+            self._remember(timestamps, matrix, recorded, row + 1)
+            recorded = row + 1
+            self._check(int(timestamps[row]))
+            # A split's replay that emitted leaves a ratio the per-tick
+            # loop consumes on the next tick.
+            self._due = row + 1 if any(
+                len(s.tids) >= 2 and s.generator.last_emitted_ratio is not None
+                for s in self._subgroups
+            ) else None
+            for subgroup in self._subgroups:
+                if subgroup.fed is None:
+                    subgroup.fed = row + 1
+        self._remember(timestamps, matrix, recorded, n)
+        if self._due is not None:
+            self._due -= n
 
-        def on_emit(consumed: int) -> bool:
-            """The scalar loop's split check; True if the group changed."""
-            nonlocal recorded
-            self._remember(timestamps, matrix, recorded, offset + consumed)
-            recorded = offset + consumed
-            self._maybe_split()
-            if len(self._subgroups) > 1:
-                self._maybe_join()
-            return len(self._subgroups) != 1 or self._subgroups[0] is not subgroup
+    def _feed(
+        self,
+        subgroup: _SubGroup,
+        timestamps: np.ndarray,
+        matrix: np.ndarray,
+        end: int,
+    ) -> None:
+        """Start ``subgroup``'s run on its columns of rows ``fed..end-1``."""
+        first = subgroup.fed
+        block = matrix[first:end]
+        if len(subgroup.tids) != block.shape[1]:
+            block = block[:, [self._column_index[tid] for tid in subgroup.tids]]
+        subgroup.run = subgroup.generator.run(timestamps[first:end], block, first)
+        subgroup.fed = end
 
-        while offset < n:
-            subgroups = self._subgroups
-            if len(subgroups) != 1 or subgroups[0].tids != group_tids:
-                self.stats.fallback_ticks += 1
-                self.tick(
-                    int(timestamps[offset]),
-                    _BlockRow(index, matrix[offset]),
-                )
-                offset += 1
-                continue
-            subgroup = subgroups[0]
-            recorded = offset
-            cursor = int(np.searchsorted(boundaries, offset, side="right"))
-            consumed = subgroup.generator.tick_block(
-                timestamps[offset:],
-                matrix[offset:],
-                finite[offset:],
-                boundaries[cursor:] - offset,
-                on_emit if check else None,
-            )
-            if check:
-                self._remember(timestamps, matrix, recorded, offset + consumed)
-            offset += consumed
+    def _check(self, timestamp: int) -> None:
+        """The split and join checks the per-tick loop runs after a tick."""
+        self._now = timestamp
+        self._maybe_split()
+        if len(self._subgroups) > 1:
+            self._maybe_join()
 
     def _remember(
         self, timestamps: np.ndarray, matrix: np.ndarray, first: int, end: int
     ) -> None:
-        """Queue block rows ``first..end-1`` for the split/join window.
-
-        Only the deque's window survives, so keep a slice reference to
-        the tail and materialize rows lazily (:meth:`_sync_recent`).
-        """
-        window = self._recent.maxlen or end
-        first = max(first, end - window)
+        """Append block rows ``first..end-1`` to the split/join window,
+        keeping slice references and only the last ``_window_rows``."""
+        first = max(first, end - self._window_rows)
         if first >= end:
             return
-        pending = self._recent_pending
-        pending.append((timestamps, matrix, first, end))
-        self._recent_pending_rows += end - first
-        while (
-            self._recent_pending_rows - (pending[0][3] - pending[0][2])
-            >= window
-        ):
-            _, _, f0, e0 = pending.pop(0)
-            self._recent_pending_rows -= e0 - f0
+        recent = self._recent
+        recent.append((timestamps, matrix, first, end))
+        self._recent_rows += end - first
+        while self._recent_rows - (recent[0][3] - recent[0][2]) >= self._window_rows:
+            _, _, f0, e0 = recent.pop(0)
+            self._recent_rows -= e0 - f0
+
+    def _window(self) -> tuple[np.ndarray, np.ndarray]:
+        """The split/join window as ``(timestamps, matrix)``, oldest first."""
+        timestamps = np.concatenate([t[f:e] for t, _, f, e in self._recent])
+        matrix = np.concatenate([m[f:e] for _, m, f, e in self._recent])
+        return timestamps[-self._window_rows:], matrix[-self._window_rows:]
 
     def finish(self) -> None:
         """Flush every sub-group at end of stream."""
@@ -271,8 +254,8 @@ class GroupIngestor:
                 self._split(subgroup)
 
     def _split(self, subgroup: _SubGroup) -> None:
-        window = self._pending_window(subgroup.generator)
-        if not window:
+        timestamps, window = self._pending_window(subgroup.generator)
+        if not len(timestamps):
             return
         partitions = self._partition_by_double_bound(subgroup.tids, window)
         if len(partitions) < 2:
@@ -285,17 +268,18 @@ class GroupIngestor:
             new = _SubGroup(
                 tids, self._make_generator(tids), is_split=True
             )
-            for timestamp, values in window:
-                new.generator.tick(timestamp, values)
+            columns = [self._column_index[tid] for tid in tids]
+            new.generator.tick_block(timestamps, window[:, columns])
             self._subgroups.append(new)
 
     def _partition_by_double_bound(
         self,
         tids: tuple[int, ...],
-        window: list[tuple[int, dict[int, float | None]]],
+        window: np.ndarray,
     ) -> list[tuple[int, ...]]:
         """Algorithm 3's grouping of buffered points.
 
+        ``window`` holds the buffered rows in group column order.
         Greedily seeds a sub-group with the first remaining series and
         absorbs every series whose buffered values are all within the
         double error bound of the seed's. Series currently in a gap
@@ -303,10 +287,8 @@ class GroupIngestor:
         """
         series_values: dict[int, list[float]] = {}
         for tid in tids:
-            values = [
-                values[tid] for _, values in window if values.get(tid) is not None
-            ]
-            series_values[tid] = values
+            column = window[:, self._column_index[tid]]
+            series_values[tid] = column[np.isfinite(column)].tolist()
 
         in_gap = tuple(tid for tid in tids if not series_values[tid])
         remaining = [tid for tid in tids if series_values[tid]]
@@ -372,26 +354,24 @@ class GroupIngestor:
         Returns (overlap length, all-within-double-bound) over the shared
         suffix of the recent window where both series have values.
         """
-        if self._recent_pending:
-            self._sync_recent()
-        pairs = []
-        for _, values in reversed(self._recent):
-            value_a = values.get(tid_a)
-            value_b = values.get(tid_b)
-            if value_a is None or value_b is None:
-                break
-            pairs.append((value_a, value_b))
-        if not pairs:
+        _, window = self._window()
+        pairs = window[:, [self._column_index[tid_a], self._column_index[tid_b]]]
+        gaps = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+        if len(gaps):
+            pairs = pairs[gaps[-1] + 1:]
+        if not len(pairs):
             return None
         within = all(
             within_double_bound(a, b, self._config.error_bound)
-            for a, b in pairs
+            for a, b in pairs.tolist()
         )
         return len(pairs), within
 
     def _join(self, first: _SubGroup, second: _SubGroup) -> None:
-        first.generator.close()
-        second.generator.close()
+        # Either may have paused beyond this tick: rewind it first.
+        for subgroup in (first, second):
+            subgroup.generator.rewind(self._now)
+            subgroup.generator.close()
         self._subgroups.remove(first)
         self._subgroups.remove(second)
         merged_tids = tuple(sorted(first.tids + second.tids))
@@ -406,27 +386,14 @@ class GroupIngestor:
     # ------------------------------------------------------------------
     def _pending_window(
         self, generator: SegmentGenerator
-    ) -> list[tuple[int, dict[int, float | None]]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The window rows from the generator's buffer start on."""
+        timestamps, window = self._window()
         start = generator.buffer_start_time
-        if start is None:
-            return []
-        if self._recent_pending:
-            self._sync_recent()
-        return [
-            (timestamp, values)
-            for timestamp, values in self._recent
-            if timestamp >= start
-        ]
-
-    def _sync_recent(self) -> None:
-        """Materialize pending block-path rows into the recent window."""
-        index = self._column_index
-        append = self._recent.append
-        for timestamps, matrix, first, end in self._recent_pending:
-            for j, timestamp in enumerate(timestamps[first:end].tolist()):
-                append((timestamp, _BlockRow(index, matrix[first + j])))
-        self._recent_pending.clear()
-        self._recent_pending_rows = 0
+        first = len(timestamps) if start is None else int(
+            np.searchsorted(timestamps, start)
+        )
+        return timestamps[first:], window[first:]
 
     def _make_generator(self, tids: tuple[int, ...]) -> SegmentGenerator:
         return SegmentGenerator(

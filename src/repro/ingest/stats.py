@@ -32,10 +32,10 @@ class IngestStats:
     storage_bytes: int = 0
     splits: int = 0
     joins: int = 0
-    #: Columnar chunks fed through the batch ingestion path.
+    #: Columnar blocks fed through the ingestion path.
     chunks: int = 0
-    #: Ticks the batch path handed to the scalar loop because a dynamic
-    #: split was active (sub-generators cover different column subsets).
+    #: Always 0: every tick goes through blocks, split groups included.
+    #: Kept because the benchmark suite's layer table reads it.
     fallback_ticks: int = 0
     #: Superseding segment revisions emitted by the correction path.
     revisions: int = 0
@@ -83,7 +83,6 @@ class IngestStats:
         self.splits += other.splits
         self.joins += other.joins
         self.chunks += other.chunks
-        self.fallback_ticks += other.fallback_ticks
         self.revisions += other.revisions
         self.out_of_order_points += other.out_of_order_points
         for name, usage in other.usage.items():

@@ -19,7 +19,10 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+import numpy as np
 
 from ..core.config import Configuration
 from ..core.errors import IngestionError
@@ -126,7 +129,14 @@ class StreamingIngestor:
         if open_tick is None:
             return
         timestamp, values = open_tick
-        self._ingestors[gid].tick(timestamp, values)
+        ingestor = self._ingestors[gid]
+        # One closed tick is a one-row block, so its segments reach the
+        # store as soon as the tick closes them.
+        row = np.array(
+            [[math.nan if values.get(tid) is None else values[tid]
+              for tid in ingestor.group.tids]]
+        )
+        ingestor.tick_block(np.array([timestamp], dtype=np.int64), row)
         self._open_tick[gid] = None
 
     def _buffer_write(self, segment: SegmentGroup) -> None:

@@ -65,11 +65,6 @@ _SPECS = (
         "Columnar chunks fitted through the batch ingestion path.",
     ),
     MetricSpec(
-        "ingest.scalar_fallback_ticks_total", COUNTER, (),
-        "Ticks the batch path handed to the scalar loop because a "
-        "dynamic split was active.",
-    ),
-    MetricSpec(
         "ingest.revisions_total", COUNTER, (),
         "Superseding segment revisions emitted by the correction path.",
     ),

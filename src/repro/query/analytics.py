@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from ..core.errors import QueryError
-from .rewriter import RewrittenQuery
 from .sql import Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -503,10 +502,3 @@ def merge_analytics_rows(query: Query, rows: list[dict]) -> list[dict]:
         return sorted(rows, key=lambda row: (row["Tid"], row["TS"]))
     return rows
 
-
-# ----------------------------------------------------------------------
-# Plan helper shared by the engine entry points
-# ----------------------------------------------------------------------
-def build_index(engine, plan: RewrittenQuery) -> SignatureIndex:
-    """One restricted Segment View pass into a :class:`SignatureIndex`."""
-    return SignatureIndex(engine._segment_view().rows(plan))

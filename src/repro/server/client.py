@@ -24,7 +24,6 @@ so the load generator's report can tally it like any other error code.
 
 from __future__ import annotations
 
-import itertools
 import socket
 import time
 
@@ -35,8 +34,6 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-
-_CLIENT_IDS = itertools.count(1)
 
 
 class ServerClient:
@@ -72,8 +69,6 @@ class ServerClient:
         self._max_backoff = max_backoff
         self._sock: socket.socket | None = None
         self._connect()
-        self._id_prefix = f"c{next(_CLIENT_IDS)}"
-        self._requests = itertools.count(1)
         self._accept = [WIRE_COLUMNAR] if columnar else None
 
     # ------------------------------------------------------------------
@@ -135,10 +130,6 @@ class ServerClient:
             f"connection to {self._host}:{self._port} lost after "
             f"{self._retries + 1} attempts ({last_error})"
         )
-
-    def next_query_id(self) -> str:
-        """A unique id usable with ``query``/``cancel``."""
-        return f"{self._id_prefix}-{next(self._requests)}"
 
     # ------------------------------------------------------------------
     def query_response(

@@ -87,9 +87,6 @@ class LoadReport:
             return 0.0
         return self.completed / self.duration_seconds
 
-    def latency_ms(self, fraction: float) -> float:
-        return percentile(sorted(self.latencies), fraction) * 1000.0
-
     def to_dict(self) -> dict:
         ordered = sorted(self.latencies)
         mean = (sum(ordered) / len(ordered) * 1000.0) if ordered else 0.0

@@ -95,11 +95,6 @@ class QueryServer:
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """(host, port) actually bound (port 0 resolves on start)."""
-        return self._host, self._port
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -101,23 +101,21 @@ def iterate(name, state, model, first, last, column, scaling):
 
 def walk(start: int, si: int, first: int, last: int, level: str) -> list:
     """A segment's calendar pieces at ``level``: ``(first, last, key)``
-    per non-empty bucket, in time order. The first piece runs from the
-    segment's first index to the next level boundary, whole buckets
-    follow, and the last one ends at the segment's inclusive last index
-    (segments are stored disconnected, Fig. 12). A DatePart level walks
-    its interval level and keys each piece by the calendar component."""
+    per non-empty bucket, in time order. Each piece runs from its first
+    index to the next level boundary of that index's bucket, and the
+    last one ends at the segment's inclusive last index (segments are
+    stored disconnected, Fig. 12); empty buckets are never visited. A
+    DatePart level walks its interval level and keys each piece by the
+    calendar component."""
     part = DATEPART_LEVELS.get(level)
     walked = level if part is None else part
-    bucket = floor_to_level(start + first * si, walked)
     pieces = []
     while first <= last:
-        boundary = next_boundary(bucket, walked)
-        end = min((boundary - 1 - start) // si, last)
-        if end >= first:
-            key = bucket if part is None else datepart_of(bucket, level)
-            pieces.append((first, end, key))
-            first = end + 1
-        bucket = boundary
+        bucket = floor_to_level(start + first * si, walked)
+        end = min((next_boundary(bucket, walked) - 1 - start) // si, last)
+        key = bucket if part is None else datepart_of(bucket, level)
+        pieces.append((first, end, key))
+        first = end + 1
     return pieces
 
 

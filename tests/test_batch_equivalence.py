@@ -6,8 +6,8 @@ the scalar ``append`` loop — same accepted prefix lengths, byte-identical
 parameters, identical stored segments. These tests check that promise at
 the fitter level (randomized value streams, every model type, the
 evaluation's error bounds, arbitrary chunkings) and end to end (EP/EH
-synthetics ingested with chunked vs per-tick buffers must land the same
-Segment table).
+synthetics ingested in blocks must land the Segment table of the
+per-tick write oracle, ``tests/write_oracle.py``).
 
 Uses hypothesis when installed; otherwise the same properties run over
 seeded pseudo-random streams so the suite stays meaningful without the
@@ -15,6 +15,7 @@ dependency.
 """
 
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from repro.models.gorilla import GorillaFitter
 from repro.models.pmc_mean import PMCMeanFitter
 from repro.models.swing import SwingFitter
 from repro.storage import SegmentScan
+
+from . import write_oracle
 
 try:
     from hypothesis import given, settings
@@ -166,15 +169,17 @@ def store_signature(db: ModelarDB):
 
 
 def ingest_dataset(dataset, correlation, bound, chunk_size):
+    """``chunk_size`` None ingests through the write oracle."""
     config = Configuration(
         error_bound=bound,
         correlation=correlation,
-        ingest_chunk_size=chunk_size,
+        ingest_chunk_size=chunk_size or 1,
     )
     db = ModelarDB(
         config, storage=MemoryStorage(), dimensions=dataset.dimensions
     )
-    db.ingest(dataset.series)
+    with write_oracle.installed() if chunk_size is None else nullcontext():
+        db.ingest(dataset.series)
     return db
 
 
@@ -188,10 +193,11 @@ def test_ep_batch_ingest_is_bit_identical(bound, chunk_size):
         seed=11,
         gap_probability=0.01,
     )
-    scalar = ingest_dataset(dataset, EP_CORRELATION, bound, chunk_size=1)
+    scalar = ingest_dataset(dataset, EP_CORRELATION, bound, chunk_size=None)
     batch = ingest_dataset(dataset, EP_CORRELATION, bound, chunk_size)
     assert store_signature(batch) == store_signature(scalar)
     assert batch.stats.data_points == scalar.stats.data_points
+    assert batch.stats.fits == scalar.stats.fits
 
 
 @pytest.mark.parametrize("bound", (0.0, 5.0))
@@ -204,7 +210,7 @@ def test_eh_batch_ingest_is_bit_identical(bound):
         gap_probability=0.01,
     )
     correlation = dataset.correlation()
-    scalar = ingest_dataset(dataset, correlation, bound, chunk_size=1)
+    scalar = ingest_dataset(dataset, correlation, bound, chunk_size=None)
     batch = ingest_dataset(dataset, correlation, bound, chunk_size=1024)
     assert store_signature(batch) == store_signature(scalar)
 

@@ -1,5 +1,7 @@
 """The segment generator: the multi-model ingestion loop (Section 3.2)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,11 +38,20 @@ def make_generator(
     return generator, out, registry
 
 
+def tick(generator, timestamp, values):
+    """Ingest one tick as a one-row block (None or a missing key: gap)."""
+    row = [
+        math.nan if values.get(tid) is None else values[tid]
+        for tid in generator.subset_tids
+    ]
+    generator.tick_block(np.array([timestamp]), np.array([row]))
+
+
 class TestBasicFlow:
     def test_constant_run_emits_one_pmc_segment(self):
         generator, out, registry = make_generator(tids=(1,))
         for i in range(10):
-            generator.tick(i * 100, {1: 42.0})
+            tick(generator, i * 100, {1: 42.0})
         generator.close()
         assert len(out) == 1
         segment = out[0]
@@ -51,7 +62,7 @@ class TestBasicFlow:
     def test_segment_metadata(self):
         generator, out, _ = make_generator()
         for i in range(5):
-            generator.tick(i * 100, {1: 1.0, 2: 1.0})
+            tick(generator, i * 100, {1: 1.0, 2: 1.0})
         generator.close()
         segment = out[0]
         assert segment.gid == 1
@@ -63,7 +74,7 @@ class TestBasicFlow:
     def test_length_limit_bounds_segments(self):
         generator, out, _ = make_generator(tids=(1,), length_limit=10)
         for i in range(25):
-            generator.tick(i * 100, {1: 7.0})
+            tick(generator, i * 100, {1: 7.0})
         generator.close()
         assert [segment.length for segment in out] == [10, 10, 5]
 
@@ -73,9 +84,9 @@ class TestBasicFlow:
         rng = np.random.default_rng(5)
         generator, out, registry = make_generator(tids=(1,), error_bound=1.0)
         for i in range(10):
-            generator.tick(i * 100, {1: float(rng.normal(10.0, 0.03))})
+            tick(generator, i * 100, {1: float(rng.normal(10.0, 0.03))})
         for i in range(10, 20):
-            generator.tick(i * 100, {1: float(rng.normal(500.0, 1.5))})
+            tick(generator, i * 100, {1: float(rng.normal(500.0, 1.5))})
         generator.close()
         assert len(out) == 2
         assert out[0].end_time == 900
@@ -84,7 +95,7 @@ class TestBasicFlow:
     def test_linear_run_uses_swing(self):
         generator, out, registry = make_generator(tids=(1,), error_bound=1.0)
         for i in range(30):
-            generator.tick(i * 100, {1: float(np.float32(10.0 + 2.5 * i))})
+            tick(generator, i * 100, {1: float(np.float32(10.0 + 2.5 * i))})
         generator.close()
         names = {registry.by_mid(s.mid).name for s in out}
         assert "Swing" in names
@@ -95,7 +106,7 @@ class TestBasicFlow:
             tids=(1,), error_bound=0.0
         )
         for i in range(30):
-            generator.tick(i * 100, {1: float(rng.normal(0, 100))})
+            tick(generator, i * 100, {1: float(rng.normal(0, 100))})
         generator.close()
         names = {registry.by_mid(s.mid).name for s in out}
         assert names == {"Gorilla"}
@@ -105,8 +116,8 @@ class TestBasicFlow:
         # with 4 bytes and must win over Gorilla covering everything.
         generator, out, registry = make_generator(tids=(1,), error_bound=1.0)
         for i in range(20):
-            generator.tick(i * 100, {1: 5.0})
-        generator.tick(2000, {1: 900.0})
+            tick(generator, i * 100, {1: 5.0})
+        tick(generator, 2000, {1: 900.0})
         generator.close()
         assert registry.by_mid(out[0].mid).name == "PMC"
         assert out[0].length == 20
@@ -116,11 +127,11 @@ class TestGaps:
     def test_gap_closes_segment_and_records_tids(self):
         generator, out, _ = make_generator()
         for i in range(5):
-            generator.tick(i * 100, {1: 1.0, 2: 1.0})
+            tick(generator, i * 100, {1: 1.0, 2: 1.0})
         for i in range(5, 10):
-            generator.tick(i * 100, {1: 1.0, 2: None})
+            tick(generator, i * 100, {1: 1.0, 2: None})
         for i in range(10, 15):
-            generator.tick(i * 100, {1: 1.0, 2: 1.0})
+            tick(generator, i * 100, {1: 1.0, 2: 1.0})
         generator.close()
         assert len(out) == 3
         assert out[0].gaps == frozenset()
@@ -130,7 +141,7 @@ class TestGaps:
     def test_all_absent_emits_nothing(self):
         generator, out, _ = make_generator()
         for i in range(5):
-            generator.tick(i * 100, {1: None, 2: None})
+            tick(generator, i * 100, {1: None, 2: None})
         generator.close()
         assert out == []
 
@@ -139,7 +150,7 @@ class TestGaps:
         # tids as gaps so segments share the Gid without key collisions.
         generator, out, _ = make_generator(tids=(1, 2, 3), subset=(1, 3))
         for i in range(5):
-            generator.tick(i * 100, {1: 1.0, 2: 99.0, 3: 1.0})
+            tick(generator, i * 100, {1: 1.0, 2: 99.0, 3: 1.0})
         generator.close()
         assert out[0].gaps == frozenset({2})
         assert out[0].member_tids == (1, 3)
@@ -147,7 +158,7 @@ class TestGaps:
     def test_missing_key_treated_as_gap(self):
         generator, out, _ = make_generator()
         for i in range(3):
-            generator.tick(i * 100, {1: 1.0})  # tid 2 absent entirely
+            tick(generator, i * 100, {1: 1.0})  # tid 2 absent entirely
         generator.close()
         assert out[0].gaps == frozenset({2})
 
@@ -159,7 +170,7 @@ class TestScalingAndQuantization:
         )
         # Series 1 at 50 scaled by 2 matches series 2 at 100.
         for i in range(10):
-            generator.tick(i * 100, {1: 50.0, 2: 100.0})
+            tick(generator, i * 100, {1: 50.0, 2: 100.0})
         generator.close()
         assert len(out) == 1
         model = reg.decode(out[0].mid, out[0].parameters, 2, out[0].length)
@@ -168,7 +179,7 @@ class TestScalingAndQuantization:
     def test_values_quantized_to_float32(self):
         generator, out, reg = make_generator(tids=(1,), error_bound=0.0)
         value = 0.1  # not float32-representable
-        generator.tick(0, {1: value})
+        tick(generator, 0, {1: value})
         generator.close()
         model = reg.decode(out[0].mid, out[0].parameters, 1, 1)
         assert model.values()[0, 0] == float(np.float32(value))
@@ -178,7 +189,7 @@ class TestAbandonAndStats:
     def test_abandon_discards_buffer(self):
         generator, out, _ = make_generator(tids=(1,))
         for i in range(5):
-            generator.tick(i * 100, {1: 1.0})
+            tick(generator, i * 100, {1: 1.0})
         generator.abandon()
         generator.close()
         assert out == []
@@ -187,14 +198,14 @@ class TestAbandonAndStats:
     def test_buffer_accessors(self):
         generator, out, _ = make_generator(tids=(1,))
         assert generator.buffer_start_time is None
-        generator.tick(500, {1: 1.0})
+        tick(generator, 500, {1: 1.0})
         assert generator.buffer_start_time == 500
         assert generator.buffered_length == 1
 
     def test_stats_recorded(self):
         generator, out, _ = make_generator(tids=(1, 2))
         for i in range(10):
-            generator.tick(i * 100, {1: 1.0, 2: 1.0})
+            tick(generator, i * 100, {1: 1.0, 2: 1.0})
         generator.close()
         assert generator.stats.data_points == 20
         assert generator.stats.segments == len(out)
@@ -211,7 +222,7 @@ class TestAbandonAndStats:
 
         generator, out_lazy, _ = make_generator(tids=(1,), error_bound=0.0)
         for i, value in enumerate(values):
-            generator.tick(i * 100, {1: value})
+            tick(generator, i * 100, {1: value})
         generator.close()
 
         generator2, out_eager, _ = make_generator(
@@ -224,7 +235,7 @@ class TestAbandonAndStats:
         Gorilla.always_fits = False
         try:
             for i, value in enumerate(values):
-                generator2.tick(i * 100, {1: value})
+                tick(generator2, i * 100, {1: value})
             generator2.close()
         finally:
             Gorilla.always_fits = original

@@ -8,13 +8,16 @@ built from integer arithmetic alone — holds, ramps, noise from a linear
 congruential generator, gaps, a correlated group beside a singleton and
 a member that drifts away and back (dynamic splitting) — so the inputs
 do not depend on numpy's random streams or the platform's libm. They
-were computed with per-tick ingestion (``ingest_chunk_size=1``); both
-chunk sizes must reproduce them at every evaluation error bound.
+were computed with per-tick ingestion; the write oracle
+(``tests/write_oracle.py``), one-row blocks (``ingest_chunk_size=1``)
+and the default chunk must reproduce them at every evaluation error
+bound.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -22,10 +25,12 @@ from repro import Configuration, MemoryStorage, ModelarDB, TimeSeries
 from repro.core.group import TimeSeriesGroup
 from repro.storage import SegmentScan
 
+from . import write_oracle
+
 SI = 100
 N_TICKS = 600
 
-#: store -> error bound -> digest, computed at ingest_chunk_size=1.
+#: store -> error bound -> digest, computed by per-tick ingestion.
 GOLDEN = {
     "mixed": {
         0.0: (
@@ -151,21 +156,25 @@ def store(name: str) -> tuple[list[TimeSeriesGroup], dict, int]:
     return groups, {"model_length_limit": 7}, 3
 
 
-def digest(name: str, bound: float, chunk: int) -> str:
+def digest(name: str, bound: float, chunk: int | str) -> str:
+    """The store's digest; ``chunk`` "oracle" ingests per tick."""
     groups, overrides, calls = store(name)
+    oracle = chunk == "oracle"
     config = Configuration(
-        error_bound=bound, ingest_chunk_size=chunk, **overrides
+        error_bound=bound, ingest_chunk_size=1 if oracle else chunk,
+        **overrides,
     )
     db = ModelarDB(config, storage=MemoryStorage())
     cuts = [N_TICKS * k // calls for k in range(calls + 1)]
-    for k in range(calls):
-        db.ingest([
-            TimeSeriesGroup(group.gid, [
-                ts.bounded(cuts[k] * SI, (cuts[k + 1] - 1) * SI)
-                for ts in group
+    with write_oracle.installed() if oracle else nullcontext():
+        for k in range(calls):
+            db.ingest([
+                TimeSeriesGroup(group.gid, [
+                    ts.bounded(cuts[k] * SI, (cuts[k + 1] - 1) * SI)
+                    for ts in group
+                ])
+                for group in groups
             ])
-            for group in groups
-        ])
     rows = sorted(
         (
             s.gid,
@@ -182,7 +191,7 @@ def digest(name: str, bound: float, chunk: int) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("chunk", (1, 1024))
+@pytest.mark.parametrize("chunk", (1, 1024, "oracle"))
 @pytest.mark.parametrize("bound", (0.0, 1.0, 5.0, 10.0))
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stored_rows_match_the_golden_digest(name, bound, chunk):

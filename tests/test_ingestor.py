@@ -1,13 +1,26 @@
-"""The batch ingestion driver: ticks, bulk writes, statistics."""
+"""The batch ingestor: the tick grid, bulk writes, statistics."""
 
-import pytest
+import math
 
 from repro.core import Configuration, TimeSeriesGroup
-from repro.ingest import Ingestor, group_ticks
+from repro.ingest import Ingestor
+from repro.ingest.ingestor import group_tick_blocks
 from repro.models import ModelRegistry
 from repro.storage import MemoryStorage, SegmentScan, records_for_groups
 
 from .conftest import correlated_group, make_series
+
+
+def grid(group, chunk_size=1024):
+    """The group grid as ``(timestamp, {tid: value or None})`` rows."""
+    rows = []
+    for timestamps, matrix in group_tick_blocks(group, chunk_size):
+        for timestamp, row in zip(timestamps.tolist(), matrix.tolist()):
+            rows.append((timestamp, {
+                tid: None if math.isnan(value) else value
+                for tid, value in zip(group.tids, row)
+            }))
+    return rows
 
 
 class TestGroupTicks:
@@ -15,15 +28,16 @@ class TestGroupTicks:
         group = TimeSeriesGroup(
             1, [make_series(1, [1.0, 2.0]), make_series(2, [5.0, 6.0])]
         )
-        ticks = list(group_ticks(group))
+        ticks = grid(group)
         assert ticks == [
             (0, {1: 1.0, 2: 5.0}),
             (100, {1: 2.0, 2: 6.0}),
         ]
+        assert grid(group, 1) == ticks
 
     def test_gap_reported_as_none(self):
         group = TimeSeriesGroup(1, [make_series(1, [1.0, None, 3.0])])
-        ticks = list(group_ticks(group))
+        ticks = grid(group)
         assert ticks[1] == (100, {1: None})
 
     def test_shifted_series_padded_with_none(self):
@@ -34,7 +48,7 @@ class TestGroupTicks:
                 make_series(2, [9.0], start=200),
             ],
         )
-        ticks = list(group_ticks(group))
+        ticks = grid(group, 2)
         assert ticks[0][1] == {1: 1.0, 2: None}
         assert ticks[2][1] == {1: 3.0, 2: 9.0}
 
@@ -46,7 +60,7 @@ class TestGroupTicks:
                 make_series(2, [9.0, 8.0], start=0),
             ],
         )
-        ticks = list(group_ticks(group))
+        ticks = grid(group)
         assert ticks[1][1] == {1: None, 2: 8.0}
 
 

@@ -165,6 +165,30 @@ class TestCorrections:
         assert 700 not in timestamps
         assert 600 in timestamps and 800 in timestamps
 
+    @pytest.mark.parametrize("value", (np.inf, -np.inf, np.nan))
+    def test_a_non_finite_correction_is_an_erasure(self, value):
+        """A non-finite value is a gap on the correction path too: the
+        revision equals erasing the point."""
+        erased, corrected = make_db(), make_db()
+        erased.correct([(1, 700, None)])
+        corrected.correct([(1, 700, value)])
+
+        def rows(db):
+            return sorted(
+                (s.start_time, s.end_time, s.mid, bytes(s.parameters),
+                 tuple(sorted(s.gaps)), s.revision)
+                for s in db.storage.scan(SegmentScan())
+            )
+
+        assert rows(corrected) == rows(erased)
+        timestamps = {
+            row["TS"]
+            for row in corrected.query(
+                "SELECT TS, Value FROM DataPoint WHERE Tid = 1"
+            )
+        }
+        assert 700 not in timestamps and 800 in timestamps
+
     def test_late_data_extends_the_series(self):
         db = make_db()
         last = (N_POINTS - 1) * SI

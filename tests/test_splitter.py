@@ -1,11 +1,11 @@
 """Dynamic splitting and joining (Section 4.2, Algorithms 3-4)."""
 
 import numpy as np
-import pytest
 
 from repro import ModelarDB
 from repro.core import Configuration, TimeSeriesGroup
-from repro.ingest import GroupIngestor, group_ticks, within_double_bound
+from repro.ingest import GroupIngestor, within_double_bound
+from repro.ingest.ingestor import group_tick_blocks
 from repro.models import ModelRegistry
 
 from .conftest import make_series
@@ -19,8 +19,8 @@ def run_group(series, error_bound=1.0, split_fraction=10):
     out = []
     ingestor = GroupIngestor(group, config, ModelRegistry(), out.append)
     partitions = set()
-    for timestamp, values in group_ticks(group):
-        ingestor.tick(timestamp, values)
+    for timestamps, matrix in group_tick_blocks(group, 1):
+        ingestor.tick_block(timestamps, matrix)
         partitions.add(tuple(sorted(ingestor.subgroup_tids)))
     ingestor.finish()
     return ingestor, out, partitions
@@ -122,8 +122,8 @@ class TestSplitJoin:
         registry = ModelRegistry()
         out = []
         ingestor = GroupIngestor(group, config, registry, out.append)
-        for timestamp, values in group_ticks(group):
-            ingestor.tick(timestamp, values)
+        for timestamps, matrix in group_tick_blocks(group, 64):
+            ingestor.tick_block(timestamps, matrix)
         ingestor.finish()
         by_tid = {ts.tid: ts for ts in series}
         for segment in out:
@@ -180,10 +180,10 @@ class TestSplitJoin:
             group, Configuration(error_bound=1.0), ModelRegistry(),
             lambda s: None,
         )
-        window = [
-            (0, {1: 100.0, 2: 100.5, 3: 200.0, 4: None}),
-            (100, {1: 101.0, 2: 101.2, 3: 210.0, 4: None}),
-        ]
+        window = np.array([
+            [100.0, 100.5, 200.0, np.nan],
+            [101.0, 101.2, 210.0, np.inf],
+        ])
         partitions = ingestor._partition_by_double_bound(
             (1, 2, 3, 4), window
         )

@@ -1,11 +1,12 @@
 """Streaming (micro-batch) ingestion with online query access."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.core import Configuration, TimeSeriesGroup
 from repro.core.errors import IngestionError
-from repro.ingest import StreamingIngestor
+from repro.ingest import Ingestor, StreamingIngestor
 from repro.models import ModelRegistry
 from repro.query.engine import QueryEngine
 from repro.storage import MemoryStorage, SegmentScan, records_for_groups
@@ -29,6 +30,14 @@ def build_stream(n_series=2, error_bound=1.0, length_limit=10):
     return stream, storage
 
 
+def segment_rows(storage):
+    return sorted(
+        (s.start_time, s.end_time, s.mid, bytes(s.parameters),
+         tuple(sorted(s.gaps)))
+        for s in storage.scan(SegmentScan())
+    )
+
+
 class TestAppend:
     def test_stream_matches_batch_semantics(self):
         stream, storage = build_stream()
@@ -41,6 +50,26 @@ class TestAppend:
         )
         assert covered == [i * 100 for i in range(40)]
         assert stream.stats.data_points == 80
+
+        # A non-finite value is a gap when streamed, exactly as in the
+        # batch Ingestor.
+        for value in (math.nan, math.inf, -math.inf):
+            values = {1: [1.0] * 20, 2: [1.0] * 20}
+            values[1][5] = value
+            stream, storage = build_stream()
+            for i in range(20):
+                for tid in (1, 2):
+                    stream.append(tid, i * 100, values[tid][i])
+            assert stream.flush().data_points == 39
+            group = TimeSeriesGroup(
+                1, [make_series(tid, values[tid]) for tid in (1, 2)]
+            )
+            batch = MemoryStorage()
+            config = Configuration(error_bound=1.0, model_length_limit=10)
+            stats = Ingestor(config, ModelRegistry(), batch).ingest_group(group)
+            assert stats.data_points == 39
+            assert segment_rows(storage) == segment_rows(batch)
+            assert any(1 in row[-1] for row in segment_rows(storage))
 
     def test_missing_series_becomes_gap(self):
         stream, storage = build_stream()

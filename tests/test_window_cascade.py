@@ -1,16 +1,18 @@
-"""Window-edge equivalence: block ingestion against the scalar oracle.
+"""Window-edge equivalence: block ingestion against the write oracle.
 
 The block path cuts each presence run into segment windows of up to
 ``model_length_limit + 1`` rows and fits every cascade model once per
-window; the scalar path (``ingest_chunk_size=1``) appends one tick at a
-time. Both must store the same rows, report the same per-call
-:class:`IngestStats` and raise the same error type. The corpus covers
-every pair of values of the axes where the two paths could part:
-window and chunk edges (chunk sizes around the length limit), carried
-windows across ``ingest()`` calls, cascades whose last model rejects
-early, dynamic splitting on and off, and the evaluation's error bounds.
-``fallback_ticks`` differs by design (the scalar path never falls back)
-and is not compared.
+window, and runs a split group's sub-generators to their next flush
+before the split and join checks. The write oracle
+(``tests/write_oracle.py``) appends one tick at a time and checks after
+every tick. One-row blocks (``ingest_chunk_size=1``) and the case's
+chunk size must both store the oracle's rows, report its per-call
+:class:`IngestStats` and raise its error type. The corpus covers every
+pair of values of the axes where the paths could part: window and chunk
+edges (chunk sizes around the length limit), carried windows across
+``ingest()`` calls, cascades whose last model rejects early, dynamic
+splitting on and off, and the evaluation's error bounds; a second corpus
+puts NaN and +-inf values (gaps) into the data.
 
 Rows are read through ``Storage.tables``.
 """
@@ -18,8 +20,10 @@ Rows are read through ``Storage.tables``.
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from repro import Configuration, MemoryStorage, ModelarDB
@@ -27,7 +31,17 @@ from repro.core.errors import IngestionError
 from repro.datasets import generate_ep
 from repro.datasets.eh import generate_eh
 from repro.datasets.ep import EP_CORRELATION
+from repro.core.group import TimeSeriesGroup
+from repro.core.timeseries import TimeSeries
+from repro.ingest.ingestor import group_tick_blocks
+from repro.ingest.splitter import GroupIngestor
+from repro.ingest.stats import IngestStats
+from repro.models.gorilla import Gorilla, GorillaFitter
+from repro.models.pmc_mean import PMCMeanFitter
+from repro.models.registry import ModelRegistry
 from repro.storage import SegmentScan
+
+from . import write_oracle
 
 try:
     from hypothesis import given, settings
@@ -92,6 +106,19 @@ def pairwise(axes: dict[str, tuple]) -> list[dict]:
 
 @lru_cache(maxsize=None)
 def dataset(kind: str, seed: int):
+    if kind.endswith("+inf"):
+        # Every 17th value of each series becomes NaN, +inf or -inf.
+        series, dimensions, correlation = dataset(kind[:-4], seed)
+        poisoned = []
+        for ts in series:
+            values = np.array(ts.values)
+            marks = np.arange(ts.tid % 17, len(values), 17)
+            values[marks] = np.array([np.nan, np.inf, -np.inf])[marks % 3]
+            poisoned.append(TimeSeries(
+                ts.tid, ts.sampling_interval, ts.timestamps, values,
+                scaling=ts.scaling, name=ts.name,
+            ))
+        return poisoned, dimensions, correlation
     if kind == "EP":
         data = generate_ep(
             n_entities=3,
@@ -111,8 +138,10 @@ def dataset(kind: str, seed: int):
     return data.series, data.dimensions, data.correlation()
 
 
-def run(case: dict, chunk: int, seed: int = 5):
-    """Stored rows and per-call stats, or the raised error type."""
+def run(case: dict, chunk: int | None, seed: int = 5):
+    """Stored rows and per-call stats, or the raised error type.
+
+    ``chunk`` None ingests through the write oracle."""
     series, dimensions, correlation = dataset(case["data"], seed)
     config = Configuration(
         error_bound=case["bound"],
@@ -120,7 +149,7 @@ def run(case: dict, chunk: int, seed: int = 5):
         model_length_limit=case["limit"],
         models=case["models"],
         dynamic_split_fraction=10 if case["splitting"] else 0,
-        ingest_chunk_size=chunk,
+        ingest_chunk_size=chunk or 1,
     )
     db = ModelarDB(config, storage=MemoryStorage(), dimensions=dimensions)
     start = min(ts.start_time for ts in series)
@@ -133,11 +162,12 @@ def run(case: dict, chunk: int, seed: int = 5):
     ]
     stats = []
     try:
-        for k in range(case["calls"]):
-            lo = cuts[k] + (si if k else 0)
-            stats.append(
-                db.ingest([ts.bounded(lo, cuts[k + 1]) for ts in series])
-            )
+        with write_oracle.installed() if chunk is None else nullcontext():
+            for k in range(case["calls"]):
+                lo = cuts[k] + (si if k else 0)
+                stats.append(
+                    db.ingest([ts.bounded(lo, cuts[k + 1]) for ts in series])
+                )
     except IngestionError as error:
         return type(error)
     rows = sorted(
@@ -159,17 +189,25 @@ def run(case: dict, chunk: int, seed: int = 5):
 
 
 def check(case: dict, seed: int = 5) -> None:
-    scalar = run(case, 1, seed)
-    block = run(case, case["chunk"], seed)
-    if isinstance(scalar, type):
-        assert block is scalar, case
-        return
-    assert not isinstance(block, type), (case, block)
-    assert block[0] == scalar[0], case
-    assert block[1] == scalar[1], case
+    expected = run(case, None, seed)
+    for chunk in (1, case["chunk"]):
+        block = run(case, chunk, seed)
+        if isinstance(expected, type):
+            assert block is expected, (case, chunk)
+            continue
+        assert not isinstance(block, type), (case, chunk, block)
+        assert block[0] == expected[0], (case, chunk)
+        assert block[1] == expected[1], (case, chunk)
 
 
 CASES = pairwise(AXES)
+#: The non-finite corpus: every data set, model order and chunk edge
+#: with NaN and +-inf values, split groups included.
+NON_FINITE_CASES = [
+    dict(case, data=case["data"] + "+inf")
+    for case in CASES
+    if case["bound"] in (0.0, 5.0) and case["calls"] == 1
+]
 
 
 def case_id(case: dict) -> str:
@@ -189,6 +227,22 @@ def test_block_path_matches_the_scalar_oracle(case):
     check(case)
 
 
+@pytest.mark.parametrize(
+    "case", NON_FINITE_CASES, ids=[case_id(c) for c in NON_FINITE_CASES]
+)
+def test_non_finite_values_are_gaps_on_every_path(case):
+    check(case)
+
+
+def test_the_non_finite_corpus_puts_gaps_in_the_data():
+    series, _, _ = dataset("EP+inf", 5)
+    values = np.concatenate([ts.values for ts in series])
+    assert np.isposinf(values).any() and np.isneginf(values).any()
+    assert np.isnan(values).any()
+    assert {case["data"] for case in NON_FINITE_CASES} == {"EP+inf", "EH+inf"}
+    assert {case["splitting"] for case in NON_FINITE_CASES} == {True, False}
+
+
 def test_the_corpus_covers_every_pair():
     for a, b in itertools.combinations(AXES, 2):
         seen = {(case[a], case[b]) for case in CASES}
@@ -196,6 +250,7 @@ def test_the_corpus_covers_every_pair():
 
 
 def test_a_cascade_that_cannot_represent_a_row_raises_on_both_paths():
+    """And in the oracle."""
     case = dict(
         data="EP",
         models=("PMC", "Swing"),
@@ -205,6 +260,7 @@ def test_a_cascade_that_cannot_represent_a_row_raises_on_both_paths():
         calls=1,
         bound=0.0,
     )
+    assert run(case, None) is IngestionError
     assert run(case, 1) is IngestionError
     assert run(case, 1024) is IngestionError
 
@@ -223,27 +279,29 @@ def test_a_split_on_a_runs_last_tick_is_checked():
     start = min(ts.start_time for ts in data.series)
     si = data.series[0].sampling_interval
     splits = {}
-    for chunk in (1, 7, 1024):
+    for chunk in (None, 1, 7, 1024):
         config = Configuration(
             error_bound=0.0,
             correlation=EP_CORRELATION,
-            ingest_chunk_size=chunk,
+            ingest_chunk_size=chunk or 1,
         )
         db = ModelarDB(
             config, storage=MemoryStorage(), dimensions=data.dimensions
         )
-        splits[chunk] = [
-            db.ingest(
-                [
-                    ts.bounded(start + lo * si, start + hi * si)
-                    for ts in data.series
-                ]
-            ).splits
-            for lo, hi in ((0, 232), (233, 465), (466, 699))
-        ]
-    assert splits[1][2] == 1
-    assert splits[7] == splits[1]
-    assert splits[1024] == splits[1]
+        with write_oracle.installed() if chunk is None else nullcontext():
+            splits[chunk] = [
+                db.ingest(
+                    [
+                        ts.bounded(start + lo * si, start + hi * si)
+                        for ts in data.series
+                    ]
+                ).splits
+                for lo, hi in ((0, 232), (233, 465), (466, 699))
+            ]
+    assert splits[None][2] == 1
+    assert splits[1] == splits[None]
+    assert splits[7] == splits[None]
+    assert splits[1024] == splits[None]
 
 
 if HAVE_HYPOTHESIS:
@@ -264,3 +322,97 @@ if HAVE_HYPOTHESIS:
         case, chunk, seed
     ):
         check(dict(case, chunk=chunk), seed)
+
+
+class _PairsFitShort(Gorilla):
+    """Lossless for any group but a pair, which gets a 3-row PMC-Mean.
+
+    The bundled models fit a column subset of rows they fit for the
+    whole group, so a split's replay never flushes with them. This one
+    does not, so the replayed pair emits and the per-tick loop consumes
+    its ratio on the next tick, where the block path must run a check
+    although nothing emits there.
+    """
+
+    name = "test.PairsFitShort"
+    always_fits = False
+
+    def fitter(self, n_columns, error_bound, length_limit):
+        if n_columns == 2:
+            return PMCMeanFitter(n_columns, error_bound, 3)
+        return _Costly(n_columns, error_bound, length_limit)
+
+
+class _Costly(GorillaFitter):
+    """Gorilla priced so that a one-row PMC-Mean segment beats it: short
+    segments then pull the group's ratio down and split it."""
+
+    def size_bytes(self):
+        return 1000 * self.length
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_split_whose_replay_emits_is_checked_on_the_next_tick(
+    seed, monkeypatch
+):
+    rng = np.random.default_rng(seed)
+    n = 1200
+    diverged = (np.arange(n) // 100) % 2 == 1
+    pair = np.full(n, 100.0)
+    pair[diverged] = 100 + 5.0 * (np.arange(n)[diverged] % 100)
+    third = pair.copy()
+    third[diverged & (rng.random(n) < 0.5)] *= 1.5
+    series = [
+        TimeSeries(tid, 100, np.arange(n) * 100, np.float32(values))
+        for tid, values in ((1, pair), (2, pair), (3, third))
+    ]
+    due = []
+    check = GroupIngestor._check
+
+    def spy(self, timestamp):
+        due.append(self._due is not None)
+        check(self, timestamp)
+
+    monkeypatch.setattr(GroupIngestor, "_check", spy)
+    observed = {}
+    for chunk in (None, 1, 7, 1024):
+        config = Configuration(
+            error_bound=1.0,
+            models=("PMC", "test.PairsFitShort"),
+            ingest_chunk_size=chunk or 1,
+        )
+        db = ModelarDB(
+            config, storage=MemoryStorage(), extra_models=[_PairsFitShort()]
+        )
+        with write_oracle.installed() if chunk is None else nullcontext():
+            stats = db.ingest([TimeSeriesGroup(1, series)])
+        observed[chunk] = (
+            sorted(
+                (s.start_time, s.end_time, s.mid, bytes(s.parameters),
+                 tuple(sorted(s.gaps)))
+                for s in db.storage.scan(SegmentScan())
+            ),
+            tuple(getattr(stats, name) for name in STATS_FIELDS),
+        )
+    assert any(due)
+    assert observed[None][1][2] >= 1  # it split
+    for chunk in (1, 7, 1024):
+        assert observed[chunk] == observed[None], chunk
+
+    # Tick by tick, the split bookkeeping is the oracle's: the replay's
+    # ratio is consumed on the tick after the split.
+    group = TimeSeriesGroup(1, series)
+    registry = ModelRegistry([_PairsFitShort()])
+    block = GroupIngestor(group, config, registry, lambda segment: None)
+    loop = write_oracle.Group(
+        group, config, registry, lambda segment: None, IngestStats()
+    )
+    ticks = write_oracle.group_ticks(group)
+    for (timestamps, matrix), (timestamp, values) in zip(
+        group_tick_blocks(group, 1), ticks
+    ):
+        block.tick_block(timestamps, matrix)
+        loop.tick(timestamp, values)
+        assert (block._ratio_sum, block._ratio_count) == (
+            loop.ratio_sum, loop.ratio_count
+        ), timestamp
