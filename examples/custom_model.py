@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import Configuration, ModelarDB, TimeSeries
 from repro.models import FittedModel, ModelFitter, ModelType
-from repro.models.base import float32_within, value_interval
+from repro.models.base import float32_within, value_intervals
 
 _FORMAT = "<ffH"  # level A, level B, switch index
 
@@ -32,8 +32,20 @@ class StepFitter(ModelFitter):
         self._phase = 0
         self._switch = 0
 
-    def _try_append(self, values):
-        lower, upper = value_interval(values, self.error_bound)
+    def _extend(self, block):
+        # ``block`` holds the next rows of the group, one per timestamp;
+        # accept the longest prefix that fits and return its length. Row
+        # ``i`` lands at index ``self.length + i`` of the segment (the
+        # caller advances ``self.length`` once the block is fitted).
+        lowers, uppers = value_intervals(block, self.error_bound)
+        for i, interval in enumerate(zip(lowers.tolist(), uppers.tolist())):
+            if not self._accept(self.length + i, *interval):
+                return i
+        return len(block)
+
+    def _accept(self, index, lower, upper):
+        """Fit one timestamp's interval into the current level or open
+        the second one; a rejected row leaves the state unchanged."""
         for phase in (self._phase, self._phase + 1):
             if phase > 1:
                 return False
@@ -42,7 +54,7 @@ class StepFitter(ModelFitter):
             if float32_within(*merged) is not None:
                 if phase != self._phase:
                     self._phase = phase
-                    self._switch = self.length
+                    self._switch = index
                 self._bounds[phase] = merged
                 return True
         return False

@@ -57,9 +57,8 @@ class _TSMBlock:
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.values = np.float32(values).astype(np.float64)
         self.ts_bytes = _rle_size(self.timestamps)
-        fitter = GorillaFitter(1, 0.0, len(values) + 1)
-        for value in values:
-            fitter.append((value,))
+        fitter = GorillaFitter(1, 0.0, len(values))
+        fitter.extend(None, self.values[:, np.newaxis])
         self.value_bytes = fitter.size_bytes()
 
     def size_bytes(self) -> int:

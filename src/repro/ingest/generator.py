@@ -73,10 +73,6 @@ class _LazyFitter(ModelFitter):
         #: The covered rows when they arrived as one block, else None.
         self._block: np.ndarray | None = None
 
-    def _try_append(self, values) -> bool:
-        self._block = None
-        return True
-
     def _extend(self, block) -> int:
         self._block = block if self.length == 0 else None
         return block.shape[0]
@@ -316,7 +312,7 @@ class SegmentGenerator:
         A window is the rows from the segment start ``s`` up to the length
         limit + 1. Each cascade model gets one fitter and one
         :meth:`ModelFitter.extend` over it, so its accepted length is what
-        per-row appends reach. As in the per-tick loop, a model tried at
+        one-row blocks reach. As in the per-tick loop, a model tried at
         tick ``t`` stays active when it covers rows ``s..t``; once every
         model is rejected, tick ``t`` flushes through :meth:`_flush_best`
         and the cascade restarts there over the leftover. A model that

@@ -12,7 +12,6 @@ from .base import (
     ModelFitter,
     ModelType,
     float32_within,
-    value_interval,
 )
 from .gorilla import Gorilla
 from .multi import MultiModel
@@ -27,7 +26,6 @@ __all__ = [
     "ModelFitter",
     "ModelType",
     "float32_within",
-    "value_interval",
     "Gorilla",
     "MultiModel",
     "PMCMean",

@@ -3,10 +3,12 @@
 ModelarDB treats models as black boxes behind a common interface so users
 can plug in their own (Section 3.1). A model type provides two things:
 
-* an online :class:`ModelFitter` used during ingestion — it receives, at
-  each sampling interval, the vector of values from all series of a group
-  and either accepts it (staying within the error bound for *every* value)
-  or permanently rejects it, leaving its state unchanged; and
+* an online :class:`ModelFitter` used during ingestion — it receives a
+  block of value vectors, one row per sampling interval and one column
+  per series of a group, and accepts the longest prefix it can represent
+  within the error bound for *every* value, leaving its state unchanged
+  past that prefix (:meth:`ModelFitter._extend` is the one method a
+  model implements to fit); and
 * a :class:`FittedModel` decoded from stored parameters — it reconstructs
   the represented values and, where the mathematics allow, answers
   aggregate queries in constant time (Section 6.1).
@@ -40,45 +42,18 @@ _FLOAT32_RELATIVE_STEP = 2 ** -23
 _FLOAT32_PACK = struct.Struct("<f")
 
 
-def value_interval(
-    values: Sequence[float], error_bound: float
-) -> tuple[float, float]:
-    """The representable interval shared by all values of one timestamp.
-
-    With a relative bound of ``p`` percent, each value ``v`` accepts any
-    estimate in ``[v - p|v|/100, v + p|v|/100]``; a single estimate for a
-    whole group must lie in the intersection of those intervals (the
-    min/max reduction of Section 5.2). Returns ``(lower, upper)`` with
-    ``lower > upper`` when the intersection is empty.
-
-    Implemented with plain Python arithmetic: group vectors are short
-    (one value per series), where scalar loops beat numpy dispatch — this
-    is the ingestion hot path.
-    """
-    scale = error_bound / 100.0
-    lower = -float("inf")
-    upper = float("inf")
-    for value in values:
-        deviation = abs(value) * scale
-        low = value - deviation
-        high = value + deviation
-        if low > lower:
-            lower = low
-        if high < upper:
-            upper = high
-    return lower, upper
-
-
 def value_intervals(
     block: _FloatArray, error_bound: float
 ) -> tuple[_FloatArray, _FloatArray]:
     """Per-tick representable intervals for a ``(ticks, n)`` block.
 
-    The columnar counterpart of :func:`value_interval`: row ``i`` of the
-    returned ``(lowers, uppers)`` pair is exactly what
-    ``value_interval(block[i], error_bound)`` would produce, computed for
-    the whole block at once. Requires finite inputs (the ingestion path
-    strips gaps before fitting).
+    With a relative bound of ``p`` percent, each value ``v`` accepts any
+    estimate in ``[v - p|v|/100, v + p|v|/100]``; a single estimate for a
+    whole group must lie in the intersection of those intervals (the
+    min/max reduction of Section 5.2). Row ``i`` of the returned
+    ``(lowers, uppers)`` pair is that intersection for ``block[i]``, with
+    ``lower > upper`` when it is empty. Requires finite inputs (the
+    ingestion path strips gaps before fitting).
     """
     deviation = np.abs(block)
     deviation *= error_bound / 100.0
@@ -167,9 +142,10 @@ def float32_within(lower: float, upper: float) -> float | None:
 class ModelFitter(ABC):
     """Online fitter for one model over an ``n_columns``-wide group.
 
-    Subclasses must leave their state unchanged when :meth:`append`
-    rejects a vector, so the ingestion loop can hand the same buffered
-    values to the next model type in the cascade.
+    A model implements one fitting method, :meth:`_extend`; it must
+    leave its state unchanged past the prefix it accepts, so the
+    ingestion loop can hand the same buffered values to the next model
+    type in the cascade.
     """
 
     def __init__(self, n_columns: int, error_bound: float, length_limit: int) -> None:
@@ -185,42 +161,27 @@ class ModelFitter(ABC):
         self.length = 0
 
     def append(self, values: Sequence[float]) -> bool:
-        """Try to extend the model with the group's next value vector.
-
-        ``values`` is the group's value tuple for one timestamp (one
-        float per series, in column order). Returns True when the model
-        still represents every accepted value within the error bound;
-        False when it cannot (state unchanged).
-        """
-        if self.length >= self.length_limit:
-            return False
-        if len(values) != self.n_columns:
-            raise ModelError(
-                f"expected {self.n_columns} values, got {len(values)}"
-            )
-        if not self._try_append(values):
-            return False
-        self.length += 1
-        return True
+        """Offer the group's value vector for one timestamp (one float
+        per series, in column order): :meth:`extend` over a one-row
+        block. Returns whether it was accepted."""
+        return self.extend(None, [values]) == 1
 
     def extend(
         self,
         timestamps: npt.NDArray[np.int64] | None,
         matrix: npt.ArrayLike,
     ) -> int:
-        """Batch counterpart of :meth:`append` over a columnar block.
+        """Fit the longest acceptable leading prefix of a columnar block.
 
         ``matrix`` is a ``(ticks, n_columns)`` float block (one row per
         timestamp, columns in group order, all values finite); the
         optional ``timestamps`` array is positional metadata that the
-        bundled models ignore. Consumes the longest acceptable leading
-        prefix and returns its tick count — by contract the resulting
-        state is *bit-identical* to calling :meth:`append` row by row
-        until the first rejection, so the block and scalar ingestion
-        paths produce the same segments. A return short of ``len(matrix)``
-        means the next row was rejected (or the length limit was hit);
-        as with :meth:`append`, state is unchanged past the accepted
-        prefix.
+        bundled models ignore. Returns the accepted tick count; a return
+        short of ``len(matrix)`` means the next row was rejected (or the
+        length limit was hit), and state is unchanged past the accepted
+        prefix. Fitting a block in pieces must leave the same state as
+        fitting it whole, so every chunking of ingestion produces the
+        same segments.
         """
         block = np.asarray(matrix, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.n_columns:
@@ -235,27 +196,16 @@ class ModelFitter(ABC):
         self.length += accepted
         return accepted
 
-    def _extend(self, block: _FloatArray) -> int:
-        """Model-specific batch accept; returns the accepted tick count.
-
-        The default falls back to the scalar kernel one row at a time.
-        Vectorized overrides must accept exactly the prefix the scalar
-        kernel would (bit-identical state included) and, like
-        :meth:`_try_append`, must not mutate state past that prefix.
-        ``block`` is already capacity-capped and shape-checked.
-        """
-        accepted = 0
-        # This IS the documented scalar fallback, not a regression — the
-        # vectorized kernels override it.
-        for row in block.tolist():  # reprolint: disable=RPR006
-            if not self._try_append(row):
-                break
-            accepted += 1
-        return accepted
-
     @abstractmethod
-    def _try_append(self, values: Sequence[float]) -> bool:
-        """Model-specific accept/reject; must not mutate state on reject."""
+    def _extend(self, block: _FloatArray) -> int:
+        """Accept the longest prefix of ``block`` the model represents
+        within the bound and return its tick count.
+
+        ``block`` is already capacity-capped, shape-checked and non-empty;
+        ``self.length`` counts the rows accepted before it and is
+        advanced by the caller afterwards. State must be unchanged past
+        the accepted prefix.
+        """
 
     @abstractmethod
     def parameters(self) -> bytes:

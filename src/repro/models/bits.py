@@ -1,4 +1,4 @@
-"""Bit-level reader/writer used by the Gorilla codec.
+"""Bit-level packing used by the Gorilla codec.
 
 Bits are written most-significant-first within each byte, matching the
 layout of the original Gorilla paper [28].
@@ -33,9 +33,6 @@ class BitWriter:
             self._pending -= 8
             self._bytes.append((self._accumulator >> self._pending) & 0xFF)
         self._accumulator &= (1 << self._pending) - 1
-
-    def write_bit(self, bit: int) -> None:
-        self.write(bit & 1, 1)
 
     def write_big(self, value: int, bits: int) -> None:
         """Write an arbitrarily wide non-negative ``value`` in one call.
@@ -84,12 +81,12 @@ def pack_xor_block(
 ) -> tuple[int, int]:
     """Append a run of precomputed Gorilla XOR residues in one pass.
 
-    The batch half of the Gorilla codec: the caller vectorizes the XOR
+    The encoding half of the Gorilla codec: the caller vectorizes the XOR
     chain and the leading/trailing zero counts over a whole block, and
     this loop only carries the sequential window state. MSB-first writes
     concatenate, so packing control bits, window headers and payloads
     into one accumulated field per value leaves the stream bit-identical
-    to the scalar encoder's separate writes. Returns the updated
+    to writing each field on its own. Returns the updated
     ``(window_leading, window_meaningful)`` pair.
     """
     # Fields accumulate into one big integer, flushed in bulk through
@@ -176,39 +173,3 @@ def unpack_xor_block(data: bytes, count: int) -> np.ndarray:
         patterns.append(previous)
     return np.array(patterns, dtype="<u4")
 
-
-class BitReader:
-    """Sequential reader over bytes produced by :class:`BitWriter`."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._position = 0  # bit offset
-
-    def read(self, bits: int) -> int:
-        """Read ``bits`` bits as an unsigned integer."""
-        if bits == 0:
-            return 0
-        end = self._position + bits
-        if end > len(self._data) * 8:
-            raise ModelError("bit stream exhausted")
-        value = 0
-        position = self._position
-        remaining = bits
-        while remaining:
-            byte = self._data[position // 8]
-            offset = position % 8
-            available = 8 - offset
-            take = min(available, remaining)
-            chunk = (byte >> (available - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            position += take
-            remaining -= take
-        self._position = end
-        return value
-
-    def read_bit(self) -> int:
-        return self.read(1)
-
-    @property
-    def remaining_bits(self) -> int:
-        return len(self._data) * 8 - self._position

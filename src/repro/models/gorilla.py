@@ -18,8 +18,6 @@ fallback that can always fit (only the model length limit stops it).
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from ..core.errors import ModelError
@@ -27,29 +25,6 @@ from .base import FittedModel, ModelFitter, ModelType
 from .bits import BitWriter, pack_xor_block, unpack_xor_block
 
 _BITS = 32
-_LEADING_BITS = 5  # encodes 0..31 leading zeros
-_LENGTH_BITS = 5  # encodes meaningful-bit count - 1 (1..32)
-
-_FLOAT = struct.Struct("<f")
-_UINT = struct.Struct("<I")
-
-
-def _float_to_bits(value: float) -> int:
-    return _UINT.unpack(_FLOAT.pack(value))[0]
-
-
-def _bits_to_float(pattern: int) -> float:
-    return _FLOAT.unpack(_UINT.pack(pattern))[0]
-
-
-def _leading_zeros(pattern: int) -> int:
-    return _BITS - pattern.bit_length()
-
-
-def _trailing_zeros(pattern: int) -> int:
-    if pattern == 0:
-        return _BITS
-    return (pattern & -pattern).bit_length() - 1
 
 
 class GorillaFitter(ModelFitter):
@@ -61,11 +36,6 @@ class GorillaFitter(ModelFitter):
         self._previous: int | None = None
         self._window_leading = -1
         self._window_meaningful = 0
-
-    def _try_append(self, values) -> bool:
-        for value in values:
-            self._encode(_float_to_bits(value))
-        return True
 
     def _extend(self, block: np.ndarray) -> int:
         # Lossless fallback: every row fits, so the whole capacity-capped
@@ -104,39 +74,6 @@ class GorillaFitter(ModelFitter):
             self._previous = int(rest[-1])
         return block.shape[0]
 
-    def _encode(self, pattern: int) -> None:
-        if self._previous is None:
-            self._writer.write(pattern, _BITS)
-            self._previous = pattern
-            return
-
-        xor = self._previous ^ pattern
-        self._previous = pattern
-        if xor == 0:
-            self._writer.write_bit(0)
-            return
-
-        self._writer.write_bit(1)
-        leading = min(_leading_zeros(xor), (1 << _LEADING_BITS) - 1)
-        trailing = _trailing_zeros(xor)
-        meaningful = _BITS - leading - trailing
-        window_trailing = _BITS - self._window_leading - self._window_meaningful
-        fits_window = (
-            self._window_leading >= 0
-            and leading >= self._window_leading
-            and trailing >= window_trailing
-        )
-        if fits_window:
-            self._writer.write_bit(0)
-            self._writer.write(xor >> window_trailing, self._window_meaningful)
-        else:
-            self._writer.write_bit(1)
-            self._writer.write(leading, _LEADING_BITS)
-            self._writer.write(meaningful - 1, _LENGTH_BITS)
-            self._writer.write(xor >> trailing, meaningful)
-            self._window_leading = leading
-            self._window_meaningful = meaningful
-
     def parameters(self) -> bytes:
         if self.length == 0:
             raise ModelError("cannot encode an empty Gorilla model")
@@ -165,7 +102,7 @@ class FittedGorilla(FittedModel):
         # pack_xor_block), and the bit-pattern -> float32 -> float64
         # conversion happens vectorized over the whole segment instead of
         # one struct round trip per value. float32 -> float64 widening is
-        # exact, so the block is bit-identical to the scalar decode.
+        # exact.
         count = self.length * self.n_columns
         patterns = unpack_xor_block(self._parameters, count)
         flat = patterns.view("<f4").astype(np.float64)

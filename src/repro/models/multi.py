@@ -45,26 +45,13 @@ class MultiFitter(ModelFitter):
         ]
         self._accepted: list[tuple[float, ...]] = []
 
-    def _try_append(self, values) -> bool:
-        accepted_columns = 0
-        for column, fitter in enumerate(self._fitters):
-            if not fitter.append((values[column],)):
-                break
-            accepted_columns += 1
-        if accepted_columns == self.n_columns:
-            self._accepted.append(tuple(values))
-            return True
-        if accepted_columns:
-            self._rollback()
-        return False
-
     def _extend(self, block: np.ndarray) -> int:
         # Offer each column its own sub-block; the jointly accepted
         # prefix is the shortest per-column prefix. Any sub-fitter that
         # ran past it is rebuilt by replaying the accepted rows — for
         # deterministic online fitters the replayed state is identical to
-        # the incremental state, so this matches the scalar lock step
-        # (including Fig. 9 case III) bit for bit.
+        # the incremental state, so this matches advancing the columns in
+        # lock step row by row (including Fig. 9 case III) bit for bit.
         accepted = block.shape[0]
         offered: list[int] = []
         for column, fitter in enumerate(self._fitters):

@@ -25,7 +25,6 @@ from .base import (
     feasible_prefix,
     float32_within,
     to_float32,
-    value_interval,
     value_intervals,
 )
 
@@ -41,18 +40,6 @@ class PMCMeanFitter(ModelFitter):
         self._upper = math.inf
         self._sum = 0.0
         self._count = 0
-
-    def _try_append(self, values) -> bool:
-        lower, upper = value_interval(values, self.error_bound)
-        new_lower = max(self._lower, lower)
-        new_upper = min(self._upper, upper)
-        if float32_within(new_lower, new_upper) is None:
-            return False
-        self._lower = new_lower
-        self._upper = new_upper
-        self._sum += sum(values)
-        self._count += len(values)
-        return True
 
     def _extend(self, block: np.ndarray) -> int:
         # Intersecting per-tick intervals is an associative min/max
@@ -73,8 +60,9 @@ class PMCMeanFitter(ModelFitter):
             self._lower = float(lowers[accepted - 1])
             self._upper = float(uppers[accepted - 1])
             # The representative divides a sequentially-accumulated sum;
-            # numpy's pairwise summation rounds differently, so add the
-            # accepted rows exactly as the scalar kernel would.
+            # numpy's pairwise summation rounds differently (and would
+            # depend on how the rows were cut into blocks), so add the
+            # accepted rows one value at a time.
             for row in block[:accepted].tolist():
                 self._sum += sum(row)
             self._count += accepted * self.n_columns
@@ -91,7 +79,7 @@ class PMCMeanFitter(ModelFitter):
         if self._lower <= candidate <= self._upper:
             return candidate
         feasible = float32_within(self._lower, self._upper)
-        if feasible is None:  # pragma: no cover - _try_append guarantees it
+        if feasible is None:  # pragma: no cover - _extend guarantees it
             raise ModelError("no float32 representative exists")
         return feasible
 

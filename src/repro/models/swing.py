@@ -34,7 +34,6 @@ from .base import (
     feasible_prefix,
     float32_within,
     to_float32,
-    value_interval,
     value_intervals,
 )
 
@@ -70,62 +69,33 @@ class SwingFitter(ModelFitter):
         self._slope_lower = -math.inf
         self._slope_upper = math.inf
 
-    def _try_append(self, values) -> bool:
-        lower, upper = value_interval(values, self.error_bound)
-        if lower > upper:
-            return False
-        if self._anchor is None:
-            return self._fit_anchor(values, lower, upper)
-
-        step = self.length  # index of the incoming timestamp
-        slope_lower = max(self._slope_lower, (lower - self._anchor) / step)
-        slope_upper = min(self._slope_upper, (upper - self._anchor) / step)
-        if float32_within(slope_lower, slope_upper) is None:
-            return False
-        # The bounds are float64 quotients, which can round a value far
-        # below the anchor away (anchor 1.0, then 1e-20 at bound 0: slope
-        # -1.0 decodes 0.0). Decoding, anchor + slope * step, is monotone
-        # in the slope, so the interval's smallest and largest float32
-        # decide for every slope the segment may store; later appends
-        # only narrow the interval, so earlier steps stay checked. The
-        # float64 bounds lie outside those two, so when they decode
-        # inside, so do the float32 ends, and rounding is skipped.
-        anchor = self._anchor
-        if (
-            anchor + slope_lower * step < lower
-            or anchor + slope_upper * step > upper
-        ):
-            row = (float(step), lower, upper, slope_lower, slope_upper)
-            if _float32_ends_leave(anchor, *map(np.atleast_1d, row))[0]:
-                return False
-        self._slope_lower = slope_lower
-        self._slope_upper = slope_upper
-        return True
-
     def _extend(self, block: np.ndarray) -> int:
+        lowers, uppers = value_intervals(block, self.error_bound)
         accepted = 0
         if self._anchor is None:
-            # The anchor derives from the first row alone; reuse the
-            # scalar reduction and vectorize the slope narrowing that
-            # dominates.
+            # The anchor derives from the first row alone. Its interval
+            # is reduced in Python, which keeps the first of equal
+            # bounds: np.max may pick -0.0 over an equal 0.0, and a clamp
+            # to that bound would change the anchor's bytes.
             row = block[0].tolist()
-            lower, upper = value_interval(row, self.error_bound)
+            scale = self.error_bound / 100.0
+            lower = max(value - abs(value) * scale for value in row)
+            upper = min(value + abs(value) * scale for value in row)
             if lower > upper or not self._fit_anchor(row, lower, upper):
                 return 0
             accepted = 1
-            block = block[1:]
-            if block.shape[0] == 0:
+            if block.shape[0] == 1:
                 return accepted
-        lowers, uppers = value_intervals(block, self.error_bound)
+            lowers, uppers = lowers[1:], uppers[1:]
         # Row i of the block lands at index self.length + accepted + i of
         # the segment; the anchor sits at index 0, so each row bounds the
         # slope by (interval - anchor) / step. An empty per-tick interval
         # (lower > upper) inverts under the monotone transform and keeps
-        # the cumulative intersection empty, so float32_within rejects it
-        # exactly as the scalar kernel's early lower > upper test does.
+        # the cumulative intersection empty, so feasible_prefix stops
+        # before it.
         steps = np.arange(
             self.length + accepted,
-            self.length + accepted + block.shape[0],
+            self.length + accepted + lowers.shape[0],
             dtype=np.float64,
         )
         slope_lowers = lowers - self._anchor
@@ -141,7 +111,7 @@ class SwingFitter(ModelFitter):
         np.maximum.accumulate(slope_lowers, out=slope_lowers)
         np.minimum.accumulate(slope_uppers, out=slope_uppers)
         narrowed = feasible_prefix(slope_lowers, slope_uppers)
-        # The scalar kernel's decode check, row by row over that prefix:
+        # The decode check, row by row over that prefix:
         # the float64 bounds first, their float32 ends only if one fails.
         anchor = self._anchor
         steps = steps[:narrowed]
@@ -175,7 +145,7 @@ class SwingFitter(ModelFitter):
         if self.length <= 1:
             return 0.0
         slope = float32_within(self._slope_lower, self._slope_upper)
-        if slope is None:  # pragma: no cover - _try_append guarantees it
+        if slope is None:  # pragma: no cover - _extend guarantees it
             raise ModelError("no float32 slope exists")
         return slope
 

@@ -12,6 +12,7 @@ from repro.models import ModelRegistry
 from repro.query.cache import SegmentCache
 
 from .conftest import make_series
+from .model_oracle import GorillaReference
 
 
 def long_series(n=2_500, si=100, tid=1):
@@ -39,6 +40,15 @@ class TestInfluxBlocks:
         timestamps, values = fmt._read_series_range(1, start, start + 500)
         assert timestamps[0] == start
         assert len(values) == 6
+
+    def test_value_bytes_match_the_reference_encoder(self):
+        fmt = InfluxLike()
+        fmt.ingest([long_series()])
+        for block in fmt._blocks[1]:
+            reference = GorillaReference(1, 0.0, len(block.values))
+            for value in block.values.tolist():
+                assert reference.append((value,))
+            assert block.value_bytes == reference.size_bytes()
 
     def test_gorilla_sized_blocks_smaller_than_raw(self):
         fmt = InfluxLike()

