@@ -14,10 +14,10 @@ A second section measures ``FORECAST(TS, horizon)``: statement latency
 on the same store, plus accuracy on held-out points of deterministic
 trend series — the model's slope continuation against the naive
 hold-last-value forecast — and the fraction of true values inside the
-propagated ``[Lo, Hi]`` interval. Writes a ``BENCH_analytics.json``
-artifact::
+propagated ``[Lo, Hi]`` interval. ``--output`` writes a JSON artifact
+(nothing is written without it)::
 
-    python benchmarks/bench_analytics.py            # ~2 min, 1,024 series
+    python benchmarks/bench_analytics.py --output BENCH_analytics.json  # ~2 min
     python benchmarks/bench_analytics.py --smoke    # seconds (CI)
 """
 
@@ -300,8 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         help="short CI run: 16 groups, 256 points, two repetitions",
     )
     parser.add_argument(
-        "--output", default="BENCH_analytics.json",
-        help="path of the JSON artifact",
+        "--output", default=None,
+        help="path of the JSON artifact (written only when given)",
     )
     arguments = parser.parse_args(argv)
     n_groups = 16 if arguments.smoke else arguments.groups
@@ -345,9 +345,10 @@ def main(argv: list[str] | None = None) -> int:
         "forecast": forecast,
         "forecast_accuracy": accuracy,
     }
-    output = Path(arguments.output)
-    output.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"\nwrote {output}")
+    if arguments.output:
+        output = Path(arguments.output)
+        output.write_text(json.dumps(artifact, indent=2) + "\n")
+        print(f"\nwrote {output}")
     return 0
 
 

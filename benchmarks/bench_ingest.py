@@ -14,9 +14,11 @@ Measures points/sec at 1-, 8- and 32-series groups, one-row blocks
 (``ingest_chunk_size=1``, reported as ``scalar``) vs batch (default
 1024), interleaved best-of-N so machine noise cancels out of the ratio,
 and verifies the two chunkings land byte-identical segments before
-timing anything. Writes a ``BENCH_ingest.json`` artifact::
+timing anything. ``--output`` names the JSON artifact to write
+(nothing is written without it, so a smoke run never replaces the
+committed full-run ``BENCH_ingest.json``)::
 
-    python benchmarks/bench_ingest.py            # ~1 min
+    python benchmarks/bench_ingest.py --output BENCH_ingest.json  # ~1 min
     python benchmarks/bench_ingest.py --smoke    # seconds (CI)
 """
 
@@ -142,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         help="short CI run: 4k points, one repetition",
     )
     parser.add_argument(
-        "--output", default="BENCH_ingest.json",
-        help="path of the JSON artifact",
+        "--output", default=None,
+        help="path of the JSON artifact (written only when given)",
     )
     arguments = parser.parse_args(argv)
     n_points = 4_000 if arguments.smoke else arguments.points
@@ -171,9 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         "chunk_size": arguments.chunk_size,
         "runs": runs,
     }
-    output = Path(arguments.output)
-    output.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"\nwrote {output}")
+    if arguments.output:
+        output = Path(arguments.output)
+        output.write_text(json.dumps(artifact, indent=2) + "\n")
+        print(f"\nwrote {output}")
     return 0
 
 

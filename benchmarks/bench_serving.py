@@ -20,10 +20,11 @@ Backends:
   mid-run via an injected fault plan and fails unless the load report
   shows **zero** errors — the failover acceptance check.
 
-Runs 1, 8 and 32 clients and writes a ``BENCH_serving.json`` artifact
-with throughput and p50/p95/p99 latency per level::
+Runs 1, 8 and 32 clients and reports throughput and p50/p95/p99
+latency per level; ``--output`` writes them as a JSON artifact (nothing
+is written without it)::
 
-    python benchmarks/bench_serving.py            # ~5 s per level
+    python benchmarks/bench_serving.py --output BENCH_serving.json  # ~5 s per level
     python benchmarks/bench_serving.py --smoke    # ~0.5 s per level (CI)
     python benchmarks/bench_serving.py --smoke --shards 4 --replicas 2 \\
         --compare --crash
@@ -196,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
              "fail unless the load report shows zero errors",
     )
     parser.add_argument(
-        "--output", default="BENCH_serving.json",
-        help="path of the JSON artifact",
+        "--output", default=None,
+        help="path of the JSON artifact (written only when given)",
     )
     arguments = parser.parse_args(argv)
     duration = 0.5 if arguments.smoke else arguments.duration
@@ -325,9 +326,10 @@ def main(argv: list[str] | None = None) -> int:
         # counters instead of guessing.
         "obs": obs_snapshot,
     }
-    output = Path(arguments.output)
-    output.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"\nwrote {output}")
+    if arguments.output:
+        output = Path(arguments.output)
+        output.write_text(json.dumps(artifact, indent=2) + "\n")
+        print(f"\nwrote {output}")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from ..core.group import TimeSeriesGroup
 from ..query.analytics import merge_analytics_rows
-from ..query.engine import PartialResult, merge_partial_results
+from ..query.engine import PartialResult, Plan, merge_partial_results
 from ..query.sql import Condition, Query, tid_values
 
 if TYPE_CHECKING:
@@ -122,19 +122,21 @@ def _points(item: TimeSeriesGroup | SegmentBatch) -> int:
 
 
 def gather(
-    query: Query, outputs: Sequence[PartialResult | list[dict]]
+    plan: Plan, outputs: Sequence[PartialResult | list[dict]]
 ) -> list[dict]:
-    """Merge the ordered worker/shard outputs of one scattered query.
+    """Merge the ordered worker/shard outputs of one planned query.
 
-    Aggregates arrive as :class:`PartialResult`s and fold associatively;
-    anything else arrives as row lists, concatenated in output order and
-    then — because workers answer in worker, not Tid, order — re-cut to
-    the global top-k (similarity) or re-sorted by (Tid, TS) (forecasts).
-    A no-op for plain selections.
+    An aggregate route's :class:`PartialResult`s fold associatively into
+    an empty one, so a statement no shard was asked about finalizes as
+    the engine does over no rows. Any other route's outputs are row
+    lists, concatenated in output order and then — because workers
+    answer in worker, not Tid, order — re-cut to the global top-k
+    (similarity) or re-sorted by (Tid, TS) (forecasts). A no-op for
+    plain selections.
     """
-    partials = [out for out in outputs if isinstance(out, PartialResult)]
-    if partials:
-        return merge_partial_results(partials)
+    if plan.aggregate:
+        empty = PartialResult(plan.specs, plan.group_columns, {}, {})
+        return merge_partial_results([empty, *outputs])
     return merge_analytics_rows(
-        query, [row for output in outputs for row in output]
+        plan.query, [row for output in outputs for row in output]
     )

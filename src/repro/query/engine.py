@@ -4,7 +4,8 @@ Executes the supported SQL subset — or the equivalent programmatic calls —
 against a segment store:
 
 1. *Rewriting*: Tid and dimension-member predicates become Gids
-   (Section 6.2) so the store scans only relevant partitions.
+   (Section 6.2) so the store scans only relevant partitions. This and
+   every other planning decision is made once, by :func:`plan`.
 2. *Initialize/iterate*: aggregates fold model parameters over the
    clipped index ranges of a partition table's rows at a time; time
    rollups first split the rows at calendar boundaries (Algorithm 6);
@@ -21,6 +22,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -58,8 +60,8 @@ from .sql import (
 )
 from .views import DataPointRow, SegmentView
 
-#: A statement's parsed ``TS`` and ``Value`` conditions (see ``_plan``).
-_PointConditions = list[tuple[str, str, float]]
+#: A statement's parsed ``TS`` and ``Value`` conditions (see ``plan``).
+_PointConditions = tuple[tuple[str, str, float], ...]
 #: An empty selection's columns.
 _NO_POINTS = PartitionPoints(
     np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
@@ -67,6 +69,8 @@ _NO_POINTS = PartitionPoints(
 
 __all__ = [
     "QueryEngine",
+    "Plan",
+    "plan",
     "PartialResult",
     "merge_partial_results",
     "parse_timestamp",
@@ -209,16 +213,9 @@ class QueryEngine:
         as_of: int | None = None,
     ) -> list[dict]:
         """Programmatic aggregate, e.g. ``aggregate("SUM_S", tids=[1])``."""
-        query = Query(
-            view=view,
-            select=tuple(
-                Column(name) for name in group_by
-            ) + (Call(function.upper(), "*"),),
-            where=_conditions_for(tids, members, start_time, end_time),
-            group_by=tuple(group_by),
-            as_of=as_of,
-        )
-        return self.execute(query)
+        select = (*map(Column, group_by), Call(function.upper(), "*"))
+        where = _conditions_for(tids, members, start_time, end_time)
+        return self.execute(Query(view, select, where, tuple(group_by), as_of=as_of))
 
     def points(
         self,
@@ -230,16 +227,13 @@ class QueryEngine:
     ) -> Iterator[DataPointRow]:
         """Programmatic Data Point View scan: the points of each
         segment's member series in turn, tick ascending."""
-        predicates = Predicates(
-            tids=frozenset(tids) if tids is not None else None,
-            members=tuple(members),
-            start_time=start_time,
-            end_time=end_time,
-        )
-        plan = rewrite(predicates, self.metadata, as_of)
+        where = _conditions_for(tids, members, start_time, end_time)
+        query = Query("datapoint", (Star(),), where, as_of=as_of)
         return (
             DataPointRow(tid, timestamp, value, dimensions)
-            for tid, dimensions, timestamps, values in self._series_arrays(plan, [])
+            for tid, dimensions, timestamps, values in self._series_arrays(
+                plan(query, self.metadata)
+            )
             for timestamp, value in zip(timestamps.tolist(), values.tolist())
         )
 
@@ -274,34 +268,15 @@ class QueryEngine:
         started = time.perf_counter()
         try:
             with span("plan"):
-                _validate_analytics(query)
-                plan, row_predicates = self._plan(query)
-                decisions = decide_pushdown(query)
-                self._observe_plan(plan, decisions, registry)
-            if query.has_forecast or query.similar_to is not None:
-                with span("scan"):
-                    rows = self._execute_analytics(query, plan)
+                planned = plan(query, self.metadata)
+                self._observe_plan(planned, registry)
+            with span("scan"):
+                rows = self._run_route(planned)
+                if not planned.aggregate:
                     annotate(rows=len(rows))
-            elif query.is_aggregate:
-                _validate_aggregate_select(query)
-                with span("scan"):
-                    if all(d.segment_only for d in decisions):
-                        partial = self._accumulate_segment(query, plan)
-                    else:
-                        partial = self._accumulate_point(
-                            query, plan, row_predicates
-                        )
+            if planned.aggregate:
                 with span("finalize"):
-                    rows = partial.finalize()
-                    annotate(rows=len(rows))
-            else:
-                with span("scan"):
-                    if query.view == "datapoint":
-                        rows = self._execute_point_selection(
-                            query, plan, row_predicates
-                        )
-                    else:
-                        rows = self._execute_segment_selection(query, plan)
+                    rows = rows.finalize()
                     annotate(rows=len(rows))
             registry.counter("query.rows_returned_total").inc(len(rows))
             return rows
@@ -310,120 +285,49 @@ class QueryEngine:
                 time.perf_counter() - started
             )
 
-    def _observe_plan(
-        self,
-        plan: RewrittenQuery,
-        decisions: tuple[PushdownDecision, ...],
-        registry,
-    ) -> None:
-        """Record the push-down outcome of one rewritten query."""
+    def _observe_plan(self, planned: Plan, registry) -> None:
+        """Record the push-down outcome of one planned statement."""
         total_gids = len(self.metadata.all_gids())
-        scanned = len(plan.gids)
+        scanned = len(planned.scan.gids)
         registry.counter("query.partitions_scanned_total").inc(scanned)
         registry.counter("query.partitions_pruned_total").inc(
             max(total_gids - scanned, 0)
         )
-        for decision in decisions:
+        for decision in planned.decisions:
             registry.counter(
                 "query.pushdown_subtrees_total", decision=decision.route
             ).inc()
         annotate(
             partitions=f"{scanned}/{total_gids}",
-            tids=len(plan.tids),
+            tids=len(planned.scan.tids),
             pushdown=",".join(
                 f"{decision.subtree}:{decision.route}"
-                for decision in decisions
+                for decision in planned.decisions
             ),
         )
 
     def execute_partial(self, query: Query) -> "PartialResult | list[dict]":
-        """Worker-side execution: aggregate queries return mergeable
-        partial states (the distributed step of Algorithm 5); selections
-        return their rows directly."""
-        _validate_analytics(query)
-        plan, row_predicates = self._plan(query)
-        if query.has_forecast or query.similar_to is not None:
-            # Plain-data rows; the master's merge_analytics_rows
-            # re-establishes the single-node total order and top-k.
-            return self._execute_analytics(query, plan)
-        if not query.is_aggregate:
-            if query.view == "datapoint":
-                selection = self._execute_point_selection(
-                    query, plan, row_predicates
-                )
-                return as_rows(selection)
-            return self._execute_segment_selection(query, plan)
-        _validate_aggregate_select(query)
-        # The same plan-level routing as execute(): workers and the
-        # single-node engine take identical pushdown decisions.
-        if all(d.segment_only for d in decide_pushdown(query)):
-            return self._accumulate_segment(query, plan)
-        return self._accumulate_point(query, plan, row_predicates)
+        """Worker-side execution on :meth:`execute`'s plan and route:
+        aggregates return mergeable partial states (the distributed step
+        of Algorithm 5), everything else its rows (analytics rows the
+        master's merge_analytics_rows puts back in single-node order)."""
+        return as_rows(self._run_route(plan(query, self.metadata)))
 
-    def _plan(self, query: Query) -> tuple[RewrittenQuery, _PointConditions]:
-        """The rewritten scan and the statement's ``TS`` and ``Value``
-        conditions, each literal parsed once: ``(column, operator,
-        literal)`` with column ``"ts"`` or ``"value"``."""
-        tids: frozenset[int] | None = None
-        members: list[tuple[str, str]] = []
-        start: int | None = None
-        end: int | None = None
-        point_conditions: _PointConditions = []
-        for condition in query.where:
-            column = condition.column
-            name = column.lower()
-            if name == "tid":
-                tids = _intersect(tids, tid_values(condition))
-            elif name in ("ts", "timestamp"):
-                start, end = _narrow_interval(start, end, condition)
-                point_conditions.append(
-                    ("ts", condition.operator, parse_timestamp(condition.value))
-                )
-            elif name in ("starttime", "endtime"):
-                start, end = _narrow_interval(start, end, condition)
-            elif name == "value":
-                point_conditions.append(
-                    ("value", condition.operator, _value_literal(condition))
-                )
-            elif name == "anomaly":
-                if query.view != "segment":
-                    raise QueryError(
-                        "Anomaly is a Segment view column; query "
-                        "'FROM Segment' to filter on it"
-                    )
-                if condition.operator != "=" or condition.value not in (0, 1):
-                    raise QueryError(
-                        "Anomaly predicates support '= 0' and '= 1' only"
-                    )
-                # Applied during segment selection, after flags are
-                # computed; not a storage-level predicate.
-            else:
-                if condition.operator != "=":
-                    raise QueryError(
-                        "dimension predicates support '=' only, got "
-                        f"{condition.operator!r} on {column!r}"
-                    )
-                members.append((column, str(condition.value)))
-        predicates = Predicates(
-            tids=tids,
-            members=tuple(members),
-            start_time=start,
-            end_time=end,
-        )
-        return rewrite(predicates, self.metadata, query.as_of), point_conditions
+    def _run_route(self, planned: Plan) -> "PartialResult | list[dict] | ResultColumns":
+        """Run the method of the plan's route (see :data:`_ROUTES`)."""
+        return getattr(self, _ROUTES[planned.route])(planned)
 
     # -- Model-native analytics (FORECAST / SIMILAR TO) --------------------
-    def _execute_analytics(
-        self, query: Query, plan: RewrittenQuery
-    ) -> list[dict]:
+    def _execute_analytics(self, planned: Plan) -> list[dict]:
         """One Segment View pass into a signature index, then forecast
         extrapolation or pruned similarity search from model parameters.
         """
+        query = planned.query
         registry = get_registry()
         started = time.perf_counter()
         try:
             index = analytics.SignatureIndex(
-                self._segment_view().rows(plan)
+                self._segment_view().rows(planned.scan)
             )
             if query.has_forecast:
                 (item,) = [
@@ -463,9 +367,7 @@ class QueryEngine:
             )
 
     # -- Segment View aggregates ------------------------------------------
-    def _accumulate_segment(
-        self, query: Query, plan: RewrittenQuery
-    ) -> "PartialResult":
+    def _accumulate_segment(self, planned: Plan) -> "PartialResult":
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
@@ -480,8 +382,8 @@ class QueryEngine:
         the benefit of executing queries on models representing multiple
         time series.
         """
-        fold = _SegmentFold(self, query, plan)
-        for table in self._storage.tables(plan.scan_request()):
+        fold = _SegmentFold(self, planned)
+        for table in self._storage.tables(planned.scan.scan_request()):
             fold.table(table)
         registry = get_registry()
         registry.counter("query.segments_scanned_total").inc(fold.scanned)
@@ -497,21 +399,12 @@ class QueryEngine:
         )
 
     # -- Data Point View aggregates ----------------------------------------
-    def _accumulate_point(
-        self,
-        query: Query,
-        plan: RewrittenQuery,
-        point_conditions: _PointConditions,
-    ) -> "PartialResult":
-        calls = _calls(query)
-        group_columns = _validated_group_by(query, self.metadata)
-        specs = [_CallSpec.from_call(call) for call in calls]
+    def _accumulate_point(self, planned: Plan) -> "PartialResult":
+        specs, group_columns = planned.specs, planned.group_columns
         simple: dict[tuple, list] = {}
         cubes: dict[tuple, list] = {}
 
-        for tid, dimensions, timestamps, values in self._series_arrays(
-            plan, point_conditions
-        ):
+        for tid, dimensions, timestamps, values in self._series_arrays(planned):
             key = _group_key(tid, dimensions, group_columns)
             for index, spec in enumerate(specs):
                 if spec.level is None:
@@ -529,10 +422,10 @@ class QueryEngine:
         return PartialResult(specs, group_columns, simple, cubes)
 
     def _series_arrays(
-        self, plan: RewrittenQuery, conditions: _PointConditions
+        self, planned: Plan
     ) -> Iterator[tuple[int, dict[str, str], np.ndarray, np.ndarray]]:
         """(tid, dimensions, timestamps, scaled values) per (segment,
-        series) slice the WHERE mask keeps, in segment then member
+        series) slice the plan's WHERE mask keeps, in segment then member
         order, empty slices skipped: views of the arrays a partition at
         a time decodes and masks
         (:func:`~repro.query.columnar.partition_points`, which skips the
@@ -541,7 +434,8 @@ class QueryEngine:
         scalings = self.metadata.scalings()
         dimension_rows = self.metadata.dimension_rows()
         for points in partition_points(
-            self._storage, self._segment_cache, plan, scalings, conditions
+            self._storage, self._segment_cache, planned.scan, scalings,
+            planned.conditions,
         ):
             end = 0
             for tid, count in zip(points.tids.tolist(), points.counts.tolist()):
@@ -555,12 +449,7 @@ class QueryEngine:
                     )
 
     # -- Selections ---------------------------------------------------------
-    def _execute_point_selection(
-        self,
-        query: Query,
-        plan: RewrittenQuery,
-        point_conditions: _PointConditions,
-    ) -> ResultColumns:
+    def _execute_point_selection(self, planned: Plan) -> ResultColumns:
         """Partition-at-a-time point selection, gathered into columns.
 
         WHERE evaluates as one boolean mask per partition table instead
@@ -572,13 +461,11 @@ class QueryEngine:
         segment, member series by member series, tick ascending. A
         dimension column is looked up once per Tid.
         """
-        columns = _selection_columns(
-            query, ["Tid", "TS", "Value"], self.metadata
-        )
         scalings = self.metadata.scalings()
         partitions = list(
             partition_points(
-                self._storage, self._segment_cache, plan, scalings, point_conditions
+                self._storage, self._segment_cache, planned.scan, scalings,
+                planned.conditions,
             )
         )
         tids, counts, timestamps, values = map(
@@ -590,7 +477,7 @@ class QueryEngine:
             "value": values,
         }
         dimension_rows = self.metadata.dimension_rows()
-        names = tuple(dict.fromkeys(columns))
+        names = tuple(dict.fromkeys(planned.columns))
         gathered = []
         for name in names:
             if name.lower() in built_in:
@@ -602,24 +489,17 @@ class QueryEngine:
             gathered.append(list(chain.from_iterable(runs)))
         return ResultColumns(names, tuple(gathered))
 
-    def _execute_segment_selection(
-        self, query: Query, plan: RewrittenQuery
-    ) -> list[dict]:
-        columns = _selection_columns(
-            query,
-            ["Tid", "StartTime", "EndTime", "SI", "Mid"],
-            self.metadata,
-            extra=("Anomaly",),
-        )
+    def _execute_segment_selection(self, planned: Plan) -> list[dict]:
+        columns = planned.columns
         anomaly_conditions = [
             condition
-            for condition in query.where
+            for condition in planned.query.where
             if condition.column.lower() == "anomaly"
         ]
         wants_flags = anomaly_conditions or any(
             column.lower() == "anomaly" for column in columns
         )
-        view_rows = list(self._segment_view().rows(plan))
+        view_rows = list(self._segment_view().rows(planned.scan))
         flagged: set[tuple[int, int]] = set()
         if wants_flags:
             index = analytics.SignatureIndex(view_rows)
@@ -664,17 +544,15 @@ class _SegmentFold:
     iterate): per group key states, fed one partition table at a
     time."""
 
-    def __init__(
-        self, engine: QueryEngine, query: Query, plan: RewrittenQuery
-    ) -> None:
+    def __init__(self, engine: QueryEngine, planned: Plan) -> None:
         metadata = engine.metadata
-        self.specs = [_CallSpec.from_call(call) for call in _calls(query)]
+        self.specs = planned.specs
         # Spec positions per CUBE level; None holds the simple calls.
         self.levels: dict[str | None, list[int]] = {}
         for index, spec in enumerate(self.specs):
             self.levels.setdefault(spec.level, []).append(index)
-        self.group_columns = _validated_group_by(query, metadata)
-        self.plan = plan
+        self.group_columns = planned.group_columns
+        self.plan = planned.scan
         self.scalings = metadata.scalings()
         self.dimension_rows = metadata.dimension_rows()
         self.cache = engine.segment_cache
@@ -962,6 +840,130 @@ def _ordered_sum(state: float, values: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
+# Planning (the rewrite of Section 6.2, done once per statement)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Plan:
+    """Every planning decision for one statement, made by :func:`plan`.
+
+    ``scan`` is the rewritten storage read, ``conditions`` the parsed
+    ``TS`` and ``Value`` conditions and ``decisions`` the per-subtree
+    pushdown routes. An aggregate holds its validated calls (``specs``)
+    and ``group_columns``, a selection its validated output
+    ``columns``. ``route`` is the one execution strategy, a key of
+    :data:`_ROUTES`.
+    """
+
+    query: Query
+    scan: RewrittenQuery
+    conditions: _PointConditions
+    decisions: tuple[PushdownDecision, ...]
+    route: str
+    specs: tuple[_CallSpec, ...] = ()
+    group_columns: tuple[str, ...] = ()
+    columns: tuple[str, ...] = ()
+
+    @property
+    def aggregate(self) -> bool:
+        """Whether the route folds partial states (finalized after)."""
+        return self.route.endswith("_fold")
+
+
+#: The :class:`QueryEngine` method each plan route runs.
+_ROUTES = {
+    "analytics": "_execute_analytics",
+    "segment_fold": "_accumulate_segment",
+    "point_fold": "_accumulate_point",
+    "point_selection": "_execute_point_selection",
+    "segment_selection": "_execute_segment_selection",
+}
+
+
+def plan(query: Query, metadata: MetadataCache) -> Plan:
+    """Validate ``query`` against ``metadata`` and decide how it runs.
+
+    The one place a statement is planned: the engine, its worker-side
+    :meth:`QueryEngine.execute_partial`, the sharded master (before it
+    scatters) and the test oracle all run this. Checks run in a fixed
+    order, so every entry point raises the same first error: analytics
+    shape, then each WHERE condition and the Tid/member rewrite, then an
+    aggregate's select list, calls and GROUP BY, or a selection's
+    columns.
+    """
+    _validate_analytics(query)
+    scan, conditions = _rewritten(query, metadata)
+    decisions = decide_pushdown(query)
+    head = (query, scan, conditions, decisions)
+    if query.has_forecast or query.similar_to is not None:
+        return Plan(*head, "analytics")
+    if query.is_aggregate:
+        _validate_aggregate_select(query)
+        calls = [item for item in query.select if isinstance(item, Call)]
+        specs = tuple(map(_CallSpec.from_call, calls))
+        segment_only = all(d.segment_only for d in decisions)
+        route = "segment_fold" if segment_only else "point_fold"
+        return Plan(*head, route, specs, _validated_group_by(query, metadata))
+    if query.view == "datapoint":
+        columns = _selection_columns(query, ["Tid", "TS", "Value"], metadata)
+        return Plan(*head, "point_selection", columns=tuple(columns))
+    columns = _selection_columns(
+        query, ["Tid", "StartTime", "EndTime", "SI", "Mid"], metadata, ("Anomaly",)
+    )
+    return Plan(*head, "segment_selection", columns=tuple(columns))
+
+
+def _rewritten(
+    query: Query, metadata: MetadataCache
+) -> tuple[RewrittenQuery, _PointConditions]:
+    """The rewritten scan and the statement's ``TS`` and ``Value``
+    conditions, each literal parsed once: ``(column, operator,
+    literal)`` with column ``"ts"`` or ``"value"``."""
+    tids: frozenset[int] | None = None
+    members: list[tuple[str, str]] = []
+    start: int | None = None
+    end: int | None = None
+    point_conditions: list[tuple[str, str, float]] = []
+    for condition in query.where:
+        column = condition.column
+        name = column.lower()
+        if name == "tid":
+            values = tid_values(condition)
+            tids = values if tids is None else tids & values
+        elif name in ("ts", "timestamp"):
+            start, end = _narrow_interval(start, end, condition)
+            point_conditions.append(
+                ("ts", condition.operator, parse_timestamp(condition.value))
+            )
+        elif name in ("starttime", "endtime"):
+            start, end = _narrow_interval(start, end, condition)
+        elif name == "value":
+            point_conditions.append(
+                ("value", condition.operator, _value_literal(condition))
+            )
+        elif name == "anomaly":
+            if query.view != "segment":
+                raise QueryError(
+                    "Anomaly is a Segment view column; query "
+                    "'FROM Segment' to filter on it"
+                )
+            if condition.operator != "=" or condition.value not in (0, 1):
+                raise QueryError(
+                    "Anomaly predicates support '= 0' and '= 1' only"
+                )
+            # Applied during segment selection, after flags are
+            # computed; not a storage-level predicate.
+        else:
+            if condition.operator != "=":
+                raise QueryError(
+                    "dimension predicates support '=' only, got "
+                    f"{condition.operator!r} on {column!r}"
+                )
+            members.append((column, str(condition.value)))
+    predicates = Predicates(tids, tuple(members), start, end)
+    return rewrite(predicates, metadata, query.as_of), tuple(point_conditions)
+
+
+# ----------------------------------------------------------------------
 # Partial results (distributed merge step of Algorithm 5)
 # ----------------------------------------------------------------------
 class PartialResult:
@@ -974,7 +976,7 @@ class PartialResult:
 
     def __init__(
         self,
-        specs: list["_CallSpec"],
+        specs: Sequence["_CallSpec"],
         group_columns: tuple[str, ...],
         simple: dict[tuple, list],
         cubes: dict[tuple, list],
@@ -1063,10 +1065,6 @@ class _CallSpec:
         self.level = state["level"]
 
 
-def _calls(query: Query) -> list[Call]:
-    return [item for item in query.select if isinstance(item, Call)]
-
-
 def _conditions_for(
     tids: Iterable[int] | None,
     members: Sequence[tuple[str, str]],
@@ -1083,12 +1081,6 @@ def _conditions_for(
     if end_time is not None:
         conditions.append(Condition("TS", "<=", end_time))
     return tuple(conditions)
-
-
-def _intersect(
-    current: frozenset[int] | None, new: frozenset[int]
-) -> frozenset[int]:
-    return new if current is None else current & new
 
 
 def _narrow_interval(
@@ -1227,7 +1219,7 @@ def _selection_columns(
 
 
 def _shape_results(
-    specs: list[_CallSpec],
+    specs: Sequence[_CallSpec],
     group_columns: tuple[str, ...],
     simple: dict[tuple, list],
     cubes: dict[tuple, list],

@@ -54,12 +54,6 @@ class MetadataCache:
     def gids_of(self, tids: set[int]) -> set[int]:
         return {self.gid_of(tid) for tid in tids}
 
-    def tids_of_gid(self, gid: int) -> tuple[int, ...]:
-        try:
-            return self._groups[gid][0]
-        except KeyError:
-            raise QueryError(f"unknown group id {gid}") from None
-
     def sampling_interval(self, gid: int) -> int:
         return self._groups[gid][1]
 

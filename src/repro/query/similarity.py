@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .analytics import Match, SearchStats, SignatureIndex, search
-from .engine import QueryEngine
-from .rewriter import Predicates, rewrite
+from .engine import QueryEngine, _conditions_for, plan
+from .sql import Query, Star
 
 __all__ = ["Match", "SearchStats", "similarity_search"]
 
@@ -38,9 +38,7 @@ def similarity_search(
     requested series under the Euclidean distance; windows containing
     gaps are skipped. Returns matches sorted by distance.
     """
-    predicates = Predicates(
-        tids=frozenset(tids) if tids is not None else None
-    )
-    plan = rewrite(predicates, engine.metadata)
-    index = SignatureIndex(engine._segment_view().rows(plan))
+    query = Query("segment", (Star(),), _conditions_for(tids, (), None, None))
+    scan = plan(query, engine.metadata).scan
+    index = SignatureIndex(engine._segment_view().rows(scan))
     return search(index, pattern, k, stats)

@@ -120,12 +120,6 @@ class ShardMap:
             self.generation += 1
         return affected
 
-    def orphaned_shards(self) -> list[int]:
-        """Shards whose replica set is currently empty."""
-        return sorted(
-            shard for shard, owners in self._owners.items() if not owners
-        )
-
     def to_dict(self) -> dict:
         """Stats/debug rendering (shard id -> owner list)."""
         return {

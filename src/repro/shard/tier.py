@@ -21,8 +21,9 @@ report. It is built to sit under a multi-threaded front-end:
   shards (Section 3.1), and a :class:`~repro.shard.map.ShardMap` holds
   the shard→owners replica tuples with a generation number bumped on
   every ownership change;
-* the scatter-gather planner routes each query to the shards whose
-  Tids it can touch (via
+* the master plans each statement as the embedded engine does
+  (:func:`~repro.query.engine.plan`, so an invalid one fails alike) and
+  routes it to the shards holding the Tids the plan selects (via
   :func:`~repro.cluster.cluster.restrict_query_to_tids`, whose
   explicit ``Tid IN`` predicate makes a worker holding several shards'
   replicas answer exactly for the shard it was asked about), fans the
@@ -58,7 +59,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
@@ -68,10 +69,13 @@ from ..core.timeseries import TimeSeries
 from ..ingest.stats import IngestStats
 from ..obs import get_registry
 from ..partitioner.grouping import assign_groups
+from ..query.engine import plan
+from ..query.metadata import MetadataCache
 from ..query.sql import Query, apply_as_of, parse
 from ..storage.interface import Storage
+from ..storage.memory import MemoryStorage
 from ..storage.scan import SegmentScan
-from ..storage.schema import records_for_groups
+from ..storage.schema import TimeSeriesRecord, records_for_groups
 from ..cluster.cluster import (
     ClusterIngestReport,
     Placeable,
@@ -201,6 +205,11 @@ class ShardedCluster:
         self._shard_groups: dict[int, list[TimeSeriesGroup]] = {}
         self._shard_batches: dict[int, list[SegmentBatch]] = {}
         self._shard_tids: dict[int, set[int]] = {}
+        #: The Time Series rows of every placed group and batch, and the
+        #: metadata cache over them that each statement is planned on
+        #: (rebuilt when data is placed; failover never changes Tids).
+        self._catalog = MemoryStorage()
+        self._metadata: MetadataCache | None = None
         #: Each worker's cumulative ingestion statistics, as last reported.
         self._worker_stats: dict[int, IngestStats] = {}
         #: Cumulative worker-reported execute seconds, the rebalancer's
@@ -319,21 +328,19 @@ class ShardedCluster:
         :class:`~repro.core.errors.IngestionError`: ``assign`` is
         idempotent on Gid, so a worker would drop the new time slice.
         """
-        placed = records_for_groups(
-            [group for groups in self._shard_groups.values() for group in groups]
-        ) + [
-            record
-            for batches in self._shard_batches.values()
-            for batch in batches
-            for record in batch.time_series
-        ]
         return assign_groups(
             series,
-            placed,
+            self._catalog.time_series(),
             self.config.correlation if self.group_compression else (),
             self.dimensions,
             append=False,
         )
+
+    def _record_placed(self, records: Iterable[TimeSeriesRecord]) -> None:
+        """Record placed Time Series rows; rebuild the planning cache."""
+        self._catalog.insert_time_series(records)
+        if self._catalog.time_series():
+            self._metadata = MetadataCache(self._catalog)
 
     def _place(
         self, items: Sequence[Placeable]
@@ -374,12 +381,14 @@ class ShardedCluster:
         ingest each group on every owner of its shard, all workers
         concurrently."""
         shards: set[int] = set()
-        for group, shard in self._place(self.partition(series)):
+        groups = self.partition(series)
+        for group, shard in self._place(groups):
             self._shard_groups.setdefault(shard, []).append(group)
             self._shard_tids.setdefault(shard, set()).update(
                 ts.tid for ts in group
             )
             shards.add(shard)
+        self._record_placed(records_for_groups(groups, self.dimensions or None))
         started = time.perf_counter()
         worker_seconds = self._replicate_shards(sorted(shards))
         return ClusterIngestReport(
@@ -395,8 +404,9 @@ class ShardedCluster:
         replica can always be rebuilt."""
         metadata = storage.group_metadata()
         model_table = storage.model_table()
+        records = storage.time_series()
         records_by_gid: dict[int, list] = {}
-        for record in storage.time_series():
+        for record in records:
             records_by_gid.setdefault(record.gid, []).append(record)
         batches = [
             SegmentBatch(
@@ -421,6 +431,7 @@ class ShardedCluster:
             self._shard_batches.setdefault(shard, []).append(batch)
             self._shard_tids.setdefault(shard, set()).update(batch.tids)
             shards.add(shard)
+        self._record_placed(records)
         self._replicate_shards(sorted(shards))
         return {
             "groups": len(metadata),
@@ -487,7 +498,9 @@ class ShardedCluster:
         return self.execute(apply_as_of(parse(text), as_of))
 
     def execute(self, query: Query) -> tuple[list[dict], ShardQueryReport]:
-        """Scatter a query to owning shards, gather partials, merge.
+        """Plan a query as the embedded engine does (its errors, and its
+        answer when no shard holds a selected series), scatter it to
+        the shards holding its Tids, gather partials, merge.
 
         Failures are handled per shard: a dead owner is retired from
         the map (generation bump) and the next replica is asked; a
@@ -495,17 +508,20 @@ class ShardedCluster:
         from the master's retained payloads before the retry.
         """
         wall_started = time.perf_counter()
+        # With nothing placed, the cache raises the engine's own error.
+        planned = plan(query, self._metadata or MetadataCache(self._catalog))
         report = ShardQueryReport(generation=self.map.generation)
-        plan: list[tuple[int, Query]] = []
+        calls: list[tuple[int, Query]] = []
         for shard in sorted(self._shard_tids):
-            routed = restrict_query_to_tids(query, self._shard_tids[shard])
+            owned = planned.scan.tids & self._shard_tids[shard]
+            routed = restrict_query_to_tids(query, owned)
             if routed is not None:
-                plan.append((shard, routed))
-        report.subqueries = len(plan)
-        futures = self.fleet.scatter(self._execute_shard, plan)
+                calls.append((shard, routed))
+        report.subqueries = len(calls)
+        futures = self.fleet.scatter(self._execute_shard, calls)
         outputs = []  # in shard order, as planned
         first_error: Exception | None = None
-        for (shard, _), future in zip(plan, futures):
+        for (shard, _), future in zip(calls, futures):
             try:
                 result, elapsed, retries, recovered = future.result()
             except (ClusterError, WorkerRPCError, QueryError) as exc:
@@ -519,7 +535,7 @@ class ShardedCluster:
         if first_error is not None:
             raise first_error
         merge_started = time.perf_counter()
-        rows = gather(query, outputs)
+        rows = gather(planned, outputs)
         now = time.perf_counter()
         report.merge_seconds = now - merge_started
         report.wall_seconds = now - wall_started

@@ -3,8 +3,8 @@
 The engine folds and decodes a partition table at a time. This module
 walks the Segment View (:meth:`~repro.query.views.SegmentView.rows`) in
 view-row order (segment, member series, tick) and shares only parsing,
-planning (``QueryEngine._plan``, ``decide_pushdown``) and result shaping
-with the engine. A segment-answerable aggregate adds each row's
+planning (the engine's :func:`~repro.query.engine.plan`) and result
+shaping with the engine. A segment-answerable aggregate adds each row's
 ``model.slice_sum/min/max(first, last, column) / scaling`` with Python
 ``+``, ``min`` and ``max``, a CUBE call after walking the row's calendar
 buckets boundary by boundary (:func:`walk`, Algorithm 6). A materialised
@@ -21,16 +21,7 @@ import operator
 
 import numpy as np
 
-from repro.query.engine import (
-    PartialResult,
-    _calls,
-    _CallSpec,
-    _group_key,
-    _selection_columns,
-    _validate_aggregate_select,
-    _validated_group_by,
-)
-from repro.query.rewriter import decide_pushdown
+from repro.query.engine import PartialResult, _group_key, plan
 from repro.query.rollup import DATEPART_LEVELS, datepart_of, floor_to_level
 from repro.query.rollup import next_boundary
 from repro.query.sql import apply_as_of, parse
@@ -44,37 +35,32 @@ def query(db, sql: str, as_of: int | None = None) -> list[dict]:
     ``QueryEngine``), read at ``as_of``."""
     engine = getattr(db, "engine", db)
     statement = apply_as_of(parse(sql), as_of)
-    plan, conditions = engine._plan(statement)
-    if any(c.column.lower() == "anomaly" for c in statement.where):
-        raise NotImplementedError("the oracle does not compute anomalies")
-    view_rows = engine._segment_view().rows(plan)
-    metadata = engine.metadata
-    if not statement.is_aggregate and statement.view == "segment":
-        names = ["Tid", "StartTime", "EndTime", "SI", "Mid"]
-        columns = _selection_columns(statement, names, metadata)
+    planned = plan(statement, engine.metadata)
+    names = [c.column for c in statement.where] + list(planned.columns)
+    if planned.route == "analytics" or "anomaly" in map(str.lower, names):
+        raise NotImplementedError("the oracle does not compute analytics")
+    view_rows = engine._segment_view().rows(planned.scan)
+    columns, conditions = planned.columns, planned.conditions
+    if planned.route == "segment_selection":
         return [
             _shape(columns, r.dimensions, tid=r.tid, starttime=r.start_time,
                    endtime=r.end_time, si=r.sampling_interval, mid=r.mid)
             for r in (view_row.row for view_row in view_rows)
         ]
-    if not statement.is_aggregate:
-        columns = _selection_columns(statement, ["Tid", "TS", "Value"], metadata)
+    if planned.route == "point_selection":
         return [
             _shape(columns, view_row.row.dimensions, tid=view_row.row.tid,
                    ts=ts, value=value)
             for view_row in view_rows
             for ts, value in zip(*_decode(view_row, conditions, tolist=True))
         ]
-    _validate_aggregate_select(statement)
-    specs = [_CallSpec.from_call(call) for call in _calls(statement)]
-    group_columns = _validated_group_by(statement, metadata)
-    segment_only = all(d.segment_only for d in decide_pushdown(statement))
+    specs, group_columns = planned.specs, planned.group_columns
     simple: dict[tuple, list] = {}
     cubes: dict[tuple, list] = {}
     for view_row in view_rows:
         row = view_row.row
         key = _group_key(row.tid, row.dimensions, group_columns)
-        if segment_only:
+        if planned.route == "segment_fold":
             _fold_slices(simple, cubes, key, specs, view_row)
         else:
             _fold_points(simple, cubes, key, specs, view_row, conditions)

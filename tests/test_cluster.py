@@ -123,6 +123,40 @@ class TestDistributedQueries:
         with pytest.raises(QueryError):
             restrict_query_to_tids(parse(sql), {1, 2})
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT_S(*) FROM Segment WHERE Tid = 9999",
+            "SELECT COUNT_S(*) FROM Segment WHERE Tid IN (1, 9999)",
+            "SELECT COUNT_S(*), SUM_S(*) FROM Segment "
+            "WHERE Tid IN (1, 2) AND Tid = 3",
+            "SELECT COUNT(*) FROM DataPoint WHERE Tid = 1 AND Tid = 2",
+            "SELECT * FROM Segment WHERE Tid = 9999 LIMIT 3",
+            "SELECT FORECAST(TS, 3) FROM Segment WHERE Tid = 9999",
+            "SELECT COUNT_S(*) FROM Segment WHERE Nope = 'x'",
+            "SELECT COUNT_S(*), CUBE_SUM_HOUR(*) FROM Segment "
+            "WHERE Park = 'nowhere'",
+            "SELECT Park, COUNT_S(*) FROM Segment "
+            "WHERE Tid = 1 AND Tid = 2 GROUP BY Park",
+            "SELECT COUNT_S(*) FROM Segment "
+            "WHERE Tid = 1 AND Tid = 2 GROUP BY Nope",
+        ],
+    )
+    def test_cluster_answers_like_the_engine(self, cluster_and_reference, sql):
+        """The master plans with the engine: a statement the embedded
+        engine rejects fails with its error, and one that selects no
+        shard's series answers as the engine does over no rows."""
+        cluster, reference = cluster_and_reference
+        try:
+            expected = reference.sql(sql)
+        except QueryError as error:
+            with pytest.raises(QueryError) as routed:
+                cluster.sql(sql)
+            assert type(routed.value) is type(error)
+            assert str(routed.value) == str(error)
+        else:
+            assert cluster.sql(sql)[0] == expected
+
     def test_member_predicate_across_workers(self, cluster_and_reference):
         cluster, reference = cluster_and_reference
         sql = "SELECT SUM_S(*) FROM Segment WHERE Park = 'park1'"

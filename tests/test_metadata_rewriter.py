@@ -34,17 +34,12 @@ class TestMetadataCache:
         assert cache.gid_of(1) == 1
         assert cache.gid_of(3) == 2
         assert cache.gids_of({1, 2}) == {1}
-        assert cache.tids_of_gid(1) == (1, 2)
         assert cache.all_tids() == {1, 2, 3}
         assert cache.all_gids() == {1, 2}
 
     def test_unknown_tid_rejected(self, cache):
         with pytest.raises(QueryError):
             cache.gid_of(9)
-
-    def test_unknown_gid_rejected(self, cache):
-        with pytest.raises(QueryError):
-            cache.tids_of_gid(9)
 
     def test_scalings(self, cache):
         assert cache.scaling(2) == 4.75

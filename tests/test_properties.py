@@ -95,7 +95,7 @@ def test_gorilla_is_lossless_for_any_float32(rows):
     values=st.lists(f32_values, min_size=1, max_size=120),
     bound=bounds,
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
 def test_ingestion_reconstructs_within_bound(values, bound):
     """End-to-end: ingest -> store -> Data Point View stays in bound and
     loses no data points."""
@@ -113,7 +113,7 @@ def test_ingestion_reconstructs_within_bound(values, bound):
     values=st.lists(f32_values, min_size=1, max_size=80),
     bound=bounds,
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)
 def test_segment_views_agree_on_sum(values, bound):
     """SUM on the Segment View equals SUM on the Data Point View."""
     series = TimeSeries(1, 100, [i * 100 for i in range(len(values))], values)
@@ -127,7 +127,7 @@ def test_segment_views_agree_on_sum(values, bound):
 @given(
     values=st.lists(f32_values, min_size=1, max_size=80),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)
 def test_segments_partition_the_timeline(values):
     """Emitted segments are disjoint and cover every non-gap timestamp."""
     series = TimeSeries(1, 100, [i * 100 for i in range(len(values))], values)
@@ -148,7 +148,7 @@ def test_segments_partition_the_timeline(values):
     params=st.binary(max_size=64),
     gap_positions=st.sets(st.integers(min_value=0, max_value=4), max_size=4),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2, deadline=None)
 def test_segment_serialization_round_trip(
     gid, start_index, length, mid, params, gap_positions
 ):
@@ -176,7 +176,7 @@ def test_segment_serialization_round_trip(
         st.tuples(f32_values, st.booleans()), min_size=2, max_size=100
     )
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)
 def test_gaps_never_produce_phantom_points(data):
     """Ingesting a series with arbitrary gaps reconstructs exactly the
     non-gap points — nothing lost, nothing invented."""

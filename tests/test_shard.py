@@ -76,7 +76,7 @@ class TestShardMap:
         affected = shard_map.retire_worker(0)
         assert affected == [s for s in range(4) if s % 2 == 0]
         assert shard_map.generation == 1  # one bump for the whole sweep
-        assert shard_map.orphaned_shards() == affected
+        assert [s for s in range(4) if not shard_map.owners_of(s)] == affected
         assert shard_map.retire_worker(0) == []  # already gone: no bump
         assert shard_map.generation == 1
 
@@ -312,6 +312,26 @@ class TestShardedSmoke:
             catalog = dispatcher.catalog()
             assert catalog["replicas"] == 2
             assert catalog["generation"] == tier.generation
+
+    def test_served_unknown_tid_is_a_query_error(self):
+        """Served over the tier, a statement the embedded engine rejects
+        comes back as a ``query`` error, not ``ok`` with no rows."""
+        from repro.server import QueryServer, ServerThread
+
+        with InProcessTier(2, config=self.CONFIG) as tier:
+            tier.ingest(make_series())
+            thread = ServerThread(QueryServer(ShardedDispatcher(tier)))
+            host, port = thread.start()
+            try:
+                with ServerClient(host, port) as client:
+                    response = client.query_response(
+                        "SELECT COUNT_S(*) FROM Segment WHERE Tid = 9999"
+                    )
+            finally:
+                thread.stop()
+        assert response["ok"] is False
+        assert response["error"]["code"] == ErrorCode.QUERY
+        assert "unknown time series id 9999" in response["error"]["message"]
 
     def test_analytics_scatter_gather_matches_single_node(self):
         """FORECAST and SIMILAR TO under scatter-gather: per-shard
