@@ -6,9 +6,11 @@ Parquet 0.17, ORC 0.15, ModelarDBv1 0.21, ModelarDBv2 0.44 — and scale-out
 scenarios B-6 (bulk loading, 1.81) and O-6 (online analytics, 1.97).
 """
 
+from functools import partial
+
 import pytest
 
-from repro.cluster import ModelarCluster
+from repro.shard import InProcessFleet, ShardedCluster
 from repro.workloads import s_agg
 
 from .conftest import ep_config, format_table
@@ -23,6 +25,9 @@ SYSTEMS = (
 )
 
 _results: dict[str, float] = {}
+
+#: The simulator: the one master over workers called in this process.
+Simulator = partial(ShardedCluster, fleet_type=InProcessFleet)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -42,9 +47,7 @@ def test_fig13_cluster_scenarios(benchmark, ep_dataset, report):
     """B-6 (bulk) and O-6 (online analytics) on six simulated workers."""
 
     def bulk():
-        cluster = ModelarCluster(
-            6, ep_config(5.0), ep_dataset.dimensions
-        )
+        cluster = Simulator(6, ep_config(5.0), ep_dataset.dimensions)
         return cluster.ingest(ep_dataset.series)
 
     bulk_report = benchmark.pedantic(bulk, rounds=1, iterations=1)
@@ -54,7 +57,7 @@ def test_fig13_cluster_scenarios(benchmark, ep_dataset, report):
     # series through the Segment View while data streams in. Modelled
     # time is the ingest's slowest worker plus each query's makespan (a
     # query waits for its slowest shard, then the merge).
-    with ModelarCluster(6, ep_config(5.0), ep_dataset.dimensions) as cluster:
+    with Simulator(6, ep_config(5.0), ep_dataset.dimensions) as cluster:
         ingest = cluster.ingest(ep_dataset.series)
         workload = s_agg(ep_dataset.production_tids, seed=13, count=4)
         seconds = ingest.makespan + sum(

@@ -26,11 +26,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import ModelarCluster, ProcessCluster
 from repro.core import Configuration, TimeSeries
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
 from repro.query.sql import parse
+from repro.shard import InProcessFleet, ShardedCluster
 
 from .conftest import format_table
 
@@ -76,15 +76,17 @@ def run_scaleout(view: str) -> dict[int, float]:
     query = parse(sql)
     makespans = {}
     for nodes in NODE_COUNTS:
-        cluster = ModelarCluster(nodes, config, dimensions)
-        cluster.ingest(series)
-        # Warm up decode caches, then take the best of three runs to
-        # keep scheduler noise out of the modelled makespan.
-        cluster.execute(query)
-        samples = []
-        for _ in range(3):
-            _, cluster_report = cluster.execute(query)
-            samples.append(cluster_report.makespan)
+        with ShardedCluster(
+            nodes, config, dimensions, fleet_type=InProcessFleet
+        ) as cluster:
+            cluster.ingest(series)
+            # Warm up decode caches, then take the best of three runs to
+            # keep scheduler noise out of the modelled makespan.
+            cluster.execute(query)
+            samples = []
+            for _ in range(3):
+                _, cluster_report = cluster.execute(query)
+                samples.append(cluster_report.makespan)
         makespans[nodes] = min(samples)
     return makespans
 
@@ -124,7 +126,7 @@ def run_scaleout_measured(view: str):
     makespans = {}
     results = {}
     for nodes in MEASURED_NODE_COUNTS:
-        with ProcessCluster(nodes, config, dimensions) as cluster:
+        with ShardedCluster(nodes, config, dimensions) as cluster:
             cluster.ingest(series)
             cluster.sql(sql)  # warm up worker decode caches
             samples = []

@@ -41,7 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import Configuration, ModelarDB  # noqa: E402
-from repro.cluster import FaultPlan  # noqa: E402
+from repro.shard import FaultPlan  # noqa: E402
 from repro.datasets import generate_ep  # noqa: E402
 from repro.datasets.ep import EP_CORRELATION  # noqa: E402
 from repro.server import (  # noqa: E402

@@ -9,12 +9,17 @@ of four workers (so correlated series are always co-located and queries
 never shuffle), ingests in parallel (modelled), and runs distributed
 aggregates whose partial results the master merges — including a query
 routed to exactly one worker by its Tid predicate.
+
+The master is :class:`~repro.shard.ShardedCluster`; with
+``fleet_type=InProcessFleet`` its workers are objects in this process,
+run in turn, so the reports *model* parallel time (the simulator).
+Drop the argument for one OS process per worker and measured times.
 """
 
 from repro import Configuration
-from repro.cluster import ModelarCluster
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
+from repro.shard import InProcessFleet, ShardedCluster
 
 
 def main():
@@ -22,7 +27,9 @@ def main():
         n_entities=8, measures_per_entity=3, n_points=1_500, seed=9
     )
     config = Configuration(error_bound=5.0, correlation=EP_CORRELATION)
-    with ModelarCluster(4, config, dataset.dimensions) as cluster:
+    with ShardedCluster(
+        4, config, dataset.dimensions, fleet_type=InProcessFleet
+    ) as cluster:
         report = cluster.ingest(dataset.series)
         print("cluster of 4 workers:")
         for worker, gids in cluster.assignment().items():

@@ -42,7 +42,6 @@ import asyncio
 import json
 import sys
 
-from .cluster import FaultPlan, ModelarCluster, ProcessCluster
 from .core.config import Configuration
 from .core.errors import ModelarError
 from .datasets import generate_ep
@@ -50,6 +49,7 @@ from .datasets.ep import EP_CORRELATION
 from .modelardb import ModelarDB
 from .obs import maybe_profile
 from .query.engine import QueryEngine
+from .shard import FaultPlan, InProcessFleet, ShardedCluster, WorkerFleet
 
 
 def format_rows(rows: list[dict]) -> str:
@@ -121,24 +121,23 @@ def run_cluster(arguments, out) -> int:
     fault_plan = (
         FaultPlan.parse(arguments.fault) if arguments.fault else None
     )
-    if arguments.simulated:
-        if fault_plan is not None:
-            print("error: --fault requires the process cluster "
-                  "(drop --simulated)", file=out)
-            return 1
-        cluster = ModelarCluster(
-            arguments.workers, config, dataset.dimensions
-        )
-        mode = "simulated (sequential in-process)"
-    else:
-        cluster = ProcessCluster(
-            arguments.workers,
-            config,
-            dataset.dimensions,
-            storage_root=arguments.directory,
-            fault_plan=fault_plan,
-        )
-        mode = "measured (one OS process per worker)"
+    if arguments.simulated and fault_plan is not None:
+        print("error: --fault requires the process cluster "
+              "(drop --simulated)", file=out)
+        return 1
+    cluster = ShardedCluster(
+        arguments.workers,
+        config,
+        dataset.dimensions,
+        storage_root=arguments.directory,
+        fault_plan=fault_plan,
+        fleet_type=InProcessFleet if arguments.simulated else WorkerFleet,
+    )
+    mode = (
+        "simulated (sequential in-process)"
+        if arguments.simulated
+        else "measured (one OS process per worker)"
+    )
     # The simulator's reports model parallel time (slowest worker); the
     # process cluster's wall clock is the measurement.
     with cluster:
@@ -236,7 +235,7 @@ def run_serve(argv: list[str], out) -> int:
             )
             return 1
         if arguments.shards:
-            from .shard import ShardedCluster, ShardedDispatcher
+            from .shard import ShardedDispatcher
 
             tier = ShardedCluster(
                 arguments.shards,

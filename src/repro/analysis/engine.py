@@ -133,7 +133,6 @@ _DEFAULT_RESOURCES = (
     "FileStorage",
     "ServerClient",
     "WorkerFleet",
-    "ProcessCluster",
     "ShardedCluster",
 )
 #: RPR008: the four places the wire protocol is declared.

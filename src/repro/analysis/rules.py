@@ -657,7 +657,7 @@ class PickleSafetyRule(Rule):
     """RPR004: RPC payload types carry only picklable state.
 
     Everything listed in ``rpc-types`` crosses a worker process
-    boundary through ``cluster/fleet.py``; a lock, socket, generator, or
+    boundary through ``shard/fleet.py``; a lock, socket, generator, or
     lambda smuggled into a field turns into a runtime PicklingError on
     whichever code path first ships the object.
     """

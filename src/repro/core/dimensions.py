@@ -127,13 +127,6 @@ class Dimension:
             tid for tid, path in self._paths.items() if path[k - 1] == member
         }
 
-    def members_at_level(self, level: int | str) -> set[str]:
-        """Distinct members occurring at the given level."""
-        k = self.level_number(level)
-        if k == 0:
-            return {TOP}
-        return {path[k - 1] for path in self._paths.values()}
-
     def _path(self, tid: int) -> tuple[str, ...]:
         try:
             return self._paths[tid]
@@ -261,14 +254,6 @@ class DimensionSet:
         """Time series matching ``column = member`` (for query rewriting)."""
         dimension, level = self.resolve_column(column)
         return dimension.tids_with_member(level, member)
-
-    def tids_with_any_member(self, member: str) -> set[int]:
-        """Time series having ``member`` at any level of any dimension."""
-        result: set[int] = set()
-        for dimension in self:
-            for level in range(1, dimension.depth + 1):
-                result |= dimension.tids_with_member(level, member)
-        return result
 
 
 def build_dimension(

@@ -166,20 +166,6 @@ class SegmentGroup:
             self.start_time, self.end_time + 1, self.sampling_interval
         )
 
-    def index_of(self, timestamp: int) -> int:
-        """Row index of a grid timestamp within the segment."""
-        offset = timestamp - self.start_time
-        if (
-            offset < 0
-            or offset % self.sampling_interval != 0
-            or timestamp > self.end_time
-        ):
-            raise ModelarError(
-                f"timestamp {timestamp} is outside segment "
-                f"[{self.start_time}, {self.end_time}]"
-            )
-        return offset // self.sampling_interval
-
     def overlaps(self, start: int | None, end: int | None) -> bool:
         """Whether the segment intersects the closed interval [start, end]."""
         if start is not None and self.end_time < start:

@@ -218,10 +218,6 @@ class TimeSeries:
             name=self.name,
         )
 
-    def scaled_values(self) -> _FloatArray:
-        """Values multiplied by the scaling constant (ingestion form)."""
-        return self._values * self.scaling
-
 
 def _regularize(
     timestamps: _IntArray, values: _FloatArray, si: int

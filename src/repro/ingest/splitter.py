@@ -123,11 +123,6 @@ class GroupIngestor:
         ]
 
     # ------------------------------------------------------------------
-    @property
-    def subgroup_tids(self) -> list[tuple[int, ...]]:
-        """Current partition of the group (diagnostics and tests)."""
-        return [subgroup.tids for subgroup in self._subgroups]
-
     def tick_block(self, timestamps: np.ndarray, matrix: np.ndarray) -> None:
         """Ingest a ``(ticks, len(group.tids))`` block; NaN or +-inf is a gap.
 

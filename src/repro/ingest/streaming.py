@@ -95,13 +95,6 @@ class StreamingIngestor:
         self._close_tick(gid)
         self._open_tick[gid] = (timestamp, {tid: value})
 
-    def append_batch(
-        self, points: Iterable[tuple[int, int, float]]
-    ) -> None:
-        """Ingest a micro-batch of (tid, timestamp, value) points."""
-        for tid, timestamp, value in points:
-            self.append(tid, timestamp, value)
-
     def flush(self) -> IngestStats:
         """Close all open ticks and segments; returns the statistics.
 

@@ -1,13 +1,13 @@
 """The worker fleet: N workers and the one RPC that reaches them.
 
-:class:`~repro.shard.ShardedCluster` (the one master) decides
+:class:`~repro.shard.tier.ShardedCluster` (the one master) decides
 placement; everything about *running* workers lives here, over two
-transports. :class:`WorkerFleet` runs every
-:class:`~repro.cluster.node.WorkerNode` in its own
-``multiprocessing`` process; :class:`InProcessFleet` — the simulator's
-transport, used by :class:`~repro.cluster.ModelarCluster` — keeps the
-nodes as objects and calls the same handlers inline. Each node has a
-private storage backend and answers a small message-passing RPC:
+transports, one of which the master is built with (``fleet_type=``).
+:class:`WorkerFleet` runs every :class:`~repro.shard.node.WorkerNode`
+in its own ``multiprocessing`` process; :class:`InProcessFleet` — the
+simulator's transport — keeps the nodes as objects and calls the same
+handlers inline. Each node has a private storage backend and answers a
+small message-passing RPC:
 
 ``assign``
     Ship whole time series groups (and the dimension set) to the worker.
@@ -32,11 +32,12 @@ per-request timeouts (exponential backoff, duplicate-safe sequence
 numbers) and a process liveness check, and raises
 :class:`~repro.core.errors.WorkerFailure` for the tier to retire the
 worker and recover its shards. Faults are injectable via
-:class:`~repro.cluster.faults.FaultPlan` and executed worker-side, so
+:class:`~repro.shard.faults.FaultPlan` and executed worker-side, so
 the recovery paths are testable deterministically. In-process workers
 cannot crash, time out or drop a reply, so :class:`InProcessFleet` has
-no retries, no faults and no ``cluster.rpc_*`` traffic; a handler
-exception is a :class:`~repro.core.errors.WorkerRPCError` on both.
+no retries, refuses a fault plan and makes no ``cluster.rpc_*``
+traffic; a handler exception is a
+:class:`~repro.core.errors.WorkerRPCError` on both.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.config import Configuration
 from ..core.dimensions import DimensionSet
-from ..core.errors import QueryError, WorkerFailure, WorkerRPCError
+from ..core.errors import ClusterError, QueryError, WorkerFailure, WorkerRPCError
 from ..core.group import TimeSeriesGroup
 from ..ingest.stats import IngestStats
 from ..models.registry import ModelRegistry
 from ..obs import MetricsRegistry, get_registry
 from ..storage.filestore import FileStorage
 from .faults import FaultPlan
+from .map import SegmentBatch
 from .node import WorkerNode
 
 #: Exit code used by an injected crash so it is recognisable in logs.
@@ -234,7 +236,7 @@ class WorkerFleet:
         process-local memory.
     fault_plan:
         Faults to inject, executed worker-side (see
-        :mod:`repro.cluster.faults`).
+        :mod:`repro.shard.faults`).
     timeout / max_retries / backoff:
         Per-request reply timeout in seconds, how many times a request
         is re-sent to a live-but-silent worker, and the multiplier
@@ -250,7 +252,6 @@ class WorkerFleet:
         timeout: float = 10.0,
         max_retries: int = 3,
         backoff: float = 2.0,
-        start_method: str | None = None,
     ) -> None:
         self._timeout = timeout
         self._max_retries = max_retries
@@ -258,7 +259,7 @@ class WorkerFleet:
         self._closed = False
         #: Makes :meth:`retire` an atomic test-and-set across threads.
         self._retire_lock = threading.Lock()
-        ctx = mp.get_context(start_method or _start_method())
+        ctx = mp.get_context(_start_method())
         self._workers: dict[int, _Worker] = {}
         for worker_id in range(n_workers):
             worker = _Worker(worker_id, ctx, config, storage_root, fault_plan)
@@ -413,7 +414,9 @@ class WorkerFleet:
         worker.shipped.update(group.gid for group in unshipped)
         return self.call(worker_id, "ingest")
 
-    def ship_batches(self, worker_id: int, batches: Iterable) -> None:
+    def ship_batches(
+        self, worker_id: int, batches: Iterable[SegmentBatch]
+    ) -> None:
         """Load the segment batches the worker does not hold yet."""
         worker = self._workers[worker_id]
         for batch in batches:
@@ -461,11 +464,13 @@ class InProcessFleet(WorkerFleet):
 
     Calls run one after another on the caller's thread, so each
     worker-reported time is uncontended work and the master's ``max``
-    over them *models* the parallel makespan. The fault plan and the
-    RPC tuning (timeout, retries, backoff, start method) are accepted
-    for signature parity and ignored: there is no process to crash and
-    no wire to retry. Payloads and replies cross by reference, so the
-    handlers reply with objects the node will not mutate later.
+    over them *models* the parallel makespan. The RPC tuning (timeout,
+    retries, backoff) is accepted for signature parity and ignored:
+    there is no wire to retry. A fault plan is a
+    :class:`~repro.core.errors.ClusterError`: there is no process to
+    crash, and ignoring it would pass a fault test vacuously. Payloads
+    and replies cross by reference, so the handlers reply with objects
+    the node will not mutate later.
     """
 
     def __init__(
@@ -473,8 +478,14 @@ class InProcessFleet(WorkerFleet):
         n_workers: int,
         config: Configuration,
         storage_root: str | os.PathLike | None = None,
+        fault_plan: FaultPlan | None = None,
         *_rpc_options: object,
     ) -> None:
+        if fault_plan is not None:
+            raise ClusterError(
+                "in-process workers cannot run a fault plan; use the "
+                "process fleet (WorkerFleet)"
+            )
         self._closed = False
         self._retire_lock = threading.Lock()
         self._workers = {

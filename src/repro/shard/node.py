@@ -18,6 +18,7 @@ from ..query.sql import Query
 from ..storage.interface import Storage
 from ..storage.memory import MemoryStorage
 from ..storage.schema import records_for_groups
+from .map import SegmentBatch
 
 
 class WorkerNode:
@@ -77,16 +78,13 @@ class WorkerNode:
         self.stats.merge(stats)
         self._engine.refresh_metadata()
 
-    def load_segments(self, batch) -> int:
+    def load_segments(self, batch: SegmentBatch) -> int:
         """Apply one shipped segment batch (sharded serving's load
         path); returns the number of segments applied.
 
-        ``batch`` is a :class:`~repro.shard.map.SegmentBatch`-shaped
-        object (duck-typed here so the cluster layer does not import
-        the shard layer): ``batch_id``, ``time_series``, ``model_table``
-        and ``segments``. Idempotent by ``batch_id`` — unlike ``assign``
-        /``ingest``, segment insertion appends, so a duplicated RPC
-        must be rejected, not replayed.
+        Idempotent by ``batch_id`` — unlike ``assign``/``ingest``,
+        segment insertion appends, so a duplicated RPC must be
+        rejected, not replayed.
         """
         if batch.batch_id in self._loaded_batches:
             return 0

@@ -1,4 +1,4 @@
-"""The master's shared steps, and the report of one cluster ingest.
+"""The master's pure steps: place, route, gather, and the ingest report.
 
 Reproduces the distribution properties the evaluation relies on:
 
@@ -12,22 +12,19 @@ Reproduces the distribution properties the evaluation relies on:
   behind Fig. 20's linear scale-out.
 
 The one master that applies these steps is
-:class:`~repro.shard.ShardedCluster`; the cluster classes differ only in
-the transport that reaches the workers.
+:class:`~repro.shard.tier.ShardedCluster`, over either worker transport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from ..core.group import TimeSeriesGroup
 from ..query.analytics import merge_analytics_rows
 from ..query.engine import PartialResult, Plan, merge_partial_results
 from ..query.sql import Condition, Query, tid_values
-
-if TYPE_CHECKING:
-    from ..shard.map import SegmentBatch
+from .map import SegmentBatch
 
 #: What placement weighs and pins: a raw group (``ingest``) or a stored
 #: group's segments (``load_storage``).

@@ -1,17 +1,14 @@
 """The shared-nothing sharded tier (master side).
 
 :class:`ShardedCluster` is the one master — placement, scatter, gather
-and failover — over a worker fleet whose transport its subclasses name
-in :attr:`ShardedCluster.fleet_type`: the
-:class:`~repro.cluster.fleet.WorkerFleet` (one OS process per worker,
-retry/backoff RPC, injectable faults) or the
-:class:`~repro.cluster.fleet.InProcessFleet` (nodes as objects, called
-inline and in turn). The measured
-:class:`~repro.cluster.ProcessCluster` is this class under its own
-name, and the simulator :class:`~repro.cluster.ModelarCluster` is it
-over in-process workers, so every cluster shares one placement rule,
-one ingest path, one scatter, one retry/recovery path and one query
-report. It is built to sit under a multi-threaded front-end:
+and failover — over a worker fleet whose transport it is built with
+(``fleet_type=``): the :class:`~repro.shard.fleet.WorkerFleet` (one OS
+process per worker, retry/backoff RPC, injectable faults; the measured
+cluster) or the :class:`~repro.shard.fleet.InProcessFleet` (nodes as
+objects, called inline and in turn; the simulator). Both share one
+placement rule, one ingest path, one scatter, one retry/recovery path
+and one query report. It is built to sit under a multi-threaded
+front-end:
 
 * the fleet serialises one request/reply exchange per worker at a time,
   so *different* queries proceed concurrently as long as they touch
@@ -24,11 +21,11 @@ report. It is built to sit under a multi-threaded front-end:
 * the master plans each statement as the embedded engine does
   (:func:`~repro.query.engine.plan`, so an invalid one fails alike) and
   routes it to the shards holding the Tids the plan selects (via
-  :func:`~repro.cluster.cluster.restrict_query_to_tids`, whose
+  :func:`~repro.shard.routing.restrict_query_to_tids`, whose
   explicit ``Tid IN`` predicate makes a worker holding several shards'
   replicas answer exactly for the shard it was asked about), fans the
   rewritten subqueries out through the fleet's ``scatter``, and merges
-  the returned outputs with :func:`~repro.cluster.cluster.gather`;
+  the returned outputs with :func:`~repro.shard.routing.gather`;
 * a worker crash *during* a query is survived by retrying the shard's
   remaining replicas (the ``execute`` RPC is read-only, so a replay is
   always safe); when every replica of a shard is gone the tier re-ships
@@ -76,16 +73,20 @@ from ..storage.interface import Storage
 from ..storage.memory import MemoryStorage
 from ..storage.scan import SegmentScan
 from ..storage.schema import TimeSeriesRecord, records_for_groups
-from ..cluster.cluster import (
+from .faults import FaultPlan
+from .fleet import WorkerFleet
+from .map import SegmentBatch, ShardMap
+from .routing import (
     ClusterIngestReport,
     Placeable,
     assign_least_loaded,
     gather,
     restrict_query_to_tids,
 )
-from ..cluster.faults import FaultPlan
-from ..cluster.fleet import WorkerFleet
-from .map import SegmentBatch, ShardMap
+
+#: A shard is "hot" for :meth:`ShardedCluster.rebalance` when its
+#: busy-seconds exceed this multiple of the mean over populated shards.
+REBALANCE_THRESHOLD = 2.0
 
 
 @dataclass
@@ -138,10 +139,9 @@ class ShardedCluster:
     group_compression:
         Partition ingested series into correlated groups (``False``:
         one group per series).
-    storage_root / fault_plan / timeout / max_retries / backoff /
-    start_method:
+    storage_root / fault_plan / timeout / max_retries / backoff:
         Handed to the fleet (see
-        :class:`~repro.cluster.fleet.WorkerFleet`). A worker whose
+        :class:`~repro.shard.fleet.WorkerFleet`). A worker whose
         process died, or that stays silent through every retry, is
         retired and its shards recovered on survivors.
     n_replicas:
@@ -152,14 +152,12 @@ class ShardedCluster:
         When ``> 0``, :meth:`maybe_rebalance` (called by the serving
         dispatcher after each query) runs :meth:`rebalance` every that
         many queries. ``0`` leaves rebalancing operator-driven.
-    rebalance_threshold:
-        A shard is "hot" when its busy-seconds exceed this multiple of
-        the mean across populated shards.
+    fleet_type:
+        The workers' transport: :class:`~repro.shard.fleet.WorkerFleet`
+        (one OS process each) or the simulator's
+        :class:`~repro.shard.fleet.InProcessFleet`, which refuses a
+        ``fault_plan``.
     """
-
-    #: The workers' transport: one OS process each here; the simulator
-    #: (:class:`~repro.cluster.ModelarCluster`) names the in-process one.
-    fleet_type: type[WorkerFleet] = WorkerFleet
 
     def __init__(
         self,
@@ -172,11 +170,10 @@ class ShardedCluster:
         timeout: float = 10.0,
         max_retries: int = 3,
         backoff: float = 2.0,
-        start_method: str | None = None,
         *,
         n_replicas: int = 1,
         auto_rebalance_interval: int = 0,
-        rebalance_threshold: float = 2.0,
+        fleet_type: type[WorkerFleet] = WorkerFleet,
     ) -> None:
         if n_workers < 1:
             raise ClusterError("the sharded tier needs at least one worker")
@@ -187,7 +184,6 @@ class ShardedCluster:
         self.group_compression = group_compression
         self.map = ShardMap(n_workers, n_workers, n_replicas)
         self.auto_rebalance_interval = auto_rebalance_interval
-        self.rebalance_threshold = rebalance_threshold
         #: Serialises placement mutations (retire/recover/rebalance) and
         #: the shipping they do. Lock order is admin -> fleet, never the
         #: reverse: query threads take only the fleet's worker locks.
@@ -220,7 +216,7 @@ class ShardedCluster:
         self.failover_retries = 0
         self.lost_workers = 0
         self.rebalances = 0
-        self.fleet = self.fleet_type(
+        self.fleet = fleet_type(
             n_workers,
             self.config,
             storage_root,
@@ -228,7 +224,6 @@ class ShardedCluster:
             timeout,
             max_retries,
             backoff,
-            start_method,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -680,21 +675,21 @@ class ShardedCluster:
         return self.rebalance()
 
     def rebalance(
-        self, threshold: float | None = None, max_moves: int = 1
+        self, threshold: float = REBALANCE_THRESHOLD
     ) -> list[tuple[int, int, int]]:
-        """Move hot shards onto the least-busy workers.
+        """Move the hottest shard onto the least-busy worker.
 
         A shard is hot when its accumulated busy-seconds exceed
-        ``threshold`` times the mean over populated shards. For each
-        (up to ``max_moves``) the shard's data is shipped to the
-        least-busy live non-owner, which then becomes the primary; the
-        coldest previous replica drops off the owner tuple. Returns
-        ``(shard, old primary, new primary)`` moves; the busy window
-        resets after any move so decisions use fresh load.
+        ``threshold`` times the mean over populated shards. The hottest
+        one's data is shipped to the least-busy live non-owner, which
+        then becomes the primary; the coldest previous replica drops off
+        the owner tuple. Returns the ``(shard, old primary, new
+        primary)`` moves made; the busy window resets after a move so
+        decisions use fresh load. A target that dies while receiving is
+        retired, every shard it leaves without a live owner is
+        recovered, and no move is made: the caller (often a query that
+        has already been answered) sees no error.
         """
-        if threshold is None:
-            threshold = self.rebalance_threshold
-        moves: list[tuple[int, int, int]] = []
         with self._admin_lock:
             busy = {
                 shard: self._shard_busy.get(shard, 0.0)
@@ -704,39 +699,35 @@ class ShardedCluster:
             if len(populated) < 2:
                 return []
             mean = sum(busy[s] for s in populated) / len(populated)
-            if mean <= 0.0:
+            hottest = max(populated, key=busy.__getitem__)
+            owners = self._live_owners(hottest)
+            candidates = [
+                wid for wid in self.fleet.live_ids if wid not in owners
+            ]
+            if busy[hottest] <= threshold * mean or not candidates:
                 return []
-            hot = sorted(
-                (s for s in populated if busy[s] > threshold * mean),
-                key=lambda s: busy[s],
-                reverse=True,
+            target = min(
+                candidates, key=lambda wid: self._worker_busy.get(wid, 0.0)
             )
-            for shard in hot[:max_moves]:
-                owners = self._live_owners(shard)
-                candidates = [
-                    wid for wid in self.fleet.live_ids if wid not in owners
-                ]
-                if not candidates:
-                    continue
-                target = min(
-                    candidates,
-                    key=lambda wid: self._worker_busy.get(wid, 0.0),
+            try:
+                self._ship_shard(target, hottest)
+            except WorkerFailure as failure:
+                dead = failure.worker_id
+            else:
+                dead = None
+                self.map.set_owners(
+                    hottest, ((target,) + tuple(owners))[: self.map.n_replicas]
                 )
-                self._ship_shard(target, shard)
-                new_owners = ((target,) + tuple(owners))[
-                    : self.map.n_replicas
-                ]
-                self.map.set_owners(shard, new_owners)
-                moves.append(
-                    (shard, owners[0] if owners else -1, target)
-                )
-            if moves:
                 self._shard_busy = {}
-                self.rebalances += len(moves)
-            generation = self.map.generation
-        if moves:
-            registry = get_registry()
-            registry.counter("shard.rebalances_total").inc(len(moves))
-            registry.gauge("shard.map_generation").set(generation)
-            self._notify(generation)
-        return moves
+                self.rebalances += 1
+                generation = self.map.generation
+        if dead is not None:
+            # Retiring takes the admin lock, which is not reentrant.
+            self._retire_worker(dead)
+            self._recover_orphans()
+            return []
+        registry = get_registry()
+        registry.counter("shard.rebalances_total").inc()
+        registry.gauge("shard.map_generation").set(generation)
+        self._notify(generation)
+        return [(hottest, owners[0] if owners else -1, target)]

@@ -856,7 +856,7 @@ class TestRPR009ResourceLifecycle:
     def test_close_in_finally_is_clean(self, tmp_path):
         source = """
             def guarded(simulated):
-                cluster = ProcessCluster()
+                cluster = ShardedCluster()
                 try:
                     cluster.ingest([])
                 finally:

@@ -63,6 +63,19 @@ class TestMain:
         assert code == 1
         assert "no time series" in out.getvalue()
 
+    def test_simulated_cluster_persists_per_worker(self, tmp_path):
+        """The directory is every cluster's storage root, the
+        simulator's too."""
+        out = io.StringIO()
+        code = main(
+            [str(tmp_path), "--workers", "2", "--simulated"], out=out
+        )
+        assert code == 0
+        assert "simulated" in out.getvalue()
+        for worker_id in range(2):
+            with FileStorage(tmp_path / f"worker_{worker_id}") as store:
+                assert store.segment_count() > 0
+
     def test_describe_tables(self, storage_dir):
         engine = QueryEngine(FileStorage(storage_dir), ModelRegistry())
         listing = describe_tables(engine)

@@ -1,15 +1,20 @@
-"""The master/worker cluster substrate."""
+"""The master/worker cluster, over in-process workers (the simulator)."""
 
 import runpy
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Configuration, Dimension, DimensionSet, ModelarDB, TimeSeries
-from repro.cluster import ModelarCluster, restrict_query_to_tids
 from repro.core.errors import ClusterError, QueryError
 from repro.query.sql import parse
+from repro.shard import InProcessFleet, ShardedCluster
+from repro.shard.routing import restrict_query_to_tids
+
+#: The simulator: the one master over workers called in this process.
+Simulator = partial(ShardedCluster, fleet_type=InProcessFleet)
 
 
 def build_series(n_parks=3, per_park=2, n_points=400, seed=4):
@@ -34,7 +39,7 @@ def build_series(n_parks=3, per_park=2, n_points=400, seed=4):
 def cluster_and_reference():
     series, dimensions = build_series()
     config = Configuration(error_bound=1.0, correlation=["Location 1"])
-    cluster = ModelarCluster(3, config, dimensions)
+    cluster = Simulator(3, config, dimensions)
     cluster.ingest(series)
     reference = ModelarDB(config, dimensions=dimensions)
     reference.ingest(series)
@@ -57,7 +62,7 @@ class TestAssignment:
     def test_least_loaded_assignment_balances(self):
         series, dimensions = build_series(n_parks=6, per_park=1, n_points=100)
         config = Configuration(correlation=["Location 1"])
-        cluster = ModelarCluster(3, config, dimensions)
+        cluster = Simulator(3, config, dimensions)
         cluster.ingest(series)
         loads = {worker: 0 for worker in cluster.assignment()}
         for ts in series:
@@ -67,14 +72,14 @@ class TestAssignment:
 
     def test_single_worker_cluster(self):
         series, dimensions = build_series(n_parks=1)
-        cluster = ModelarCluster(1, Configuration(), dimensions)
+        cluster = Simulator(1, Configuration(), dimensions)
         report = cluster.ingest(series)
         assert report.data_points > 0
         assert len(report.worker_seconds) == 1
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ClusterError):
-            ModelarCluster(0)
+            Simulator(0)
 
 
 class TestDistributedQueries:
@@ -199,7 +204,7 @@ class TestReports:
         cluster, _ = cluster_and_reference
         # Build a fresh cluster to get a fresh report.
         series, dimensions = build_series(n_parks=2, n_points=200)
-        fresh = ModelarCluster(
+        fresh = Simulator(
             2, Configuration(correlation=["Location 1"]), dimensions
         )
         report = fresh.ingest(series)

@@ -5,22 +5,27 @@ always exercised; the end-to-end and fault-injection scenarios live in
 the ``slow`` tier (``pytest -m slow``).
 
 Equality expectations: the process cluster and the simulated one are
-the same master over two transports (same assignment, same merge
-order), so their rows must be bit-identical (``==``). Against the
+one master, :class:`ShardedCluster`, over two transports (same
+assignment, same merge order), so their rows must be bit-identical
+(``==``). Against the
 *sequential* single-engine reference, order-independent aggregates
 (COUNT/MIN/MAX) must be exact while SUM/AVG may differ by float
 addition order, hence ``pytest.approx``.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import Configuration, ModelarDB, TimeSeries
-from repro.cluster import FaultPlan, ModelarCluster, ProcessCluster
 from repro.core.errors import ClusterError
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
-from repro.shard import ShardedCluster
+from repro.shard import FaultPlan, InProcessFleet, ShardedCluster, WorkerFleet
+
+#: The simulator: the one master over workers called in this process.
+Simulator = partial(ShardedCluster, fleet_type=InProcessFleet)
 
 STATEMENTS = (
     "SELECT COUNT(*) FROM DataPoint",
@@ -47,7 +52,7 @@ def ep_config():
 
 
 def make_cluster(n_workers, ep, ep_config, **kwargs):
-    return ProcessCluster(n_workers, ep_config, ep.dimensions, **kwargs)
+    return ShardedCluster(n_workers, ep_config, ep.dimensions, **kwargs)
 
 
 def assert_rows_close(rows, expected_rows):
@@ -70,9 +75,9 @@ def test_smoke_two_processes_match_simulated(ep_config):
         n_entities=2, measures_per_entity=2, n_points=200,
         gap_probability=0.0, seed=3,
     )
-    simulated = ModelarCluster(2, ep_config, ep.dimensions)
+    simulated = Simulator(2, ep_config, ep.dimensions)
     simulated_report = simulated.ingest(ep.series)
-    with ProcessCluster(2, ep_config, ep.dimensions) as cluster:
+    with ShardedCluster(2, ep_config, ep.dimensions) as cluster:
         report = cluster.ingest(ep.series)
         assert report.data_points == simulated_report.data_points
         assert report.wall_seconds > 0.0
@@ -83,9 +88,9 @@ def test_smoke_two_processes_match_simulated(ep_config):
 
 
 @pytest.fixture(scope="module")
-def four_ways():
-    """One data set behind the embedded engine and all three clusters
-    (3 workers each, so every scatter really merges)."""
+def three_ways():
+    """One data set behind the embedded engine and the cluster over
+    both transports (3 workers each, so every scatter really merges)."""
     rng = np.random.default_rng(7)
     series = [
         TimeSeries(
@@ -97,16 +102,14 @@ def four_ways():
     config = Configuration(error_bound=0.0)
     embedded = ModelarDB(config)
     embedded.ingest(series)
-    simulated = ModelarCluster(3, config)
+    simulated = Simulator(3, config)
     simulated.ingest(series)
     pattern = ", ".join(
         repr(round(float(value), 3)) for value in series[2].values[60:65]
     )
-    with ProcessCluster(3, config) as processes:
+    with ShardedCluster(3, config) as processes:
         processes.ingest(series)
-        with ShardedCluster(3, config=config) as sharded:
-            sharded.ingest(series)
-            yield embedded, (simulated, processes, sharded), pattern
+        yield embedded, (simulated, processes), pattern
 
 
 @pytest.mark.parametrize(
@@ -119,29 +122,37 @@ def four_ways():
         "SELECT TS, Value FROM DataPoint WHERE Tid = 4 AND TS <= 900",
     ],
 )
-def test_every_cluster_answers_like_the_embedded_engine(four_ways, statement):
-    """One gather/merge: simulated, process and sharded clusters all
+def test_every_cluster_answers_like_the_embedded_engine(three_ways, statement):
+    """One gather/merge: the simulated and the process cluster both
     return exactly the embedded engine's rows, analytics included."""
-    embedded, clusters, pattern = four_ways
+    embedded, clusters, pattern = three_ways
     sql = statement.format(pattern=pattern)
     expected = embedded.sql(sql)
     assert expected
     for cluster in clusters:
         rows, _ = cluster.sql(sql)
-        assert rows == expected, type(cluster).__name__
+        assert rows == expected, type(cluster.fleet).__name__
 
 
 @pytest.mark.parametrize(
-    "cluster_type", [ModelarCluster, ProcessCluster, ShardedCluster]
+    "make",
+    [
+        pytest.param(Simulator, id="InProcessFleet"),
+        pytest.param(
+            partial(ShardedCluster, fleet_type=WorkerFleet), id="WorkerFleet"
+        ),
+        # The default construction, as a user writes it.
+        pytest.param(ShardedCluster, id="ShardedCluster"),
+    ],
 )
-def test_disjoint_ingests_keep_every_series(cluster_type):
+def test_disjoint_ingests_keep_every_series(make):
     """Gids stay unique across ``ingest()`` calls: the second batch's
     groups are numbered after the first's, so no worker mistakes one
     for a group it already holds (the parent dropped Tids 3 and 4 or
     raised ``WorkerRPCError``)."""
     embedded = ModelarDB(Configuration())
     sql = "SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid"
-    with cluster_type(2) as cluster:
+    with make(2) as cluster:
         for tids in ((1, 2), (3, 4)):
             batch = [
                 TimeSeries(
@@ -161,7 +172,7 @@ def test_disjoint_ingests_keep_every_series(cluster_type):
 class TestEndToEnd:
     def test_three_processes_bit_identical_to_simulated(self, ep, ep_config):
         """Satellite 1: 3-process EP run == single-process cluster."""
-        simulated = ModelarCluster(3, ep_config, ep.dimensions)
+        simulated = Simulator(3, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         with make_cluster(3, ep, ep_config) as cluster:
             assert cluster.ingest(ep.series).data_points > 0
@@ -220,7 +231,7 @@ class TestFaultInjection:
     def test_crash_mid_query_fails_over(self, ep, ep_config):
         """Satellite 1b: kill a worker mid-query; the master moves its
         shard whole to a survivor and answers bit-identically."""
-        simulated = ModelarCluster(3, ep_config, ep.dimensions)
+        simulated = Simulator(3, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.crash(1, method="execute")
         with make_cluster(
@@ -247,7 +258,7 @@ class TestFaultInjection:
             assert report2.recovered_shards == []
 
     def test_crash_mid_ingest_fails_over(self, ep, ep_config):
-        simulated = ModelarCluster(3, ep_config, ep.dimensions)
+        simulated = Simulator(3, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.crash(1, method="ingest")
         with make_cluster(
@@ -265,7 +276,7 @@ class TestFaultInjection:
     def test_slow_worker_is_retried_not_failed_over(self, ep, ep_config):
         """A late reply is ridden out by resends; no failover happens
         and the (idempotent) re-executed call yields exact results."""
-        simulated = ModelarCluster(2, ep_config, ep.dimensions)
+        simulated = Simulator(2, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.slow(0, delay=0.6, method="execute")
         with make_cluster(
@@ -280,7 +291,7 @@ class TestFaultInjection:
             assert sorted(cluster.live_worker_ids) == [0, 1]
 
     def test_dropped_reply_is_resent(self, ep, ep_config):
-        simulated = ModelarCluster(2, ep_config, ep.dimensions)
+        simulated = Simulator(2, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.drop(0, method="execute")
         with make_cluster(
@@ -300,7 +311,7 @@ class TestFaultInjection:
             gap_probability=0.0, seed=5,
         )
         plan = FaultPlan.crash(0, method="execute")
-        with ProcessCluster(
+        with ShardedCluster(
             1, ep_config, ep.dimensions, fault_plan=plan, timeout=1.0
         ) as cluster:
             cluster.ingest(ep.series)
@@ -310,7 +321,7 @@ class TestFaultInjection:
     def test_tid_predicate_routed_query_survives_crash(self, ep, ep_config):
         """A Tid-restricted query whose owner dies is re-asked from the
         group's new home (the ``force`` path of the routing rewrite)."""
-        simulated = ModelarCluster(3, ep_config, ep.dimensions)
+        simulated = Simulator(3, ep_config, ep.dimensions)
         simulated.ingest(ep.series)
         plan = FaultPlan.crash(1, method="execute")
         with make_cluster(

@@ -1,7 +1,7 @@
 """The worker fleet's one RPC, driven through injected faults (tier 1).
 
 ``WorkerFleet.call`` is the only master-side path to a worker process
-for ``ProcessCluster`` and ``ShardedCluster``, so its contract is pinned
+for ``ShardedCluster``, so its contract is pinned
 here once: a dropped reply is answered by the resend, a slow reply is
 still accepted and its stale duplicates are discarded by the next call,
 a crash surfaces as ``WorkerFailure`` with the exit code, silence
@@ -22,8 +22,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro import Configuration
-from repro.cluster import Fault, FaultPlan, InProcessFleet, WorkerFleet
-from repro.cluster.fleet import CRASH_EXIT_CODE
+from repro.shard import Fault, FaultPlan, InProcessFleet, WorkerFleet
+from repro.shard.fleet import CRASH_EXIT_CODE
 from repro.core.errors import WorkerFailure, WorkerRPCError
 from repro.obs import get_registry
 

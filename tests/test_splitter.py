@@ -11,6 +11,11 @@ from repro.models import ModelRegistry
 from .conftest import make_series
 
 
+def subgroup_tids(ingestor):
+    """The ingestor's current partition of its group."""
+    return [subgroup.tids for subgroup in ingestor._subgroups]
+
+
 def run_group(series, error_bound=1.0, split_fraction=10):
     group = TimeSeriesGroup(1, series)
     config = Configuration(
@@ -21,7 +26,7 @@ def run_group(series, error_bound=1.0, split_fraction=10):
     partitions = set()
     for timestamps, matrix in group_tick_blocks(group, 1):
         ingestor.tick_block(timestamps, matrix)
-        partitions.add(tuple(sorted(ingestor.subgroup_tids)))
+        partitions.add(tuple(sorted(subgroup_tids(ingestor))))
     ingestor.finish()
     return ingestor, out, partitions
 
@@ -62,7 +67,7 @@ class TestSplitJoin:
         assert ingestor.stats.splits >= 1
         assert ingestor.stats.joins >= 1
         assert ((1,), (2,)) in partitions
-        assert ingestor.subgroup_tids == [(1, 2)]
+        assert subgroup_tids(ingestor) == [(1, 2)]
 
     def test_split_improves_compression(self):
         series = diverging_series()
@@ -165,7 +170,7 @@ class TestSplitJoin:
         ingestor, _, _ = run_group(series, split_fraction=3)
         assert ingestor.stats.splits >= 1
         assert ingestor.stats.joins == 0
-        assert sorted(ingestor.subgroup_tids) == [(1,), (2,)]
+        assert sorted(subgroup_tids(ingestor)) == [(1,), (2,)]
 
     def test_algorithm3_groups_gap_series_together(self, config):
         # Unit-level check of the buffered-point partitioning: series

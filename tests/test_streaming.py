@@ -155,6 +155,7 @@ class TestOnlineAnalytics:
             for i in range(10)
             for tid in (1, 2)
         ]
-        stream.append_batch(batch)
+        for tid, timestamp, value in batch:
+            stream.append(tid, timestamp, value)
         stats = stream.flush()
         assert stats.data_points == 20

@@ -133,7 +133,7 @@ class TestAccessors:
 
     def test_scaled_values(self):
         ts = make_series(1, [1.0, 2.0], scaling=4.75)
-        assert list(ts.scaled_values()) == [4.75, 9.5]
+        assert list(ts.values * ts.scaling) == [4.75, 9.5]
 
     def test_values_are_read_only(self):
         ts = make_series(1, [1.0, 2.0])
