@@ -21,7 +21,9 @@ rejects. It stores the bytes and counts the fits of the per-tick loop
 as the paper states it, which is the test oracle
 (``tests/write_oracle.py``). :meth:`SegmentGenerator.run` pauses around
 each flush so a split group's ingestor can run its checks at the right
-tick.
+tick, and yields each fit as a request (:data:`FitRequest`) so the
+lockstep driver can answer the requests of many groups in one kernel
+call.
 
 Gaps use the paper's second method (Fig. 5): whenever the set of present
 series changes, the open segment is closed and the next segment records
@@ -35,7 +37,7 @@ different magnitudes compress together (Fig. 6's ``Scaling`` column).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +51,31 @@ from ..models.selection import select_best
 from .stats import IngestStats
 
 SegmentSink = Callable[[SegmentGroup], None]
+
+#: A fit request ``(model name, fitter, rows)``: the cascade asks its
+#: caller to ``extend`` the fitter over the rows and reads the fitter's
+#: ``length`` when it is resumed.
+FitRequest = tuple[str, ModelFitter, np.ndarray]
+
+
+def answer(steps: Iterable[int | FitRequest]) -> None:
+    """Run cascade steps to the end, answering each fit request on the
+    spot as a batch of one (pauses, the ints, need no answer)."""
+    for step in steps:
+        if type(step) is tuple:
+            step[1].extend(None, step[2])
+
+
+def until_pause(
+    steps: Iterator[int | FitRequest],
+) -> Generator[FitRequest, None, int | None]:
+    """Pass the fit requests of ``steps`` up until it pauses; returns the
+    row it paused at, or None once it has ended."""
+    for step in steps:
+        if type(step) is int:
+            return step
+        yield step
+    return None
 
 
 class _LazyFitter(ModelFitter):
@@ -166,22 +193,24 @@ class SegmentGenerator:
         value (NaN, +-inf) marks the series as being in a gap at that
         tick.
         """
-        for _ in self.run(timestamps, matrix):
-            pass
+        answer(self.run(timestamps, matrix))
 
     def run(
         self, timestamps: np.ndarray, matrix: np.ndarray, offset: int = 0
-    ) -> Iterator[int]:
-        """Ingest a block as :meth:`tick_block` does, pausing at flushes.
+    ) -> Iterator[int | FitRequest]:
+        """Ingest a block as :meth:`tick_block` does, as steps.
 
-        A generator. Before the first flush of a tick it yields the
-        tick's row (``offset`` + its index in the block): every model
-        has then been tried at that tick and the buffer ends there (at a
-        presence change, just before it). Resumed, it does the tick's
-        flushes and cascade restart and yields the row again: that is
-        where the per-tick loop runs its split and join checks. Each
-        presence run is quantized once and cut into segment windows by
-        :meth:`_cascade_run`.
+        A generator of two kinds of step. A fit request
+        (:data:`FitRequest`) must be answered before it is resumed; the
+        lockstep driver answers those of every group in one kernel call
+        per model. A pause is an int: before the first flush of a tick
+        it yields the tick's row (``offset`` + its index in the block):
+        every model has then been tried at that tick and the buffer ends
+        there (at a presence change, just before it). Resumed, it does
+        the tick's flushes and cascade restart and yields the row again:
+        that is where the per-tick loop runs its split and join checks.
+        Each presence run is quantized once and cut into segment windows
+        by :meth:`_cascade_run`.
         """
         n = len(timestamps)
         if not n:
@@ -205,7 +234,7 @@ class SegmentGenerator:
                 emitted = len(self._times) > 0
                 if emitted:
                     yield offset + first
-                self.close()
+                yield from self.close_steps()
                 self._present = present
             if not present:
                 if emitted:
@@ -223,10 +252,14 @@ class SegmentGenerator:
 
     def close(self) -> None:
         """Flush everything buffered, ending the current segment run."""
+        answer(self.close_steps())
+
+    def close_steps(self) -> Iterator[FitRequest]:
+        """:meth:`close` as fit requests (see :meth:`run`)."""
         while len(self._times):
             self._flush_best()
             if len(self._times):
-                self._restart()
+                yield from self._restart()
         self._reset_cascade()
 
     def abandon(self) -> None:
@@ -261,7 +294,7 @@ class SegmentGenerator:
         self.stats.data_points -= dropped * len(self._present)
         self._times, self._rows = self._times[:keep], self._rows[:keep]
         if keep:
-            self._restart()
+            answer(self._restart())
         else:
             self._reset_cascade()
         fits = self.stats.fits
@@ -306,7 +339,7 @@ class SegmentGenerator:
         rows: np.ndarray,
         emitted: bool,
         offset: int,
-    ) -> Iterator[int]:
+    ) -> Iterator[int | FitRequest]:
         """Feed one presence run's quantized rows a segment window at a time.
 
         A window is the rows from the segment start ``s`` up to the length
@@ -322,7 +355,8 @@ class SegmentGenerator:
         when no model covers them (:meth:`_restart`) the cascade starts
         over at their first row. ``emitted`` says the presence change
         before row 0 flushed. Yields as :meth:`run` describes; row 0 is
-        the caller's row ``offset``.
+        the caller's row ``offset``. Each fit is a request (see
+        :meth:`run`), bar a lazy stand-in's, which is answered here.
         """
         carried = len(self._times)
         if carried:
@@ -357,9 +391,11 @@ class SegmentGenerator:
                 self._pending_models = list(self._config.models)
             end = min(n, s + limit + 1)
             if self._active is not None:
-                fitter = self._active[1]
+                mid, fitter = self._active
                 if s + fitter.length == reach < end:
-                    fitter.extend(None, rows[reach:end])
+                    request = self._offer(mid, fitter, rows[reach:end])
+                    if request is not None:
+                        yield request
                     reach = end
                 if s + fitter.length == n:
                     break  # covers the rest of the run: wait for rows
@@ -368,7 +404,9 @@ class SegmentGenerator:
                 self._active = None
             while self._pending_models:
                 mid, fitter = self._new_fitter(self._pending_models.pop(0))
-                fitter.extend(None, rows[s:end])
+                request = self._offer(mid, fitter, rows[s:end])
+                if request is not None:
+                    yield request
                 if fitter.length > t - s:
                     self._active = (mid, fitter)
                     reach = end
@@ -391,13 +429,24 @@ class SegmentGenerator:
         self._times, self._rows = timestamps[s:], rows[s:]
         self.stats.data_points += (n - counted) * width
 
-    def _restart(self) -> None:
+    def _restart(self) -> Iterator[FitRequest]:
         """Run the cascade afresh over the buffered rows (step iv)."""
         self._reset_cascade()
-        for _ in self._cascade_run(
+        for step in self._cascade_run(
             self._times[:0], self._rows[:0], False, 0
         ):
-            pass
+            if type(step) is tuple:
+                yield step
+
+    def _offer(
+        self, mid: int, fitter: ModelFitter, rows: np.ndarray
+    ) -> FitRequest | None:
+        """Offer ``rows`` to a cascade fitter: the request for the caller
+        to answer, or None once a lazy stand-in has taken them here."""
+        if isinstance(fitter, _LazyFitter):
+            fitter.extend(None, rows)
+            return None
+        return self._registry.by_mid(mid).name, fitter, rows
 
     def _new_fitter(self, name: str) -> tuple[int, ModelFitter]:
         """A fresh fitter for one cascade model, counted as a fit.

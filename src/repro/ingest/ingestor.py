@@ -3,8 +3,12 @@
 The :class:`Ingestor` replays already-collected time series through the
 group ingestion pipeline in timestamp order, mimicking the streaming
 receiver of the paper's architecture (Fig. 4) with the bulk-write
-buffering of Table 1. Online analytics work because segments become
-visible in the store as each bulk write lands.
+buffering of Table 1. It runs the groups of one :meth:`Ingestor.ingest`
+call in lockstep, so PMC-Mean and Swing fit a window of every group in
+one kernel call. Segments become visible as bulk writes land: each group
+buffers its own, and its writes land when that group ends, in group
+order (group k's after group k-1's), so during one call a group's
+segments are visible only once it and every group before it have ended.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from ..core.segment import SegmentGroup
 from ..models.registry import ModelRegistry
 from ..obs import get_registry
 from ..storage.interface import Storage
+from .generator import FitRequest
 from .splitter import GroupIngestor
 from .stats import IngestStats
 
@@ -51,6 +56,10 @@ def record_ingest_stats(stats: IngestStats) -> None:
         registry.counter(
             "ingest.model_fits_total", model=name
         ).inc(attempts)
+    for name, calls in stats.kernel_calls.items():
+        registry.counter(
+            "ingest.kernel_calls_total", model=name
+        ).inc(calls)
 
 
 def group_tick_blocks(
@@ -90,6 +99,44 @@ def group_tick_blocks(
         yield timestamps, matrix
 
 
+class _Load:
+    """One group's part of an :meth:`Ingestor.ingest` call: its fit
+    requests, its statistics, and its bulk writes until it ends."""
+
+    def __init__(
+        self,
+        group: TimeSeriesGroup,
+        config: Configuration,
+        registry: ModelRegistry,
+    ) -> None:
+        self.stats = IngestStats()
+        self.done = False
+        #: The group's segments, cut into bulk writes as they arrive.
+        self.writes: list[list[SegmentGroup]] = [[]]
+        self._bulk = config.bulk_write_size
+        group_ingestor = GroupIngestor(
+            group, config, registry, self._buffer, self.stats
+        )
+        self.steps = self._steps(
+            group_ingestor, group_tick_blocks(group, config.ingest_chunk_size)
+        )
+
+    def _steps(
+        self,
+        group_ingestor: GroupIngestor,
+        blocks: Iterator[tuple[np.ndarray, np.ndarray]],
+    ) -> Iterator[FitRequest]:
+        for timestamps, matrix in blocks:
+            yield from group_ingestor.run(timestamps, matrix)
+            self.stats.chunks += 1
+        yield from group_ingestor.finish_steps()
+
+    def _buffer(self, segment: SegmentGroup) -> None:
+        if len(self.writes[-1]) >= self._bulk:
+            self.writes.append([])
+        self.writes[-1].append(segment)
+
+
 class Ingestor:
     """Ingest groups into a storage backend with bulk writes."""
 
@@ -103,7 +150,6 @@ class Ingestor:
         self._config = config
         self._registry = registry
         self._storage = storage
-        self._write_buffer: list[SegmentGroup] = []
         #: Invoked after every bulk write lands in the store — the hook
         #: query-side caches use to invalidate (segments just became
         #: visible, so cached results/decodes may now be stale).
@@ -111,38 +157,65 @@ class Ingestor:
 
     def ingest_group(self, group: TimeSeriesGroup) -> IngestStats:
         """Ingest one group end-to-end and return its statistics."""
-        stats = IngestStats()
-        ingestor = GroupIngestor(
-            group, self._config, self._registry, self._buffer_write, stats
-        )
-        for timestamps, matrix in group_tick_blocks(
-            group, self._config.ingest_chunk_size
-        ):
-            ingestor.tick_block(timestamps, matrix)
-            stats.chunks += 1
-        ingestor.finish()
-        self._flush()
-        record_ingest_stats(stats)
-        return stats
+        return self.ingest([group])
 
     def ingest(self, groups: Iterable[TimeSeriesGroup]) -> IngestStats:
-        """Ingest many groups; returns merged statistics."""
-        return IngestStats.merged(
-            self.ingest_group(group) for group in groups
+        """Ingest many groups in lockstep; returns merged statistics.
+
+        Every group's cascade runs as fit requests
+        (:meth:`GroupIngestor.run` over its chunks in order, then its
+        end-of-stream flush). A round takes the next request of every
+        group that has one and answers them with one
+        :meth:`~repro.models.base.ModelFitter.extend_many` call per
+        fitter class, so PMC-Mean and Swing each fit one window of every
+        group in a single kernel call.
+        """
+        loads = [
+            _Load(group, self._config, self._registry) for group in groups
+        ]
+        kernels = IngestStats()
+        active = loads
+        landed = 0
+        while active:
+            # Per fitter class: the fitters, their rows, the model names.
+            batches: dict[type, tuple[list, list, set[str]]] = {}
+            waiting = []
+            for load in active:
+                request = next(load.steps, None)
+                if request is None:
+                    load.done = True
+                    continue
+                waiting.append(load)
+                name, fitter, rows = request
+                batch = batches.get(type(fitter))
+                if batch is None:
+                    batch = batches[type(fitter)] = ([], [], set())
+                batch[0].append(fitter)
+                batch[1].append(rows)
+                batch[2].add(name)
+            active = waiting
+            while landed < len(loads) and loads[landed].done:
+                self._land(loads[landed])
+                landed += 1
+            for kind, (fitters, blocks, names) in batches.items():
+                kind.extend_many(fitters, blocks)
+                for name in names:
+                    kernels.record_kernel_call(name)
+        record_ingest_stats(kernels)
+        return IngestStats.merged([*(load.stats for load in loads), kernels])
+
+    def _land(self, load: _Load) -> None:
+        """Write one ended group's segments and fold its statistics."""
+        for segments in load.writes:
+            if segments:
+                self._write(segments)
+        record_ingest_stats(load.stats)
+
+    def _write(self, segments: list[SegmentGroup]) -> None:
+        started = time.perf_counter()
+        self._storage.insert_segments(segments)
+        get_registry().histogram("ingest.flush_seconds").record(
+            time.perf_counter() - started
         )
-
-    def _buffer_write(self, segment: SegmentGroup) -> None:
-        self._write_buffer.append(segment)
-        if len(self._write_buffer) >= self._config.bulk_write_size:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._write_buffer:
-            started = time.perf_counter()
-            self._storage.insert_segments(self._write_buffer)
-            get_registry().histogram("ingest.flush_seconds").record(
-                time.perf_counter() - started
-            )
-            self._write_buffer.clear()
-            if self._on_flush is not None:
-                self._on_flush()
+        if self._on_flush is not None:
+            self._on_flush()

@@ -17,12 +17,13 @@ sub-groups, and merges when the overlap stays within the double bound.
 The required segment count doubles after every failed attempt, since each
 failure is further evidence the split is the right structure.
 
-The group ingestor takes blocks. The checks change state only at a tick where
-some sub-generator emitted, and between two such ticks the
-sub-generators are independent, so each runs a whole block on its
-columns until it pauses before a flush; the checks run at the earliest
-pause (see :meth:`GroupIngestor.tick_block`). The result is the per-tick
-loop's, which is the test oracle (``tests/write_oracle.py``).
+The group ingestor takes blocks, and passes its sub-generators' fit
+requests up to its caller (:meth:`GroupIngestor.run`). The checks change
+state only at a tick where some sub-generator emitted, and between two
+such ticks the sub-generators are independent, so each runs a whole
+block on its columns until it pauses before a flush; the checks run at
+the earliest pause (see :meth:`GroupIngestor.run`). The result is the
+per-tick loop's, which is the test oracle (``tests/write_oracle.py``).
 
 Deviations from the paper, both documented in DESIGN.md:
 
@@ -43,7 +44,13 @@ import numpy as np
 from ..core.config import Configuration
 from ..core.group import TimeSeriesGroup
 from ..models.registry import ModelRegistry
-from .generator import SegmentGenerator, SegmentSink
+from .generator import (
+    FitRequest,
+    SegmentGenerator,
+    SegmentSink,
+    answer,
+    until_pause,
+)
 from .stats import IngestStats
 
 #: Segments a fresh split must emit before its first join attempt.
@@ -79,7 +86,7 @@ class _SubGroup:
     #: Rows ``[0, fed)`` of the current block went to ``run``; None for
     #: a sub-group made by the current check (fed from its next row).
     fed: int | None = field(default=None, repr=False)
-    run: Iterator[int] | None = field(default=None, repr=False)
+    run: Iterator[int | FitRequest] | None = field(default=None, repr=False)
     #: The row ``run`` paused at, if it is paused.
     stop: int | None = field(default=None, repr=False)
 
@@ -124,7 +131,14 @@ class GroupIngestor:
 
     # ------------------------------------------------------------------
     def tick_block(self, timestamps: np.ndarray, matrix: np.ndarray) -> None:
-        """Ingest a ``(ticks, len(group.tids))`` block; NaN or +-inf is a gap.
+        """Ingest a ``(ticks, len(group.tids))`` block; NaN or +-inf is a gap."""
+        answer(self.run(timestamps, matrix))
+
+    def run(
+        self, timestamps: np.ndarray, matrix: np.ndarray
+    ) -> Iterator[FitRequest]:
+        """:meth:`tick_block` as the fit requests of its sub-generators
+        (:meth:`SegmentGenerator.run`), for the caller to answer.
 
         The split and join checks change state only at a tick where a
         sub-generator emitted, and between two such ticks the
@@ -135,9 +149,13 @@ class GroupIngestor:
         at E, and the round repeats. A generator paused beyond E has
         flushed nothing past E: if a join at E closes it, it is first
         rewound to E. Segments and stats are those of the per-tick loop.
+        A split's replay and a join's rewind and close answer their own
+        fit requests.
         """
         if not self._checking:  # one generator, nothing to pause for
-            self._subgroups[0].generator.tick_block(timestamps, matrix)
+            for step in self._subgroups[0].generator.run(timestamps, matrix):
+                if type(step) is tuple:
+                    yield step
             return
         n = len(timestamps)
         for subgroup in self._subgroups:
@@ -152,7 +170,7 @@ class GroupIngestor:
                         if subgroup.fed >= limit:
                             break
                         self._feed(subgroup, timestamps, matrix, limit)
-                    subgroup.stop = next(subgroup.run, None)
+                    subgroup.stop = yield from until_pause(subgroup.run)
                     if subgroup.stop is None:
                         subgroup.run = None
             stops = [s.stop for s in self._subgroups if s.stop is not None]
@@ -163,7 +181,7 @@ class GroupIngestor:
             row = min(stops)
             for subgroup in self._subgroups:
                 if subgroup.stop == row:
-                    next(subgroup.run)  # tick ``row``'s flushes
+                    yield from until_pause(subgroup.run)  # tick ``row``'s flushes
                     subgroup.stop = None
             self._remember(timestamps, matrix, recorded, row + 1)
             recorded = row + 1
@@ -226,8 +244,12 @@ class GroupIngestor:
 
     def finish(self) -> None:
         """Flush every sub-group at end of stream."""
+        answer(self.finish_steps())
+
+    def finish_steps(self) -> Iterator[FitRequest]:
+        """:meth:`finish` as fit requests (see :meth:`run`)."""
         for subgroup in self._subgroups:
-            subgroup.generator.close()
+            yield from subgroup.generator.close_steps()
 
     # ------------------------------------------------------------------
     # Splitting (Algorithm 3)

@@ -46,9 +46,15 @@ class IngestStats:
     #: Fit attempts per model type — every time a model instance was
     #: offered a data point batch, whether or not it won the emit.
     fits: dict[str, int] = field(default_factory=dict)
+    #: Kernel calls per model type: one per ``extend_many`` call of the
+    #: lockstep driver, however many groups' windows it fits.
+    kernel_calls: dict[str, int] = field(default_factory=dict)
 
     def record_fit(self, model_name: str, attempts: int = 1) -> None:
         self.fits[model_name] = self.fits.get(model_name, 0) + attempts
+
+    def record_kernel_call(self, model_name: str) -> None:
+        self.kernel_calls[model_name] = self.kernel_calls.get(model_name, 0) + 1
 
     def record_segment(
         self, model_name: str, data_points: int, storage_bytes: int
@@ -92,6 +98,8 @@ class IngestStats:
             mine.bytes += usage.bytes
         for name, attempts in other.fits.items():
             self.fits[name] = self.fits.get(name, 0) + attempts
+        for name, calls in other.kernel_calls.items():
+            self.kernel_calls[name] = self.kernel_calls.get(name, 0) + calls
 
     @classmethod
     def merged(cls, parts: Iterable["IngestStats"]) -> "IngestStats":

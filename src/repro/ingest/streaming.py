@@ -123,8 +123,9 @@ class StreamingIngestor:
             return
         timestamp, values = open_tick
         ingestor = self._ingestors[gid]
-        # One closed tick is a one-row block, so its segments reach the
-        # store as soon as the tick closes them.
+        # One closed tick is a one-row block. The segments it closes go
+        # to the write buffer; the store sees them once it holds
+        # bulk_write_size of them, or on flush().
         row = np.array(
             [[math.nan if values.get(tid) is None else values[tid]
               for tid in ingestor.group.tids]]

@@ -8,7 +8,8 @@ can plug in their own (Section 3.1). A model type provides two things:
   per series of a group, and accepts the longest prefix it can represent
   within the error bound for *every* value, leaving its state unchanged
   past that prefix (:meth:`ModelFitter._extend` is the one method a
-  model implements to fit); and
+  model implements to fit; :meth:`ModelFitter.extend_many` fits one
+  block per fitter in one kernel call); and
 * a :class:`FittedModel` decoded from stored parameters — it reconstructs
   the represented values and, where the mathematics allow, answers
   aggregate queries in constant time (Section 6.1).
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -31,6 +32,7 @@ from ..core.errors import ModelError
 from ..core.segment import SEGMENT_OVERHEAD_BYTES
 
 _FloatArray = npt.NDArray[np.float64]
+_Fitter = TypeVar("_Fitter", bound="ModelFitter")
 
 #: Raw cost of one uncompressed data point: int64 timestamp + float32 value.
 RAW_POINT_BYTES = 12
@@ -64,41 +66,115 @@ def value_intervals(
     return lowers, uppers
 
 
-def feasible_prefix(lowers: _FloatArray, uppers: _FloatArray) -> int:
-    """Largest ``k`` such that ``[lowers[k-1], uppers[k-1]]`` admits a
-    float32 representative.
+def stacked_intervals(
+    blocks: Sequence[_FloatArray], error_bounds: Sequence[float]
+) -> tuple[_FloatArray, _FloatArray, list[_FloatArray]]:
+    """:func:`value_intervals` of several blocks in one pass.
 
-    Requires *nested* intervals (``lowers`` non-decreasing, ``uppers``
-    non-increasing — the cumulative intersections built by the PMC-Mean
-    and Swing kernels), which makes feasibility a monotone prefix
-    predicate: once an intersection loses its float32 grid point it never
-    regains one. A vectorized sufficient-width test settles the easy
-    prefix; a binary search over the remainder needs only
-    ``O(log ticks)`` exact :func:`float32_within` calls.
+    Row ``i`` of the returned ``(len(blocks), longest block)`` pair is
+    ``value_intervals(blocks[i], error_bounds[i])``, padded past the
+    block's length with ``(-inf, +inf)``, which narrows nothing. Each
+    run of blocks of one width and bound is reduced together by the row
+    reductions :func:`value_intervals` runs, so every bound is
+    bit-identical to it. The third element holds a private copy of each
+    block.
     """
-    n = len(lowers)
-    if n == 0:
-        return 0
-    widths = uppers - lowers
-    midpoints = (uppers + lowers) / 2.0
-    np.abs(midpoints, out=midpoints)
-    midpoints *= 4.0 * _FLOAT32_RELATIVE_STEP
-    midpoints += 1e-37
-    certain = widths > midpoints
-    # A certainly-feasible row proves (by monotonicity) that the whole
-    # prefix through it is feasible, so search only past the last one.
-    if certain.any():
-        low = n - int(certain[::-1].argmax())
-    else:
-        low = 0
-    high = n
-    while low < high:
-        mid = (low + high + 1) // 2
-        if float32_within(float(lowers[mid - 1]), float(uppers[mid - 1])) is not None:
-            low = mid
-        else:
-            high = mid - 1
-    return low
+    if len(blocks) == 1:  # nothing to stack
+        block = blocks[0].copy()
+        lowers, uppers = value_intervals(block, error_bounds[0])
+        return lowers[np.newaxis], uppers[np.newaxis], [block]
+    lengths = [len(block) for block in blocks]
+    lowers = np.full((len(blocks), max(lengths)), -np.inf)
+    uppers = np.full(lowers.shape, np.inf)
+    rank = np.arange(lowers.shape[1])
+    copies: list[_FloatArray] = []
+    first = 0
+    while first < len(blocks):
+        kind = blocks[first].shape[1], error_bounds[first]
+        end = first + 1
+        while end < len(blocks) and (blocks[end].shape[1], error_bounds[end]) == kind:
+            end += 1
+        rows = np.concatenate(blocks[first:end])
+        counts = lengths[first:end]
+        low, up = value_intervals(rows, kind[1])
+        # In row-major order the filled entries of the run's stack rows
+        # are the concatenated blocks' rows.
+        filled = rank < np.array(counts)[:, np.newaxis]
+        lowers[first:end][filled] = low
+        uppers[first:end][filled] = up
+        start = 0
+        for count in counts:
+            copies.append(rows[start:start + count])
+            start += count
+        first = end
+    return lowers, uppers, copies
+
+
+def feasible_prefixes(
+    lowers: _FloatArray,
+    uppers: _FloatArray,
+    seeds: Sequence[tuple[float, float]],
+    lengths: Sequence[int],
+) -> list[int]:
+    """Intersect the intervals of each row ``i`` of two ``(requests,
+    rows)`` stacks cumulatively, in place, starting from its running
+    bounds ``seeds[i]``; return per row the largest ``k <= lengths[i]``
+    such that ``[lowers[i, k-1], uppers[i, k-1]]`` admits a float32
+    representative.
+
+    A seed bound replaces the first entry only when it is strictly
+    tighter. The cumulative intersections are nested, which makes
+    feasibility a monotone prefix predicate: once an intersection loses
+    its float32 grid point it never regains one. ``(-inf, +inf)`` pads
+    past a row's length repeat its last intersection. A vectorized
+    sufficient-width test settles the easy prefix and the first empty
+    intersection ends the hard one, so a binary search over what is left
+    needs only ``O(log rows)`` exact :func:`float32_within` calls per row.
+    """
+    for row, (lower, upper) in enumerate(seeds):
+        if lower > lowers[row, 0]:
+            lowers[row, 0] = lower
+        if upper < uppers[row, 0]:
+            uppers[row, 0] = upper
+    longest = lowers.shape[1]
+    if longest > 1:
+        np.maximum.accumulate(lowers, axis=1, out=lowers)
+        np.minimum.accumulate(uppers, axis=1, out=uppers)
+        widths = uppers - lowers
+        midpoints = (uppers + lowers) / 2.0
+        np.abs(midpoints, out=midpoints)
+        midpoints *= 4.0 * _FLOAT32_RELATIVE_STEP
+        midpoints += 1e-37
+        certain = widths > midpoints
+        # A certainly-feasible entry proves (by monotonicity) that the
+        # whole prefix through it is feasible, so search only past the
+        # last one, and only up to the first empty one.
+        from_end = certain[:, ::-1].argmax(axis=1).tolist()
+        lows = [
+            longest - skip if certain[row, longest - 1 - skip] else 0
+            for row, skip in enumerate(from_end)
+        ]
+        highs = lows  # nothing to search unless some row stops early
+        if any(low < length for low, length in zip(lows, lengths)):
+            empty = widths < 0
+            highs = [
+                first if empty[row, first] else longest
+                for row, first in enumerate(empty.argmax(axis=1).tolist())
+            ]
+    else:  # one float32_within call per row settles it
+        lows, highs = [0] * len(lengths), [1] * len(lengths)
+    prefixes = []
+    for row, (low, high, length) in enumerate(zip(lows, highs, lengths)):
+        low, high = min(low, length), min(high, length)
+        while low < high:
+            mid = (low + high + 1) // 2
+            lower, upper = float(lowers[row, mid - 1]), float(uppers[row, mid - 1])
+            if float32_within(lower, upper) is not None:
+                low = mid
+            else:
+                high = mid - 1
+        prefixes.append(low)
+    return prefixes
 
 
 def to_float32(value: float) -> float:
@@ -183,6 +259,52 @@ class ModelFitter(ABC):
         fitting it whole, so every chunking of ingestion produces the
         same segments.
         """
+        block = self._admit(matrix)
+        if block is None:
+            return 0
+        accepted = self._extend(block)
+        self.length += accepted
+        return accepted
+
+    @classmethod
+    def extend_many(
+        cls: type[_Fitter],
+        fitters: Sequence[_Fitter],
+        blocks: Sequence[npt.ArrayLike],
+    ) -> list[int]:
+        """:meth:`extend` each fitter over its block, in one kernel call.
+
+        ``fitters`` are instances of this class. Each ends in the state
+        :meth:`extend` over its block alone leaves it in; returns the
+        accepted tick counts in order. The lockstep ingestion driver
+        offers one window of every group that wants this model this
+        way. A model that only implements :meth:`_extend` is fitted one
+        block after another; PMC-Mean and Swing override
+        :meth:`_extend_many` with a kernel over all the blocks at once.
+        """
+        if len(fitters) == 1:  # a batch of one is one extend
+            return [fitters[0].extend(None, blocks[0])]
+        counts = [0] * len(fitters)
+        admitted: list[tuple[int, _Fitter, _FloatArray]] = []
+        for index, (fitter, matrix) in enumerate(zip(fitters, blocks)):
+            block = fitter._admit(matrix)
+            if block is not None:
+                admitted.append((index, fitter, block))
+        # Kernels stack blocks of one width and bound together.
+        admitted.sort(key=lambda entry: (entry[1].n_columns, entry[1].error_bound))
+        if admitted:
+            accepted = cls._extend_many(
+                [fitter for _, fitter, _ in admitted],
+                [block for _, _, block in admitted],
+            )
+            for (index, fitter, _), count in zip(admitted, accepted):
+                fitter.length += count
+                counts[index] = count
+        return counts
+
+    def _admit(self, matrix: npt.ArrayLike) -> _FloatArray | None:
+        """``matrix`` shape-checked and capped at the capacity left, or
+        None when no row of it can be accepted."""
         block = np.asarray(matrix, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.n_columns:
             raise ModelError(
@@ -191,10 +313,20 @@ class ModelFitter(ABC):
             )
         capacity = self.length_limit - self.length
         if capacity <= 0 or block.shape[0] == 0:
-            return 0
-        accepted = self._extend(block[:capacity])
-        self.length += accepted
-        return accepted
+            return None
+        return block[:capacity]
+
+    @classmethod
+    def _extend_many(
+        cls: type[_Fitter],
+        fitters: Sequence[_Fitter],
+        blocks: Sequence[_FloatArray],
+    ) -> list[int]:
+        """:meth:`_extend` of each fitter over its admitted block, the
+        fitters' lengths not yet advanced: the batched kernel hook.
+        :meth:`extend_many` passes the fitters ordered by width and
+        bound."""
+        return [fitter._extend(block) for fitter, block in zip(fitters, blocks)]
 
     @abstractmethod
     def _extend(self, block: _FloatArray) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .base import (
     FittedModel,
     ModelFitter,
     ModelType,
-    feasible_prefix,
+    feasible_prefixes,
     float32_within,
+    stacked_intervals,
     to_float32,
-    value_intervals,
 )
 
 _FORMAT = "<f"
@@ -38,42 +39,52 @@ class PMCMeanFitter(ModelFitter):
         super().__init__(n_columns, error_bound, length_limit)
         self._lower = -math.inf
         self._upper = math.inf
-        self._sum = 0.0
-        self._count = 0
+        #: The accepted rows, as the blocks they arrived in; summed only
+        #: by :meth:`_representative`, so a fit that loses the flush
+        #: never pays for the sum.
+        self._rows: list[np.ndarray] = []
 
     def _extend(self, block: np.ndarray) -> int:
+        return self._extend_many([self], [block])[0]
+
+    @classmethod
+    def _extend_many(
+        cls, fitters: Sequence[PMCMeanFitter], blocks: Sequence[np.ndarray]
+    ) -> list[int]:
         # Intersecting per-tick intervals is an associative min/max
         # reduction, so the running bounds after tick i are cumulative
-        # intersections — nested, which makes the float32 feasibility
-        # test a monotone prefix predicate (see feasible_prefix).
-        lowers, uppers = value_intervals(block, self.error_bound)
-        # Seeding the running bounds into the first row makes the
-        # accumulate produce the combined intersections directly.
-        if self._lower > lowers[0]:
-            lowers[0] = self._lower
-        if self._upper < uppers[0]:
-            uppers[0] = self._upper
-        np.maximum.accumulate(lowers, out=lowers)
-        np.minimum.accumulate(uppers, out=uppers)
-        accepted = feasible_prefix(lowers, uppers)
-        if accepted:
-            self._lower = float(lowers[accepted - 1])
-            self._upper = float(uppers[accepted - 1])
-            # The representative divides a sequentially-accumulated sum;
-            # numpy's pairwise summation rounds differently (and would
-            # depend on how the rows were cut into blocks), so add the
-            # accepted rows one value at a time.
-            for row in block[:accepted].tolist():
-                self._sum += sum(row)
-            self._count += accepted * self.n_columns
-        return accepted
+        # intersections, seeded by the bounds so far (feasible_prefixes).
+        # One row of the stacks per fitter.
+        lowers, uppers, copies = stacked_intervals(
+            blocks, [fitter.error_bound for fitter in fitters]
+        )
+        counts = feasible_prefixes(
+            lowers,
+            uppers,
+            [(fitter._lower, fitter._upper) for fitter in fitters],
+            [len(block) for block in blocks],
+        )
+        for row, (fitter, rows, count) in enumerate(zip(fitters, copies, counts)):
+            if count:
+                fitter._lower = float(lowers[row, count - 1])
+                fitter._upper = float(uppers[row, count - 1])
+                fitter._rows.append(rows[:count])
+        return counts
 
     def _representative(self) -> float:
         """The stored constant: the running average clamped into the
         feasible interval, nudged to a float32 inside it."""
-        if self._count == 0:
+        if self.length == 0:
             raise ModelError("cannot encode an empty PMC-Mean model")
-        average = self._sum / self._count
+        # The average divides a sequentially-accumulated sum; numpy's
+        # pairwise summation rounds differently (and would depend on how
+        # the rows were cut into blocks), so add the accepted rows one
+        # value at a time, in arrival order.
+        total = 0.0
+        for rows in self._rows:
+            for row in rows.tolist():
+                total += sum(row)
+        average = total / (self.length * self.n_columns)
         clamped = min(max(average, self._lower), self._upper)
         candidate = to_float32(clamped)
         if self._lower <= candidate <= self._upper:

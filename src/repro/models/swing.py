@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .base import (
     FittedModel,
     ModelFitter,
     ModelType,
-    feasible_prefix,
+    feasible_prefixes,
     float32_within,
+    stacked_intervals,
     to_float32,
-    value_intervals,
 )
 
 _FORMAT = "<ff"
@@ -70,63 +71,88 @@ class SwingFitter(ModelFitter):
         self._slope_upper = math.inf
 
     def _extend(self, block: np.ndarray) -> int:
-        lowers, uppers = value_intervals(block, self.error_bound)
-        accepted = 0
-        if self._anchor is None:
-            # The anchor derives from the first row alone. Its interval
-            # is reduced in Python, which keeps the first of equal
-            # bounds: np.max may pick -0.0 over an equal 0.0, and a clamp
-            # to that bound would change the anchor's bytes.
-            row = block[0].tolist()
-            scale = self.error_bound / 100.0
-            lower = max(value - abs(value) * scale for value in row)
-            upper = min(value + abs(value) * scale for value in row)
-            if lower > upper or not self._fit_anchor(row, lower, upper):
-                return 0
-            accepted = 1
-            if block.shape[0] == 1:
-                return accepted
-            lowers, uppers = lowers[1:], uppers[1:]
-        # Row i of the block lands at index self.length + accepted + i of
-        # the segment; the anchor sits at index 0, so each row bounds the
+        return self._extend_many([self], [block])[0]
+
+    @classmethod
+    def _extend_many(
+        cls, fitters: Sequence[SwingFitter], blocks: Sequence[np.ndarray]
+    ) -> list[int]:
+        counts = [0] * len(fitters)
+        # The fitters that reach the slope stage and the rows they offer.
+        sloped: list[int] = []
+        tails: list[np.ndarray] = []
+        for index, (fitter, block) in enumerate(zip(fitters, blocks)):
+            if fitter._anchor is None:
+                # The anchor derives from the first row alone. Its
+                # interval is reduced in Python, which keeps the first of
+                # equal bounds: np.max may pick -0.0 over an equal 0.0,
+                # and a clamp to that bound would change the anchor's
+                # bytes.
+                row = block[0].tolist()
+                scale = fitter.error_bound / 100.0
+                lower = max(value - abs(value) * scale for value in row)
+                upper = min(value + abs(value) * scale for value in row)
+                if lower > upper or not fitter._fit_anchor(row, lower, upper):
+                    continue
+                counts[index] = 1
+                block = block[1:]
+                if not len(block):
+                    continue
+            sloped.append(index)
+            tails.append(block)
+        if not sloped:
+            return counts
+        members = [fitters[index] for index in sloped]
+        lowers, uppers, _ = stacked_intervals(
+            tails, [fitter.error_bound for fitter in members]
+        )
+        # Row j of a tail lands at index length + counts + j of the
+        # segment; the anchor sits at index 0, so each row bounds the
         # slope by (interval - anchor) / step. An empty per-tick interval
         # (lower > upper) inverts under the monotone transform and keeps
-        # the cumulative intersection empty, so feasible_prefix stops
-        # before it.
-        steps = np.arange(
-            self.length + accepted,
-            self.length + accepted + lowers.shape[0],
-            dtype=np.float64,
-        )
-        slope_lowers = lowers - self._anchor
+        # the cumulative intersection empty, so feasible_prefixes stops
+        # before it. The (-inf, +inf) pads stay unbounded. One row of
+        # the stacks per fitter.
+        starts = [fitters[index].length + counts[index] for index in sloped]
+        steps = np.arange(lowers.shape[1], dtype=np.float64) + np.array(
+            starts, dtype=np.float64
+        )[:, np.newaxis]
+        anchors = np.array([fitter._anchor for fitter in members])[:, np.newaxis]
+        slope_lowers = lowers - anchors
         slope_lowers /= steps
-        slope_uppers = uppers - self._anchor
+        slope_uppers = uppers - anchors
         slope_uppers /= steps
-        # Seeding the running slope bounds into the first row makes the
-        # accumulate produce the combined intersections directly.
-        if self._slope_lower > slope_lowers[0]:
-            slope_lowers[0] = self._slope_lower
-        if self._slope_upper < slope_uppers[0]:
-            slope_uppers[0] = self._slope_upper
-        np.maximum.accumulate(slope_lowers, out=slope_lowers)
-        np.minimum.accumulate(slope_uppers, out=slope_uppers)
-        narrowed = feasible_prefix(slope_lowers, slope_uppers)
-        # The decode check, row by row over that prefix:
-        # the float64 bounds first, their float32 ends only if one fails.
-        anchor = self._anchor
-        steps = steps[:narrowed]
-        lowers, uppers = lowers[:narrowed], uppers[:narrowed]
-        ends = slope_lowers[:narrowed], slope_uppers[:narrowed]
-        if (anchor + ends[0] * steps < lowers).any() or (
-            anchor + ends[1] * steps > uppers
-        ).any():
-            outside = _float32_ends_leave(anchor, steps, lowers, uppers, *ends)
-            if outside.any():
-                narrowed = int(outside.argmax())
-        if narrowed:
-            self._slope_lower = float(slope_lowers[narrowed - 1])
-            self._slope_upper = float(slope_uppers[narrowed - 1])
-        return accepted + narrowed
+        # The running slope bounds seed the cumulative intersections.
+        narrowed = feasible_prefixes(
+            slope_lowers,
+            slope_uppers,
+            [(fitter._slope_lower, fitter._slope_upper) for fitter in members],
+            [len(tail) for tail in tails],
+        )
+        # The decode check over each prefix: the float64 bounds first,
+        # their float32 ends only if one fails inside the prefix.
+        leaves = (anchors + slope_lowers * steps < lowers) | (
+            anchors + slope_uppers * steps > uppers
+        )
+        outside = None
+        for row, first in enumerate(leaves.argmax(axis=1).tolist()):
+            count = narrowed[row]
+            if first >= count or not leaves[row, first]:
+                continue
+            if outside is None:
+                outside = _float32_ends_leave(
+                    anchors, steps, lowers, uppers, slope_lowers, slope_uppers
+                )
+            if outside[row, :count].any():
+                narrowed[row] = int(outside[row, :count].argmax())
+        for row, (index, fitter, count) in enumerate(
+            zip(sloped, members, narrowed)
+        ):
+            if count:
+                fitter._slope_lower = float(slope_lowers[row, count - 1])
+                fitter._slope_upper = float(slope_uppers[row, count - 1])
+            counts[index] += count
+        return counts
 
     def _fit_anchor(self, values, lower: float, upper: float) -> bool:
         """Pin the line's initial point using the PMC reduction."""

@@ -53,6 +53,10 @@ _SPECS = (
         "Model fit attempts in the cascade, per model type.",
     ),
     MetricSpec(
+        "ingest.kernel_calls_total", COUNTER, ("model",),
+        "Model kernel calls of the write path, per model type.",
+    ),
+    MetricSpec(
         "ingest.splits_total", COUNTER, (),
         "Dynamic group splits (Algorithm 3).",
     ),

@@ -62,8 +62,7 @@ class PMCReference(_RowByRow, PMCMeanFitter):
             return False
         self._lower = new_lower
         self._upper = new_upper
-        self._sum += sum(values)
-        self._count += len(values)
+        self._rows.append(np.array([values], dtype=np.float64))
         return True
 
 

@@ -8,15 +8,20 @@ parameters, identical stored segments. These tests check that promise at
 the fitter level (randomized value streams, every model type, the
 evaluation's error bounds, arbitrary chunkings) and end to end (EP/EH
 synthetics ingested in blocks must land the Segment table of the
-per-tick write oracle, ``tests/write_oracle.py``).
+per-tick write oracle, ``tests/write_oracle.py``). A batched
+``extend_many`` call must leave every fitter as ``extend`` over its
+block alone leaves it.
 
 Uses hypothesis when installed; otherwise the same properties run over
 seeded pseudo-random streams so the suite stays meaningful without the
 dependency.
 """
 
+import copy
 import random
+import runpy
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +59,7 @@ FITTERS = {
     "multi-gorilla": MultiModel(Gorilla()),
 }
 ERROR_BOUNDS = (0.0, 1.0, 5.0, 10.0)
+EXAMPLE = Path(__file__).parents[1] / "examples" / "custom_model.py"
 
 
 def make_values(rng: random.Random, n_ticks: int, n_columns: int):
@@ -165,6 +171,88 @@ if HAVE_HYPOTHESIS:
         model_key, bound, length_limit, seed
     ):
         check_fitter_equivalence(model_key, bound, length_limit, seed)
+
+
+# ----------------------------------------------------------------------
+# The batched kernel: one extend_many call leaves every fitter as extend
+# over its block alone leaves it
+# ----------------------------------------------------------------------
+#: float32 subnormals and signed zeros, mixed into the value streams.
+SPECIAL_VALUES = (0.0, -0.0, float(np.float32(1e-40)), float(-np.float32(3e-42)))
+
+
+def batch_request(rng: random.Random, model_type):
+    """A fitter with seeded running bounds (or none) and the block it is
+    offered next, plus the rows that follow it. Capacity may be short of
+    the block, or gone."""
+    width = rng.randint(1, 5)
+    limit = rng.choice((1, 2, 3, 20, 50, 60))
+    fitter = model_type.fitter(width, rng.choice(ERROR_BOUNDS), limit)
+    seeded = rng.choice((0, 0, 1, rng.randint(2, 40)))
+    window = rng.randint(1, 52)
+    matrix = make_values(rng, seeded + window + 10, width)
+    for _ in range(rng.choice((0, 0, 3))):  # subnormals and signed zeros
+        row, column = rng.randrange(len(matrix)), rng.randrange(width)
+        matrix[row, column] = rng.choice(SPECIAL_VALUES)
+    if rng.random() < 0.1:  # a whole window of them
+        matrix[seeded:] = rng.choice(SPECIAL_VALUES)
+    fitter.extend(None, matrix[:seeded])
+    return fitter, matrix[seeded:seeded + window], matrix[seeded + window:]
+
+
+def assert_same_fitter(batched, alone):
+    assert batched.length == alone.length
+    if alone.length:
+        assert batched.parameters() == alone.parameters()
+
+
+def check_batch_equivalence(model_type, seed):
+    rng = random.Random(seed)
+    requests = [batch_request(rng, model_type) for _ in range(rng.randint(1, 12))]
+    alone = [copy.deepcopy(fitter) for fitter, _, _ in requests]
+    fitters = [fitter for fitter, _, _ in requests]
+    kind = type(fitters[0])
+    counts = kind.extend_many(fitters, [block for _, block, _ in requests])
+    for (fitter, block, rest), twin, count in zip(requests, alone, counts):
+        assert count == twin.extend(None, block)
+        assert_same_fitter(fitter, twin)
+        assert fitter.extend(None, rest) == twin.extend(None, rest)
+        assert_same_fitter(fitter, twin)
+
+
+@pytest.mark.parametrize("model_key", ("pmc", "swing"))
+def test_extend_many_matches_extend_alone(model_key):
+    for seed in range(60):
+        check_batch_equivalence(FITTERS[model_key], seed)
+
+
+def test_extend_many_keeps_the_signed_zero_anchor():
+    """The -0.0 anchor case of a batch of several requests."""
+    blocks = [np.array([[0.0, -0.0, -1.0]] * 3), np.array([[5.0]] * 4)]
+    fitters = [Swing().fitter(3, 150.0, 50), Swing().fitter(1, 1.0, 50)]
+    assert type(fitters[0]).extend_many(fitters, blocks) == [3, 4]
+    reference = ReferenceType(Swing()).fitter(3, 150.0, 50)
+    assert reference.extend(None, blocks[0]) == 3
+    assert fitters[0].parameters() == reference.parameters()
+
+
+def test_extend_many_defaults_to_extend_for_a_user_model():
+    """``example.Step`` implements only ``_extend``: a batch is fitted
+    one block after another."""
+    step = runpy.run_path(str(EXAMPLE))["StepModel"]()
+    for seed in range(20):
+        check_batch_equivalence(step, seed)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        model_key=st.sampled_from(("pmc", "swing")),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_extend_many_matches_extend_alone_hypothesis(model_key, seed):
+        check_batch_equivalence(FITTERS[model_key], seed)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,12 @@ pair of values of the axes where the paths could part: window and chunk
 edges (chunk sizes around the length limit), carried windows across
 ``ingest()`` calls, cascades whose last model rejects early, dynamic
 splitting on and off, and the evaluation's error bounds; a second corpus
-puts NaN and +-inf values (gaps) into the data.
+puts NaN and +-inf values (gaps) into the data. The lockstep corpus
+ingests heterogeneous groups (widths 1-5, different SIs and start times,
+one that ends early, gaps, groups that split and rejoin) in one
+``ingest()`` call, where the block path runs them in lockstep and the
+oracle one after another: every ``insert_segments`` call, the call's
+stats and the knowledge time must be the oracle's.
 
 Rows are read through ``Storage.tables``.
 """
@@ -322,6 +327,175 @@ if HAVE_HYPOTHESIS:
         case, chunk, seed
     ):
         check(dict(case, chunk=chunk), seed)
+
+
+# ----------------------------------------------------------------------
+# The lockstep corpus: many heterogeneous groups in one ingest() call
+# ----------------------------------------------------------------------
+LOCKSTEP_AXES = {
+    "bound": (0.0, 1.0, 5.0, 10.0),
+    "models": (
+        ("PMC", "Swing", "Gorilla"),
+        ("Swing", "PMC", "Gorilla"),
+        ("Swing", "Gorilla"),
+        ("Gorilla", "PMC"),
+    ),
+    "limit": (20, 50),
+    "chunk": (1, 7, 64, 1024),
+    "bulk": (1, 10, 50_000),
+    "seed": (1, 2, 3),
+}
+
+
+class RecordingStorage(MemoryStorage):
+    """A memory store that keeps every ``insert_segments`` call's rows."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def insert_segments(self, segments):
+        segments = list(segments)
+        self.calls.append([segment_row(s) for s in segments])
+        super().insert_segments(segments)
+
+
+def segment_row(s):
+    return (
+        s.gid, s.start_time, s.end_time, s.sampling_interval, s.mid,
+        bytes(s.parameters), tuple(sorted(s.gaps)),
+    )
+
+
+def synthetic_group(rng, gid, first_tid, width, si, start, ticks):
+    """Holds, ramps and noise shared by ``width`` series, with scalings,
+    NaN gaps and a late starter."""
+    shared = make_regimes(rng, ticks)
+    series = []
+    for column in range(width):
+        values = shared * (1 + column) + rng.normal(0, 0.01, ticks)
+        values[rng.random(ticks) < 0.03] = np.nan
+        first = int(rng.integers(0, ticks // 3)) if column == width - 1 else 0
+        timestamps = start + si * np.arange(first, ticks, dtype=np.int64)
+        series.append(TimeSeries(
+            first_tid + column, si, timestamps, np.float32(values[first:]),
+            scaling=1.0 / (1 + column),
+        ))
+    return TimeSeriesGroup(gid, series)
+
+
+def make_regimes(rng, ticks):
+    values = np.empty(ticks)
+    level, i = 100.0, 0
+    while i < ticks:
+        run = min(ticks - i, int(rng.integers(5, 120)))
+        kind = rng.random()
+        if kind < 0.4:
+            values[i:i + run] = level
+        elif kind < 0.8:
+            values[i:i + run] = level + rng.uniform(-0.5, 0.5) * np.arange(run)
+            level = values[i + run - 1]
+        else:
+            values[i:i + run] = level + rng.normal(0, 5.0, run)
+        i += run
+    return values
+
+
+@lru_cache(maxsize=None)
+def lockstep_groups(seed: int):
+    """Groups of widths 1-5 at different SIs and start times, one that
+    ends early, gaps everywhere, and three EP groups of four correlated
+    series that split and rejoin."""
+    rng = np.random.default_rng(seed)
+    data = generate_ep(
+        n_entities=3, measures_per_entity=4, n_points=1000, seed=11,
+        gap_probability=0.02,
+    )
+    groups = [
+        TimeSeriesGroup(gid, data.series[4 * (gid - 1):4 * gid])
+        for gid in (1, 2, 3)
+    ]
+    shapes = [  # width, SI, start, ticks
+        (1, 100, 0, 600),
+        (2, 250, 5_000, 450),
+        (4, 1_000, 123_000, 700),
+        (5, 100, 20_000, 120),  # ends early
+        (1, 60_000, data.series[0].start_time, 650),
+    ]
+    tid = 100
+    for gid, (width, si, start, ticks) in enumerate(shapes, start=4):
+        groups.append(synthetic_group(rng, gid, tid, width, si, start, ticks))
+        tid += width
+    return tuple(groups)
+
+
+def run_lockstep(case: dict, oracle: bool):
+    """Each insert_segments call's rows, the call's stats and the final
+    knowledge time, or the raised error type."""
+    config = Configuration(
+        error_bound=case["bound"],
+        model_length_limit=case["limit"],
+        models=case["models"],
+        dynamic_split_fraction=10,
+        ingest_chunk_size=case["chunk"],
+        bulk_write_size=case["bulk"],
+    )
+    storage = RecordingStorage()
+    db = ModelarDB(config, storage=storage)
+    try:
+        with write_oracle.installed() if oracle else nullcontext():
+            stats = db.ingest(list(lockstep_groups(case["seed"])))
+    except IngestionError as error:
+        return type(error)
+    return (
+        storage.calls,
+        tuple(getattr(stats, name) for name in STATS_FIELDS),
+        db.knowledge_time(),
+    )
+
+
+LOCKSTEP_CASES = pairwise(LOCKSTEP_AXES)
+
+
+def lockstep_id(case: dict) -> str:
+    return "-".join((
+        f"bound{case['bound']:g}",
+        "+".join(case["models"]),
+        f"limit{case['limit']}",
+        f"chunk{case['chunk']}",
+        f"bulk{case['bulk']}",
+        f"seed{case['seed']}",
+    ))
+
+
+@pytest.mark.parametrize(
+    "case", LOCKSTEP_CASES, ids=[lockstep_id(c) for c in LOCKSTEP_CASES]
+)
+def test_lockstep_ingest_matches_the_oracle_group_by_group(case):
+    expected = run_lockstep(case, oracle=True)
+    observed = run_lockstep(case, oracle=False)
+    if isinstance(expected, type):
+        assert observed is expected
+        return
+    assert not isinstance(observed, type), observed
+    calls, stats, knowledge = observed
+    assert len(calls) == len(expected[0])
+    for call, expected_call in zip(calls, expected[0]):
+        assert call == expected_call
+    assert stats == expected[1]
+    assert knowledge == expected[2]
+
+
+def test_the_lockstep_corpus_splits_and_joins():
+    """Some case splits a group and rejoins it, and every group writes."""
+    case = dict(
+        LOCKSTEP_CASES[0], bound=1.0, models=("PMC", "Swing", "Gorilla"), limit=50
+    )
+    calls, stats, _ = run_lockstep(case, oracle=False)
+    fields = dict(zip(STATS_FIELDS, stats))
+    assert fields["splits"] >= 1 and fields["joins"] >= 1
+    written = {row[0] for call in calls for row in call}
+    assert written == {group.gid for group in lockstep_groups(case["seed"])}
 
 
 class _PairsFitShort(Gorilla):

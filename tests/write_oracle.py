@@ -9,7 +9,9 @@ kernels (``tests/model_oracle.py``); once the last model rejects,
 what is left; the split and join checks run after every tick. Non-finite values (NaN, +-inf) are gaps. The block path must store
 the same rows, count the same ``IngestStats`` and raise the same error
 types. :func:`installed` puts :class:`OracleIngestor` under
-:meth:`repro.ModelarDB.ingest`.
+:meth:`repro.ModelarDB.ingest`; it overrides ``Ingestor.ingest`` itself,
+so the oracle ingests one group after another and never runs the
+lockstep driver.
 """
 
 from __future__ import annotations
@@ -233,16 +235,29 @@ class Group:
 
 
 class OracleIngestor(Ingestor):
-    """``Ingestor`` with each group ingested by the per-tick loop above."""
+    """``Ingestor`` with the groups ingested one after another, each by
+    the per-tick loop above; a group's segments land in bulk writes of
+    ``bulk_write_size`` as they are emitted, and the rest when it ends."""
 
-    def ingest_group(self, group):
-        stats = IngestStats()
-        loop = Group(group, self._config, self._registry, self._buffer_write, stats)
-        for timestamp, values in group_ticks(group):
-            loop.tick(timestamp, values)
-        loop.finish()
-        self._flush()
-        return stats
+    def ingest(self, groups):
+        parts = []
+        for group in groups:
+            stats, buffer = IngestStats(), []
+
+            def sink(segment, buffer=buffer):
+                buffer.append(segment)
+                if len(buffer) >= self._config.bulk_write_size:
+                    self._write(buffer[:])
+                    buffer.clear()
+
+            loop = Group(group, self._config, self._registry, sink, stats)
+            for timestamp, values in group_ticks(group):
+                loop.tick(timestamp, values)
+            loop.finish()
+            if buffer:
+                self._write(buffer)
+            parts.append(stats)
+        return IngestStats.merged(parts)
 
 
 def installed():
