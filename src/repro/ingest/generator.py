@@ -52,6 +52,11 @@ from .stats import IngestStats
 
 SegmentSink = Callable[[SegmentGroup], None]
 
+#: The gaps of a segment that represents every series of its group,
+#: shared: the lockstep holds each group's segments until the group
+#: ends, and one object per segment would add to the collector's work.
+_NO_GAPS: frozenset[int] = frozenset()
+
 #: A fit request ``(model name, fitter, rows)``: the cascade asks its
 #: caller to ``extend`` the fitter over the rows and reads the fitter's
 #: ``length`` when it is resumed.
@@ -489,7 +494,7 @@ class SegmentGenerator:
             sampling_interval=self.sampling_interval,
             mid=mid,
             parameters=fitter.parameters(),
-            gaps=frozenset(self.group_tids) - set(self._present),
+            gaps=frozenset(self.group_tids).difference(self._present) or _NO_GAPS,
             group_tids=self.group_tids,
         )
         self._sink(segment)

@@ -205,8 +205,14 @@ class Ingestor:
         return IngestStats.merged([*(load.stats for load in loads), kernels])
 
     def _land(self, load: _Load) -> None:
-        """Write one ended group's segments and fold its statistics."""
-        for segments in load.writes:
+        """Write one ended group's segments and fold its statistics.
+
+        The load lets go of the segments it wrote: it stays reachable
+        from the group's ingestor, whose generators refer back to it,
+        until the collector finds that cycle.
+        """
+        writes, load.writes = load.writes, []
+        for segments in writes:
             if segments:
                 self._write(segments)
         record_ingest_stats(load.stats)
