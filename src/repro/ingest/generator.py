@@ -68,7 +68,8 @@ def answer(steps: Iterable[int | FitRequest]) -> None:
     spot as a batch of one (pauses, the ints, need no answer)."""
     for step in steps:
         if type(step) is tuple:
-            step[1].extend(None, step[2])
+            _, fitter, rows = step
+            fitter.extend(None, rows)
 
 
 def until_pause(
