@@ -45,7 +45,7 @@ from ..core.config import Configuration
 from ..core.errors import IngestionError
 from ..core.segment import SegmentGroup
 from ..core.segment import SEGMENT_OVERHEAD_BYTES
-from ..models.base import RAW_POINT_BYTES, ModelFitter
+from ..models.base import RAW_POINT_BYTES, DeferredRun, ModelFitter, ModelType
 from ..models.registry import ModelRegistry
 from ..models.selection import select_best
 from .stats import IngestStats
@@ -88,43 +88,52 @@ class _LazyFitter(ModelFitter):
     """Count-only stand-in for an always-fitting model.
 
     Accepts every vector up to the length limit without touching the
-    values (the generator's buffer already holds them, and a window
-    offered as one block is kept by reference); the real fitter is built
-    by :meth:`materialize` only if the model might win at flush time.
+    values. It covers rows ``first..first + length - 1`` of the presence
+    run it is anchored in, ``run``: the run's rows and, once made, each
+    model's :class:`DeferredRun` of them, shared by the run's stand-ins
+    (one still active when its run ends is re-anchored at row 0 of the
+    next, which starts with the carried rows). At flush time that bounds
+    the window's size, which may prune the fit, and builds the real
+    fitter (:meth:`materialize`).
     ``parameters``/``size_bytes`` are never called on the stand-in.
     """
 
-    def __init__(
-        self,
-        model_type,
-        n_columns: int,
-        error_bound: float,
-        length_limit: int,
-    ) -> None:
-        super().__init__(n_columns, error_bound, length_limit)
+    run: tuple[np.ndarray, dict[str, DeferredRun | None]]
+    first: int
+
+    def __init__(self, model_type: ModelType, *shape) -> None:
+        super().__init__(*shape)
         self._model_type = model_type
-        #: The covered rows when they arrived as one block, else None.
-        self._block: np.ndarray | None = None
 
     def _extend(self, block) -> int:
-        self._block = block if self.length == 0 else None
         return block.shape[0]
+
+    def _deferred(self) -> DeferredRun | None:
+        rows, made = self.run
+        name = self._model_type.name
+        if name not in made:
+            made[name] = self._model_type.deferred_run(rows)
+        return made[name]
 
     def best_possible_ratio(self) -> float | None:
         """Exact upper bound on the compression ratio, if known."""
-        n_values = self.length * self.n_columns
-        minimum = self._model_type.minimum_size_bytes(n_values)
-        if minimum is None:
+        deferred = self._deferred()
+        if deferred is None:
             return None
-        raw = n_values * RAW_POINT_BYTES
+        minimum = deferred.minimum_size_bytes(self.first, self.first + self.length)
+        raw = self.length * self.n_columns * RAW_POINT_BYTES
         return raw / (SEGMENT_OVERHEAD_BYTES + minimum)
 
-    def materialize(self, rows: np.ndarray) -> ModelFitter:
-        """Fit the real model over the buffered prefix this covers."""
+    def materialize(self) -> ModelFitter:
+        """The real model fitted over the rows this covers."""
+        first, end = self.first, self.first + self.length
+        deferred = self._deferred()
+        if deferred is not None:
+            return deferred.fitter(first, end, self.error_bound, self.length_limit)
         fitter = self._model_type.fitter(
             self.n_columns, self.error_bound, self.length_limit
         )
-        covered = self._block if self._block is not None else rows[:self.length]
+        covered = self.run[0][first:end]
         if fitter.extend(None, covered) != self.length:  # pragma: no cover
             raise IngestionError(
                 f"always-fitting model {self._model_type.name} "
@@ -188,6 +197,8 @@ class SegmentGenerator:
         self._pending_models: list[str] = []
         self._scale_cache: dict[tuple[int, ...], np.ndarray | None] = {}
         self.last_emitted_ratio: float | None = None
+        #: Segments emitted so far (a split group's join pacing).
+        self.emitted = 0
 
     # ------------------------------------------------------------------
     # Public interface
@@ -369,8 +380,11 @@ class SegmentGenerator:
             # The buffered rows belong to this run: prepend them once.
             timestamps = np.concatenate((self._times, timestamps))
             rows = np.concatenate((self._rows, rows))
+        run: tuple[np.ndarray, dict] = (rows, {})  # see _LazyFitter
         if self._active is not None:
             t = carried - 1  # the active model covers rows 0..t
+            if isinstance(self._active[1], _LazyFitter):
+                self._active[1].run, self._active[1].first = run, 0
         else:
             t = 0  # row 0 seeds the cascade
             self._pending_models = list(self._config.models)
@@ -410,6 +424,8 @@ class SegmentGenerator:
                 self._active = None
             while self._pending_models:
                 mid, fitter = self._new_fitter(self._pending_models.pop(0))
+                if isinstance(fitter, _LazyFitter):
+                    fitter.run, fitter.first = run, s
                 request = self._offer(mid, fitter, rows[s:end])
                 if request is not None:
                     yield request
@@ -499,6 +515,7 @@ class SegmentGenerator:
             group_tids=self.group_tids,
         )
         self._sink(segment)
+        self.emitted += 1
 
         data_points = length * len(self._present)
         self.stats.record_segment(
@@ -520,10 +537,10 @@ class SegmentGenerator:
         A lazy candidate is dropped without fitting when its best-case
         compression ratio provably cannot win :func:`select_best`: it is
         below an already-fitted candidate's, or no better than one that
-        comes before it in the cascade (ties keep the earliest).
-        Otherwise the real fitter is built by replaying the buffered
-        prefix it covers. Selection results are identical to eagerly
-        fitting every model.
+        comes before it in the cascade (ties keep the earliest); the
+        model's exact size bound gives that ratio. Otherwise the real
+        fitter is built (:meth:`_LazyFitter.materialize`). Selection
+        results are identical to eagerly fitting every model.
         """
         ratios = [
             None
@@ -549,8 +566,8 @@ class SegmentGenerator:
                 upper < best_real_ratio or upper <= best_before
             ):
                 continue
-            real = fitter.materialize(self._rows)
-            resolved.append((mid, real))
+            resolved.append((mid, fitter.materialize()))
+            self.stats.record_deferred_fit(self._registry.by_mid(mid).name)
         return resolved
 
     def _reset_cascade(self) -> None:

@@ -60,6 +60,8 @@ def record_ingest_stats(stats: IngestStats) -> None:
         registry.counter(
             "ingest.kernel_calls_total", model=name
         ).inc(calls)
+    for name, fits in stats.deferred_fits.items():
+        registry.counter("ingest.deferred_fits_total", model=name).inc(fits)
 
 
 def group_tick_blocks(
@@ -207,9 +209,8 @@ class Ingestor:
     def _land(self, load: _Load) -> None:
         """Write one ended group's segments and fold its statistics.
 
-        The load lets go of the segments it wrote: it stays reachable
-        from the group's ingestor, whose generators refer back to it,
-        until the collector finds that cycle.
+        The load lets go of the segments it wrote, which would otherwise
+        live until the whole call returns.
         """
         writes, load.writes = load.writes, []
         for segments in writes:

@@ -80,7 +80,8 @@ class _SubGroup:
 
     tids: tuple[int, ...]
     generator: SegmentGenerator
-    emitted_since_split: int = 0
+    #: ``generator.emitted`` when join pacing last started counting.
+    counted_from: int = 0
     join_threshold: int = INITIAL_JOIN_THRESHOLD
     is_split: bool = False
     #: Rows ``[0, fed)`` of the current block went to ``run``; None for
@@ -89,6 +90,10 @@ class _SubGroup:
     run: Iterator[int | FitRequest] | None = field(default=None, repr=False)
     #: The row ``run`` paused at, if it is paused.
     stop: int | None = field(default=None, repr=False)
+
+    @property
+    def emitted_since_split(self) -> int:
+        return self.generator.emitted - self.counted_from
 
 
 class GroupIngestor:
@@ -287,6 +292,9 @@ class GroupIngestor:
             )
             columns = [self._column_index[tid] for tid in tids]
             new.generator.tick_block(timestamps, window[:, columns])
+            # As in the per-tick loop, the replay's segments do not count
+            # towards the first join attempt.
+            new.counted_from = new.generator.emitted
             self._subgroups.append(new)
 
     def _partition_by_double_bound(
@@ -345,7 +353,7 @@ class GroupIngestor:
             if partner is None:
                 # Failed attempt: double the threshold (Algorithm 4).
                 candidate.join_threshold *= 2
-                candidate.emitted_since_split = 0
+                candidate.counted_from = candidate.generator.emitted
                 continue
             self._join(candidate, partner)
 
@@ -420,16 +428,7 @@ class GroupIngestor:
             sampling_interval=self.group.sampling_interval,
             config=self._config,
             registry=self._registry,
-            sink=self._emit,
+            sink=self._sink,
             scalings=self._scalings,
             stats=self.stats,
         )
-
-    def _emit(self, segment) -> None:
-        self._sink(segment)
-        # Attribute the emission to the owning sub-group for join pacing.
-        represented = frozenset(segment.group_tids) - segment.gaps
-        for subgroup in self._subgroups:
-            if represented <= set(subgroup.tids):
-                subgroup.emitted_since_split += 1
-                break

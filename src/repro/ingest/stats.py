@@ -49,12 +49,18 @@ class IngestStats:
     #: Kernel calls per model type: one per ``extend_many`` call of the
     #: lockstep driver, however many groups' windows it fits.
     kernel_calls: dict[str, int] = field(default_factory=dict)
+    #: Always-fitting models fitted at flush time, per model type: the
+    #: deferred fits that their size bound did not prune.
+    deferred_fits: dict[str, int] = field(default_factory=dict)
 
     def record_fit(self, model_name: str, attempts: int = 1) -> None:
         self.fits[model_name] = self.fits.get(model_name, 0) + attempts
 
     def record_kernel_call(self, model_name: str) -> None:
         self.kernel_calls[model_name] = self.kernel_calls.get(model_name, 0) + 1
+
+    def record_deferred_fit(self, model_name: str) -> None:
+        self.deferred_fits[model_name] = self.deferred_fits.get(model_name, 0) + 1
 
     def record_segment(
         self, model_name: str, data_points: int, storage_bytes: int
@@ -100,6 +106,8 @@ class IngestStats:
             self.fits[name] = self.fits.get(name, 0) + attempts
         for name, calls in other.kernel_calls.items():
             self.kernel_calls[name] = self.kernel_calls.get(name, 0) + calls
+        for name, fits in other.deferred_fits.items():
+            self.deferred_fits[name] = self.deferred_fits.get(name, 0) + fits
 
     @classmethod
     def merged(cls, parts: Iterable["IngestStats"]) -> "IngestStats":

@@ -418,6 +418,21 @@ class FittedModel(ABC):
         return float(self.values()[first:last + 1, column].max())
 
 
+class DeferredRun(ABC):
+    """:meth:`ModelType.deferred_run`'s answer, for the window of rows
+    ``first..end-1`` of the run."""
+
+    @abstractmethod
+    def minimum_size_bytes(self, first: int, end: int) -> int:
+        """An exact lower bound on the window's encoded size."""
+
+    @abstractmethod
+    def fitter(
+        self, first: int, end: int, error_bound: float, length_limit: int
+    ) -> ModelFitter:
+        """A fitter as :meth:`ModelFitter.extend` over the window leaves it."""
+
+
 class ModelType(ABC):
     """A registered model implementation (one row of the Model table)."""
 
@@ -428,7 +443,7 @@ class ModelType(ABC):
     #: fallbacks like Gorilla). The segment generator exploits this: an
     #: always-fitting model need not be fed during ingestion — only its
     #: size matters at flush time, so fitting is deferred (and skipped
-    #: entirely when :meth:`minimum_size_bytes` proves it cannot win).
+    #: entirely when :meth:`deferred_run`'s bound proves it cannot win).
     always_fits: bool = False
 
     #: Whether decoded models are :attr:`FittedModel.column_independent`;
@@ -436,10 +451,11 @@ class ModelType(ABC):
     #: decoding the others.
     column_independent: bool = False
 
-    def minimum_size_bytes(self, n_values: int) -> int | None:
-        """An exact lower bound on the encoded size for ``n_values``
-        values, or None when no useful bound exists. Used to prune
-        needless fitting of always-fitting models."""
+    def deferred_run(self, rows: _FloatArray) -> DeferredRun | None:
+        """For an always-fitting model: bounds and fits of windows of a
+        presence run's quantized ``rows``, from work done once per run.
+        None (the default): no bound, windows are replayed into
+        :meth:`fitter`."""
         return None
 
     @abstractmethod

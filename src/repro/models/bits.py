@@ -71,6 +71,26 @@ class BitWriter:
         return bytes(self._bytes) + bytes([tail])
 
 
+def xor_residues(
+    patterns: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The XOR residues ``patterns[i + 1] ^ patterns[i]`` of a ``<u4``
+    stream with their leading and trailing zero counts (``u1``) and
+    ``cost``: ``cost[i]`` is the fewest bits :func:`pack_xor_block` packs
+    residues ``0..i-1`` in (1 if zero, else 2 control bits + the
+    meaningful width), so values ``a..b-1`` take at least ``32 +
+    cost[b - 1] - cost[a]`` bits."""
+    xors = patterns[1:] ^ patterns[:-1]
+    _, high = np.frexp(xors)  # the bit length (exact below 2**53)
+    _, low = np.frexp(xors & -xors)
+    # 2 control bits + the meaningful width, or 1 bit for a zero residue.
+    bits = np.where(xors, high - low + 3, 1)
+    cost = np.zeros(len(patterns), np.int32 if len(xors) < 1 << 26 else np.int64)
+    np.cumsum(bits, out=cost[1:])
+    trailings = np.maximum(low - 1, 0).astype(np.uint8)
+    return xors, (32 - high).astype(np.uint8), trailings, cost
+
+
 def pack_xor_block(
     writer: BitWriter,
     xors: list,

@@ -21,10 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import ModelError
-from .base import FittedModel, ModelFitter, ModelType
-from .bits import BitWriter, pack_xor_block, unpack_xor_block
+from .base import DeferredRun, FittedModel, ModelFitter, ModelType
+from .bits import BitWriter, pack_xor_block, unpack_xor_block, xor_residues
 
 _BITS = 32
+
+
+def _patterns(rows: np.ndarray) -> np.ndarray:
+    """The float32 bit patterns of a block's values, row after row."""
+    return np.ascontiguousarray(rows, dtype=np.float32).view(np.uint32).reshape(-1)
 
 
 class GorillaFitter(ModelFitter):
@@ -40,39 +45,28 @@ class GorillaFitter(ModelFitter):
     def _extend(self, block: np.ndarray) -> int:
         # Lossless fallback: every row fits, so the whole capacity-capped
         # block is consumed. The XOR chain and zero counts vectorize
-        # (frexp is exact on integers below 2**53); only the sequential
-        # window bookkeeping stays a Python loop, in pack_xor_block.
-        patterns = (
-            np.ascontiguousarray(block, dtype=np.float32)
-            .view(np.uint32)
-            .reshape(-1)
-        )
-        start = 0
+        # (xor_residues); only the sequential window bookkeeping stays a
+        # Python loop, in pack_xor_block.
+        patterns = _patterns(block)
         if self._previous is None:
-            first = int(patterns[0])
-            self._writer.write(first, _BITS)
-            self._previous = first
-            start = 1
-        rest = patterns[start:]
-        if rest.size:
-            shifted = np.empty_like(rest)
-            shifted[0] = self._previous
-            shifted[1:] = rest[:-1]
-            xors = (rest ^ shifted).astype(np.int64)
-            _, high = np.frexp(xors)  # frexp exponent == bit_length
-            leadings = _BITS - high
-            _, low = np.frexp(xors & -xors)
-            trailings = low - 1
-            self._window_leading, self._window_meaningful = pack_xor_block(
-                self._writer,
-                xors.tolist(),
-                leadings.tolist(),
-                trailings.tolist(),
-                self._window_leading,
-                self._window_meaningful,
-            )
-            self._previous = int(rest[-1])
+            self._writer.write(int(patterns[0]), _BITS)
+        else:
+            patterns = np.insert(patterns, 0, self._previous)
+        self._pack(*xor_residues(patterns)[:3])
+        self._previous = int(patterns[-1])
         return block.shape[0]
+
+    def _pack(
+        self, xors: np.ndarray, leadings: np.ndarray, trailings: np.ndarray
+    ) -> None:
+        self._window_leading, self._window_meaningful = pack_xor_block(
+            self._writer,
+            xors.tolist(),
+            leadings.tolist(),
+            trailings.tolist(),
+            self._window_leading,
+            self._window_meaningful,
+        )
 
     def parameters(self) -> bytes:
         if self.length == 0:
@@ -109,16 +103,40 @@ class FittedGorilla(FittedModel):
         return flat.reshape(self.length, self.n_columns)
 
 
+class _GorillaRun(DeferredRun):
+    """A presence run's XOR residues, computed once: a window's bound is
+    two lookups, and its fit packs the window's slices."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._rows, self._width = rows, rows.shape[1]
+        self._xors, self._leadings, self._trailings, self._cost = xor_residues(
+            _patterns(rows)
+        )
+
+    def minimum_size_bytes(self, first: int, end: int) -> int:
+        a, b = first * self._width, end * self._width - 1
+        return (_BITS + int(self._cost[b] - self._cost[a]) + 7) // 8
+
+    def fitter(
+        self, first: int, end: int, error_bound: float, length_limit: int
+    ) -> GorillaFitter:
+        a, b = first * self._width, end * self._width - 1
+        fitter = GorillaFitter(self._width, error_bound, length_limit)
+        fitter._writer.write(int(_patterns(self._rows[first])[0]), _BITS)
+        fitter._pack(self._xors[a:b], self._leadings[a:b], self._trailings[a:b])
+        fitter._previous = int(_patterns(self._rows[end - 1])[-1])
+        fitter.length = end - first
+        return fitter
+
+
 class Gorilla(ModelType):
     """Model-table entry for Gorilla (classpath ``"Gorilla"``)."""
 
     name = "Gorilla"
     always_fits = True
 
-    def minimum_size_bytes(self, n_values: int) -> int:
-        # Best case: 32 bits for the first value, one control bit for
-        # every identical follower.
-        return (_BITS + (n_values - 1) + 7) // 8
+    def deferred_run(self, rows: np.ndarray) -> _GorillaRun:
+        return _GorillaRun(rows)
 
     def fitter(
         self, n_columns: int, error_bound: float, length_limit: int

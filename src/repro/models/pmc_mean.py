@@ -78,12 +78,12 @@ class PMCMeanFitter(ModelFitter):
             raise ModelError("cannot encode an empty PMC-Mean model")
         # The average divides a sequentially-accumulated sum; numpy's
         # pairwise summation rounds differently (and would depend on how
-        # the rows were cut into blocks), so add the accepted rows one
-        # value at a time, in arrival order.
-        total = 0.0
-        for rows in self._rows:
-            for row in rows.tolist():
-                total += sum(row)
+        # the rows were cut into blocks), so add each row's values in
+        # order, then the row sums in arrival order. A row sum starts
+        # from +0.0 (a row of -0.0 sums to +0.0), as adding 0.0 gives.
+        rows = self._rows[0] if len(self._rows) == 1 else np.concatenate(self._rows)
+        sums = np.add.accumulate(rows, axis=1)[:, -1] + 0.0
+        total = float(np.add.accumulate(sums)[-1])
         average = total / (self.length * self.n_columns)
         clamped = min(max(average, self._lower), self._upper)
         candidate = to_float32(clamped)

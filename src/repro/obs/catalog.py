@@ -57,6 +57,10 @@ _SPECS = (
         "Model kernel calls of the write path, per model type.",
     ),
     MetricSpec(
+        "ingest.deferred_fits_total", COUNTER, ("model",),
+        "Always-fitting models fitted at flush time, per model type.",
+    ),
+    MetricSpec(
         "ingest.splits_total", COUNTER, (),
         "Dynamic group splits (Algorithm 3).",
     ),

@@ -214,32 +214,35 @@ class TestAbandonAndStats:
         )
         assert generator.stats.model_mix()["PMC"] == 100.0
 
-    def test_lazy_gorilla_matches_eager_encoding(self):
-        # The lazy fallback must produce byte-identical segments to an
-        # eager cascade (selection decisions unchanged).
-        rng = np.random.default_rng(7)
-        values = [float(rng.normal(0, 50)) for _ in range(120)]
-
-        generator, out_lazy, _ = make_generator(tids=(1,), error_bound=0.0)
-        for i, value in enumerate(values):
-            tick(generator, i * 100, {1: value})
-        generator.close()
-
-        generator2, out_eager, _ = make_generator(
-            tids=(1,), error_bound=0.0, models=("PMC", "Swing", "Gorilla")
-        )
-        # Disable laziness by monkey-patching always_fits off.
+    def test_lazy_gorilla_matches_eager_encoding(self, monkeypatch):
+        # The lazy fallback, pruned by its run-wide bound and fitted from
+        # the run's residues, must produce byte-identical segments to an
+        # eager cascade (selection decisions unchanged), whatever the
+        # group width and however the rows are cut into blocks.
         from repro.models.gorilla import Gorilla
 
-        original = Gorilla.always_fits
-        Gorilla.always_fits = False
-        try:
-            for i, value in enumerate(values):
-                tick(generator2, i * 100, {1: value})
-            generator2.close()
-        finally:
-            Gorilla.always_fits = original
-
-        assert [(s.start_time, s.end_time, s.mid, s.parameters) for s in out_lazy] == [
-            (s.start_time, s.end_time, s.mid, s.parameters) for s in out_eager
-        ]
+        rng = np.random.default_rng(7)
+        for width in (1, 3):
+            tids = tuple(range(1, width + 1))
+            # Noise Gorilla wins, between constant stretches PMC wins.
+            values = rng.normal(0, 50, (240, width))
+            values[40:90] = 12.5
+            values[150:170] = -3.0
+            timestamps = np.arange(len(values), dtype=np.int64) * 100
+            for chunk in (1, 7, 1024):
+                outs = []
+                for always_fits in (True, False):  # lazy, then eager
+                    monkeypatch.setattr(Gorilla, "always_fits", always_fits)
+                    generator, out, _ = make_generator(tids=tids, error_bound=0.0)
+                    for first in range(0, len(values), chunk):
+                        generator.tick_block(
+                            timestamps[first:first + chunk],
+                            values[first:first + chunk],
+                        )
+                    generator.close()
+                    outs.append(
+                        [(s.start_time, s.end_time, s.mid, s.parameters) for s in out]
+                    )
+                assert outs[0] == outs[1], (width, chunk)
+                mids = {segment[2] for segment in outs[0]}
+                assert len(mids) >= 2, (width, chunk)  # Gorilla and PMC win

@@ -83,19 +83,17 @@ class TestBehaviour:
         assert fitter.append((3.0,))
         assert not fitter.append((4.0,))
 
-    def test_minimum_size_bound_holds(self, gorilla):
-        rng = np.random.default_rng(4)
-        for n in (1, 2, 10, 100):
-            fitter = gorilla.fitter(1, 0.0, n)
-            for _ in range(n):
-                fitter.append((float(rng.normal()),))
-            assert fitter.size_bytes() >= gorilla.minimum_size_bytes(n)
-
-    def test_minimum_size_is_tight_for_constants(self, gorilla):
-        fitter = gorilla.fitter(1, 0.0, 100)
-        for _ in range(100):
-            fitter.append((7.25,))
-        assert fitter.size_bytes() == gorilla.minimum_size_bytes(100)
+    def test_run_bound_is_tight_for_constants(self, gorilla):
+        # 32 bits and one control bit per repeat, wherever the window
+        # starts in the run. The bound holding in general is checked in
+        # tests/test_deferred_fits.py.
+        rows = np.full((100, 1), 7.25)
+        run = gorilla.deferred_run(rows)
+        for first, end in ((0, 100), (10, 11), (37, 90)):
+            fitter = gorilla.fitter(1, 0.0, 100)
+            fitter.extend(None, rows[first:end])
+            assert fitter.size_bytes() == run.minimum_size_bytes(first, end)
+            assert fitter.size_bytes() == (32 + end - first - 1 + 7) // 8
 
     def test_empty_fitter_cannot_encode(self, gorilla):
         with pytest.raises(ModelError):

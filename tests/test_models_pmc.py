@@ -2,9 +2,12 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
+from repro.models.base import float32_within, to_float32
+from repro.models import pmc_mean
 from repro.models.pmc_mean import PMCMean
 
 
@@ -94,6 +97,70 @@ class TestEncoding:
         fitter, _ = fit(pmc, [(100.0,), (102.0,)], error_bound=10.0)
         (stored,) = struct.unpack("<f", fitter.parameters())
         assert stored == pytest.approx(101.0, abs=0.01)
+
+
+def loop_average(fitter) -> float:
+    """The clamped average with the row sums added one value at a time
+    from int 0, as ``sum(row)`` does up to Python 3.11."""
+    total = 0.0
+    for rows in fitter._rows:
+        for row in rows.tolist():
+            row_sum = 0
+            for value in row:
+                row_sum += value
+            total += row_sum
+    average = total / (fitter.length * fitter.n_columns)
+    return min(max(average, fitter._lower), fitter._upper)
+
+
+def loop_representative(fitter) -> float:
+    """The stored constant :func:`loop_average` gives."""
+    clamped = loop_average(fitter)
+    candidate = to_float32(clamped)
+    if fitter._lower <= candidate <= fitter._upper:
+        return candidate
+    return float32_within(fitter._lower, fitter._upper)
+
+
+class TestRepresentativeSum:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_python_loop(self, pmc, seed, monkeypatch):
+        # The float64 average, before the float32 rounding hides its
+        # last bits, must be the loop's.
+        averages = []
+
+        def spy(value):
+            averages.append(value)
+            return to_float32(value)
+
+        monkeypatch.setattr(pmc_mean, "to_float32", spy)
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 11))
+        shape = int(rng.integers(1, 60)) if seed % 3 else 1, width
+        # Positive values up to 2**50 apart: their float64 sums round, so
+        # the order of the additions shows in the average, and a 1e20 %
+        # bound keeps the average inside the intersection.
+        rows = np.ldexp(rng.uniform(1, 2, shape), rng.integers(0, 50, shape))
+        rows = np.float32(rows).astype(np.float64)
+        if seed % 4 == 3:  # signed zeros, whole rows of -0.0: the average is 0
+            rows[rng.random(rows.shape) < 0.1] = -0.0
+            rows[rng.random(len(rows)) < 0.2] = -0.0
+        fitter = pmc.fitter(width, 1e20, len(rows))  # every row fits
+        cuts = sorted(rng.choice(len(rows) + 1, 3).tolist())
+        for first, end in zip([0, *cuts], [*cuts, len(rows)]):
+            fitter.extend(None, rows[first:end])
+        assert fitter.length == len(rows)
+        expected = struct.pack("<f", loop_representative(fitter))
+        assert fitter.parameters() == expected
+        assert averages == [loop_average(fitter)]
+
+    @pytest.mark.parametrize("width", (1, 3))
+    def test_all_negative_zero_rows_store_positive_zero(self, pmc, width):
+        fitter = pmc.fitter(width, 0.0, 10)
+        fitter.extend(None, np.full((4, width), -0.0))
+        fitter.extend(None, np.full((3, width), -0.0))
+        assert fitter.parameters() == struct.pack("<f", loop_representative(fitter))
+        assert fitter.parameters() == struct.pack("<f", 0.0)
 
 
 class TestAggregates:
