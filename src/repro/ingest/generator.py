@@ -21,8 +21,8 @@ rejects. It stores the bytes and counts the fits of the per-tick loop
 as the paper states it, which is the test oracle
 (``tests/write_oracle.py``). :meth:`SegmentGenerator.run` pauses around
 each flush so a split group's ingestor can run its checks at the right
-tick, and yields each fit as a request (:data:`FitRequest`) so the
-lockstep driver can answer the requests of many groups in one kernel
+tick, and yields each fit as a request (:data:`FitRequest`) so
+:func:`fit_rounds` can answer the requests of many groups in one kernel
 call.
 
 Gaps use the paper's second method (Fig. 5): whenever the set of present
@@ -53,8 +53,8 @@ from .stats import IngestStats
 SegmentSink = Callable[[SegmentGroup], None]
 
 #: The gaps of a segment that represents every series of its group,
-#: shared: the lockstep holds each group's segments until the group
-#: ends, and one object per segment would add to the collector's work.
+#: shared: a session holds each group's segments until its call ends,
+#: and one object per segment would add to the collector's work.
 _NO_GAPS: frozenset[int] = frozenset()
 
 #: A fit request ``(model name, fitter, rows)``: the cascade asks its
@@ -63,13 +63,43 @@ _NO_GAPS: frozenset[int] = frozenset()
 FitRequest = tuple[str, ModelFitter, np.ndarray]
 
 
-def answer(steps: Iterable[int | FitRequest]) -> None:
-    """Run cascade steps to the end, answering each fit request on the
-    spot as a batch of one (pauses, the ints, need no answer)."""
-    for step in steps:
-        if type(step) is tuple:
-            _, fitter, rows = step
-            fitter.extend(None, rows)
+def fit_rounds(
+    streams: Iterable[Iterator[int | FitRequest]], kernels: IngestStats
+) -> None:
+    """Run fit-request streams to their ends, in rounds.
+
+    A round takes the next request of every stream that has one and
+    answers them with one :meth:`~repro.models.base.ModelFitter.extend_many`
+    call per fitter class, so PMC-Mean and Swing each fit one window of
+    every stream in a single kernel call; ``kernels`` counts those calls
+    per model. Pauses (the ints of :meth:`SegmentGenerator.run`) need no
+    answer.
+    """
+    active = list(streams)
+    while active:
+        # Per fitter class: the fitters, their rows, the model names.
+        batches: dict[type, tuple[list, list, set[str]]] = {}
+        waiting = []
+        for steps in active:
+            for request in steps:
+                if type(request) is tuple:
+                    break
+            else:  # the stream has ended
+                continue
+            waiting.append(steps)
+            name, fitter, rows = request
+            batch = batches.get(type(fitter))
+            if batch is None:
+                batches[type(fitter)] = ([fitter], [rows], {name})
+            else:
+                batch[0].append(fitter)
+                batch[1].append(rows)
+                batch[2].add(name)
+        active = waiting
+        for kind, (fitters, blocks, names) in batches.items():
+            kind.extend_many(fitters, blocks)
+            for name in names:
+                kernels.record_kernel_call(name)
 
 
 def until_pause(
@@ -210,7 +240,7 @@ class SegmentGenerator:
         value (NaN, +-inf) marks the series as being in a gap at that
         tick.
         """
-        answer(self.run(timestamps, matrix))
+        fit_rounds([self.run(timestamps, matrix)], self.stats)
 
     def run(
         self, timestamps: np.ndarray, matrix: np.ndarray, offset: int = 0
@@ -218,10 +248,10 @@ class SegmentGenerator:
         """Ingest a block as :meth:`tick_block` does, as steps.
 
         A generator of two kinds of step. A fit request
-        (:data:`FitRequest`) must be answered before it is resumed; the
-        lockstep driver answers those of every group in one kernel call
-        per model. A pause is an int: before the first flush of a tick
-        it yields the tick's row (``offset`` + its index in the block):
+        (:data:`FitRequest`) must be answered before it is resumed;
+        :func:`fit_rounds` answers those of every group in one kernel
+        call per model. A pause is an int: before the first flush of a
+        tick it yields the tick's row (``offset`` + its index in the block):
         every model has then been tried at that tick and the buffer ends
         there (at a presence change, just before it). Resumed, it does
         the tick's flushes and cascade restart and yields the row again:
@@ -234,10 +264,11 @@ class SegmentGenerator:
             return
         finite = np.isfinite(matrix)
         # Presence-run boundaries: segments close whenever the set of
-        # present series changes (gap method 2, Fig. 5).
+        # present series changes (gap method 2, Fig. 5). A streamed tick
+        # is one row, which has none: skip the array work for it.
         edges = (
             np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1
-        ).tolist()
+        ).tolist() if n > 1 else []
         width = matrix.shape[1]
         for first, run_end in zip([0, *edges], [*edges, n]):
             row_mask = finite[first]
@@ -269,7 +300,7 @@ class SegmentGenerator:
 
     def close(self) -> None:
         """Flush everything buffered, ending the current segment run."""
-        answer(self.close_steps())
+        fit_rounds([self.close_steps()], self.stats)
 
     def close_steps(self) -> Iterator[FitRequest]:
         """:meth:`close` as fit requests (see :meth:`run`)."""
@@ -311,7 +342,7 @@ class SegmentGenerator:
         self.stats.data_points -= dropped * len(self._present)
         self._times, self._rows = self._times[:keep], self._rows[:keep]
         if keep:
-            answer(self._restart())
+            fit_rounds([self._restart()], self.stats)
         else:
             self._reset_cascade()
         fits = self.stats.fits

@@ -1,20 +1,26 @@
 """Ingestion drivers: stream time series groups into a segment store.
 
-The :class:`Ingestor` replays already-collected time series through the
-group ingestion pipeline in timestamp order, mimicking the streaming
-receiver of the paper's architecture (Fig. 4) with the bulk-write
-buffering of Table 1. It runs the groups of one :meth:`Ingestor.ingest`
-call in lockstep, so PMC-Mean and Swing fit a window of every group in
-one kernel call. Segments become visible as bulk writes land: each group
-buffers its own, and its writes land when that group ends, in group
-order (group k's after group k-1's), so during one call a group's
-segments are visible only once it and every group before it have ended.
+An :class:`IngestSession` ingests a set of groups block by block, the
+micro-batches of the paper's streaming receiver (Fig. 4) with the
+bulk-write buffering of Table 1. Every write entry point runs on one:
+:meth:`Ingestor.ingest` closes a session with every chunk of its groups,
+and :class:`~repro.ingest.streaming.StreamingIngestor` advances its
+session with each closed tick. The groups of a session advance in
+lockstep (:func:`~repro.ingest.generator.fit_rounds`), so PMC-Mean and
+Swing fit a window of every group in one kernel call. Each group
+buffers its own segments, and its bulk writes land only after the last
+round of the call that made them, in group order (group k's after group
+k-1's). So a group that raises while fitting lands nothing of that
+call, and a reader on another thread sees the segments of an
+:meth:`Ingestor.ingest` call only when the call ends.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from typing import Callable, Iterable, Iterator
+from itertools import chain, starmap
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -24,15 +30,15 @@ from ..core.segment import SegmentGroup
 from ..models.registry import ModelRegistry
 from ..obs import get_registry
 from ..storage.interface import Storage
-from .generator import FitRequest
+from .generator import fit_rounds
 from .splitter import GroupIngestor
 from .stats import IngestStats
 
 
 def record_ingest_stats(stats: IngestStats) -> None:
-    """Fold one group's :class:`IngestStats` into the metrics registry.
+    """Fold :class:`IngestStats` into the metrics registry.
 
-    Called once per ingested group (not per tick) so the hot ingest loop
+    Called once per session close or correction (not per tick) so the hot ingest loop
     never touches registry locks; the same batching makes the counters
     correct when worker stats are merged on the cluster master.
     """
@@ -64,9 +70,11 @@ def record_ingest_stats(stats: IngestStats) -> None:
         registry.counter("ingest.deferred_fits_total", model=name).inc(fits)
 
 
-def group_tick_blocks(
-    group: TimeSeriesGroup, chunk_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+#: A ``(timestamps, matrix)`` block of consecutive ticks of one group.
+Block = tuple[np.ndarray, np.ndarray]
+
+
+def group_tick_blocks(group: TimeSeriesGroup, chunk_size: int) -> Iterator[Block]:
     """Yield ``(timestamps, matrix)`` columnar chunks over the group grid.
 
     Each chunk holds up to ``chunk_size`` consecutive ticks as an int64
@@ -101,42 +109,77 @@ def group_tick_blocks(
         yield timestamps, matrix
 
 
-class _Load:
-    """One group's part of an :meth:`Ingestor.ingest` call: its fit
-    requests, its statistics, and its bulk writes until it ends."""
+class IngestSession:
+    """A set of groups ingested together, block by block.
+
+    :meth:`advance` and :meth:`close` take new blocks per group and
+    answer their fit requests by
+    :func:`~repro.ingest.generator.fit_rounds` over all those groups at
+    once, so PMC-Mean and Swing each fit one window of every group in a
+    single kernel call. Each group keeps its own write buffer, cut into
+    bulk writes of ``bulk_write_size`` segments; they land only after
+    the last round, in group order, so a group that raises while fitting
+    lands nothing of that call.
+    """
 
     def __init__(
-        self,
-        group: TimeSeriesGroup,
-        config: Configuration,
-        registry: ModelRegistry,
+        self, ingestor: Ingestor, groups: Iterable[TimeSeriesGroup]
     ) -> None:
-        self.stats = IngestStats()
-        self.done = False
-        #: The group's segments, cut into bulk writes as they arrive.
-        self.writes: list[list[SegmentGroup]] = [[]]
-        self._bulk = config.bulk_write_size
-        group_ingestor = GroupIngestor(
-            group, config, registry, self._buffer, self.stats
-        )
-        self.steps = self._steps(
-            group_ingestor, group_tick_blocks(group, config.ingest_chunk_size)
-        )
+        self._write = ingestor._write
+        self._bulk = ingestor._config.bulk_write_size
+        #: Counted since the last :meth:`close`, kernel calls included.
+        self._stats = IngestStats()
+        #: Per group, its segments not yet landed. A group's sink is its
+        #: list's own append, so nothing refers back to the session.
+        self._segments: list[list[SegmentGroup]] = []
+        self._ingestors: list[GroupIngestor] = []
+        for group in groups:
+            self._segments.append([])
+            self._ingestors.append(GroupIngestor(
+                group, ingestor._config, ingestor._registry,
+                self._segments[-1].append, self._stats,
+            ))
 
-    def _steps(
-        self,
-        group_ingestor: GroupIngestor,
-        blocks: Iterator[tuple[np.ndarray, np.ndarray]],
-    ) -> Iterator[FitRequest]:
-        for timestamps, matrix in blocks:
-            yield from group_ingestor.run(timestamps, matrix)
-            self.stats.chunks += 1
-        yield from group_ingestor.finish_steps()
+    def advance(self, blocks: Mapping[int, Iterable[Block]]) -> None:
+        """Ingest ``{group index: blocks}``, then land those groups' full
+        bulk writes, in group order."""
+        self._run(blocks, end=False)
 
-    def _buffer(self, segment: SegmentGroup) -> None:
-        if len(self.writes[-1]) >= self._bulk:
-            self.writes.append([])
-        self.writes[-1].append(segment)
+    def close(self, blocks: Mapping[int, Iterable[Block]]) -> IngestStats:
+        """Ingest ``{group index: blocks}`` and end every group's
+        segments, then land everything buffered, in group order. The
+        session may go on afterwards.
+
+        Returns the statistics since the last close, which are also
+        folded into the metrics registry.
+        """
+        self._run({i: blocks.get(i, ()) for i in range(len(self._ingestors))}, end=True)
+        stats = copy.copy(self._stats)
+        # The groups' generators count into this object: reset in place.
+        self._stats.__init__()
+        record_ingest_stats(stats)
+        return stats
+
+    def _run(self, blocks: Mapping[int, Iterable[Block]], end: bool) -> None:
+        """Answer the steps of each group's ``blocks`` (read lazily), then
+        of its end (:meth:`GroupIngestor.finish_steps`) if ``end``, in
+        rounds; then land its full bulk writes, or all if ``end``, in
+        group order."""
+        indices = sorted(blocks)
+        streams = []
+        for index in indices:
+            ingestor = self._ingestors[index]
+            steps = chain.from_iterable(starmap(ingestor.run, blocks[index]))
+            streams.append(chain(steps, ingestor.finish_steps()) if end else steps)
+        fit_rounds(streams, self._stats)
+        bulk = self._bulk
+        for index in indices:
+            segments = self._segments[index]
+            landing = len(segments) if end else len(segments) // bulk * bulk
+            if landing:
+                for first in range(0, landing, bulk):
+                    self._write(segments[first:first + bulk])
+                del segments[:landing]  # let go of what landed
 
 
 class Ingestor:
@@ -157,66 +200,18 @@ class Ingestor:
         #: visible, so cached results/decodes may now be stale).
         self._on_flush = on_flush
 
-    def ingest_group(self, group: TimeSeriesGroup) -> IngestStats:
-        """Ingest one group end-to-end and return its statistics."""
-        return self.ingest([group])
-
     def ingest(self, groups: Iterable[TimeSeriesGroup]) -> IngestStats:
         """Ingest many groups in lockstep; returns merged statistics.
 
-        Every group's cascade runs as fit requests
-        (:meth:`GroupIngestor.run` over its chunks in order, then its
-        end-of-stream flush). A round takes the next request of every
-        group that has one and answers them with one
-        :meth:`~repro.models.base.ModelFitter.extend_many` call per
-        fitter class, so PMC-Mean and Swing each fit one window of every
-        group in a single kernel call.
+        One :class:`IngestSession` over the groups, closed with every
+        chunk of every group (read lazily).
         """
-        loads = [
-            _Load(group, self._config, self._registry) for group in groups
-        ]
-        kernels = IngestStats()
-        active = loads
-        landed = 0
-        while active:
-            # Per fitter class: the fitters, their rows, the model names.
-            batches: dict[type, tuple[list, list, set[str]]] = {}
-            waiting = []
-            for load in active:
-                request = next(load.steps, None)
-                if request is None:
-                    load.done = True
-                    continue
-                waiting.append(load)
-                name, fitter, rows = request
-                batch = batches.get(type(fitter))
-                if batch is None:
-                    batch = batches[type(fitter)] = ([], [], set())
-                batch[0].append(fitter)
-                batch[1].append(rows)
-                batch[2].add(name)
-            active = waiting
-            while landed < len(loads) and loads[landed].done:
-                self._land(loads[landed])
-                landed += 1
-            for kind, (fitters, blocks, names) in batches.items():
-                kind.extend_many(fitters, blocks)
-                for name in names:
-                    kernels.record_kernel_call(name)
-        record_ingest_stats(kernels)
-        return IngestStats.merged([*(load.stats for load in loads), kernels])
-
-    def _land(self, load: _Load) -> None:
-        """Write one ended group's segments and fold its statistics.
-
-        The load lets go of the segments it wrote, which would otherwise
-        live until the whole call returns.
-        """
-        writes, load.writes = load.writes, []
-        for segments in writes:
-            if segments:
-                self._write(segments)
-        record_ingest_stats(load.stats)
+        groups = list(groups)
+        chunk = self._config.ingest_chunk_size
+        return IngestSession(self, groups).close({
+            index: group_tick_blocks(group, chunk)
+            for index, group in enumerate(groups)
+        })
 
     def _write(self, segments: list[SegmentGroup]) -> None:
         started = time.perf_counter()

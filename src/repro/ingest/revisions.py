@@ -17,14 +17,19 @@ the correction values, and replays the whole group through a fresh
 closed under overlap: a dynamic split can leave two same-gid segments
 covering complementary member series over overlapping time ranges, so the
 window grows to the hull of every overlapping visible segment until a
-fixpoint is reached — a revision never half-shadows a base segment.
+fixpoint is reached — a revision never half-shadows a base segment. The
+windows of every affected group are re-fitted together, in lockstep
+(:func:`~repro.ingest.generator.fit_rounds`), and all their revisions
+land in one ``insert_segments`` call: one correction is one
+knowledge-time tick.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from ..core.segment import SegmentGroup
 from ..models.registry import ModelRegistry
 from ..storage.interface import Storage
 from ..storage.scan import SegmentScan
-from .generator import SegmentGenerator
+from .generator import FitRequest, SegmentGenerator, fit_rounds
 from .ingestor import record_ingest_stats
 from .stats import IngestStats
 
@@ -48,16 +53,15 @@ def apply_corrections(
     config: Configuration,
     registry: ModelRegistry,
     points: Iterable[CorrectionPoint],
-    stats: IngestStats | None = None,
 ) -> IngestStats:
     """Apply correction points, emitting superseding segment revisions.
 
     ``points`` may span several groups; each affected group window is
-    re-fitted independently. Returns the accumulated statistics
-    (``revisions`` and ``out_of_order_points`` included), which are also
-    folded into the metrics registry.
+    re-fitted on its own, all of them in the same rounds. Returns the
+    statistics (``revisions`` and ``out_of_order_points`` included),
+    which are also folded into the metrics registry.
     """
-    stats = stats if stats is not None else IngestStats()
+    stats = IngestStats()
     groups = storage.group_metadata()
     tid_to_gid = {
         tid: gid for gid, (tids, _) in groups.items() for tid in tids
@@ -71,23 +75,16 @@ def apply_corrections(
         if gid is None:
             raise IngestionError(f"correction references unknown tid {tid}")
         by_gid.setdefault(gid, []).append((tid, timestamp, value))
-    revisions: list[SegmentGroup] = []
-    for gid in sorted(by_gid):
-        group_tids, sampling_interval = groups[gid]
-        revisions.extend(
-            _revise_group(
-                storage,
-                config,
-                registry,
-                gid,
-                group_tids,
-                sampling_interval,
-                by_gid[gid],
-                scalings,
-                stats,
-            )
+    revised = [
+        _revise_group(
+            storage, config, registry, gid, *groups[gid], by_gid[gid],
+            scalings, stats,
         )
-        stats.out_of_order_points += len(by_gid[gid])
+        for gid in sorted(by_gid)
+    ]
+    stats.out_of_order_points += sum(map(len, by_gid.values()))
+    fit_rounds([steps for steps, _ in revised], stats)
+    revisions = [segment for _, segments in revised for segment in segments]
     if revisions:
         storage.insert_segments(revisions)
         stats.revisions += len(revisions)
@@ -105,8 +102,9 @@ def _revise_group(
     corrections: Sequence[CorrectionPoint],
     scalings: Mapping[int, float],
     stats: IngestStats,
-) -> list[SegmentGroup]:
-    """Re-fit one group's affected window; returns unstamped revisions."""
+) -> tuple[Iterator[int | FitRequest], list[SegmentGroup]]:
+    """Re-fit one group's affected window: its fit requests, and the
+    list its stamped revisions arrive in as they are answered."""
     si = sampling_interval
     visible = [s for t in storage.tables(SegmentScan(gids=(gid,))) for s in t.segments]
     start = min(timestamp for _, timestamp, _ in corrections)
@@ -154,9 +152,10 @@ def _revise_group(
         scalings=None,  # values are already scaled (decoded or pre-scaled)
         stats=stats,
     )
-    generator.tick_block(start + si * np.arange(ticks, dtype=np.int64), matrix)
-    generator.close()
-    return revisions
+    timestamps = start + si * np.arange(ticks, dtype=np.int64)
+    return chain(
+        generator.run(timestamps, matrix), generator.close_steps()
+    ), revisions
 
 
 def _affected_fixpoint(

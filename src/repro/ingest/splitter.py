@@ -44,13 +44,7 @@ import numpy as np
 from ..core.config import Configuration
 from ..core.group import TimeSeriesGroup
 from ..models.registry import ModelRegistry
-from .generator import (
-    FitRequest,
-    SegmentGenerator,
-    SegmentSink,
-    answer,
-    until_pause,
-)
+from .generator import FitRequest, SegmentGenerator, SegmentSink, until_pause
 from .stats import IngestStats
 
 #: Segments a fresh split must emit before its first join attempt.
@@ -135,15 +129,13 @@ class GroupIngestor:
         ]
 
     # ------------------------------------------------------------------
-    def tick_block(self, timestamps: np.ndarray, matrix: np.ndarray) -> None:
-        """Ingest a ``(ticks, len(group.tids))`` block; NaN or +-inf is a gap."""
-        answer(self.run(timestamps, matrix))
-
     def run(
         self, timestamps: np.ndarray, matrix: np.ndarray
-    ) -> Iterator[FitRequest]:
-        """:meth:`tick_block` as the fit requests of its sub-generators
-        (:meth:`SegmentGenerator.run`), for the caller to answer.
+    ) -> Iterator[int | FitRequest]:
+        """Ingest a ``(ticks, len(group.tids))`` block (NaN or +-inf is
+        a gap) as the fit requests of its sub-generators
+        (:meth:`SegmentGenerator.run`), for the caller to answer; any
+        pause (an int) needs no answer.
 
         The split and join checks change state only at a tick where a
         sub-generator emitted, and between two such ticks the
@@ -157,10 +149,9 @@ class GroupIngestor:
         A split's replay and a join's rewind and close answer their own
         fit requests.
         """
-        if not self._checking:  # one generator, nothing to pause for
-            for step in self._subgroups[0].generator.run(timestamps, matrix):
-                if type(step) is tuple:
-                    yield step
+        self.stats.chunks += 1
+        if not self._checking:  # one generator: its pauses need no answer
+            yield from self._subgroups[0].generator.run(timestamps, matrix)
             return
         n = len(timestamps)
         for subgroup in self._subgroups:
@@ -247,12 +238,9 @@ class GroupIngestor:
         matrix = np.concatenate([m[f:e] for _, m, f, e in self._recent])
         return timestamps[-self._window_rows:], matrix[-self._window_rows:]
 
-    def finish(self) -> None:
-        """Flush every sub-group at end of stream."""
-        answer(self.finish_steps())
-
     def finish_steps(self) -> Iterator[FitRequest]:
-        """:meth:`finish` as fit requests (see :meth:`run`)."""
+        """Flush every sub-group at end of stream, as fit requests (see
+        :meth:`run`)."""
         for subgroup in self._subgroups:
             yield from subgroup.generator.close_steps()
 

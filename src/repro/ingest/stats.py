@@ -46,8 +46,8 @@ class IngestStats:
     #: Fit attempts per model type — every time a model instance was
     #: offered a data point batch, whether or not it won the emit.
     fits: dict[str, int] = field(default_factory=dict)
-    #: Kernel calls per model type: one per ``extend_many`` call of the
-    #: lockstep driver, however many groups' windows it fits.
+    #: Kernel calls per model type: one per ``extend_many`` call of a
+    #: round of ``fit_rounds``, however many groups' windows it fits.
     kernel_calls: dict[str, int] = field(default_factory=dict)
     #: Always-fitting models fitted at flush time, per model type: the
     #: deferred fits that their size bound did not prune.

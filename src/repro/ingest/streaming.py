@@ -4,9 +4,12 @@ The batch :class:`~repro.ingest.ingestor.Ingestor` replays whole
 pre-collected series; this module ingests *unbounded* streams the way
 the deployed system does (Spark Streaming with micro-batches, Fig. 4):
 data points arrive one at a time or in batches, are routed to their
-group's ingestor, and become queryable as soon as their segment flushes —
-which is what makes online analytics (the O-6 scenario of Fig. 13)
-possible.
+group, and become queryable as soon as their segment flushes — which is
+what makes online analytics (the O-6 scenario of Fig. 13) possible.
+Both run on an :class:`~repro.ingest.ingestor.IngestSession`: here each
+closed tick is a one-row block for its group, answered at once. Each
+group buffers its own segments; the store sees a group's buffer once it
+holds ``bulk_write_size`` segments, or on :meth:`StreamingIngestor.flush`.
 
 Typical use::
 
@@ -19,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -27,11 +29,10 @@ import numpy as np
 from ..core.config import Configuration
 from ..core.errors import IngestionError
 from ..core.group import TimeSeriesGroup
-from ..core.segment import SegmentGroup
-from ..ingest.splitter import GroupIngestor
-from ..ingest.stats import IngestStats
 from ..models.registry import ModelRegistry
 from ..storage.interface import Storage
+from .ingestor import Block, Ingestor, IngestSession
+from .stats import IngestStats
 
 
 class StreamingIngestor:
@@ -52,35 +53,32 @@ class StreamingIngestor:
         registry: ModelRegistry,
         storage: Storage,
     ) -> None:
-        self._storage = storage
-        self._config = config
+        groups = list(groups)
+        #: The statistics of the stream, as of its last :meth:`flush`.
         self.stats = IngestStats()
-        self._write_buffer: list[SegmentGroup] = []
-        self._ingestors: dict[int, GroupIngestor] = {}
+        self._tids = [group.tids for group in groups]
         self._group_of: dict[int, int] = {}
-        self._open_tick: dict[int, tuple[int, dict[int, float]] | None] = {}
-        for group in groups:
-            ingestor = GroupIngestor(
-                group, config, registry, self._buffer_write, self.stats
-            )
-            self._ingestors[group.gid] = ingestor
-            self._open_tick[group.gid] = None
+        self._open_tick: list[tuple[int, dict[int, float]] | None] = [
+            None
+        ] * len(groups)
+        for index, group in enumerate(groups):
             for tid in group.tids:
                 if tid in self._group_of:
                     raise IngestionError(
                         f"tid {tid} appears in more than one group"
                     )
-                self._group_of[tid] = group.gid
+                self._group_of[tid] = index
+        self._session = IngestSession(Ingestor(config, registry, storage), groups)
 
     # ------------------------------------------------------------------
     def append(self, tid: int, timestamp: int, value: float) -> None:
         """Ingest one data point."""
-        gid = self._group_of.get(tid)
-        if gid is None:
+        index = self._group_of.get(tid)
+        if index is None:
             raise IngestionError(f"unknown time series id {tid}")
-        open_tick = self._open_tick[gid]
+        open_tick = self._open_tick[index]
         if open_tick is None:
-            self._open_tick[gid] = (timestamp, {tid: value})
+            self._open_tick[index] = (timestamp, {tid: value})
             return
         tick_timestamp, values = open_tick
         if timestamp < tick_timestamp:
@@ -92,8 +90,8 @@ class StreamingIngestor:
         if timestamp == tick_timestamp:
             values[tid] = value
             return
-        self._close_tick(gid)
-        self._open_tick[gid] = (timestamp, {tid: value})
+        self._session.advance({index: [self._closed_tick(index)]})
+        self._open_tick[index] = (timestamp, {tid: value})
 
     def flush(self) -> IngestStats:
         """Close all open ticks and segments; returns the statistics.
@@ -101,44 +99,23 @@ class StreamingIngestor:
         The stream may continue afterwards (flush is also how periodic
         checkpoints would be taken), but segments will restart.
         """
-        for gid in self._ingestors:
-            self._close_tick(gid)
-            self._ingestors[gid].finish()
-        self._flush_writes()
+        self.stats.merge(self._session.close({
+            index: [self._closed_tick(index)]
+            for index, tick in enumerate(self._open_tick)
+            if tick is not None
+        }))
         return self.stats
 
     @property
     def pending_points(self) -> int:
         """Data points received but not yet part of a closed tick."""
-        return sum(
-            len(tick[1])
-            for tick in self._open_tick.values()
-            if tick is not None
-        )
+        return sum(len(tick[1]) for tick in self._open_tick if tick is not None)
 
     # ------------------------------------------------------------------
-    def _close_tick(self, gid: int) -> None:
-        open_tick = self._open_tick[gid]
-        if open_tick is None:
-            return
-        timestamp, values = open_tick
-        ingestor = self._ingestors[gid]
-        # One closed tick is a one-row block. The segments it closes go
-        # to the write buffer; the store sees them once it holds
-        # bulk_write_size of them, or on flush().
-        row = np.array(
-            [[math.nan if values.get(tid) is None else values[tid]
-              for tid in ingestor.group.tids]]
-        )
-        ingestor.tick_block(np.array([timestamp], dtype=np.int64), row)
-        self._open_tick[gid] = None
-
-    def _buffer_write(self, segment: SegmentGroup) -> None:
-        self._write_buffer.append(segment)
-        if len(self._write_buffer) >= self._config.bulk_write_size:
-            self._flush_writes()
-
-    def _flush_writes(self) -> None:
-        if self._write_buffer:
-            self._storage.insert_segments(self._write_buffer)
-            self._write_buffer.clear()
+    def _closed_tick(self, index: int) -> Block:
+        """Close the group's open tick: it is a one-row block."""
+        timestamp, values = self._open_tick[index]
+        self._open_tick[index] = None
+        # A missing value, or None, is NaN: a gap.
+        row = np.array([[values.get(tid) for tid in self._tids[index]]], float)
+        return np.array([timestamp], dtype=np.int64), row

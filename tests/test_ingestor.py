@@ -2,11 +2,16 @@
 
 import math
 
+import numpy as np
+import pytest
+
+from repro import ModelarDB
 from repro.core import Configuration, TimeSeriesGroup
 from repro.ingest import Ingestor
 from repro.ingest.ingestor import group_tick_blocks
 from repro.models import ModelRegistry
-from repro.storage import MemoryStorage, SegmentScan, records_for_groups
+from repro.models.gorilla import Gorilla, GorillaFitter
+from repro.storage import FileStorage, MemoryStorage, SegmentScan, records_for_groups
 
 from .conftest import correlated_group, make_series
 
@@ -76,7 +81,7 @@ class TestIngestor:
         ingestor, storage = self.make()
         group = correlated_group(n_points=300)
         storage.insert_time_series(records_for_groups([group]))
-        stats = ingestor.ingest_group(group)
+        stats = ingestor.ingest([group])
         assert storage.segment_count() > 0
         assert stats.data_points == 3 * 300
         assert stats.storage_bytes == storage.size_bytes()
@@ -85,7 +90,7 @@ class TestIngestor:
         ingestor, storage = self.make()
         group = correlated_group(n_points=257)
         storage.insert_time_series(records_for_groups([group]))
-        ingestor.ingest_group(group)
+        ingestor.ingest([group])
         covered = set()
         for segment in storage.scan(SegmentScan()):
             covered.update(segment.timestamps())
@@ -98,11 +103,11 @@ class TestIngestor:
 
         small, small_store = self.make(bulk=1)
         small_store.insert_time_series(records_for_groups([group]))
-        small.ingest_group(group)
+        small.ingest([group])
 
         large, large_store = self.make(bulk=10_000)
         large_store.insert_time_series(records_for_groups([group]))
-        large.ingest_group(group)
+        large.ingest([group])
 
         assert small_store.segment_count() == large_store.segment_count()
         assert small_store.size_bytes() == large_store.size_bytes()
@@ -126,3 +131,65 @@ class TestIngestor:
         assert stats.data_points == 600
         assert storage.segment_count() > 0
         assert set(s.gid for s in storage.scan(SegmentScan())) == {1, 2}
+
+
+class _RaisingFitter(GorillaFitter):
+    """Gorilla whose ``_extend`` raises on its ``fail_at``-th call."""
+
+    calls = 0
+    fail_at = 0
+
+    def _extend(self, block):
+        _RaisingFitter.calls += 1
+        if _RaisingFitter.calls == _RaisingFitter.fail_at:
+            raise RuntimeError("injected fit failure")
+        return super()._extend(block)
+
+
+class _Raising(Gorilla):
+    """A registered user model fitted eagerly, one block after another,
+    after the batched PMC-Mean and Swing of the same round."""
+
+    name = "test.Raising"
+    always_fits = False
+
+    def fitter(self, n_columns, error_bound, length_limit):
+        return _RaisingFitter(n_columns, error_bound, length_limit)
+
+
+def _failing_groups(first_gid):
+    """A short group that ends early and two long ones."""
+    rng = np.random.default_rng(first_gid)
+    groups = []
+    for offset, n in enumerate((40, 1500, 1500)):
+        gid = first_gid + offset
+        groups.append(TimeSeriesGroup(gid, [
+            make_series(10 * gid + k, (100 + np.cumsum(rng.normal(0, 1, n))).tolist())
+            for k in range(2)
+        ]))
+    return groups
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_a_group_that_raises_while_fitting_lands_nothing(backend, tmp_path):
+    """Writes land only once every group has ended, so a fit that raises
+    in the middle of a round leaves the store as the call found it, the
+    short group that ended before it included."""
+    config = Configuration(
+        error_bound=1.0, bulk_write_size=2, models=("PMC", "Swing", "test.Raising")
+    )
+    storage = MemoryStorage() if backend == "memory" else FileStorage(tmp_path)
+    with storage:
+        db = ModelarDB(config, storage=storage, extra_models=[_Raising()])
+        _RaisingFitter.calls, _RaisingFitter.fail_at = 0, 0
+        db.ingest(_failing_groups(1))
+        calls = _RaisingFitter.calls
+        assert calls > 20
+        before = (storage.segment_count(), storage.knowledge_time())
+        assert before[0] > 0
+        # The same shape again: fail late in the call, once the short
+        # group has long ended.
+        _RaisingFitter.calls, _RaisingFitter.fail_at = 0, calls * 9 // 10
+        with pytest.raises(RuntimeError, match="injected"):
+            db.ingest(_failing_groups(4))
+        assert (storage.segment_count(), storage.knowledge_time()) == before

@@ -5,6 +5,7 @@ import numpy as np
 from repro import ModelarDB
 from repro.core import Configuration, TimeSeriesGroup
 from repro.ingest import GroupIngestor, within_double_bound
+from repro.ingest.generator import fit_rounds
 from repro.ingest.ingestor import group_tick_blocks
 from repro.models import ModelRegistry
 
@@ -25,9 +26,9 @@ def run_group(series, error_bound=1.0, split_fraction=10):
     ingestor = GroupIngestor(group, config, ModelRegistry(), out.append)
     partitions = set()
     for timestamps, matrix in group_tick_blocks(group, 1):
-        ingestor.tick_block(timestamps, matrix)
+        fit_rounds([ingestor.run(timestamps, matrix)], ingestor.stats)
         partitions.add(tuple(sorted(subgroup_tids(ingestor))))
-    ingestor.finish()
+    fit_rounds([ingestor.finish_steps()], ingestor.stats)
     return ingestor, out, partitions
 
 
@@ -128,8 +129,8 @@ class TestSplitJoin:
         out = []
         ingestor = GroupIngestor(group, config, registry, out.append)
         for timestamps, matrix in group_tick_blocks(group, 64):
-            ingestor.tick_block(timestamps, matrix)
-        ingestor.finish()
+            fit_rounds([ingestor.run(timestamps, matrix)], ingestor.stats)
+        fit_rounds([ingestor.finish_steps()], ingestor.stats)
         by_tid = {ts.tid: ts for ts in series}
         for segment in out:
             model = registry.decode(

@@ -38,6 +38,7 @@ from repro.datasets.eh import generate_eh
 from repro.datasets.ep import EP_CORRELATION
 from repro.core.group import TimeSeriesGroup
 from repro.core.timeseries import TimeSeries
+from repro.ingest.generator import fit_rounds
 from repro.ingest.ingestor import group_tick_blocks
 from repro.ingest.splitter import GroupIngestor
 from repro.ingest.stats import IngestStats
@@ -585,7 +586,7 @@ def test_a_split_whose_replay_emits_is_checked_on_the_next_tick(
     for (timestamps, matrix), (timestamp, values) in zip(
         group_tick_blocks(group, 1), ticks
     ):
-        block.tick_block(timestamps, matrix)
+        fit_rounds([block.run(timestamps, matrix)], block.stats)
         loop.tick(timestamp, values)
         assert (block._ratio_sum, block._ratio_count) == (
             loop.ratio_sum, loop.ratio_count
