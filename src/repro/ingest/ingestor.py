@@ -191,6 +191,7 @@ class Ingestor:
         registry: ModelRegistry,
         storage: Storage,
         on_flush: Callable[[], None] | None = None,
+        before_writes: Callable[[], None] | None = None,
     ) -> None:
         self._config = config
         self._registry = registry
@@ -199,6 +200,11 @@ class Ingestor:
         #: query-side caches use to invalidate (segments just became
         #: visible, so cached results/decodes may now be stale).
         self._on_flush = on_flush
+        #: Invoked once, just before the first bulk write lands (or as
+        #: the call ends when none does): a new group's Time Series
+        #: record, which a write needs, is stored only by a call that
+        #: fitted every group.
+        self._before_writes = before_writes
 
     def ingest(self, groups: Iterable[TimeSeriesGroup]) -> IngestStats:
         """Ingest many groups in lockstep; returns merged statistics.
@@ -208,12 +214,20 @@ class Ingestor:
         """
         groups = list(groups)
         chunk = self._config.ingest_chunk_size
-        return IngestSession(self, groups).close({
+        stats = IngestSession(self, groups).close({
             index: group_tick_blocks(group, chunk)
             for index, group in enumerate(groups)
         })
+        self._prepare_writes()
+        return stats
+
+    def _prepare_writes(self) -> None:
+        hook, self._before_writes = self._before_writes, None
+        if hook is not None:
+            hook()
 
     def _write(self, segments: list[SegmentGroup]) -> None:
+        self._prepare_writes()
         started = time.perf_counter()
         self._storage.insert_segments(segments)
         get_registry().histogram("ingest.flush_seconds").record(

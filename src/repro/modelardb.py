@@ -186,20 +186,27 @@ class ModelarDB:
     def _ingest_groups(
         self, groups: Sequence[TimeSeriesGroup]
     ) -> IngestStats:
-        """Ingest groups already checked against the stored table."""
+        """Ingest groups already checked against the stored table.
+
+        The new groups' Time Series records (which a segment write
+        needs) and :attr:`groups` are updated after the last fitting
+        round, just before the first write: a call that raises while
+        fitting leaves them as it found them.
+        """
         stored = {record.gid for record in self.storage.time_series()}
-        for group in groups:
-            self._groups[group.gid] = group
-        self.storage.insert_time_series(
-            records_for_groups(
-                [group for group in groups if group.gid not in stored],
-                self.dimensions or None,
-            )
+        records = records_for_groups(
+            [group for group in groups if group.gid not in stored],
+            self.dimensions or None,
         )
-        self.storage.insert_model_table(self.registry.model_table())
+
+        def land_records() -> None:
+            self._groups.update((group.gid, group) for group in groups)
+            self.storage.insert_time_series(records)
+            self.storage.insert_model_table(self.registry.model_table())
+
         ingestor = Ingestor(
             self.config, self.registry, self.storage,
-            on_flush=self._notify_flush,
+            on_flush=self._notify_flush, before_writes=land_records,
         )
         stats = ingestor.ingest(groups)
         self.stats.merge(stats)

@@ -20,14 +20,16 @@ capacity, never by the number of queries.
 
 A resident table additionally carries :class:`FoldColumns`: the
 parameters of its column-independent rows as arrays, which the engine
-folds a partition at a time (:meth:`SegmentCache.fold_columns`).
+folds a partition at a time (:meth:`SegmentCache.fold_columns`), and,
+once a fold reads a slice aggregate from it, :class:`Cells`: every
+row's whole-segment slice aggregates (:meth:`SegmentCache.cells`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict, defaultdict
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,13 +60,12 @@ class FoldColumns(NamedTuple):
     ``parameters`` holds a constant row's value and a line row's
     intercept and slope (zeros for other rows); ``members`` is the gap
     bitmask as a (rows × Tids) mask over ``tids``, the group's Tids in
-    column order. That is ``17 + len(tids)`` bytes per row. Gorilla
-    models are never held here; ``exact`` memoises an exact row's
-    full-segment slice sums, minima and maxima per column (a
-    ``(3, 1, len(tids))`` array and whether the model is constant-time,
-    about ``260 + 24 * len(tids)`` bytes), computed by the same slice
-    calls a query would make. Extended tables share it: row positions
-    never move.
+    column order. That is ``17 + len(tids)`` bytes per row. ``ticks``
+    counts each column's points, ``occupied`` the rows with a member,
+    and ``span`` is the first start and last end over every row (None
+    when a row is ``FOREIGN``). Gorilla models are never held here;
+    ``cells`` is the table's :class:`Cells` (``24 * len(tids) + 2``
+    bytes per row), once a fold read them.
     """
 
     tids: tuple[int, ...]
@@ -72,7 +73,80 @@ class FoldColumns(NamedTuple):
     kinds: np.ndarray  # int8 per row
     parameters: np.ndarray  # (rows, 2) float64
     members: np.ndarray  # (rows, len(tids)) bool
-    exact: dict[int, tuple[np.ndarray, bool]]
+    ticks: np.ndarray  # (len(tids),) int64
+    occupied: int
+    span: tuple[int, int] | None
+    cells: "Cells | None"
+
+
+class Cells(NamedTuple):
+    """Every row's whole-segment slice sums, minima and maxima, unscaled:
+    the memo a whole read folds from, one per table.
+
+    ``cells[:, row]`` holds once ``ready[row]`` says so: a constant or
+    line row's from the start (:func:`line_cells`, every column alike),
+    an exact row's once a read of the whole row sliced its model.
+    ``constant`` says whether a ready row's model answers in constant
+    time; ``summary``, filled once every row is ready, counts each
+    column's points in such rows. That is ``24 * len(tids) + 2`` bytes
+    per row; the per-row dict it replaced held about ``260 + 24 *
+    len(tids)`` per exact row. Rows are filled in place without a lock:
+    two threads filling one row write the same values, ``ready`` last.
+    """
+
+    cells: np.ndarray  # (3, rows, len(tids)) float64
+    ready: np.ndarray  # bool per row
+    constant: np.ndarray  # bool per row
+    summary: list[int]
+
+
+def line_cells(
+    planes: Sequence[int],
+    kinds: np.ndarray,
+    parameters: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+) -> np.ndarray:
+    """Constant and line rows' slice sums, minima and maxima (``planes``
+    of them) over ``first..last``, as a ``(3, rows, 1)`` block (zeros for
+    exact rows): PMC-Mean ``value * count`` and ``value``; Swing
+    ``count * (first + last) / 2.0`` and the ``min``/``max`` of its end
+    values, each model's own formulas elementwise."""
+    intercept, slope = parameters.T
+    head, tail = intercept + slope * first, intercept + slope * last
+    counts = last - first + 1
+    constant = kinds == CONSTANT
+    cells = np.zeros((3, len(kinds)))
+    if 0 in planes:
+        cells[0] = np.where(
+            constant, intercept * counts, counts * (head + tail) / 2.0
+        )
+    if 1 in planes:
+        cells[1] = np.where(
+            constant, intercept, np.where(tail < head, tail, head)
+        )
+    if 2 in planes:
+        cells[2] = np.where(
+            constant, intercept, np.where(tail > head, tail, head)
+        )
+    return cells[:, :, np.newaxis]
+
+
+def _lengths(table: Table) -> np.ndarray:
+    """Each row's ticks."""
+    return (table.ends - table.starts) // table.intervals + 1
+
+
+def _columns(table: Table, tids, interval, kinds, parameters, members, cells):
+    """Fold columns over every row of ``table``, their counts included."""
+    span = None
+    if not (kinds == FOREIGN).any():
+        span = int(table.starts.min()), int(table.ends.max())
+    ticks = _lengths(table) @ members
+    occupied = int(np.count_nonzero(members.any(axis=1)))
+    return FoldColumns(
+        tids, interval, kinds, parameters, members, ticks, occupied, span, cells
+    )
 
 
 class SegmentCache:
@@ -146,13 +220,14 @@ class SegmentCache:
         if base is None and table.source is not None:
             rows, positions = table.source
             columns, decoded = self.fold_columns(rows)
-            table.fold = FoldColumns(
+            table.fold = _columns(
+                table,
                 columns.tids,
                 columns.sampling_interval,
                 columns.kinds[positions],
                 columns.parameters[positions],
                 columns.members[positions],
-                {},
+                None,
             )
             return table.fold, None if decoded is None else decoded[positions]
         done = 0 if base is None else len(base.kinds)
@@ -164,10 +239,9 @@ class SegmentCache:
         kinds = np.full(len(segments), EXACT, np.int8)
         parameters = np.zeros((len(segments), 2))
         members = np.ones((len(segments), len(tids)), bool)
-        exact: dict[int, tuple[np.ndarray, bool]] = {}
         if base is not None:
             kinds[:done], parameters[:done] = base.kinds, base.parameters
-            members[:done], exact = base.members, base.exact
+            members[:done] = base.members
         decoded = np.zeros(len(segments), bool)
         for row in range(done, len(segments)):
             segment = segments[row]
@@ -201,11 +275,50 @@ class SegmentCache:
             elif isinstance(model, FittedSwing):
                 kinds[row] = LINE
                 parameters[row] = model.intercept, model.slope
-        columns = FoldColumns(
-            tids, interval, kinds, parameters, members, exact
+        table.fold = columns = _columns(
+            table, tids, interval, kinds, parameters, members,
+            None if base is None else base.cells,
         )
-        table.fold = columns
         return columns, decoded
+
+    def cells(self, table: Table) -> Cells:
+        """The :class:`Cells` of a table whose fold columns are built,
+        covering its every row; built once per row and published as the
+        fold columns are. A table that extends another adds its appended
+        rows to its prefix's cells, a table of survivors gathers its
+        rows' from the table of every row. Nothing is decoded here:
+        exact rows start unready, for the engine to fill.
+        """
+        columns = table.fold
+        memo = columns.cells
+        if memo is not None and len(memo.ready) == len(columns.kinds):
+            return memo
+        if table.source is not None:
+            rows, positions = table.source
+            whole = self.cells(rows)
+            memo = Cells(
+                whole.cells[:, positions],
+                whole.ready[positions],
+                whole.constant[positions],
+                [],
+            )
+        else:
+            width, empty = len(columns.tids), np.empty(0, bool)
+            memo = memo or Cells(np.empty((3, 0, width)), empty, empty, [])
+            done = len(memo.ready)
+            kinds, last = columns.kinds[done:], _lengths(table)[done:] - 1
+            block = line_cells(
+                (0, 1, 2), kinds, columns.parameters[done:], np.zeros_like(last), last
+            )
+            block = np.broadcast_to(block, (3, len(kinds), width))
+            memo = Cells(
+                np.concatenate((memo.cells, block), axis=1),
+                np.concatenate((memo.ready, kinds < EXACT)),
+                np.concatenate((memo.constant, kinds < EXACT)),
+                [],
+            )
+        table.fold = columns._replace(cells=memo)
+        return memo
 
     def decode(
         self,

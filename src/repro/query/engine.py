@@ -35,7 +35,7 @@ from ..storage.interface import Storage
 from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
-from .cache import CONSTANT, EXACT, FOREIGN, FoldColumns, SegmentCache
+from .cache import EXACT, FOREIGN, Cells, FoldColumns, SegmentCache, line_cells
 from .columnar import PartitionPoints, ResultColumns, as_rows, partition_points
 from .metadata import MetadataCache
 from .rewriter import (
@@ -371,11 +371,12 @@ class QueryEngine:
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        One partition table at a time (:meth:`_SegmentFold.table`),
-        clipped once (:meth:`~repro.storage.scan.Table.clip`), folded
-        with numpy passes over the fold columns pinned on the
-        partition's resident table, CUBE calls splitting the rows at
-        calendar boundaries first, then one ordered accumulate per group
+        One partition table at a time (:meth:`_SegmentFold.table`): a
+        table the interval holds whole folds from the memos pinned on
+        the partition's resident table, any other is clipped once
+        (:meth:`~repro.storage.scan.Table.clip`) and folded with numpy
+        passes over its fold columns, CUBE calls splitting the rows at
+        calendar boundaries first; then one ordered accumulate per group
         key (and bucket). A column-independent group model is one row of
         the fold columns for all its member series, so its slice
         aggregates are computed once per segment, not once per series —
@@ -385,6 +386,7 @@ class QueryEngine:
         fold = _SegmentFold(self, planned)
         for table in self._storage.tables(planned.scan.scan_request()):
             fold.table(table)
+        self._segment_cache.count_pinned_hits(fold.hits)
         registry = get_registry()
         registry.counter("query.segments_scanned_total").inc(fold.scanned)
         registry.counter("query.rows_skipped_materialization_total").inc(
@@ -551,6 +553,13 @@ class _SegmentFold:
         self.levels: dict[str | None, list[int]] = {}
         for index, spec in enumerate(self.specs):
             self.levels.setdefault(spec.level, []).append(index)
+        # The planes each level's calls read: COUNT alone reads none.
+        self.planes = {
+            level: sorted(
+                {_PLANES[self.specs[i].aggregate.name] for i in indices} - {None}
+            )
+            for level, indices in self.levels.items()
+        }
         self.group_columns = planned.group_columns
         self.plan = planned.scan
         self.scalings = metadata.scalings()
@@ -560,11 +569,20 @@ class _SegmentFold:
         self.cubes: dict[tuple, list] = {}
         self.scanned = 0
         self.skipped = 0
+        self.hits = 0
 
     def _key(self, tid: int) -> tuple:
         return _group_key(
             tid, self.dimension_rows.get(tid, {}), self.group_columns
         )
+
+    def _keys(self, tids: Sequence[int], wanted: list[bool]) -> dict:
+        """The wanted column positions of each group key, in order."""
+        keys: dict[tuple, list[int]] = {}
+        for position, tid in enumerate(tids):
+            if wanted[position]:
+                keys.setdefault(self._key(tid), []).append(position)
+        return keys
 
     def _states(self, key: tuple) -> list:
         states = self.simple.get(key)
@@ -573,22 +591,23 @@ class _SegmentFold:
             self.simple[key] = states
         return states
 
+    def _whole(self, columns: FoldColumns) -> bool:
+        """Whether the interval holds every row whole, with no CUBE call."""
+        span, plan = columns.span, self.plan
+        return (
+            self.levels.keys() == {None}
+            and span is not None
+            and (plan.start_time is None or plan.start_time <= span[0])
+            and (plan.end_time is None or span[1] <= plan.end_time)
+        )
+
     def table(self, table: Table) -> None:
         """Fold one partition from its fold columns.
 
-        One vectorised clip, slice aggregate and scaling division over
-        the table's rows, each model's own formulas elementwise: PMC-Mean
-        ``value * count`` and ``value``; Swing ``count * (first + last)
-        / 2.0`` and the ``min``/``max`` of its end values. Gorilla and
-        ``Multi`` rows fill their cells with their own per-column slice
-        calls, in place. Each group key then folds its cells in
-        (segment, column) order of Python ``+``, ``min`` and ``max``.
-
-        A CUBE level first splits the rows into one piece per calendar
-        bucket (:func:`rollup.split_at_boundaries`, a boundary-by-boundary
-        walk for every row at once) and runs the same formulas over the
-        pieces. Each (group key, bucket) then folds its cells in
-        (segment, column, piece) order.
+        A table the plan's interval holds whole folds from its memos,
+        without a clip (:meth:`_fold_whole`). Any other table is clipped
+        once (:meth:`~repro.storage.scan.Table.clip`) and folds its
+        rows' cells (:meth:`_fold_rows`).
 
         A partition holding a ``FOREIGN`` row (stored under another
         group layout) is folded one layout run at a time: each maximal
@@ -596,13 +615,24 @@ class _SegmentFold:
         sampling_interval)`` as a table of its own, in append order, so
         each key still folds in (segment, column[, piece]) order.
         """
+        columns = table.fold
+        if (
+            columns is not None
+            and len(columns.kinds) == len(table.segments)
+            and self._whole(columns)
+        ):
+            self.scanned += len(table.segments)
+            self._fold_whole(table, columns, None)
+            return
         plan = self.plan
         rows, first, last = table.clip(plan.start_time, plan.end_time)
         self.scanned += len(rows)
         if not len(rows):
             return
         columns, decoded = self.cache.fold_columns(table)
-        if (columns.kinds[rows] == FOREIGN).any():
+        if self._whole(columns):
+            self._fold_whole(table, columns, decoded)
+        elif (columns.kinds[rows] == FOREIGN).any():
             segments = table.segments
             layouts = [(s.group_tids, s.sampling_interval) for s in segments]
             cuts = [
@@ -618,8 +648,83 @@ class _SegmentFold:
                         run, rows[inside] - begin, first[inside], last[inside],
                         *self.cache.fold_columns(run),
                     )
-            return
-        self._fold_rows(table, rows, first, last, columns, decoded)
+        else:
+            self._fold_rows(table, rows, first, last, columns, decoded)
+
+    def _fold_whole(self, table: Table, columns: FoldColumns, decoded) -> None:
+        """Fold a table the interval holds whole from its memos: per-column
+        ticks (``FoldColumns.ticks``) and whole-row cells (``Cells``),
+        whose exact rows the first such read slices from their model.
+        COUNT alone reads no cell: it builds none and looks no model up,
+        and every point it counts is one never materialised.
+        """
+        tids, members = columns.tids, columns.members
+        wanted = [tid in self.plan.tids for tid in tids]
+        if all(wanted):
+            read = columns.occupied
+        else:
+            read = np.count_nonzero(members[:, wanted].any(axis=1))
+        if decoded is not None:
+            read -= np.count_nonzero(members[decoded][:, wanted].any(axis=1))
+        self.hits += int(read)
+        scaled, points = None, columns.ticks.tolist()
+        if self.planes[None]:
+            memo = self.cache.cells(table)
+            if not memo.summary:
+                filled = self._fill(table, memo, np.arange(len(table.segments)))
+                self.hits -= int(np.count_nonzero(members[filled][:, wanted].any(1)))
+                lengths = (table.ends - table.starts) // table.intervals + 1
+                memo.summary[:] = ((lengths * memo.constant) @ members).tolist()
+            points = memo.summary
+            scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
+            scaled = memo.cells / scalings
+        self.skipped += sum(n for n, keep in zip(points, wanted) if keep)
+        keys = self._keys(tids, wanted)
+        self._fold_simple(keys, scaled, members, columns.ticks.tolist())
+
+    def _fold_simple(self, keys, scaled, mask, ticks) -> None:
+        """Fold each key's simple calls from its columns' ``ticks`` and the
+        ``scaled`` cells ``mask`` selects, in (segment, column) order."""
+        width = mask.shape[1]
+        for key, positions in keys.items():
+            count = sum(ticks[position] for position in positions)
+            if not count:
+                continue
+            cells = None
+            if scaled is not None:
+                # A view, not a gather, for one column or all of them.
+                at = positions if 1 < len(positions) < width else (
+                    positions[0] if len(positions) == 1 else slice(None)
+                )
+                cells = scaled[:, :, at][:, mask[:, at]]
+            states = self._states(key)
+            for index in self.levels[None]:
+                aggregate = self.specs[index].aggregate
+                states[index] = _fold(aggregate, states[index], count, cells)
+
+    def _fill(self, table: Table, memo: Cells, rows: np.ndarray) -> np.ndarray:
+        """Slice the ``rows`` the cells do not hold yet from their model,
+        whole, on every plane and column; the rows looked up. A table of
+        survivors fills the table of every row, which outlives it, and
+        copies from there."""
+        missing = rows[~memo.ready[rows]]
+        if table.source is not None and len(missing):
+            source, positions = table.source
+            whole, at = self.cache.cells(source), positions[missing]
+            looked = self._fill(source, whole, at)
+            memo.cells[:, missing], memo.constant[missing] = (
+                whole.cells[:, at], whole.constant[at]
+            )
+            memo.ready[missing] = True
+            return missing[np.isin(at, looked)]
+        for row in missing.tolist():
+            segment = table.segments[row]
+            model = self.cache.model_of(segment)
+            span = [(0, segment.length - 1)]
+            cells, constant = _slices(model, segment, span, None, (0, 1, 2))
+            memo.cells[:, row], memo.constant[row] = cells[:, 0], constant
+            memo.ready[row] = True
+        return missing
 
     def _fold_rows(
         self,
@@ -630,7 +735,13 @@ class _SegmentFold:
         columns: FoldColumns,
         decoded: np.ndarray | None,
     ) -> None:
-        """Fold the clipped ``rows`` of a table of one group layout."""
+        """Fold the clipped ``rows`` of a table of one group layout: one
+        vectorised slice aggregate (:func:`~repro.query.cache.line_cells`)
+        and scaling division over the rows, exact rows slicing their own
+        model in place. A CUBE level first splits the rows at calendar
+        boundaries (:func:`rollup.split_at_boundaries`) and folds each
+        (key, bucket) in (segment, column, piece) order.
+        """
         plan = self.plan
         tids = columns.tids
         wanted = [tid in plan.tids for tid in tids]
@@ -648,66 +759,60 @@ class _SegmentFold:
         hits = np.count_nonzero(
             folded if decoded is None else folded & ~decoded[rows]
         )
-        # Exact rows fold their own per-column slice calls: only the
-        # planes (sum, min, max) and columns this statement reads, or —
-        # for a whole segment read on every column — all of them, kept
-        # in the row's memo. COUNT alone reads no plane, so exact rows
-        # then only look their model up. A CUBE call slices pieces of
-        # the row: it looks the model up once for them all, and the memo
-        # is neither read nor kept.
+        # Exact rows fold their own per-column slice calls: the planes
+        # and columns this statement reads, or a whole row's cells, which
+        # a read of every column slices once on every plane and column.
+        # COUNT alone reads no plane, so exact rows then look no model
+        # up. A CUBE call slices pieces of the row: it looks the model
+        # up once for them all, and the cells are not read.
         simple = self.levels.get(None, [])
         cube = len(simple) < len(self.specs)
-        planes = self._planes(simple)
-        every = all(wanted) and bool(planes) and not cube
+        planes = self.planes.get(None, [])
         exact = np.flatnonzero(~folded)
-        memos, models = [], []
-        for row, index, whole in zip(
-            exact.tolist(), rows[exact].tolist(), full[exact].tolist()
-        ):
-            memo = columns.exact.get(index) if whole and not cube else None
-            if memo is not None:
-                hits += 1
-            else:
-                segment = table.segments[index]
+        whole = full[exact] if planes and not cube else np.zeros(len(exact), bool)
+        every = whole.any() and all(wanted)
+        memo = self.cache.cells(table) if every else table.fold.cells
+        if memo is None or len(memo.ready) < len(table.segments):
+            whole[:] = False
+        elif not every:  # only a read of every column fills the cells
+            whole &= memo.ready[rows[exact]]
+        memoised, looked = exact[whole], exact[~whole]
+        constant_time = np.ones_like(folded)
+        blocks, models = [], []
+        if not any(self.planes.values()):
+            hits += len(exact)
+        elif len(exact):
+            constant_time = folded.copy()
+            if len(memoised):
+                hits += len(memoised) - len(self._fill(table, memo, rows[memoised]))
+                constant_time[memoised] = memo.constant[rows[memoised]]
+            for row in looked.tolist():
+                segment = table.segments[rows[row]]
                 model = self.cache.model_of(segment)
                 models.append((model, segment))
                 span = [(int(first[row]), int(last[row]))]
-                if whole and every:
-                    memo = _slices(model, segment, span, None, (0, 1, 2))
-                    columns.exact[index] = memo
-                else:
-                    memo = _slices(model, segment, span, wanted, planes)
-            memos.append(memo)
-        self.cache.count_pinned_hits(int(hits))
-        constant_time = folded
-        if memos:
-            constant_time = folded.copy()
-            constant_time[exact] = [memo[1] for memo in memos]
+                block, constant_time[row] = _slices(
+                    model, segment, span, wanted, planes
+                )
+                blocks.append(block)
+        self.hits += int(hits)
         self.skipped += int(
             (selected.sum(axis=1) * counts)[constant_time].sum()
         )
 
         parameters = columns.parameters[rows]
         scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
-        keys: dict[tuple, list[int]] = {}
-        for position in np.flatnonzero(wanted).tolist():
-            keys.setdefault(self._key(tids[position]), []).append(position)
+        keys = self._keys(tids, wanted)
         if simple:
+            scaled = None
             if planes:
-                scaled = _cells(planes, kinds, parameters, first, last) / scalings
-                if memos:
-                    blocks = np.concatenate([memo[0] for memo in memos], axis=1)
-                    scaled[:, exact] = blocks / scalings
-            for key, positions in keys.items():
-                mask = selected[:, positions]
-                if not mask.any():
-                    continue
-                ticks = int(mask.sum(axis=1) @ counts)
-                cells = scaled[:, :, positions][:, mask] if planes else None
-                states = self._states(key)
-                for index in simple:
-                    aggregate = self.specs[index].aggregate
-                    states[index] = _fold(aggregate, states[index], ticks, cells)
+                scaled = line_cells(planes, kinds, parameters, first, last) / scalings
+                if blocks:
+                    scaled[:, looked] = np.concatenate(blocks, axis=1) / scalings
+                if len(memoised):
+                    scaled[:, memoised] = memo.cells[:, rows[memoised]] / scalings
+            ticks = (counts @ selected).tolist()
+            self._fold_simple(keys, scaled, selected, ticks)
 
         for level, indices in self.levels.items():
             if level is None:
@@ -716,9 +821,10 @@ class _SegmentFold:
                 starts, first, last, step, level
             )
             chosen = selected[row]
-            planes = self._planes(indices)
+            planes = self.planes[level]
             if planes:
-                scaled = _cells(planes, kinds[row], parameters[row], lo, hi) / scalings
+                scaled = line_cells(planes, kinds[row], parameters[row], lo, hi)
+                scaled = scaled / scalings
                 # An exact row's pieces are one run, sliced from the model
                 # it looked up once.
                 begins = np.searchsorted(row, exact, "left").tolist()
@@ -750,41 +856,6 @@ class _SegmentFold:
                         aggregate = self.specs[index].aggregate
                         state = states[index].get(bucket, aggregate.initialize())
                         states[index][bucket] = _fold(aggregate, state, count, part)
-
-    def _planes(self, indices: Sequence[int]) -> list[int]:
-        """The slice-aggregate planes the calls at ``indices`` read."""
-        names = {self.specs[index].aggregate.name for index in indices}
-        return sorted({_PLANES[name] for name in names} - {None})
-
-
-def _cells(
-    planes: Sequence[int],
-    kinds: np.ndarray,
-    parameters: np.ndarray,
-    first: np.ndarray,
-    last: np.ndarray,
-) -> np.ndarray:
-    """Constant and line rows' slice sums, minima and maxima (``planes``
-    of them) over ``first..last``, as a ``(3, rows, 1)`` block (zeros for
-    exact rows)."""
-    intercept, slope = parameters.T
-    head, tail = intercept + slope * first, intercept + slope * last
-    counts = last - first + 1
-    constant = kinds == CONSTANT
-    cells = np.zeros((3, len(kinds)))
-    if 0 in planes:
-        cells[0] = np.where(
-            constant, intercept * counts, counts * (head + tail) / 2.0
-        )
-    if 1 in planes:
-        cells[1] = np.where(
-            constant, intercept, np.where(tail < head, tail, head)
-        )
-    if 2 in planes:
-        cells[2] = np.where(
-            constant, intercept, np.where(tail > head, tail, head)
-        )
-    return cells[:, :, np.newaxis]
 
 
 def _slices(

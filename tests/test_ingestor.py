@@ -193,3 +193,36 @@ def test_a_group_that_raises_while_fitting_lands_nothing(backend, tmp_path):
         with pytest.raises(RuntimeError, match="injected"):
             db.ingest(_failing_groups(4))
         assert (storage.segment_count(), storage.knowledge_time()) == before
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_a_failed_ingest_stores_no_time_series_record(backend, tmp_path):
+    """The new groups' records land with their first segment write, so
+    a call that raises while fitting lists no new Tid, and retrying it
+    stores every point once."""
+    config = Configuration(
+        error_bound=1.0, bulk_write_size=2, models=("PMC", "Swing", "test.Raising")
+    )
+    storage = MemoryStorage() if backend == "memory" else FileStorage(tmp_path)
+    count = "SELECT COUNT_S(*) FROM Segment"
+    with storage:
+        db = ModelarDB(config, storage=storage, extra_models=[_Raising()])
+        _RaisingFitter.calls, _RaisingFitter.fail_at = 0, 0
+        db.ingest(_failing_groups(1))
+        calls = _RaisingFitter.calls
+        tids = sorted(record.tid for record in storage.time_series())
+        gids = [group.gid for group in db.groups]
+        stored = db.sql(count)[0]["COUNT_S(*)"]
+        _RaisingFitter.calls, _RaisingFitter.fail_at = 0, calls * 9 // 10
+        with pytest.raises(RuntimeError, match="injected"):
+            db.ingest(_failing_groups(4))
+        assert sorted(record.tid for record in storage.time_series()) == tids
+        assert [group.gid for group in db.groups] == gids
+        _RaisingFitter.calls, _RaisingFitter.fail_at = 0, 0
+        retry = _failing_groups(4)
+        db.ingest(retry)
+        points = sum(len(series.values) for group in retry for series in group)
+        assert db.sql(count)[0]["COUNT_S(*)"] == stored + points
+        assert sorted(record.tid for record in storage.time_series()) == sorted(
+            tids + [series.tid for group in retry for series in group]
+        )

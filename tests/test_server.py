@@ -310,11 +310,11 @@ class TestOutcomeFollowsTokenReason:
 class TestResultCache:
     def test_hits_on_repeat_miss_after_ingestion_flush(self):
         db = make_db(n_series=2, n_points=200)
-        sql = "SELECT COUNT_S(*) FROM Segment"
+        sql = "SELECT SUM_S(*) FROM Segment"
         with _Harness(db, max_inflight=2) as (host, port):
             with ServerClient(host, port) as client:
                 first = client.query_response(sql)
-                second = client.query_response("select  count_s(*) "
+                second = client.query_response("select  sum_s(*) "
                                                "FROM   segment")
                 assert first["ok"] and second["ok"]
                 assert first["cached"] is False
@@ -334,8 +334,8 @@ class TestResultCache:
                 assert third["ok"]
                 assert third["cached"] is False
                 assert (
-                    third["rows"][0]["COUNT_S(*)"]
-                    > first["rows"][0]["COUNT_S(*)"]
+                    third["rows"][0]["SUM_S(*)"]
+                    > first["rows"][0]["SUM_S(*)"]
                 )
                 stats = client.stats()
         cache = stats["dispatcher"]["result_cache"]
