@@ -21,8 +21,8 @@ capacity, never by the number of queries.
 A resident table additionally carries :class:`FoldColumns`: the
 parameters of its column-independent rows as arrays, which the engine
 folds a partition at a time (:meth:`SegmentCache.fold_columns`), and,
-once a fold reads a slice aggregate from it, :class:`Cells`: every
-row's whole-segment slice aggregates (:meth:`SegmentCache.cells`).
+once a read of the whole table folds a slice aggregate, :class:`Cells`:
+every row's whole-segment slice aggregates (:meth:`SegmentCache.cells`).
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class FoldColumns(NamedTuple):
     column order. That is ``17 + len(tids)`` bytes per row. ``ticks``
     counts each column's points, ``occupied`` the rows with a member,
     and ``span`` is the first start and last end over every row (None
-    when a row is ``FOREIGN``). Gorilla models are never held here;
-    ``cells`` is the table's :class:`Cells` (``24 * len(tids) + 2``
-    bytes per row), once a fold read them.
+    when a row is ``FOREIGN``). Gorilla models
+    are never held here; ``cells`` is the table's :class:`Cells`
+    (``24 * len(tids) + 1`` bytes per row), once a whole read built them.
     """
 
     tids: tuple[int, ...]
@@ -80,24 +80,16 @@ class FoldColumns(NamedTuple):
 
 
 class Cells(NamedTuple):
-    """Every row's whole-segment slice sums, minima and maxima, unscaled:
-    the memo a whole read folds from, one per table.
-
-    ``cells[:, row]`` holds once ``ready[row]`` says so: a constant or
-    line row's from the start (:func:`line_cells`, every column alike),
-    an exact row's once a read of the whole row sliced its model.
-    ``constant`` says whether a ready row's model answers in constant
-    time; ``summary``, filled once every row is ready, counts each
-    column's points in such rows. That is ``24 * len(tids) + 2`` bytes
-    per row; the per-row dict it replaced held about ``260 + 24 *
-    len(tids)`` per exact row. Rows are filled in place without a lock:
-    two threads filling one row write the same values, ``ready`` last.
+    """Every row's whole-segment slice sums, minima and maxima, unscaled,
+    whether its model answers in constant time, and each column's points
+    in such rows: ``24 * len(tids) + 1`` bytes per row (a per-exact-row
+    dict held about ``260 + 24 * len(tids)``). Built whole and published
+    read-only, so readers on other threads never see a row half filled.
     """
 
     cells: np.ndarray  # (3, rows, len(tids)) float64
-    ready: np.ndarray  # bool per row
     constant: np.ndarray  # bool per row
-    summary: list[int]
+    points: np.ndarray  # (len(tids),) int64
 
 
 def line_cells(
@@ -132,7 +124,30 @@ def line_cells(
     return cells[:, :, np.newaxis]
 
 
-def _lengths(table: Table) -> np.ndarray:
+def slices(
+    model: FittedModel,
+    segment: SegmentGroup,
+    spans: Sequence[Sequence[int]],
+    wanted: list[bool] | None,
+    planes: Sequence[int] = (0, 1, 2),
+) -> tuple[np.ndarray, bool]:
+    """An exact row's slice sums, minima and maxima (``planes`` of them)
+    over each of ``spans`` for its ``wanted`` group columns (None: all),
+    as a ``(3, len(spans), len(tids))`` block, from its own model (the
+    caller looked it up); and whether that model is constant-time."""
+    tids = segment.group_tids
+    calls = (model.slice_sum, model.slice_min, model.slice_max)
+    cells = np.zeros((3, len(spans), len(tids)))
+    for column, tid in enumerate(segment.member_tids):
+        position = tids.index(tid)
+        if wanted is None or wanted[position]:
+            for plane in planes:
+                for piece, span in enumerate(spans):
+                    cells[plane, piece, position] = calls[plane](*span, column)
+    return cells, model.constant_time_aggregates
+
+
+def lengths(table: Table) -> np.ndarray:
     """Each row's ticks."""
     return (table.ends - table.starts) // table.intervals + 1
 
@@ -142,7 +157,7 @@ def _columns(table: Table, tids, interval, kinds, parameters, members, cells):
     span = None
     if not (kinds == FOREIGN).any():
         span = int(table.starts.min()), int(table.ends.max())
-    ticks = _lengths(table) @ members
+    ticks = lengths(table) @ members
     occupied = int(np.count_nonzero(members.any(axis=1)))
     return FoldColumns(
         tids, interval, kinds, parameters, members, ticks, occupied, span, cells
@@ -281,44 +296,47 @@ class SegmentCache:
         )
         return columns, decoded
 
-    def cells(self, table: Table) -> Cells:
-        """The :class:`Cells` of a table whose fold columns are built,
-        covering its every row; built once per row and published as the
-        fold columns are. A table that extends another adds its appended
-        rows to its prefix's cells, a table of survivors gathers its
-        rows' from the table of every row. Nothing is decoded here:
-        exact rows start unready, for the engine to fill.
+    def cells(self, table: Table) -> tuple[Cells, np.ndarray | None]:
+        """The :class:`Cells` over every row of a table whose fold columns
+        are built, and a mask of the rows whose model this call looked up
+        (None when it built nothing); each lookup counts its own hit or
+        miss. Built without a lock, once per row, and published as the
+        fold columns are: an extending table adds its appended rows to
+        its prefix's cells, slicing exact rows' models whole, and a table
+        of survivors gathers its rows' from the table of every row.
         """
         columns = table.fold
         memo = columns.cells
-        if memo is not None and len(memo.ready) == len(columns.kinds):
-            return memo
+        if memo is not None and len(memo.constant) == len(columns.kinds):
+            return memo, None
         if table.source is not None:
             rows, positions = table.source
-            whole = self.cells(rows)
-            memo = Cells(
-                whole.cells[:, positions],
-                whole.ready[positions],
-                whole.constant[positions],
-                [],
-            )
+            whole, looked = self.cells(rows)
+            cells, constant = whole.cells[:, positions], whole.constant[positions]
+            looked = None if looked is None else looked[positions]
         else:
-            width, empty = len(columns.tids), np.empty(0, bool)
-            memo = memo or Cells(np.empty((3, 0, width)), empty, empty, [])
-            done = len(memo.ready)
-            kinds, last = columns.kinds[done:], _lengths(table)[done:] - 1
-            block = line_cells(
+            done = 0 if memo is None else len(memo.constant)
+            kinds, last = columns.kinds[done:], lengths(table)[done:] - 1
+            cells = line_cells(
                 (0, 1, 2), kinds, columns.parameters[done:], np.zeros_like(last), last
-            )
-            block = np.broadcast_to(block, (3, len(kinds), width))
-            memo = Cells(
-                np.concatenate((memo.cells, block), axis=1),
-                np.concatenate((memo.ready, kinds < EXACT)),
-                np.concatenate((memo.constant, kinds < EXACT)),
-                [],
-            )
+            ).repeat(len(columns.tids), axis=2)
+            constant, looked = kinds < EXACT, columns.kinds == EXACT
+            looked[:done] = False
+            for row in np.flatnonzero(looked[done:]).tolist():
+                segment = table.segments[done + row]
+                model = self.model_of(segment)
+                span = [(0, segment.length - 1)]
+                block, constant[row] = slices(model, segment, span, None)
+                cells[:, row] = block[:, 0]
+            if memo is not None:
+                cells = np.concatenate((memo.cells, cells), axis=1)
+                constant = np.concatenate((memo.constant, constant))
+        points = (lengths(table) * constant) @ columns.members
+        for array in (cells, constant, points):
+            array.setflags(write=False)
+        memo = Cells(cells, constant, points)
         table.fold = columns._replace(cells=memo)
-        return memo
+        return memo, looked
 
     def decode(
         self,

@@ -35,7 +35,7 @@ from ..storage.interface import Storage
 from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
-from .cache import EXACT, FOREIGN, Cells, FoldColumns, SegmentCache, line_cells
+from .cache import EXACT, FOREIGN, FoldColumns, SegmentCache, line_cells, slices
 from .columnar import PartitionPoints, ResultColumns, as_rows, partition_points
 from .metadata import MetadataCache
 from .rewriter import (
@@ -371,12 +371,11 @@ class QueryEngine:
         """Algorithm 5/6 over stored segments, without materialising
         per-series view rows.
 
-        One partition table at a time (:meth:`_SegmentFold.table`): a
-        table the interval holds whole folds from the memos pinned on
-        the partition's resident table, any other is clipped once
-        (:meth:`~repro.storage.scan.Table.clip`) and folded with numpy
-        passes over its fold columns, CUBE calls splitting the rows at
-        calendar boundaries first; then one ordered accumulate per group
+        One partition table at a time (:meth:`_SegmentFold.table`), from
+        the memos pinned on the partition's resident table when the
+        interval holds it whole, else clipped once and folded with numpy
+        passes over its fold columns (CUBE calls split the rows at
+        calendar boundaries first); then one ordered accumulate per group
         key (and bucket). A column-independent group model is one row of
         the fold columns for all its member series, so its slice
         aggregates are computed once per segment, not once per series —
@@ -386,7 +385,6 @@ class QueryEngine:
         fold = _SegmentFold(self, planned)
         for table in self._storage.tables(planned.scan.scan_request()):
             fold.table(table)
-        self._segment_cache.count_pinned_hits(fold.hits)
         registry = get_registry()
         registry.counter("query.segments_scanned_total").inc(fold.scanned)
         registry.counter("query.rows_skipped_materialization_total").inc(
@@ -555,10 +553,8 @@ class _SegmentFold:
             self.levels.setdefault(spec.level, []).append(index)
         # The planes each level's calls read: COUNT alone reads none.
         self.planes = {
-            level: sorted(
-                {_PLANES[self.specs[i].aggregate.name] for i in indices} - {None}
-            )
-            for level, indices in self.levels.items()
+            level: sorted({_PLANES[self.specs[i].aggregate.name] for i in at} - {None})
+            for level, at in self.levels.items()
         }
         self.group_columns = planned.group_columns
         self.plan = planned.scan
@@ -569,7 +565,6 @@ class _SegmentFold:
         self.cubes: dict[tuple, list] = {}
         self.scanned = 0
         self.skipped = 0
-        self.hits = 0
 
     def _key(self, tid: int) -> tuple:
         return _group_key(
@@ -591,8 +586,11 @@ class _SegmentFold:
             self.simple[key] = states
         return states
 
-    def _whole(self, columns: FoldColumns) -> bool:
-        """Whether the interval holds every row whole, with no CUBE call."""
+    def _whole(self, table: Table, columns: FoldColumns | None) -> bool:
+        """Whether fold columns over every row of ``table`` show that the
+        interval holds each row whole, under no CUBE call."""
+        if columns is None or len(columns.kinds) < len(table.segments):
+            return False
         span, plan = columns.span, self.plan
         return (
             self.levels.keys() == {None}
@@ -604,10 +602,9 @@ class _SegmentFold:
     def table(self, table: Table) -> None:
         """Fold one partition from its fold columns.
 
-        A table the plan's interval holds whole folds from its memos,
-        without a clip (:meth:`_fold_whole`). Any other table is clipped
-        once (:meth:`~repro.storage.scan.Table.clip`) and folds its
-        rows' cells (:meth:`_fold_rows`).
+        A table the interval holds whole folds from its memos
+        (:meth:`_fold_whole`); any other is clipped once
+        (:meth:`~repro.storage.scan.Table.clip`) first (:meth:`_fold_rows`).
 
         A partition holding a ``FOREIGN`` row (stored under another
         group layout) is folded one layout run at a time: each maximal
@@ -615,24 +612,20 @@ class _SegmentFold:
         sampling_interval)`` as a table of its own, in append order, so
         each key still folds in (segment, column[, piece]) order.
         """
-        columns = table.fold
-        if (
-            columns is not None
-            and len(columns.kinds) == len(table.segments)
-            and self._whole(columns)
-        ):
+        columns, decoded, plan = table.fold, None, self.plan
+        whole = self._whole(table, columns)
+        if not whole:
+            rows, first, last = table.clip(plan.start_time, plan.end_time)
+            if not len(rows):
+                return
+            columns, decoded = self.cache.fold_columns(table)
+            whole = self._whole(table, columns)
+        if whole:
             self.scanned += len(table.segments)
-            self._fold_whole(table, columns, None)
-            return
-        plan = self.plan
-        rows, first, last = table.clip(plan.start_time, plan.end_time)
-        self.scanned += len(rows)
-        if not len(rows):
-            return
-        columns, decoded = self.cache.fold_columns(table)
-        if self._whole(columns):
             self._fold_whole(table, columns, decoded)
-        elif (columns.kinds[rows] == FOREIGN).any():
+            return
+        self.scanned += len(rows)
+        if (columns.kinds[rows] == FOREIGN).any():
             segments = table.segments
             layouts = [(s.group_tids, s.sampling_interval) for s in segments]
             cuts = [
@@ -648,83 +641,48 @@ class _SegmentFold:
                         run, rows[inside] - begin, first[inside], last[inside],
                         *self.cache.fold_columns(run),
                     )
-        else:
-            self._fold_rows(table, rows, first, last, columns, decoded)
+            return
+        self._fold_rows(table, rows, first, last, columns, decoded)
 
     def _fold_whole(self, table: Table, columns: FoldColumns, decoded) -> None:
-        """Fold a table the interval holds whole from its memos: per-column
-        ticks (``FoldColumns.ticks``) and whole-row cells (``Cells``),
-        whose exact rows the first such read slices from their model.
-        COUNT alone reads no cell: it builds none and looks no model up,
-        and every point it counts is one never materialised.
-        """
+        """Fold a whole table from its per-column ticks and its ``Cells``,
+        which the first such read builds. COUNT alone builds no cells and
+        looks no model up."""
         tids, members = columns.tids, columns.members
         wanted = [tid in self.plan.tids for tid in tids]
-        if all(wanted):
-            read = columns.occupied
-        else:
-            read = np.count_nonzero(members[:, wanted].any(axis=1))
-        if decoded is not None:
-            read -= np.count_nonzero(members[decoded][:, wanted].any(axis=1))
-        self.hits += int(read)
-        scaled, points = None, columns.ticks.tolist()
+        scaled, points, looked = None, columns.ticks, None
         if self.planes[None]:
-            memo = self.cache.cells(table)
-            if not memo.summary:
-                filled = self._fill(table, memo, np.arange(len(table.segments)))
-                self.hits -= int(np.count_nonzero(members[filled][:, wanted].any(1)))
-                lengths = (table.ends - table.starts) // table.intervals + 1
-                memo.summary[:] = ((lengths * memo.constant) @ members).tolist()
-            points = memo.summary
+            memo, looked = self.cache.cells(table)
             scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
-            scaled = memo.cells / scalings
-        self.skipped += sum(n for n, keep in zip(points, wanted) if keep)
+            scaled, points = memo.cells / scalings, memo.points
+        # One pinned hit per row read, but for rows whose lookup counted.
+        read = columns.occupied
+        if not all(wanted):
+            read = np.count_nonzero(members[:, wanted].any(axis=1))
+        for rows in (decoded, looked):
+            if rows is not None:
+                read -= np.count_nonzero(members[rows][:, wanted].any(axis=1))
+        self.cache.count_pinned_hits(int(read))
+        self.skipped += int(points[wanted].sum())
         keys = self._keys(tids, wanted)
         self._fold_simple(keys, scaled, members, columns.ticks.tolist())
 
     def _fold_simple(self, keys, scaled, mask, ticks) -> None:
         """Fold each key's simple calls from its columns' ``ticks`` and the
         ``scaled`` cells ``mask`` selects, in (segment, column) order."""
-        width = mask.shape[1]
         for key, positions in keys.items():
             count = sum(ticks[position] for position in positions)
             if not count:
                 continue
-            cells = None
-            if scaled is not None:
-                # A view, not a gather, for one column or all of them.
-                at = positions if 1 < len(positions) < width else (
-                    positions[0] if len(positions) == 1 else slice(None)
-                )
-                cells = scaled[:, :, at][:, mask[:, at]]
+            # A view, not a gather, for one column or all of them.
+            at = positions[0] if len(positions) == 1 else positions
+            if len(positions) == mask.shape[1]:
+                at = slice(None)
+            cells = None if scaled is None else scaled[:, :, at][:, mask[:, at]]
             states = self._states(key)
             for index in self.levels[None]:
                 aggregate = self.specs[index].aggregate
                 states[index] = _fold(aggregate, states[index], count, cells)
-
-    def _fill(self, table: Table, memo: Cells, rows: np.ndarray) -> np.ndarray:
-        """Slice the ``rows`` the cells do not hold yet from their model,
-        whole, on every plane and column; the rows looked up. A table of
-        survivors fills the table of every row, which outlives it, and
-        copies from there."""
-        missing = rows[~memo.ready[rows]]
-        if table.source is not None and len(missing):
-            source, positions = table.source
-            whole, at = self.cache.cells(source), positions[missing]
-            looked = self._fill(source, whole, at)
-            memo.cells[:, missing], memo.constant[missing] = (
-                whole.cells[:, at], whole.constant[at]
-            )
-            memo.ready[missing] = True
-            return missing[np.isin(at, looked)]
-        for row in missing.tolist():
-            segment = table.segments[row]
-            model = self.cache.model_of(segment)
-            span = [(0, segment.length - 1)]
-            cells, constant = _slices(model, segment, span, None, (0, 1, 2))
-            memo.cells[:, row], memo.constant[row] = cells[:, 0], constant
-            memo.ready[row] = True
-        return missing
 
     def _fold_rows(
         self,
@@ -737,11 +695,10 @@ class _SegmentFold:
     ) -> None:
         """Fold the clipped ``rows`` of a table of one group layout: one
         vectorised slice aggregate (:func:`~repro.query.cache.line_cells`)
-        and scaling division over the rows, exact rows slicing their own
-        model in place. A CUBE level first splits the rows at calendar
-        boundaries (:func:`rollup.split_at_boundaries`) and folds each
-        (key, bucket) in (segment, column, piece) order.
-        """
+        over the rows, exact rows slicing their own model. A CUBE level
+        first splits the rows at calendar boundaries
+        (:func:`rollup.split_at_boundaries`), each (key, bucket) folding
+        in (segment, column, piece) order."""
         plan = self.plan
         tids = columns.tids
         wanted = [tid in plan.tids for tid in tids]
@@ -759,23 +716,17 @@ class _SegmentFold:
         hits = np.count_nonzero(
             folded if decoded is None else folded & ~decoded[rows]
         )
-        # Exact rows fold their own per-column slice calls: the planes
-        # and columns this statement reads, or a whole row's cells, which
-        # a read of every column slices once on every plane and column.
-        # COUNT alone reads no plane, so exact rows then look no model
-        # up. A CUBE call slices pieces of the row: it looks the model
-        # up once for them all, and the cells are not read.
+        # Exact rows slice the planes and columns this statement reads,
+        # or read a whole row's cells where a whole read built them (an
+        # extended table's prefix holds its rows' cells). COUNT alone
+        # looks no model up; a CUBE call looks it up once for all the
+        # row's pieces and reads no cells.
         simple = self.levels.get(None, [])
         cube = len(simple) < len(self.specs)
         planes = self.planes.get(None, [])
-        exact = np.flatnonzero(~folded)
-        whole = full[exact] if planes and not cube else np.zeros(len(exact), bool)
-        every = whole.any() and all(wanted)
-        memo = self.cache.cells(table) if every else table.fold.cells
-        if memo is None or len(memo.ready) < len(table.segments):
-            whole[:] = False
-        elif not every:  # only a read of every column fills the cells
-            whole &= memo.ready[rows[exact]]
+        exact, memo = np.flatnonzero(~folded), columns.cells
+        built = len(memo.constant) if memo is not None and planes and not cube else 0
+        whole = full[exact] & (rows[exact] < built)
         memoised, looked = exact[whole], exact[~whole]
         constant_time = np.ones_like(folded)
         blocks, models = [], []
@@ -783,19 +734,19 @@ class _SegmentFold:
             hits += len(exact)
         elif len(exact):
             constant_time = folded.copy()
+            hits += len(memoised)
             if len(memoised):
-                hits += len(memoised) - len(self._fill(table, memo, rows[memoised]))
                 constant_time[memoised] = memo.constant[rows[memoised]]
             for row in looked.tolist():
                 segment = table.segments[rows[row]]
                 model = self.cache.model_of(segment)
                 models.append((model, segment))
                 span = [(int(first[row]), int(last[row]))]
-                block, constant_time[row] = _slices(
+                block, constant_time[row] = slices(
                     model, segment, span, wanted, planes
                 )
                 blocks.append(block)
-        self.hits += int(hits)
+        self.cache.count_pinned_hits(int(hits))
         self.skipped += int(
             (selected.sum(axis=1) * counts)[constant_time].sum()
         )
@@ -831,7 +782,7 @@ class _SegmentFold:
                 ends = np.searchsorted(row, exact, "right").tolist()
                 for (model, segment), begin, end in zip(models, begins, ends):
                     span = np.stack((lo[begin:end], hi[begin:end]), 1).tolist()
-                    cells = _slices(model, segment, span, wanted, planes)[0]
+                    cells = slices(model, segment, span, wanted, planes)[0]
                     scaled[:, begin:end] = cells / scalings
             for key, positions in keys.items():
                 pieces, members = np.nonzero(chosen[:, positions])
@@ -856,29 +807,6 @@ class _SegmentFold:
                         aggregate = self.specs[index].aggregate
                         state = states[index].get(bucket, aggregate.initialize())
                         states[index][bucket] = _fold(aggregate, state, count, part)
-
-
-def _slices(
-    model,
-    segment,
-    spans: Sequence[Sequence[int]],
-    wanted: list[bool] | None,
-    planes: Sequence[int],
-) -> tuple[np.ndarray, bool]:
-    """An exact row's slice sums, minima and maxima (``planes`` of them)
-    over each of ``spans`` for its ``wanted`` group columns (None: all),
-    as a ``(3, len(spans), len(tids))`` block, from its own model (the
-    caller looked it up); and whether that model is constant-time."""
-    tids = segment.group_tids
-    calls = (model.slice_sum, model.slice_min, model.slice_max)
-    cells = np.zeros((3, len(spans), len(tids)))
-    for column, tid in enumerate(segment.member_tids):
-        position = tids.index(tid)
-        if wanted is None or wanted[position]:
-            for plane in planes:
-                for piece, span in enumerate(spans):
-                    cells[plane, piece, position] = calls[plane](*span, column)
-    return cells, model.constant_time_aggregates
 
 
 def _fold(aggregate: Aggregate, state, ticks: int, cells: np.ndarray | None):

@@ -190,11 +190,10 @@ class TestWholeFolds:
             if cell == 0.0
         }
         assert zeros == {False, True}
-        # A whole read leaves every row of every table in the cells.
+        # A whole read builds every table's cells, over every row.
         db.sql("SELECT SUM_S(*) FROM Segment")
         for table in resident_tables(db):
-            assert table.fold.cells is not None
-            assert table.fold.cells.ready.all()
+            assert len(table.fold.cells.constant) == len(table.segments)
 
     def test_a_revised_partition_reads_whole_as_of_before_and_after(self):
         for multi in (False, True):
@@ -211,8 +210,8 @@ class TestWholeFolds:
 
     @pytest.mark.parametrize("whole_first", (True, False))
     def test_whole_and_cut_statements_interleave(self, whole_first):
-        """On a fresh handle, cut statements fill cells of whole exact
-        rows that a later whole read uses, and the other way round."""
+        """On a fresh handle, cut statements read the whole exact rows of
+        cells a whole read built, and build none of their own."""
         for seed in range(3):
             db = store(seed, (0.0, 1.0, 5.0)[seed], multi=seed == 1)
             whole, cut = whole_statements()[::3], cut_statements()
@@ -231,8 +230,7 @@ class TestWholeFolds:
         misses = cache.misses
         assert_oracle(db, statements[:1])
         for table in resident_tables(db):
-            cells = table.fold.cells
-            assert len(cells.ready) == len(table.segments) and cells.ready.all()
+            assert len(table.fold.cells.constant) == len(table.segments)
         # Only appended rows were decoded: the prefix kept its cells.
         appended = sum(len(t.segments) for t in resident_tables(db)) - before
         assert 0 < cache.misses - misses <= appended
@@ -306,24 +304,39 @@ class TestAccounting:
         assert lookups(db) - before <= rows() - stored
         assert_oracle(db, [sql])
 
-    def test_only_a_read_of_every_column_fills_a_cut_tables_cells(self):
-        """A cut statement reads a whole exact row's cells when they are
-        ready, but slices them only when it reads every column: a Tid
-        subset slices just what it reads."""
+    def test_cut_reads_build_no_cells_and_read_built_ones(self):
+        """A cut statement never builds cells; once a whole read built
+        them, it looks up only the models of the rows it cuts."""
         db = store(0, 1.0)
         middle = START + (TICKS // 2) * SI + SI // 2
+        cut = f"SELECT MAX_S(*), SUM_S(*) FROM Segment WHERE TS >= {middle}"
+        before = lookups(db)
+        assert_oracle(db, [cut])
+        cold = lookups(db) - before
+        assert all(table.fold.cells is None for table in resident_tables(db))
+        db.sql("SELECT MIN_S(*) FROM Segment")
+        before = lookups(db)
+        assert_oracle(db, [cut])
+        assert lookups(db) - before < cold
 
-        def ready():
-            (table, _) = resident_tables(db)
-            return int(table.fold.cells.ready.sum())
-
-        db.sql(f"SELECT SUM_S(*) FROM Segment WHERE TS <= {middle}")
-        before = ready()
-        subset = f"SELECT MAX_S(*) FROM Segment WHERE Tid = 1 AND TS >= {middle}"
-        assert_oracle(db, [subset])
-        assert ready() == before
-        db.sql(f"SELECT MAX_S(*) FROM Segment WHERE TS >= {middle}")
-        assert ready() > before
+    def test_published_cells_are_never_written(self):
+        """Cells are built whole and published read-only: extending a
+        table or gathering its survivors copies them, so a reader still
+        holding an older table never sees a row change under it."""
+        db = store(2, 0.0, ticks=TICKS // 2)
+        db.correct([(4, START + 17 * SI, 7.25)])
+        db.sql("SELECT SUM_S(*) FROM Segment")
+        tables = resident_tables(db)
+        sources = [t.source[0] for t in tables if t.source is not None]
+        assert sources
+        memos = [table.fold.cells for table in [*tables, *sources]]
+        copies = [[array.copy() for array in memo] for memo in memos]
+        db.ingest(groups(matrix(2), TICKS // 2, TICKS))
+        assert_oracle(db, whole_statements()[:9] + cut_statements())
+        for memo, copy in zip(memos, copies):
+            for array, before in zip(memo, copy):
+                assert not array.flags.writeable
+                assert np.array_equal(array, before)
 
     def test_a_whole_read_counts_what_the_oracle_counts(self):
         """Cold, a whole read looks every Gorilla row's model up once,
