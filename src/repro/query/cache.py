@@ -22,7 +22,9 @@ A resident table additionally carries :class:`FoldColumns`: the
 parameters of its column-independent rows as arrays, which the engine
 folds a partition at a time (:meth:`SegmentCache.fold_columns`), and,
 once a read of the whole table folds a slice aggregate, :class:`Cells`:
-every row's whole-segment slice aggregates (:meth:`SegmentCache.cells`).
+every row's whole-segment slice aggregates (:meth:`SegmentCache.cells`),
+and per CUBE level the rows' calendar :class:`Pieces`
+(:meth:`SegmentCache.pieces`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from ..models.registry import ModelRegistry
 from ..models.swing import FittedSwing
 from ..obs import get_registry
 from ..storage.scan import Table
+from . import rollup
 
 _DEFAULT_CAPACITY = 4096
 
@@ -65,7 +68,8 @@ class FoldColumns(NamedTuple):
     and ``span`` is the first start and last end over every row (None
     when a row is ``FOREIGN``). Gorilla models
     are never held here; ``cells`` is the table's :class:`Cells`
-    (``24 * len(tids) + 1`` bytes per row), once a whole read built them.
+    (``24 * len(tids) + 1`` bytes per row), once a whole read built them,
+    and ``pieces`` its :class:`Pieces` by CUBE level.
     """
 
     tids: tuple[int, ...]
@@ -77,6 +81,7 @@ class FoldColumns(NamedTuple):
     occupied: int
     span: tuple[int, int] | None
     cells: "Cells | None"
+    pieces: "dict[str, Pieces]"
 
 
 class Cells(NamedTuple):
@@ -90,6 +95,22 @@ class Cells(NamedTuple):
     cells: np.ndarray  # (3, rows, len(tids)) float64
     constant: np.ndarray  # bool per row
     points: np.ndarray  # (len(tids),) int64
+
+
+class Pieces(NamedTuple):
+    """Rows split at a CUBE level's calendar boundaries
+    (:func:`~repro.query.rollup.split_at_boundaries`): each piece's row,
+    inclusive tick range and bucket key, and, once sliced, its unscaled
+    slice sums, minima and maxima by column. A whole table keeps every
+    row's, over every column, ``32 + 24 * len(tids)`` bytes per piece,
+    built and published as :class:`Cells` are.
+    """
+
+    rows: np.ndarray  # intp per piece
+    first: np.ndarray  # int64 per piece
+    last: np.ndarray  # int64 per piece
+    buckets: np.ndarray  # int64 per piece
+    cells: np.ndarray | None  # (3, pieces, len(tids)) float64
 
 
 def line_cells(
@@ -147,20 +168,51 @@ def slices(
     return cells, model.constant_time_aggregates
 
 
+def split(table: Table, columns: "FoldColumns", rows, first, last, level) -> Pieces:
+    """The pieces of ``rows`` clipped to ``first..last`` at ``level``
+    (``Pieces.rows`` index ``rows``), not yet sliced."""
+    row, lo, hi, buckets = rollup.split_at_boundaries(
+        table.starts[rows], first, last, columns.sampling_interval, level
+    )
+    return Pieces(row, lo, hi, buckets, None)
+
+
+def piece_cells(table, columns, rows, pieces, planes, wanted, model_of) -> Pieces:
+    """``pieces`` of ``rows`` with their cells: ``planes`` of the
+    ``wanted`` columns (None: all), zeros elsewhere. An exact row slices
+    the model ``model_of`` gives, once for all its pieces."""
+    row, lo, hi = pieces.rows, pieces.first, pieces.last
+    kinds = columns.kinds[rows]
+    cells = line_cells(
+        planes, kinds[row], columns.parameters[rows[row]], lo, hi
+    ).repeat(len(columns.tids), axis=2)
+    exact = np.flatnonzero(kinds == EXACT)
+    begins = np.searchsorted(row, exact, "left").tolist()
+    ends = np.searchsorted(row, exact, "right").tolist()
+    for at, begin, end in zip(rows[exact].tolist(), begins, ends):
+        segment = table.segments[at]
+        span = np.stack((lo[begin:end], hi[begin:end]), 1).tolist()
+        cells[:, begin:end] = slices(model_of(segment), segment, span, wanted, planes)[0]
+    return pieces._replace(cells=cells)
+
+
 def lengths(table: Table) -> np.ndarray:
     """Each row's ticks."""
     return (table.ends - table.starts) // table.intervals + 1
 
 
-def _columns(table: Table, tids, interval, kinds, parameters, members, cells):
-    """Fold columns over every row of ``table``, their counts included."""
+def _columns(table: Table, tids, interval, kinds, parameters, members, base):
+    """Fold columns over every row of ``table``, their counts included,
+    keeping the memos of the prefix ``base`` covers (None: none)."""
     span = None
     if not (kinds == FOREIGN).any():
         span = int(table.starts.min()), int(table.ends.max())
     ticks = lengths(table) @ members
     occupied = int(np.count_nonzero(members.any(axis=1)))
+    cells, pieces = (None, {}) if base is None else base[-2:]
     return FoldColumns(
-        tids, interval, kinds, parameters, members, ticks, occupied, span, cells
+        tids, interval, kinds, parameters, members, ticks, occupied, span,
+        cells, pieces,
     )
 
 
@@ -291,42 +343,38 @@ class SegmentCache:
                 kinds[row] = LINE
                 parameters[row] = model.intercept, model.slope
         table.fold = columns = _columns(
-            table, tids, interval, kinds, parameters, members,
-            None if base is None else base.cells,
+            table, tids, interval, kinds, parameters, members, base
         )
         return columns, decoded
 
-    def cells(self, table: Table) -> tuple[Cells, np.ndarray | None]:
+    def cells(self, table: Table, model_of) -> Cells:
         """The :class:`Cells` over every row of a table whose fold columns
-        are built, and a mask of the rows whose model this call looked up
-        (None when it built nothing); each lookup counts its own hit or
-        miss. Built without a lock, once per row, and published as the
-        fold columns are: an extending table adds its appended rows to
-        its prefix's cells, slicing exact rows' models whole, and a table
-        of survivors gathers its rows' from the table of every row.
+        are built, exact rows slicing the model ``model_of`` gives (the
+        caller counts its lookups). Built without a lock, once per row,
+        and published as the fold columns are: an extending table adds
+        its appended rows to its prefix's cells, slicing exact rows'
+        models whole, and a table of survivors gathers its rows' from the
+        table of every row.
         """
         columns = table.fold
         memo = columns.cells
         if memo is not None and len(memo.constant) == len(columns.kinds):
-            return memo, None
+            return memo
         if table.source is not None:
             rows, positions = table.source
-            whole, looked = self.cells(rows)
+            whole = self.cells(rows, model_of)
             cells, constant = whole.cells[:, positions], whole.constant[positions]
-            looked = None if looked is None else looked[positions]
         else:
             done = 0 if memo is None else len(memo.constant)
             kinds, last = columns.kinds[done:], lengths(table)[done:] - 1
             cells = line_cells(
                 (0, 1, 2), kinds, columns.parameters[done:], np.zeros_like(last), last
             ).repeat(len(columns.tids), axis=2)
-            constant, looked = kinds < EXACT, columns.kinds == EXACT
-            looked[:done] = False
-            for row in np.flatnonzero(looked[done:]).tolist():
+            constant = kinds < EXACT
+            for row in np.flatnonzero(kinds == EXACT).tolist():
                 segment = table.segments[done + row]
-                model = self.model_of(segment)
                 span = [(0, segment.length - 1)]
-                block, constant[row] = slices(model, segment, span, None)
+                block, constant[row] = slices(model_of(segment), segment, span, None)
                 cells[:, row] = block[:, 0]
             if memo is not None:
                 cells = np.concatenate((memo.cells, cells), axis=1)
@@ -335,8 +383,59 @@ class SegmentCache:
         for array in (cells, constant, points):
             array.setflags(write=False)
         memo = Cells(cells, constant, points)
-        table.fold = columns._replace(cells=memo)
-        return memo, looked
+        table.fold = table.fold._replace(cells=memo)
+        return memo
+
+    def pieces(self, table: Table, level: str, planes, wanted, model_of) -> Pieces:
+        """The :class:`Pieces` of every row of a table whose fold columns
+        are built, at ``level``.
+
+        Kept on the table while they number at most twice its rows, and
+        then built as :meth:`cells` are, with every plane and column: an
+        extending table splits its appended rows only, a table of
+        survivors gathers its rows' pieces from the table of every row.
+        Past that bound (``MINUTE`` over long rows), they are split for
+        the one statement, with ``planes`` of the ``wanted`` columns, and
+        for COUNT alone (no ``planes``) without cells or lookups.
+        """
+        columns = table.fold
+        memo = columns.pieces.get(level)
+        done = 0 if memo is None else int(memo.rows[-1]) + 1
+        if done == len(columns.kinds):
+            return memo
+        last = lengths(table) - 1
+        if not planes:
+            rows = np.arange(len(last))
+            return split(table, columns, rows, np.zeros_like(last), last, level)
+        if table.source is not None:
+            rows, positions = table.source
+            whole = self.pieces(rows, level, planes, wanted, model_of)
+            at = np.full(len(rows.segments), -1)
+            at[positions] = np.arange(len(positions))
+            keep = at[whole.rows] >= 0
+            parts = (part[keep] for part in whole[1:4])
+            memo = Pieces(at[whole.rows][keep], *parts, whole.cells[:, keep])
+            kept = whole is rows.fold.pieces.get(level)
+            kept = kept and len(memo.rows) <= 2 * len(positions)
+        else:
+            rows, last = np.arange(done, len(last)), last[done:]
+            added = split(table, columns, rows, np.zeros_like(last), last, level)
+            prefix = 0 if memo is None else len(memo.rows)
+            kept = prefix + len(added.rows) <= 2 * len(columns.kinds)
+            every = ((0, 1, 2), None) if kept else (planes, wanted)
+            added = piece_cells(table, columns, rows, added, *every, model_of)
+            added = added._replace(rows=added.rows + done)
+            if memo is not None:
+                parts = map(np.concatenate, zip(memo[:4], added[:4]))
+                cells = np.concatenate((memo.cells, added.cells), axis=1)
+                added = Pieces(*parts, cells)
+            memo = added
+        if kept:
+            for array in memo:
+                array.setflags(write=False)
+            fold = table.fold
+            table.fold = fold._replace(pieces={**fold.pieces, level: memo})
+        return memo
 
     def decode(
         self,

@@ -35,7 +35,8 @@ from ..storage.interface import Storage
 from ..storage.scan import Table
 from . import analytics, rollup
 from .aggregates import Aggregate, aggregate_by_name
-from .cache import EXACT, FOREIGN, FoldColumns, SegmentCache, line_cells, slices
+from .cache import EXACT, FOREIGN, FoldColumns, SegmentCache, line_cells
+from .cache import piece_cells, slices, split
 from .columnar import PartitionPoints, ResultColumns, as_rows, partition_points
 from .metadata import MetadataCache
 from .rewriter import (
@@ -376,7 +377,8 @@ class QueryEngine:
         interval holds it whole, else clipped once and folded with numpy
         passes over its fold columns (CUBE calls split the rows at
         calendar boundaries first); then one ordered accumulate per group
-        key (and bucket). A column-independent group model is one row of
+        key, and one for every (key, bucket) of a CUBE level at once
+        (:func:`_fold_groups`). A column-independent group model is one row of
         the fold columns for all its member series, so its slice
         aggregates are computed once per segment, not once per series —
         the benefit of executing queries on models representing multiple
@@ -588,13 +590,12 @@ class _SegmentFold:
 
     def _whole(self, table: Table, columns: FoldColumns | None) -> bool:
         """Whether fold columns over every row of ``table`` show that the
-        interval holds each row whole, under no CUBE call."""
+        interval holds each row whole."""
         if columns is None or len(columns.kinds) < len(table.segments):
             return False
         span, plan = columns.span, self.plan
         return (
-            self.levels.keys() == {None}
-            and span is not None
+            span is not None
             and (plan.start_time is None or plan.start_time <= span[0])
             and (plan.end_time is None or span[1] <= plan.end_time)
         )
@@ -645,27 +646,42 @@ class _SegmentFold:
         self._fold_rows(table, rows, first, last, columns, decoded)
 
     def _fold_whole(self, table: Table, columns: FoldColumns, decoded) -> None:
-        """Fold a whole table from its per-column ticks and its ``Cells``,
-        which the first such read builds. COUNT alone builds no cells and
-        looks no model up."""
+        """Fold a whole table from the memos the first read that needs
+        them builds: simple calls from its ``Cells``, a CUBE level from
+        its ``Pieces``. COUNT alone builds no cells and looks no model
+        up; each read row whose model this call did not look up counts
+        one pinned hit."""
         tids, members = columns.tids, columns.members
         wanted = [tid in self.plan.tids for tid in tids]
-        scaled, points, looked = None, columns.ticks, None
-        if self.planes[None]:
-            memo, looked = self.cache.cells(table)
-            scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
-            scaled, points = memo.cells / scalings, memo.points
-        # One pinned hit per row read, but for rows whose lookup counted.
+        selected = members & wanted
+        model_of, looked = _lookups(self.cache)
+        points = columns.ticks
+        if any(self.planes.values()):
+            memo = self.cache.cells(table, model_of)
+            points = memo.points
+        keys, scalings = self._keys(tids, wanted), self._scalings(tids)
+        for level, planes in self.planes.items():
+            if level is None:
+                scaled = memo.cells / scalings if planes else None
+                self._fold_simple(keys, scaled, members, columns.ticks.tolist())
+            else:
+                pieces = self.cache.pieces(table, level, planes, wanted, model_of)
+                self._fold_level(level, keys, selected, pieces, scalings)
         read = columns.occupied
         if not all(wanted):
-            read = np.count_nonzero(members[:, wanted].any(axis=1))
-        for rows in (decoded, looked):
+            read = np.count_nonzero(selected.any(axis=1))
+        done = [decoded]
+        if looked:
+            ids = (id(segment) in looked for segment in table.segments)
+            done.append(np.fromiter(ids, bool, len(table.segments)))
+        for rows in done:
             if rows is not None:
-                read -= np.count_nonzero(members[rows][:, wanted].any(axis=1))
+                read -= np.count_nonzero(selected[rows].any(axis=1))
         self.cache.count_pinned_hits(int(read))
         self.skipped += int(points[wanted].sum())
-        keys = self._keys(tids, wanted)
-        self._fold_simple(keys, scaled, members, columns.ticks.tolist())
+
+    def _scalings(self, tids: Sequence[int]) -> np.ndarray:
+        return np.array([self.scalings.get(tid, 1.0) for tid in tids])
 
     def _fold_simple(self, keys, scaled, mask, ticks) -> None:
         """Fold each key's simple calls from its columns' ``ticks`` and the
@@ -695,10 +711,9 @@ class _SegmentFold:
     ) -> None:
         """Fold the clipped ``rows`` of a table of one group layout: one
         vectorised slice aggregate (:func:`~repro.query.cache.line_cells`)
-        over the rows, exact rows slicing their own model. A CUBE level
-        first splits the rows at calendar boundaries
-        (:func:`rollup.split_at_boundaries`), each (key, bucket) folding
-        in (segment, column, piece) order."""
+        over the rows, exact rows slicing their own model, looked up once
+        for the row and all its pieces. A CUBE level first splits the
+        rows at calendar boundaries (:func:`~repro.query.cache.split`)."""
         plan = self.plan
         tids = columns.tids
         wanted = [tid in plan.tids for tid in tids]
@@ -719,8 +734,8 @@ class _SegmentFold:
         # Exact rows slice the planes and columns this statement reads,
         # or read a whole row's cells where a whole read built them (an
         # extended table's prefix holds its rows' cells). COUNT alone
-        # looks no model up; a CUBE call looks it up once for all the
-        # row's pieces and reads no cells.
+        # looks no model up; with a CUBE call every exact row is looked
+        # up, once for its simple calls and all its pieces.
         simple = self.levels.get(None, [])
         cube = len(simple) < len(self.specs)
         planes = self.planes.get(None, [])
@@ -729,7 +744,8 @@ class _SegmentFold:
         whole = full[exact] & (rows[exact] < built)
         memoised, looked = exact[whole], exact[~whole]
         constant_time = np.ones_like(folded)
-        blocks, models = [], []
+        model_of = _lookups(self.cache)[0]
+        blocks = []
         if not any(self.planes.values()):
             hits += len(exact)
         elif len(exact):
@@ -739,11 +755,9 @@ class _SegmentFold:
                 constant_time[memoised] = memo.constant[rows[memoised]]
             for row in looked.tolist():
                 segment = table.segments[rows[row]]
-                model = self.cache.model_of(segment)
-                models.append((model, segment))
                 span = [(int(first[row]), int(last[row]))]
                 block, constant_time[row] = slices(
-                    model, segment, span, wanted, planes
+                    model_of(segment), segment, span, wanted, planes
                 )
                 blocks.append(block)
         self.cache.count_pinned_hits(int(hits))
@@ -752,7 +766,7 @@ class _SegmentFold:
         )
 
         parameters = columns.parameters[rows]
-        scalings = np.array([self.scalings.get(tid, 1.0) for tid in tids])
+        scalings = self._scalings(tids)
         keys = self._keys(tids, wanted)
         if simple:
             scaled = None
@@ -764,49 +778,64 @@ class _SegmentFold:
                     scaled[:, memoised] = memo.cells[:, rows[memoised]] / scalings
             ticks = (counts @ selected).tolist()
             self._fold_simple(keys, scaled, selected, ticks)
-
-        for level, indices in self.levels.items():
-            if level is None:
-                continue
-            row, lo, hi, buckets = rollup.split_at_boundaries(
-                starts, first, last, step, level
-            )
-            chosen = selected[row]
-            planes = self.planes[level]
-            if planes:
-                scaled = line_cells(planes, kinds[row], parameters[row], lo, hi)
-                scaled = scaled / scalings
-                # An exact row's pieces are one run, sliced from the model
-                # it looked up once.
-                begins = np.searchsorted(row, exact, "left").tolist()
-                ends = np.searchsorted(row, exact, "right").tolist()
-                for (model, segment), begin, end in zip(models, begins, ends):
-                    span = np.stack((lo[begin:end], hi[begin:end]), 1).tolist()
-                    cells = slices(model, segment, span, wanted, planes)[0]
-                    scaled[:, begin:end] = cells / scalings
-            for key, positions in keys.items():
-                pieces, members = np.nonzero(chosen[:, positions])
-                if not len(pieces):
-                    continue
-                # Bucket by bucket, in the order a segment-at-a-time
-                # walk reaches a bucket: (segment, column, piece).
-                order = np.lexsort((pieces, members, row[pieces], buckets[pieces]))
-                pieces, members = pieces[order], members[order]
-                keyed = buckets[pieces]
-                cuts = (np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist()
-                begins, ends = [0, *cuts], [*cuts, len(pieces)]
-                ticks = np.add.reduceat((hi - lo + 1)[pieces], begins).tolist()
+        for level, planes in self.planes.items():
+            if level is not None:
+                pieces = split(table, columns, rows, first, last, level)
                 if planes:
-                    cells = scaled[:, pieces, np.asarray(positions)[members]]
-                states = self.cubes.setdefault(key, [{} for _ in self.specs])
-                for bucket, begin, end, count in zip(
-                    keyed[begins].tolist(), begins, ends, ticks
-                ):
-                    part = cells[:, begin:end] if planes else None
-                    for index in indices:
-                        aggregate = self.specs[index].aggregate
-                        state = states[index].get(bucket, aggregate.initialize())
-                        states[index][bucket] = _fold(aggregate, state, count, part)
+                    pieces = piece_cells(
+                        table, columns, rows, pieces, planes, wanted, model_of
+                    )
+                self._fold_level(level, keys, selected, pieces, scalings)
+
+    def _fold_level(self, level, keys, selected, pieces, scalings) -> None:
+        """Fold the ``selected`` columns of one CUBE level's ``pieces``
+        into every (key, bucket) state at once: sorted by (key, bucket,
+        segment, column, piece), the order a segment-at-a-time walk
+        reaches each bucket, each run of one (key, bucket) folds through
+        :func:`_fold_groups`."""
+        owner = np.full(selected.shape[1], -1)
+        for index, positions in enumerate(keys.values()):
+            owner[positions] = index
+        at, column = np.nonzero(selected[pieces.rows])
+        if not len(at):
+            return
+        buckets, rank = np.unique(pieces.buckets, return_inverse=True)
+        group = owner[column] * len(buckets) + rank[at]
+        # Stable, so a row's pieces in one bucket keep their order.
+        order = np.lexsort((pieces.rows[at] * len(owner) + column, group))
+        at, column, group = at[order], column[order], group[order]
+        begins = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+        ticks = np.add.reduceat((pieces.last - pieces.first + 1)[at], begins)
+        cells = pieces.cells
+        if cells is not None:
+            cells = cells[:, at, column] / scalings[column]
+        key, bucket = np.divmod(group[begins], len(buckets))
+        key, bucket, heads = key.tolist(), buckets[bucket].tolist(), list(keys)
+        states = {
+            k: self.cubes.setdefault(heads[k], [{} for _ in self.specs])
+            for k in set(key)
+        }
+        cubes = [states[k] for k in key]
+        for index in self.levels[level]:
+            aggregate = self.specs[index].aggregate
+            initial = aggregate.initialize()
+            states = [c[index].get(b, initial) for c, b in zip(cubes, bucket)]
+            folded = _fold_groups(aggregate.name, states, ticks, cells, begins)
+            for c, b, state in zip(cubes, bucket, folded):
+                c[index][b] = state
+
+
+def _lookups(cache: SegmentCache):
+    """``cache.model_of`` looking each segment up once, and the models it
+    looked up by segment id."""
+    models: dict[int, object] = {}
+
+    def model_of(segment):
+        if id(segment) not in models:
+            models[id(segment)] = cache.model_of(segment)
+        return models[id(segment)]
+
+    return model_of, models
 
 
 def _fold(aggregate: Aggregate, state, ticks: int, cells: np.ndarray | None):
@@ -836,6 +865,40 @@ def _ordered_sum(state: float, values: np.ndarray) -> float:
     ``+`` adds them: a sequential accumulate, never numpy's pairwise
     ``sum``."""
     return float(np.add.accumulate(np.concatenate(([state], values)))[-1])
+
+
+def _fold_groups(name: str, states: list, ticks, cells, begins) -> list:
+    """Each group's state after ``ticks`` points whose slice sums, minima
+    and maxima are its run of ``cells``, ``begins[g]`` up to the next
+    group's, for every group at once.
+
+    SUM and AVG add along a grid of the runs, state in column 0, padded
+    with ``-0.0`` (the exact additive identity), in one sequential
+    ``np.add.accumulate``: the cells in order, never numpy's pairwise
+    ``sum``. MIN and MAX keep the first of equal extremes over
+    ``[state, *cells]``, as Python's ``min``/``max`` do, which decides
+    the sign of a zero (cells hold no NaN: a NaN point is a gap).
+    """
+    if name == "COUNT":
+        return [state + count for state, count in zip(states, ticks.tolist())]
+    values = cells[_PLANES[name]]
+    sizes = np.append(begins[1:], len(values)) - begins
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    pad = {"MIN": np.inf, "MAX": -np.inf}.get(name, -0.0)
+    grid = np.full((len(sizes), int(sizes.max()) + 1), pad)
+    grid[group, np.arange(len(values)) - begins[group] + 1] = values
+    if name in ("MIN", "MAX"):
+        grid[:, 0] = [pad if state is None else state for state in states]
+        at = grid.argmin(axis=1) if name == "MIN" else grid.argmax(axis=1)
+        return grid[np.arange(len(grid)), at].tolist()
+    grid[:, 0] = [state[0] for state in states] if name == "AVG" else states
+    totals = np.add.accumulate(grid, axis=1)[:, -1].tolist()
+    if name == "SUM":
+        return totals
+    return [
+        (total, state[1] + count)
+        for total, state, count in zip(totals, states, ticks.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -1228,6 +1291,7 @@ def _shape_results(
         set(simple) | set(cubes), key=lambda key: tuple(map(str, key))
     )
     has_cube = any(spec.level is not None for spec in specs)
+    labels: dict[tuple, str] = {}  # each (bucket, level) formatted once
     if not keys and not group_columns and not has_cube:
         # SQL semantics: an ungrouped aggregate over no rows still yields
         # one row (COUNT 0, the others NULL).
@@ -1276,7 +1340,11 @@ def _shape_results(
                     state = buckets_per_spec[index].get(bucket)
                     if state is None:
                         continue
-                    row[spec.level] = format_bucket(bucket, spec.level)
+                    label = labels.get((bucket, spec.level))
+                    if label is None:
+                        label = format_bucket(bucket, spec.level)
+                        labels[bucket, spec.level] = label
+                    row[spec.level] = label
                     row[spec.label] = spec.aggregate.finalize(state)
             results.append(row)
     return results

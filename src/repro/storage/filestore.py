@@ -114,6 +114,8 @@ class FileStorage(Storage):
         #: that is current take no lock.
         self._tables: dict[int, Partition] = {}
         self._tables_lock = threading.Lock()
+        #: Each partition file's path, made once: a scan ``stat``s it.
+        self._paths: dict[int, str] = {}
         self._load_metadata()
         self._recover_partitions()
 
@@ -241,13 +243,15 @@ class FileStorage(Storage):
         neither the table nor the group metadata moved meanwhile; a
         loader that lost that race looks again.
         """
-        path = self._partition_path(gid)
+        path = self._paths.get(gid)
+        if path is None:
+            path = self._paths[gid] = str(self._partition_path(gid))
         while True:
             metadata = self._groups.get(gid)
             if metadata is None:
                 return None
             try:
-                size = path.stat().st_size
+                size = os.stat(path).st_size
             except FileNotFoundError:
                 return None
             known = self._tables.get(gid)

@@ -626,6 +626,46 @@ class TestPartitionFold:
         assert int(warm["cache_hits"]) == hits == int(cold["segments"]) > 200
         assert int(cold["rows_skipped_materialization"]) > 0
 
+    @pytest.mark.parametrize("prior", (False, True))
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT Park, CUBE_SUM_MINUTE(*), CUBE_COUNT_HOUR(*) FROM Segment "
+            "GROUP BY Park",
+            "SELECT Tid, CUBE_MAX_DAY(*) FROM Segment GROUP BY Tid",
+        ],
+    )
+    def test_a_cube_only_rollup_counts_what_the_row_engine_counts(self, sql, prior):
+        """The same without a simple call, so whole tables fold from the
+        pieces they keep: the build counts each lookup once, the fold one
+        pinned hit per other row read, cold and warm, with and without a
+        whole simple read before (which builds cells, not pieces)."""
+        origin, si, _ = CALENDARS["new-year"]
+        counted, reports = {}, []
+        for reference in (False, True):
+            db, _, _ = build_fold_db(0, 0.0, origin=origin, si=si, revise=False)
+            if prior:
+                db.sql("SELECT MIN_S(*) FROM Segment")
+            for _ in range(2):
+                before = db.engine.cache_stats
+                if reference:
+                    oracle.query(db, sql)
+                else:
+                    report = db.query("EXPLAIN ANALYZE " + sql)
+                    (scan,) = [r["detail"] for r in report if r["stage"] == "scan"]
+                    reports.append(dict(item.split("=") for item in scan.split()))
+                after = db.engine.cache_stats
+                counted.setdefault(reference, []).append(
+                    (after[0] - before[0], after[1] - before[1])
+                )
+        assert counted[False] == counted[True]
+        (cold_hits, misses), (hits, warm_misses) = counted[False]
+        cold, warm = reports
+        assert (int(cold["cache_hits"]), int(cold["decoded"])) == (cold_hits, misses)
+        assert (misses > 0) != prior and warm_misses == 0
+        assert int(warm["cache_hits"]) == hits == int(cold["segments"]) > 200
+        assert int(cold["rows_skipped_materialization"]) > 0
+
 
 # ----------------------------------------------------------------------
 # The decode kernels themselves: values_block == values()[first:last+1]

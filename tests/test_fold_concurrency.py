@@ -7,7 +7,9 @@ new tables beside it. Four reader threads run aggregates (an hourly
 rollup among them) while one thread ingests slices, under a 10 µs
 switch interval: every answer must equal the same statement on a fresh
 handle at some published prefix, and the long-lived handle must end
-where a fresh handle starts.
+where a fresh handle starts. Two threads on a cold handle race to build
+the same tables' cells and CUBE pieces, and must answer as one thread
+does.
 """
 
 import random
@@ -153,3 +155,59 @@ def test_concurrent_folds_answer_a_published_prefix(tmp_path, backend):
             directory, config=CONFIG, dimensions=dimensions()
         ) as fresh:
             assert answers(fresh) == final
+
+
+#: Whole-table rollups: each builds, or reads, its tables' cells and
+#: pieces (MINUTE, HOUR and DAY).
+CUBES = [
+    "SELECT Park, CUBE_SUM_MINUTE(*), CUBE_MAX_HOUR(*) FROM Segment "
+    "GROUP BY Park",
+    "SELECT Tid, CUBE_AVG_MINUTE(*), CUBE_MIN_DAY(*), COUNT_S(*) FROM Segment "
+    "GROUP BY Tid",
+    "SELECT CUBE_MIN_HOUR(*), CUBE_COUNT_MINUTE(*), SUM_S(*) FROM Segment",
+]
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_cold_threads_build_whole_pieces_alike(tmp_path, backend):
+    directory = None if backend == "memory" else tmp_path / "store"
+    with ModelarDB.open(directory, config=CONFIG, dimensions=dimensions()) as db:
+        for part in slices():
+            db.ingest(part)
+        expected = {sql: db.sql(sql) for sql in CUBES}
+    for attempt in range(3):
+        if backend == "memory":
+            db = ModelarDB(CONFIG, storage=MemoryStorage(), dimensions=dimensions())
+            for part in slices():
+                db.ingest(part)
+        else:
+            db = ModelarDB.open(directory, config=CONFIG, dimensions=dimensions())
+        seen: list[tuple[str, list[dict]]] = []
+        errors: list[BaseException] = []
+        start = threading.Barrier(2)
+
+        def reader(order):
+            try:
+                start.wait()
+                for sql in order:
+                    seen.append((sql, db.sql(sql)))
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        orders = (CUBES * 2, CUBES[::-1] * 2)
+        threads = [threading.Thread(target=reader, args=(o,)) for o in orders]
+        interval_before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval_before)
+        db.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(seen) == 4 * len(CUBES)
+        for sql, rows in seen:
+            assert rows == expected[sql], (attempt, sql)

@@ -1,15 +1,17 @@
 """Whole-table Segment View folds against the row-at-a-time oracle.
 
 A partition table whose every row the statement's interval holds folds
-from memos kept on the table: each column's point count, and every
-row's whole-segment slice sums, minima and maxima (``Cells``), filled
-once per row. Answers must stay bit-identical to ``tests/oracle.py`` —
-the same cells added in the same (segment, column) order — for every
-Segment View aggregate, alone and together, ungrouped and grouped, over
-PMC-Mean, Swing, Gorilla and ``Multi`` rows, signed zeros, NaN gaps,
-revisions read ``AS OF``, partitions mixing group layouts, and tables
-extended after their memo was built. Statements that cut tables share
-the memo, so they run interleaved with whole ones in both orders.
+from memos kept on the table: each column's point count, every row's
+whole-segment slice sums, minima and maxima (``Cells``), built once per
+row, and per CUBE level the rows' calendar pieces with their cells
+(``Pieces``), kept while they number at most twice the rows. Answers
+must stay bit-identical to ``tests/oracle.py`` — the same cells added in
+the same (segment, column[, piece]) order — for every Segment View
+aggregate and time rollup, alone and together, ungrouped and grouped,
+over PMC-Mean, Swing, Gorilla and ``Multi`` rows, signed zeros, NaN
+gaps, revisions read ``AS OF``, partitions mixing group layouts, and
+tables extended after their memo was built. Statements that cut tables
+share the memo, so they run interleaved with whole ones in both orders.
 """
 
 import random
@@ -66,9 +68,10 @@ def matrix(seed):
     for _ in range(5):
         start = rng.randrange(TICKS - 30)
         values[start:start + rng.randint(1, 25), 1] = np.nan
-    for sign in (1.0, -1.0, 1.0, -1.0):
-        start = rng.randrange(TICKS - 20)
-        values[start:start + rng.randint(4, 20), 0] = sign * 0.0
+    for column in (0, 2):
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            start = rng.randrange(TICKS - 20)
+            values[start:start + rng.randint(4, 20), column] = sign * 0.0
     return values
 
 
@@ -79,25 +82,27 @@ def dimensions():
     return DimensionSet([park])
 
 
-def groups(values, first, last):
+def groups(values, first, last, origin=START, si=SI):
     """Ticks ``first..last-1`` of a three-series group (scalings 1, 3
     and -0.5, so a scaled zero flips sign) and a singleton."""
-    timestamps = np.arange(first, last, dtype=np.int64) * SI + START
+    timestamps = np.arange(first, last, dtype=np.int64) * si + origin
     series = [
         TimeSeries(
-            tid, SI, timestamps, values[first:last, tid - 1] / scaling,
+            tid, si, timestamps, values[first:last, tid - 1] / scaling,
             scaling=scaling,
         )
         for tid, scaling in zip((1, 2, 3), (1.0, 3.0, -0.5))
     ]
-    solo = TimeSeries(4, SI, timestamps, values[first:last, 0] * 1.5 + 3.0)
+    solo = TimeSeries(4, si, timestamps, values[first:last, 0] * 1.5 + 3.0)
     return [TimeSeriesGroup(1, series), TimeSeriesGroup(2, [solo])]
 
 
-def store(seed, bound, multi=False, ticks=TICKS):
-    """A database holding the first ``ticks`` ticks of seed's data."""
+def store(seed, bound, multi=False, ticks=TICKS, origin=START, si=SI, limit=6):
+    """A database holding the first ``ticks`` ticks of seed's data,
+    sampled every ``si`` ms from ``origin`` in rows of at most ``limit``
+    ticks."""
     config = Configuration(
-        error_bound=bound, model_length_limit=6, models=MODELS[multi]
+        error_bound=bound, model_length_limit=limit, models=MODELS[multi]
     )
     db = ModelarDB(
         config,
@@ -105,7 +110,7 @@ def store(seed, bound, multi=False, ticks=TICKS):
         dimensions=dimensions(),
         extra_models=[MultiModel(PMCMean()), MultiModel(Gorilla())],
     )
-    db.ingest(groups(matrix(seed), 0, ticks))
+    db.ingest(groups(matrix(seed), 0, ticks, origin, si))
     return db
 
 
@@ -358,6 +363,176 @@ class TestAccounting:
                     )
             assert counted[False][1] == counted[True][1], sql
             assert counted[False][1][1] == 0
+
+
+#: 23:10 on Sunday 2016-01-03 UTC: 600 ticks of 20 s run 3 h 20 min
+#: into Monday, over MINUTE, HOUR, DAY and DAYOFWEEK boundaries.
+SUNDAY = 1_451_862_600_000
+SLOW = 20_000
+LEVELS = ("DAY", "HOUR", "MINUTE", "DAYOFWEEK")
+FUNCTIONS = ("SUM", "AVG", "MIN", "MAX", "COUNT")
+
+
+def calendar_store(seed, bound, multi=False, limit=3, ticks=TICKS):
+    """Rows of at most ``limit`` 20 s ticks: at 3 a row spans at most two
+    minutes, so every level keeps its pieces; at 40 a row spans up to
+    13 minutes, so MINUTE's pieces outnumber twice the rows and are
+    split per statement."""
+    return store(seed, bound, multi, ticks, SUNDAY, SLOW, limit)
+
+
+def cube_statements():
+    """Every rollup at every level alone and all five together,
+    ungrouped, by Tid and by a dimension over a Tid subset, and rollups
+    beside simple calls."""
+    statements = []
+    for level in LEVELS:
+        every = ", ".join(f"CUBE_{name}_{level}(*)" for name in FUNCTIONS)
+        statements += [
+            f"SELECT {every} FROM Segment",
+            f"SELECT Tid, {every} FROM Segment GROUP BY Tid",
+            f"SELECT Park, {every} FROM Segment WHERE Tid IN (1, 3, 4) "
+            "GROUP BY Park",
+        ]
+        statements += [
+            f"SELECT Park, CUBE_{name}_{level}(*) FROM Segment GROUP BY Park"
+            for name in FUNCTIONS
+        ]
+    return statements + [
+        "SELECT Tid, SUM_S(*), CUBE_MIN_HOUR(*), MAX_S(*), "
+        "CUBE_AVG_DAYOFWEEK(*) FROM Segment GROUP BY Tid",
+        "SELECT Park, COUNT_S(*), CUBE_SUM_MINUTE(*), CUBE_MAX_DAY(*) "
+        "FROM Segment GROUP BY Park",
+        "SELECT AVG_S(*), MIN_S(*), CUBE_COUNT_HOUR(*), CUBE_SUM_HOUR(*) "
+        "FROM Segment WHERE Tid = 2",
+    ]
+
+
+def cut_cube_statements():
+    """Rollups whose interval cuts rows, reading the same tables."""
+    lo = SUNDAY + 37 * SLOW + SLOW // 2
+    hi = SUNDAY + (TICKS // 2) * SLOW - SLOW // 3
+    return [
+        f"SELECT Tid, CUBE_SUM_HOUR(*), CUBE_MIN_HOUR(*) FROM Segment "
+        f"WHERE TS >= {lo} GROUP BY Tid",
+        f"SELECT Park, CUBE_AVG_MINUTE(*), MAX_S(*) FROM Segment "
+        f"WHERE TS <= {hi} GROUP BY Park",
+        f"SELECT CUBE_MAX_DAYOFWEEK(*), CUBE_COUNT_DAY(*) FROM Segment "
+        f"WHERE TS >= {lo} AND TS <= {hi}",
+    ]
+
+
+def assert_pieces_cover(db, levels):
+    """Every resident table keeps ``levels``' pieces over all its rows,
+    and no level's pieces (a prefix's, until a read extends them) that
+    outnumber twice the rows they cover."""
+    for table in resident_tables(db):
+        kept = table.fold.pieces
+        for level in levels:
+            assert int(kept[level].rows[-1]) + 1 == len(table.segments)
+        for pieces in kept.values():
+            assert len(pieces.rows) <= 2 * (int(pieces.rows[-1]) + 1)
+
+
+class TestWholeCubes:
+    @pytest.mark.parametrize(
+        "bound, multi, limit",
+        [(0.0, False, 3), (5.0, True, 3), (0.0, True, 40), (5.0, False, 40)],
+    )
+    def test_cube_statements_match_the_oracle(self, bound, multi, limit):
+        db = calendar_store(limit, bound, multi, limit)
+        assert_oracle(db, cube_statements(), context=f"limit={limit}")
+        assert_pieces_cover(db, LEVELS if limit == 3 else ("DAY", "HOUR"))
+        if limit == 40:
+            assert all(
+                "MINUTE" not in table.fold.pieces for table in resident_tables(db)
+            )
+        assert_oracle(db, cube_statements()[::3], context="warm")
+
+    @pytest.mark.parametrize("multi", (False, True))
+    def test_the_cube_corpus_reaches_every_row_shape(self, multi):
+        """Exact rows inside one minute and across a minute boundary, and
+        minima that tie between zeros of both signs under a negative
+        scaling."""
+        db = calendar_store(0, 0.0, multi)
+        cache = db.engine.segment_cache
+        segments = list(db.storage.scan(SegmentScan()))
+        exact = [
+            s for s in segments
+            if db.registry.by_mid(s.mid).name in ("Gorilla", "Multi(Gorilla)")
+        ]
+        spans = {(s.end_time // 60_000) - (s.start_time // 60_000) for s in exact}
+        assert {0, 1} <= spans
+        zeros = {
+            bool(np.signbit(cell / -0.5))
+            for s in segments
+            if s.gid == 1 and 3 in s.member_tids
+            for column in [s.member_tids.index(3)]
+            for cell in [cache.model_of(s).slice_min(0, s.length - 1, column)]
+            if cell == 0.0
+        }
+        assert zeros == {False, True}
+
+    def test_an_append_extends_built_pieces(self):
+        values = matrix(3)
+        db = calendar_store(3, 1.0, ticks=TICKS // 2)
+        statements = cube_statements()
+        assert_oracle(db, statements)
+        before = sum(len(table.segments) for table in resident_tables(db))
+        db.ingest(groups(values, TICKS // 2, TICKS, SUNDAY, SLOW))
+        cache = db.engine.segment_cache
+        misses = cache.misses
+        assert_oracle(db, statements[:1])
+        assert_pieces_cover(db, ("DAY",))
+        # Only appended rows were decoded: the prefix kept its pieces.
+        appended = sum(len(t.segments) for t in resident_tables(db)) - before
+        assert 0 < cache.misses - misses <= appended
+        assert_oracle(db, statements + cut_cube_statements())
+
+    def test_a_revised_partition_reads_whole_cubes_as_of_before_and_after(self):
+        for multi in (False, True):
+            db = calendar_store(1, 5.0, multi)
+            mark = db.knowledge_time()
+            timestamps = SUNDAY + SLOW * np.array([17, 250, 431])
+            db.correct(
+                [(1, int(timestamps[0]), 7.25), (3, int(timestamps[1]), None),
+                 (2, int(timestamps[2]), -0.0)]
+            )
+            assert any(s.revision for s in db.storage.scan(SegmentScan()))
+            for as_of in (None, mark, None):
+                assert_oracle(db, cube_statements()[::4], as_of, f"multi={multi}")
+
+    @pytest.mark.parametrize("whole_first", (True, False))
+    def test_whole_and_cut_cubes_interleave(self, whole_first):
+        for seed in range(2):
+            db = calendar_store(seed, (0.0, 5.0)[seed], multi=seed == 1)
+            whole, cut = cube_statements()[::5], cut_cube_statements()
+            first, second = (whole, cut) if whole_first else (cut, whole)
+            for sql in [*first, *second, *first]:
+                assert_oracle(db, [sql], context=f"seed={seed}")
+
+    def test_published_pieces_are_never_written(self):
+        """Pieces are built whole and published read-only: extending a
+        table or gathering its survivors copies them."""
+        db = calendar_store(2, 0.0, ticks=TICKS // 2)
+        db.correct([(4, SUNDAY + 17 * SLOW, 7.25)])
+        db.sql("SELECT CUBE_SUM_HOUR(*), CUBE_MAX_DAY(*) FROM Segment")
+        tables = resident_tables(db)
+        sources = [t.source[0] for t in tables if t.source is not None]
+        assert sources
+        memos = [
+            pieces
+            for table in [*tables, *sources]
+            for pieces in table.fold.pieces.values()
+        ]
+        assert len(memos) == 2 * len(tables + sources)
+        copies = [[array.copy() for array in memo] for memo in memos]
+        db.ingest(groups(matrix(2), TICKS // 2, TICKS, SUNDAY, SLOW))
+        assert_oracle(db, cube_statements()[:8] + cut_cube_statements())
+        for memo, copy in zip(memos, copies):
+            for array, before in zip(memo, copy):
+                assert not array.flags.writeable
+                assert np.array_equal(array, before)
 
 
 if HAVE_HYPOTHESIS:
