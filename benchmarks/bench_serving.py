@@ -48,9 +48,8 @@ from repro.server import (  # noqa: E402
     EmbeddedDispatcher,
     QueryServer,
     ServerThread,
-    build_workload,
-    run_load,
 )
+from repro.server.loadgen import build_workload, run_load  # noqa: E402
 from repro.shard import ShardedCluster, ShardedDispatcher  # noqa: E402
 
 #: Serving-scale EP: enough segments that statements do real work, small

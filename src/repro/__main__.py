@@ -328,7 +328,8 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
 
 def run_loadgen(argv: list[str], out) -> int:
     """The ``loadgen`` subcommand: closed-loop load on a live server."""
-    from .server import ServerClient, build_workload, run_load
+    from .server import ServerClient
+    from .server.loadgen import build_workload, run_load
 
     arguments = build_loadgen_parser().parse_args(argv)
 

@@ -286,6 +286,12 @@ _SPECS = (
         "result-cache hit never waits).",
     ),
     MetricSpec(
+        "server.inline_total", COUNTER, (),
+        "Statements run on the event loop instead of the executor: "
+        "in-process ones whose previous run took less than the GIL "
+        "switch interval and their deadline.",
+    ),
+    MetricSpec(
         "server.rejected_busy_total", COUNTER, (),
         "Requests fast-failed with a busy error (503-style).",
     ),

@@ -16,7 +16,6 @@ cancellation, and a result cache invalidated by ingestion flushes.
 
 from .client import ServerClient
 from .dispatcher import CancelToken, Dispatcher, EmbeddedDispatcher
-from .loadgen import LoadReport, build_workload, run_load
 from .protocol import (
     BadRequestError,
     BusyError,
@@ -40,14 +39,11 @@ __all__ = [
     "Dispatcher",
     "EmbeddedDispatcher",
     "ErrorCode",
-    "LoadReport",
     "QueryResultCache",
     "QueryServer",
     "RemoteQueryError",
     "ServerClient",
     "ServerError",
     "ServerThread",
-    "build_workload",
     "normalize_sql",
-    "run_load",
 ]

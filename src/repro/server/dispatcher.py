@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+import time
 from typing import Callable
 
 from ..modelardb import ModelarDB
@@ -35,6 +36,9 @@ from .result_cache import CachedResult, QueryResultCache
 #: cached breakdown would report a stale timing, so they bypass the
 #: result cache entirely (no lookup, no store).
 _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN\b", re.IGNORECASE)
+
+#: Statements whose last run time a dispatcher keeps, oldest out first.
+_DURATIONS_CAPACITY = 1024
 
 
 def _cache_key(sql: str, as_of: int | None) -> str:
@@ -88,6 +92,8 @@ class Dispatcher:
     """Common dispatch machinery: result cache + cooperative cancel."""
 
     mode = "abstract"
+    #: :meth:`_run` computes in this process (so may run on the loop).
+    in_process = False
 
     def __init__(
         self,
@@ -96,6 +102,8 @@ class Dispatcher:
     ) -> None:
         self.result_cache = QueryResultCache(result_cache_capacity)
         self._execute_hook = execute_hook
+        self._durations: dict[str, float] = {}
+        self._durations_lock = threading.Lock()
 
     # -- to be provided by subclasses ----------------------------------
     def _run(self, sql: str, as_of: int | None = None) -> list[dict] | ResultColumns:
@@ -121,6 +129,12 @@ class Dispatcher:
         if _EXPLAIN_RE.match(sql) is not None:
             return None
         return self.result_cache.lookup(_cache_key(sql, as_of))
+
+    def last_duration(self, sql: str, as_of: int | None = None) -> float | None:
+        """Seconds ``(sql, as_of)`` last ran; None if unseen or executor-only."""
+        if not self.in_process or self._execute_hook is not None:
+            return None
+        return self._durations.get(_cache_key(sql, as_of))
 
     def execute(
         self,
@@ -154,7 +168,12 @@ class Dispatcher:
             self._execute_hook(sql, token)
             if token is not None:
                 token.raise_if_cancelled()
+        began = time.perf_counter()
         rows = self._run(sql, as_of)
+        with self._durations_lock:
+            self._durations[cache_key] = time.perf_counter() - began
+            if len(self._durations) > _DURATIONS_CAPACITY:
+                del self._durations[next(iter(self._durations))]
         if cacheable:
             # CachedResult memoises both wire encodings, so every hit on
             # this entry serves byte-identical frames for free.
@@ -163,8 +182,10 @@ class Dispatcher:
         return rows, False
 
     def notify_flush(self) -> None:
-        """Invalidate cached results after new segments became visible."""
+        """Forget cached results and run times: new segments are visible."""
         self.result_cache.invalidate()
+        with self._durations_lock:
+            self._durations.clear()
 
     def metrics(self) -> dict:
         """The metrics registry snapshot this backend serves from.
@@ -188,6 +209,7 @@ class EmbeddedDispatcher(Dispatcher):
     """Serve from one in-process :class:`QueryEngine`."""
 
     mode = "embedded"
+    in_process = True
 
     def __init__(
         self,

@@ -23,6 +23,7 @@ class ServerCounters:
         "requests",
         "accepted",
         "queued",
+        "inline",
         "rejected_busy",
         "completed",
         "failed",

@@ -2,9 +2,13 @@
 
 An asyncio TCP server speaking the length-prefixed JSON protocol of
 :mod:`repro.server.protocol`. Statements execute on a bounded thread
-pool via a :class:`~repro.server.dispatcher.Dispatcher`; the event loop
-itself never blocks on a query, so pings, stats and cancellations stay
-responsive while the pool is saturated.
+pool via a :class:`~repro.server.dispatcher.Dispatcher`. The event loop
+never blocks on a query for longer than one GIL switch interval, so
+pings, stats and cancellations stay responsive while the pool is
+saturated. A pool thread running engine code holds the GIL that long
+anyway, so a statement that an in-process, hook-free dispatcher last ran
+faster (and within its deadline) runs on the loop, skipping two thread
+hand-offs.
 
 A statement whose result is already in the dispatcher's result cache
 is answered on the event loop itself, before admission: a hit takes no
@@ -90,7 +94,8 @@ class QueryServer:
         self._semaphore: asyncio.Semaphore | None = None
         self._waiting = 0
         self._inflight = 0
-        self._cancel_tokens: dict[str, tuple[CancelToken, asyncio.Event]] = {}
+        #: Executing statements by client id; ids may be reused.
+        self._cancel_tokens: dict[str, list[tuple[CancelToken, asyncio.Future]]] = {}
         self._connection_tasks: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
@@ -122,9 +127,9 @@ class QueryServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for token, event in list(self._cancel_tokens.values()):
-            token.cancel("shutdown")
-            event.set()
+        for entries in self._cancel_tokens.values():
+            for token, settled in entries:
+                _fire(token, settled, "shutdown")
         for task in list(self._connection_tasks):
             task.cancel()
         if self._connection_tasks:
@@ -198,17 +203,9 @@ class QueryServer:
     # ------------------------------------------------------------------
     def _handle_cancel(self, request: dict) -> dict:
         query_id = request.get("id")
-        entry = (
-            self._cancel_tokens.get(str(query_id))
-            if query_id is not None
-            else None
-        )
-        if entry is None:
-            return {"ok": True, "cancelled": False}
-        token, event = entry
-        token.cancel("cancelled")
-        event.set()
-        return {"ok": True, "cancelled": True}
+        entries = [] if query_id is None else self._cancel_tokens.get(str(query_id), [])
+        fired = [_fire(token, settled, "cancelled") for token, settled in entries]
+        return {"ok": True, "cancelled": any(fired)}
 
     async def _handle_query(self, request: dict) -> dict:
         self.counters.bump("requests")
@@ -255,45 +252,60 @@ class QueryServer:
         self.counters.bump("accepted")
 
         token = CancelToken()
-        cancelled_event = asyncio.Event()
-        if query_id is not None:
-            self._cancel_tokens[str(query_id)] = (token, cancelled_event)
         started = time.perf_counter()
+        timeout = sys.float_info.max if timeout is None else timeout  # None: never
+        previous = self.dispatcher.last_duration(sql, as_of)
+        if previous is not None and previous < min(sys.getswitchinterval(), timeout):
+            # On the loop (module docstring): no cancel can land meanwhile.
+            self.counters.bump("inline")
+            future = asyncio.get_running_loop().create_future()
+            try:
+                future.set_result(self.dispatcher.execute(sql, token, as_of))
+            except Exception as error:  # noqa: BLE001 - answered below
+                future.set_exception(error)
+            self._release_slot(future)
+            if time.perf_counter() - started > timeout:
+                token.cancel("timeout")
+        else:
+            future = await self._offload(sql, token, as_of, timeout, query_id)
+        # The outcome is a function of the token alone: a cancelled
+        # executor thread raises at once, and whether its error or the
+        # cancel settled the wait first must not change the answer.
+        if token.reason == "timeout":
+            self.counters.bump("timed_out")
+            return error_response(
+                ErrorCode.TIMEOUT,
+                f"query exceeded its {timeout:.3f}s deadline",
+            )
+        if token.cancelled:
+            self.counters.bump("cancelled")
+            return error_response(
+                ErrorCode.CANCELLED, f"query {query_id!r} was cancelled"
+            )
+        return self._finish_query(future, started)
+
+    async def _offload(self, sql, token, as_of, timeout, query_id) -> asyncio.Future:
+        """Execute on the pool until done, cancelled or past the deadline."""
         loop = asyncio.get_running_loop()
+        settled = loop.create_future()
+        key = None if query_id is None else str(query_id)
+        entries = [] if key is None else self._cancel_tokens.setdefault(key, [])
+        entries.append(entry := (token, settled))
         future = loop.run_in_executor(
             self._executor, self.dispatcher.execute, sql, token, as_of
         )
         future.add_done_callback(self._release_slot)
-        cancel_waiter = asyncio.ensure_future(cancelled_event.wait())
+        future.add_done_callback(lambda _: settled.done() or settled.set_result(None))
+        # At the deadline: answer now, tell the worker to abandon.
+        expiry = loop.call_later(timeout, _fire, token, settled, "timeout")
         try:
-            done, _pending = await asyncio.wait(
-                {future, cancel_waiter},
-                timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not done:
-                # Deadline expired: answer now, tell the worker to abandon.
-                token.cancel("timeout")
-            # The outcome is a function of the token alone. A cancelled
-            # executor thread raises at once, so its error can reach
-            # `done` before (or with) the waiter; which one the loop
-            # saw first must not change what the client is told.
-            if token.reason == "timeout":
-                self.counters.bump("timed_out")
-                return error_response(
-                    ErrorCode.TIMEOUT,
-                    f"query exceeded its {timeout:.3f}s deadline",
-                )
-            if token.cancelled:
-                self.counters.bump("cancelled")
-                return error_response(
-                    ErrorCode.CANCELLED, f"query {query_id!r} was cancelled"
-                )
-            return self._finish_query(future, started)
+            await settled
+            return future
         finally:
-            cancel_waiter.cancel()
-            if query_id is not None:
-                self._cancel_tokens.pop(str(query_id), None)
+            expiry.cancel()
+            entries.remove(entry)  # its own: a reused id stays cancellable
+            if key is not None and not entries:
+                del self._cancel_tokens[key]
 
     def _finish_query(self, future, started: float) -> dict:
         try:
@@ -369,6 +381,15 @@ class QueryServer:
             "dispatcher": self.dispatcher.stats(),
             "catalog": self.dispatcher.catalog(),
         }
+
+
+def _fire(token: CancelToken, settled: asyncio.Future, reason: str) -> bool:
+    """Cancel a statement still waited on and wake its request, once."""
+    if settled.done():
+        return False
+    token.cancel(reason)
+    settled.set_result(None)
+    return True
 
 
 class ServerThread:

@@ -10,8 +10,12 @@ leave the connection (and server) up.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,43 @@ class TestDeadlinesAndCancel:
                         time.sleep(0.01)
                 assert cancelled
             thread.join(timeout=30)
+            assert len(errors) == 1
+            assert isinstance(errors[0], CancelledError)
+
+    def test_reused_id_keeps_the_running_query_cancellable(self):
+        started = threading.Event()
+
+        def hook(sql: str, token) -> None:
+            if "WHERE Tid = 999" in sql and token is not None:
+                started.set()
+                token.wait(30)
+
+        db = make_db(n_series=2, n_points=60)
+        with _Harness(db, hook=hook, max_inflight=2) as (host, port):
+            errors: list[Exception] = []
+
+            def blocked() -> None:
+                with ServerClient(host, port) as client:
+                    try:
+                        client.query(
+                            "SELECT COUNT_S(*) FROM Segment "
+                            "WHERE Tid = 999",
+                            timeout=30.0,
+                            query_id="q",
+                        )
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(error)
+
+            thread = threading.Thread(target=blocked, daemon=True)
+            thread.start()
+            assert started.wait(timeout=10)
+            with ServerClient(host, port) as client:
+                # A fast query under the same id finishes first; the
+                # blocked one must stay reachable by that id.
+                client.query("SELECT COUNT_S(*) FROM Segment", query_id="q")
+                assert client.cancel("q")
+            thread.join(timeout=30)
+            assert not thread.is_alive()
             assert len(errors) == 1
             assert isinstance(errors[0], CancelledError)
 
@@ -622,3 +663,23 @@ class TestServerShutdown:
                 assert rows[0]["COUNT_S(*)"] == 50
         finally:
             harness2.stop()
+
+
+class TestImportFootprint:
+    def test_server_package_loads_no_evaluation_harness(self):
+        """A ``serve`` process imports ``repro.server``; the baselines
+        and workload generators are the load generator's, not its."""
+        probe = (
+            "import sys, repro.server; print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.baselines', 'repro.workloads'))))"
+        )
+        source = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
